@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .linalg import q_inverse, q_nullspace, q_rank
+from .linalg import q_identity, q_inverse, q_mul, q_nullspace, q_rank, q_zeros
 
 
 class TruncationUnstable(Exception):
@@ -112,7 +112,7 @@ class LinearAction:
         for g, ad in finite_elements:
             gq = [[Fraction(v) for v in row] for row in g]
             adq = ([[Fraction(v) for v in row] for row in ad] if ad is not None
-                   else _identity_q(lie_algebra.dim))
+                   else q_identity(lie_algebra.dim))
             self.finite_elements.append((gq, adq))
         self._validate()
 
@@ -120,9 +120,9 @@ class LinearAction:
         k = self.lie_algebra.dim
         for b in range(k):
             for c in range(k):
-                comm = _mat_sub(_mat_mul(self.rep[b], self.rep[c]),
-                                _mat_mul(self.rep[c], self.rep[b]))
-                want = _zeros_q(self.m, self.m)
+                comm = _mat_sub(q_mul(self.rep[b], self.rep[c]),
+                                q_mul(self.rep[c], self.rep[b]))
+                want = q_zeros(self.m, self.m)
                 for a in range(k):
                     coeff = self.lie_algebra.c(a, b, c)
                     if coeff:
@@ -189,28 +189,6 @@ class LinearAction:
         return cls(LieAlgebra.from_json_obj(obj["lie_algebra"]), rep, finite)
 
 
-def _zeros_q(r, c):
-    return [[Fraction(0)] * c for _ in range(r)]
-
-
-def _identity_q(n):
-    out = _zeros_q(n, n)
-    for i in range(n):
-        out[i][i] = Fraction(1)
-    return out
-
-
-def _mat_mul(a, b):
-    n, mid, c = len(a), len(b), len(b[0]) if b else 0
-    out = _zeros_q(n, c)
-    for i in range(n):
-        for k in range(mid):
-            if a[i][k]:
-                for j in range(c):
-                    out[i][j] += a[i][k] * b[k][j]
-    return out
-
-
 def _mat_add(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
@@ -266,12 +244,6 @@ class EquivariantForm:
         x = [0] * num_x
         x[i] = 1
         return cls(num_u, num_x, {((0,) * num_u, tuple(x), ()): Fraction(1)})
-
-    @classmethod
-    def u_var(cls, num_u, num_x, a):
-        u = [0] * num_u
-        u[a] = 1
-        return cls(num_u, num_x, {(tuple(u), (0,) * num_x, ()): Fraction(1)})
 
     @classmethod
     def dx(cls, num_u, num_x, i):
@@ -426,11 +398,6 @@ class EquivariantForm:
             out = out + form
         return out
 
-    def homogeneous_part(self, cartan_degree):
-        return EquivariantForm(self.num_u, self.num_x,
-                               {k: v for k, v in self.terms.items()
-                                if 2 * sum(k[0]) + len(k[2]) == cartan_degree})
-
     # -- interval fiber operations: the LAST x variable is the interval
     # coordinate t, its differential dt = dx_{m-1}
 
@@ -528,7 +495,7 @@ def _substitute_u(form, u_exp, u_matrix):
 def fundamental_vector_field(act: LinearAction, coeffs):
     """Matrix of the linear field X^#(x) = rep(X) x for X = sum coeffs X_a."""
     m = act.m
-    out = _zeros_q(m, m)
+    out = q_zeros(m, m)
     for a, c in enumerate(coeffs):
         if c:
             out = _mat_add(out, _mat_scale(act.rep[a], Fraction(c)))
@@ -626,7 +593,6 @@ def _invariant_subspace(act, basis):
     """Basis vectors (coordinates) of the invariant span of the monomials."""
     if not basis:
         return []
-    index = {key: i for i, key in enumerate(basis)}
     rows = []
 
     def operator_rows(images):
@@ -647,7 +613,6 @@ def _invariant_subspace(act, basis):
             form = EquivariantForm(num_u, num_x, {key: 1})
             images.append(group_transform(act, form, g, ad) - form)
         operator_rows(images)
-    del index
     if not rows:
         return [[Fraction(1) if i == j else Fraction(0) for j in range(len(basis))]
                 for i in range(len(basis))]
@@ -668,11 +633,14 @@ def _cartan_cohomology_dim(act, n, x_bound):
         return forms
 
     inv_n = invariant_forms(n, x_bound)
-    inv_prev = invariant_forms(n - 1, x_bound) if n >= 1 else []
+    # d_C lowers the x-degree by one (d) or raises it by one (the contraction
+    # with a linear field), so primitives of x-degree x_bound + 1 can still
+    # bound a form inside the cap; their images reach x-degree x_bound + 2
+    inv_prev = invariant_forms(n - 1, x_bound + 1) if n >= 1 else []
 
     target_basis = _monomials_of_cartan_degree(num_u, num_x, n + 1, x_bound + 1)
     target_index = {key: i for i, key in enumerate(target_basis)}
-    mid_basis = _monomials_of_cartan_degree(num_u, num_x, n, x_bound + 1)
+    mid_basis = _monomials_of_cartan_degree(num_u, num_x, n, x_bound + 2)
     mid_index = {key: i for i, key in enumerate(mid_basis)}
 
     def vectorize(form, index):

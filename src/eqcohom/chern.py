@@ -17,6 +17,7 @@ from itertools import combinations, permutations
 from .cartan import (
     EquivariantForm,
     LinearAction,
+    _compositions,
     fiber_integrate_interval,
     lie_derivative,
     q_nullspace,
@@ -34,13 +35,6 @@ class ConnectionNotInvariant(Exception):
 def form_zero_matrix(rank, num_u, num_x):
     z = EquivariantForm.zero(num_u, num_x)
     return [[z for _ in range(rank)] for _ in range(rank)]
-
-
-def form_identity_matrix(rank, num_u, num_x, value=1):
-    out = form_zero_matrix(rank, num_u, num_x)
-    for i in range(rank):
-        out[i][i] = EquivariantForm.constant(num_u, num_x, value)
-    return out
 
 
 def form_mat_add(a, b):
@@ -336,10 +330,6 @@ class InvariantPolynomial:
             return elementary_symmetric(m, 2 * self.k).scale(sign)
         raise AssertionError
 
-    def evaluate_total_list(self, m):
-        """Coefficients of det(I + t m) as a list indexed by the t-power."""
-        return [elementary_symmetric(m, k) for k in range(len(m) + 1)]
-
 
 def conjugation_invariance_check(poly: InvariantPolynomial, rank, rng, trials=10):
     """P(g B g^{-1}) == P(B) on random rational matrices."""
@@ -561,15 +551,3 @@ def random_invariant_connection(act: LinearAction, rank, rng, drho=None, x_bound
         if c:
             entries = form_mat_add(entries, form_mat_scale(conn.entries, c))
     return ConnectionMatrix(rank, entries)
-
-
-def _compositions(total, parts):
-    if parts == 0:
-        return [()] if total == 0 else []
-    if parts == 1:
-        return [(total,)]
-    out = []
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            out.append((first,) + rest)
-    return out

@@ -20,7 +20,6 @@ from .linalg import (
     IntMatrix,
     cohomology_at,
     kernel_basis,
-    q_rank,
     q_solve,
     rank_q,
     reduce_complex,
@@ -382,19 +381,11 @@ def is_iso_presented(rel_s: IntMatrix, rel_t: IntMatrix, fbar: IntMatrix) -> boo
     """Is Z^{k_s}/im(rel_s) -> Z^{k_t}/im(rel_t) via fbar an isomorphism?"""
     k_t = rel_t.rows
     # surjective: [fbar | rel_t] has trivial cokernel
-    joined_entries = dict(fbar.entries)
-    for (i, j), v in rel_t.entries.items():
-        joined_entries[(i, fbar.cols + j)] = v
-    joined = IntMatrix(k_t, fbar.cols + rel_t.cols, joined_entries)
-    diag = smith_normal_form(joined).s.diagonal()
+    diag = smith_normal_form(fbar.hstack(rel_t)).s.diagonal()
     if len([d for d in diag if d]) != k_t or any(d not in (0, 1) for d in diag):
         return False
     # injective: fbar x in im(rel_t) forces x in im(rel_s)
-    neg_entries = dict(fbar.entries)
-    for (i, j), v in rel_t.entries.items():
-        neg_entries[(i, fbar.cols + j)] = -v
-    stacked = IntMatrix(k_t, fbar.cols + rel_t.cols, neg_entries)
-    for col in kernel_basis(stacked):
+    for col in kernel_basis(fbar.hstack(rel_t.scale(-1))):
         x = col[:fbar.cols]
         if solve_int(rel_s, x) is None:
             return False
@@ -408,14 +399,8 @@ def is_iso_rational(d_in_s, d_out_s, d_in_t, d_out_t, f_mid) -> bool:
     if dim_s != dim_t:
         return False
     # dim of induced image = rank [f | d_in_t] - rank d_in_t, restricted to cycles
-    ker_s = kernel_basis(d_out_s)
-    cols = [f_mid.apply(col) for col in ker_s]
-    joined = [[Fraction(cols[j][i]) for j in range(len(cols))] +
-              [Fraction(d_in_t.entries.get((i, j2), 0)) for j2 in range(d_in_t.cols)]
-              for i in range(d_in_t.rows)]
-    rel = [[Fraction(d_in_t.entries.get((i, j2), 0)) for j2 in range(d_in_t.cols)]
-           for i in range(d_in_t.rows)]
-    image_dim = q_rank(joined) - q_rank(rel)
+    cycles = IntMatrix.from_rows(kernel_basis(d_out_s), cols=d_out_s.cols).transpose()
+    image_dim = rank_q((f_mid @ cycles).hstack(d_in_t)) - rank_q(d_in_t)
     return image_dim == dim_s
 
 
@@ -690,13 +675,13 @@ def cone_homotopy(w: SHCMorphism) -> SimplicialHomotopyCochainComplex:
         for i in range(p + 2):
             cofaces[(p, i)] = {}
             for k in grades:
-                m = _block_diag(a.coface(p, i, k + 1), b.coface(p, i, k))
+                m = a.coface(p, i, k + 1).stack_diag(b.coface(p, i, k))
                 if not _is_zero_shape(m):
                     cofaces[(p, i)][k] = m
         for i in range(p + 1):
             codegens[(p, i)] = {}
             for k in grades:
-                m = _block_diag(a.codegen(p, i, k + 1), b.codegen(p, i, k))
+                m = a.codegen(p, i, k + 1).stack_diag(b.codegen(p, i, k))
                 if not _is_zero_shape(m):
                     codegens[(p, i)][k] = m
     f = {}
@@ -719,28 +704,14 @@ def cone_homotopy(w: SHCMorphism) -> SimplicialHomotopyCochainComplex:
         for i in range(p):
             s.setdefault((p, i), {})
             for k in grades:
-                m = _block_diag(a.s_single(p, i, k + 1), b.s_single(p, i, k))
+                m = a.s_single(p, i, k + 1).stack_diag(b.s_single(p, i, k))
                 if not _is_zero_shape(m):
                     s[(p, i)][k] = m
     return SimplicialHomotopyCochainComplex(p_max, grades, ranks, cofaces, codegens, f, s)
 
 
-def _block_diag(m1: IntMatrix, m2: IntMatrix) -> IntMatrix:
-    return m1.stack_diag(m2)
-
-
 def _is_zero_shape(m: IntMatrix) -> bool:
     return m.rows == 0 and m.cols == 0
-
-
-def shc_from_double_complex(dc: DoubleComplex, cofaces, codegens) -> SimplicialHomotopyCochainComplex:
-    """View a double complex (with explicit simplicial structure in the
-    vertical direction) as a homotopy complex with s = 0, f = horizontal d."""
-    ranks = dict(dc.ranks)
-    f = {(p, q): dc.horiz(p, q) for p in range(dc.p_max + 1) for q in range(dc.q_max + 1)
-         if dc.rank(p, q) or dc.rank(p, q + 1)}
-    return SimplicialHomotopyCochainComplex(dc.p_max, list(range(dc.q_max + 1)),
-                                            ranks, cofaces, codegens, f, {})
 
 
 # ---------------------------------------------------------------------------

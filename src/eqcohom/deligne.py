@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .complexes import (
     DoubleComplex,
@@ -31,7 +32,8 @@ from .linalg import (
     StructuredCoefGroup,
     coefficient_change,
     kernel_basis,
-    q_rank,
+    q_nullspace,
+    rank_q,
     solve_int,
 )
 from .simplicial import BarLevels, GAction, bar_levels, total_window
@@ -97,8 +99,13 @@ class MixedComplex:
     """Degreewise Z^{a_k} (+) Q^{b_k} with triangular differential blocks
 
         p_blocks[k]: Z^{a_k} -> Z^{a_{k+1}}   (integral)
-        q_blocks[k]: Z^{a_k} -> Q^{b_{k+1}}   (rational rows)
+        q_blocks[k]: Z^{a_k} -> Q^{b_{k+1}}
         s_blocks[k]: Q^{b_k} -> Q^{b_{k+1}}
+
+    Every block is an IntMatrix: the cone differential has integer entries
+    even where it acts on rational cochains, so d^2 = 0 is checked and
+    every rank taken in exact integer arithmetic.  Only the chain-level
+    checks (is_cocycle, is_coboundary) carry Fractions, in their vectors.
 
     Nothing maps out of the rational part into the integral part, so the
     rational columns form a subcomplex with an integral quotient.
@@ -109,8 +116,11 @@ class MixedComplex:
         self.int_ranks = list(int_ranks)
         self.rat_ranks = list(rat_ranks)
         self.p_blocks = list(p_blocks)
-        self.q_blocks = [[ [Fraction(v) for v in row] for row in q] for q in q_blocks]
-        self.s_blocks = [[ [Fraction(v) for v in row] for row in s] for s in s_blocks]
+        self.q_blocks = list(q_blocks)
+        self.s_blocks = list(s_blocks)
+        if not all(isinstance(m, IntMatrix)
+                   for m in self.p_blocks + self.q_blocks + self.s_blocks):
+            raise TypeError("MixedComplex blocks must be IntMatrix")
         if check:
             self.validate()
 
@@ -136,26 +146,23 @@ class MixedComplex:
         i = k - self.n_min
         if 0 <= i < len(self.q_blocks):
             return self.q_blocks[i]
-        return [[Fraction(0)] * self.int_rank(k) for _ in range(self.rat_rank(k + 1))]
+        return IntMatrix.zero(self.rat_rank(k + 1), self.int_rank(k))
 
     def s_block(self, k):
         i = k - self.n_min
         if 0 <= i < len(self.s_blocks):
             return self.s_blocks[i]
-        return [[Fraction(0)] * self.rat_rank(k) for _ in range(self.rat_rank(k + 1))]
+        return IntMatrix.zero(self.rat_rank(k + 1), self.rat_rank(k))
 
     def validate(self):
         for k in range(self.n_min, self.n_max):
             if not (self.p_block(k + 1) @ self.p_block(k)).is_zero():
                 raise ValueError(f"integral blocks fail d^2 = 0 at degree {k}")
             # rational square: S S = 0 and Q P + S Q = 0
-            ss = _q_mat_mul(self.s_block(k + 1), self.s_block(k))
-            if any(any(v for v in row) for row in ss):
+            if not (self.s_block(k + 1) @ self.s_block(k)).is_zero():
                 raise ValueError(f"rational blocks fail d^2 = 0 at degree {k}")
-            qp = _q_int_mul(self.q_block(k + 1), self.p_block(k))
-            sq = _q_mat_mul(self.s_block(k + 1), self.q_block(k))
-            mix = _q_mat_add(qp, sq)
-            if any(any(v for v in row) for row in mix):
+            mix = self.q_block(k + 1) @ self.p_block(k) + self.s_block(k + 1) @ self.q_block(k)
+            if not mix.is_zero():
                 raise ValueError(f"mixed blocks fail d^2 = 0 at degree {k}")
 
     def int_complex(self) -> IntCochainComplex:
@@ -164,20 +171,16 @@ class MixedComplex:
                                   for i in range(len(self.int_ranks) - 1)], check=False)
 
     def rat_cohomology_dim(self, k):
-        return self.rat_rank(k) - _q_matrix_rank(self.s_block(k)) \
-            - _q_matrix_rank(self.s_block(k - 1))
+        return self.rat_rank(k) - rank_q(self.s_block(k)) - rank_q(self.s_block(k - 1))
 
     def connecting_rank(self, k):
         """Rank of the connecting map H^k(int) -> H^{k+1}(rat)."""
         kernels = kernel_basis(self.p_block(k))
         if not kernels:
             return 0
-        q = self.q_block(k)
-        images = [[sum(Fraction(q[i][j]) * c[j] for j in range(len(c)))
-                   for c in kernels] for i in range(self.rat_rank(k + 1))]
+        images = self.q_block(k) @ IntMatrix.from_rows(kernels).transpose()
         s_prev = self.s_block(k)
-        joined = [images[i] + list(s_prev[i]) for i in range(len(images))]
-        return _q_matrix_rank(joined) - _q_matrix_rank(s_prev)
+        return rank_q(images.hstack(s_prev)) - rank_q(s_prev)
 
     def cohomology(self, k) -> DiffCohGroup:
         """H^k via the long exact sequence of the rational subcomplex.
@@ -200,18 +203,11 @@ class MixedComplex:
     # -- chain level
 
     def is_cocycle(self, k, x, v):
-        px = self.p_block(k).apply(list(x))
-        if any(px):
+        if any(self.p_block(k).apply(list(x))):
             return False
-        q = self.q_block(k)
-        s = self.s_block(k)
-        rows = self.rat_rank(k + 1)
-        for i in range(rows):
-            total = sum(Fraction(q[i][j]) * x[j] for j in range(len(x)))
-            total += sum(Fraction(s[i][j]) * v[j] for j in range(len(v)))
-            if total:
-                return False
-        return True
+        qx = self.q_block(k).apply(list(x))
+        sv = self.s_block(k).apply(list(v))
+        return not any(a + b for a, b in zip(qx, sv))
 
     def is_coboundary(self, k, x, v):
         """Does (x, v) = d(y, w) have a solution with y integral, w rational?"""
@@ -225,78 +221,25 @@ class MixedComplex:
         s = self.s_block(k - 1)
         ker = kernel_basis(p)
         # residual: v - Q y0 must lie in im(S) + Z-span of Q(kernel basis)
-        resid = [Fraction(v[i]) - sum(Fraction(q[i][j]) * y0[j] for j in range(len(y0)))
-                 for i in range(self.rat_rank(k))]
-        # rows of the projection: basis of functionals vanishing on im(S)
-        pi_rows = _left_null_rows(s, self.rat_rank(k))
-        target = [sum(r[i] * resid[i] for i in range(len(resid))) for r in pi_rows]
+        resid = [Fraction(vi) - qy for vi, qy in zip(v, q.apply(y0))]
+        # rows of the projection: functionals vanishing on im(S); a zero row
+        # stands in for S^T when S has no columns
+        pi_rows = q_nullspace(s.transpose().to_rows() or [[0] * s.rows])
+
+        def project(vec):
+            return [sum(r[i] * vec[i] for i in range(len(vec))) for r in pi_rows]
+
+        target = project(resid)
         if not ker:
-            return all(t == 0 for t in target)
-        cols = []
-        for c in ker:
-            qc = [sum(Fraction(q[i][j]) * c[j] for j in range(len(c)))
-                  for i in range(self.rat_rank(k))]
-            cols.append([sum(r[i] * qc[i] for i in range(len(qc))) for r in pi_rows])
+            return not any(target)
+        cols = [project(q.apply(c)) for c in ker]
         # solve (pi Q K) t = pi(resid) over the integers
-        denom = 1
-        for row_i in range(len(pi_rows)):
-            for val in [target[row_i]] + [col[row_i] for col in cols]:
-                denom = _lcm(denom, Fraction(val).denominator)
+        denom = lcm(*(val.denominator for val in target + [e for col in cols for e in col]))
         mat = IntMatrix.from_rows(
             [[int(col[row_i] * denom) for col in cols] for row_i in range(len(pi_rows))],
             cols=len(cols))
         rhs = [int(t * denom) for t in target]
         return solve_int(mat, rhs) is not None
-
-
-def _lcm(a, b):
-    from math import gcd
-    return a * b // gcd(a, b)
-
-
-def _left_null_rows(s, ncols_of_space):
-    """Basis (as rows) of functionals on Q^{rows(s)} vanishing on im(s)."""
-    from .linalg import q_nullspace
-    if not s or not s[0]:
-        return [[Fraction(1) if i == j else Fraction(0) for j in range(ncols_of_space)]
-                for i in range(ncols_of_space)]
-    transpose = [[s[i][j] for i in range(len(s))] for j in range(len(s[0]))]
-    return [list(v) for v in q_nullspace(transpose)]
-
-
-def _q_mat_mul(a, b):
-    if not a or not b or not b[0]:
-        rows = len(a)
-        cols = len(b[0]) if b and b[0] else 0
-        return [[Fraction(0)] * cols for _ in range(rows)]
-    n, mid, c = len(a), len(b), len(b[0])
-    out = [[Fraction(0)] * c for _ in range(n)]
-    for i in range(n):
-        for k in range(mid):
-            if a[i][k]:
-                for j in range(c):
-                    out[i][j] += a[i][k] * b[k][j]
-    return out
-
-
-def _q_int_mul(q, p: IntMatrix):
-    rows = len(q)
-    out = [[Fraction(0)] * p.cols for _ in range(rows)]
-    for (i, j), v in p.entries.items():
-        for r in range(rows):
-            if q[r][i]:
-                out[r][j] += q[r][i] * v
-    return out
-
-
-def _q_mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _q_matrix_rank(m):
-    if not m or not m[0]:
-        return 0
-    return q_rank([[Fraction(v) for v in row] for row in m])
 
 
 # ---------------------------------------------------------------------------
@@ -342,31 +285,21 @@ def build_deligne_mixed(act: GAction, n, P=None, check=True) -> DeligneComplexDa
     q_blocks = []
     s_blocks = []
     for k in range(degrees - 1):
-        qb = [[Fraction(0)] * int_ranks[k] for _ in range(rat_ranks[k + 1])]
         # the sigma^{>= n} slot of degree k+1 sits at level k: rows offset 0
         # for n >= 1; for n = 0 the level-(k+1) slot comes first
         offset = cells[k + 1] if n == 0 else 0
         sign = -1 if k % 2 else 1  # (-1)^p with p = k, times the cone's -1
-        for c in range(cells[k]):
-            qb[offset + c][c] = Fraction(-sign)
-        q_blocks.append(qb)
-        sb = [[Fraction(0)] * rat_ranks[k] for _ in range(rat_ranks[k + 1])]
-        vert_prev = bl.vertical_matrix(k - 1, 0) if k >= 1 else None
+        q_blocks.append(IntMatrix(rat_ranks[k + 1], int_ranks[k],
+                                  {(offset + c, c): -sign for c in range(cells[k])}))
+        vert_prev = p_blocks[k - 1] if k >= 1 else IntMatrix.zero(cells[0], 0)
         if n == 0:
-            vert_here = bl.vertical_matrix(k, 0)
-            for (i, j), v in vert_here.entries.items():
-                sb[i][j] = Fraction(v)
-            if k >= 1:
-                for (i, j), v in vert_prev.entries.items():
-                    sb[cells[k + 1] + i][cells[k] + j] = Fraction(v)
-            # cone map from the level-k sigma-slot to the level-k function slot
-            for c in range(cells[k]):
-                sb[cells[k + 1] + c][c] += Fraction(sign)
+            # [[vert_here, 0], [cone map, vert_prev]]: the cone map sends the
+            # level-k sigma-slot to the level-k function slot
+            cone = IntMatrix(rat_ranks[k + 1], rat_ranks[k],
+                             {(cells[k + 1] + c, c): sign for c in range(cells[k])})
+            s_blocks.append(p_blocks[k].stack_diag(vert_prev) + cone)
         else:
-            if k >= 1:
-                for (i, j), v in vert_prev.entries.items():
-                    sb[i][j] = Fraction(v)
-        s_blocks.append(sb)
+            s_blocks.append(vert_prev)
     mixed = MixedComplex(0, int_ranks, rat_ranks, p_blocks, q_blocks, s_blocks, check=check)
     return DeligneComplexData(n, bl, mixed)
 
@@ -556,7 +489,6 @@ def _hexagon_zero_dim(act: GAction, n) -> HexagonReport:
         # -beta vanishes on classes reduced from C: rational cocycles map to
         # integral coboundary data, chainwise on a kernel basis
         d_out = cx.differential(n - 1)
-        d_in = cx.differential(n - 2)
         kills_c = True
         for col in kernel_basis(d_out):
             rep = [Fraction(v) for v in col]
@@ -564,15 +496,10 @@ def _hexagon_zero_dim(act: GAction, n) -> HexagonReport:
                 kills_c = False
         # ker(iota: H^n(Z) -> H^n(C)) = torsion: rank of the kernel lattice
         kernels = kernel_basis(cx.differential(n))
-        joined = [[Fraction(k[i]) for k in kernels] +
-                  [Fraction(d_out.entries.get((i, j), 0)) for j in range(d_out.cols)]
-                  for i in range(cx.rank(n))]
-        rel = [[Fraction(d_out.entries.get((i, j), 0)) for j in range(d_out.cols)]
-               for i in range(cx.rank(n))]
-        iota_rank = (q_rank(joined) - q_rank(rel)) if kernels else 0
+        iota_rank = (rank_q(IntMatrix.from_rows(kernels).transpose().hstack(d_out))
+                     - rank_q(d_out)) if kernels else 0
         evidence["rank iota on H^n"] = iota_rank
         exact["bottom_row"] = beta_ok and kills_c and iota_rank == h_n.free_rank
-        del d_in
     else:
         # n = 0: the row is 0 -> 0 -> H^0(Z) -> H^0(C) with injective iota
         exact["bottom_row"] = h_n.torsion_part().is_trivial()
@@ -840,9 +767,6 @@ class IntervalModel:
 
     def fn_dim_per_component(self):
         return (self.K + 1) + self.K * (self.D - 1)
-
-    def one_form_dim_per_component(self):
-        return self.K * self.D
 
     # function basis per component: K+1 vertex hats, then (edge, e) bubbles
     # with 2 <= e <= D; one-form basis: (edge, e) monomials s^e ds, 0 <= e < D

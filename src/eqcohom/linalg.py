@@ -21,12 +21,21 @@ class CompositionNotZero(Exception):
 # integer matrices
 
 
+def _exact_int(v):
+    """v as an int; ValueError if v is not an integer value."""
+    i = int(v)
+    if i != v:
+        raise ValueError(f"non-integral matrix entry {v!r}")
+    return i
+
+
 class IntMatrix:
     """Immutable integer matrix, stored sparsely as {(i, j): nonzero int}.
 
     Serialization is dense (arrays of arrays of decimal strings), the
     sparse storage is an internal detail; bar-complex differentials are
-    large and very sparse.
+    large and very sparse.  An entry that is not an integer value (say
+    Fraction(3, 2)) raises ValueError rather than being truncated.
     """
 
     __slots__ = ("rows", "cols", "entries", "_hash")
@@ -36,7 +45,8 @@ class IntMatrix:
             raise ValueError("negative matrix dimensions")
         self.rows = rows
         self.cols = cols
-        self.entries = {k: int(v) for k, v in entries.items() if v}
+        self.entries = {k: v if type(v) is int else _exact_int(v)
+                        for k, v in entries.items() if v}
         for (i, j) in self.entries:
             if not (0 <= i < rows and 0 <= j < cols):
                 raise ValueError(f"entry ({i},{j}) outside {rows}x{cols}")
@@ -55,7 +65,7 @@ class IntMatrix:
                 raise ValueError("ragged rows")
             for j, v in enumerate(row):
                 if v:
-                    entries[(i, j)] = int(v)
+                    entries[(i, j)] = v
         return cls(rows, cols, entries)
 
     @classmethod
@@ -147,6 +157,15 @@ class IntMatrix:
         for (i, j), v in other.entries.items():
             entries[(i + self.rows, j + self.cols)] = v
         return IntMatrix(self.rows + other.rows, self.cols + other.cols, entries)
+
+    def hstack(self, other):
+        """[self | other]: the columns of other placed after those of self."""
+        if self.rows != other.rows:
+            raise ValueError(f"row mismatch {self.rows} vs {other.rows} in hstack")
+        entries = dict(self.entries)
+        for (i, j), v in other.entries.items():
+            entries[(i, j + self.cols)] = v
+        return IntMatrix(self.rows, self.cols + other.cols, entries)
 
     def _check_same_shape(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -402,8 +421,7 @@ def kernel_basis(a: IntMatrix):
 
 def solve_int(a: IntMatrix, b):
     """One integer solution x of a @ x == b, or None."""
-    u, s, _, u_inv, v_inv = _snf_with_inverses(a)
-    del u
+    _, s, _, u_inv, v_inv = _snf_with_inverses(a)
     c = u_inv.apply(list(b))
     diag = s.diagonal()
     y = [0] * a.cols
@@ -504,9 +522,6 @@ class FgAbGroup:
 
     def torsion_part(self):
         return FgAbGroup(0, self.torsion)
-
-    def free_part(self):
-        return FgAbGroup(self.free_rank, ())
 
     def __str__(self):
         parts = []
@@ -761,11 +776,7 @@ def coefficient_change(h_n: FgAbGroup, h_next: FgAbGroup, mode: str) -> Structur
 
 
 # ---------------------------------------------------------------------------
-# rational dense matrices (small symbolic work: Cartan model, Deligne cones)
-
-
-def q_mat(rows):
-    return [[Fraction(v) for v in row] for row in rows]
+# rational dense matrices (small symbolic work: Cartan model, chain-level checks)
 
 
 def q_zeros(r, c):
@@ -809,7 +820,7 @@ def q_rref(m):
         if pr is None:
             continue
         a[r], a[pr] = a[pr], a[r]
-        inv = 1 / a[r][c]
+        inv = Fraction(1) / a[r][c]
         a[r] = [v * inv for v in a[r]]
         for i in range(nrows):
             if i != r and a[i][c]:

@@ -314,10 +314,6 @@ class GAction:
         n = self.space.ncells(d)
         return IntMatrix(n, n, {(self.perms[g][d][c], c): self.signs[g][d][c] for c in range(n)})
 
-    def cochain_matrix(self, g, d):
-        """Pullback on cochains along the action of g: (g^* w)(c) = s * w(g c)."""
-        return self.chain_matrix(g, d).transpose()
-
     def act_cell(self, g, d, c):
         return self.perms[g][d][c], self.signs[g][d][c]
 

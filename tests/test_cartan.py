@@ -88,8 +88,9 @@ def test_field_bracket_convention():
             vb = fundamental_vector_field(SO3, [1 if i == b else 0 for i in range(3)])
             vc = fundamental_vector_field(SO3, [1 if i == c else 0 for i in range(3)])
             # bracket of linear fields Ax, Bx is (BA - AB) x
-            from eqcohom.cartan import _mat_mul, _mat_sub
-            bracket = _mat_sub(_mat_mul(vc, vb), _mat_mul(vb, vc))
+            from eqcohom.cartan import _mat_sub
+            from eqcohom.linalg import q_mul
+            bracket = _mat_sub(q_mul(vc, vb), q_mul(vb, vc))
             want = fundamental_vector_field(SO3, [-v for v in g.bracket_coeffs(b, c)])
             assert bracket == want
 
@@ -245,6 +246,13 @@ def test_rotation_plane_cohomology_odd():
     for n in (1, 3, 5):
         dim, _ = cartan_cohomology_truncated(ROT, n, 6)
         assert dim == 0
+
+
+def test_so3_odd_degree_vanishes():
+    # H^odd(BSO(3); Q) = 0: the cocycle |x|^2 (x . dx) has x-degree 3, inside
+    # the cap, but its primitive |x|^4 / 4 has x-degree 4, one above it
+    dim, _ = cartan_cohomology_truncated(SO3, 1, 3)
+    assert dim == 0
 
 
 def test_trivial_symmetry_line():

@@ -36,12 +36,12 @@ def cp_point(p):
 def test_mixed_complex_validation():
     # degrees 0..2 with P0 = [2]: d^2 = 0 needs Q1 P0 + S1 Q0 = 0
     p_blocks = [IntMatrix.from_rows([[2]]), IntMatrix.zero(0, 1)]
-    q_blocks = [[[Fraction(-1)]], [[Fraction(-1)]]]
+    q_blocks = [IntMatrix.from_rows([[-1]]), IntMatrix.from_rows([[-1]])]
     with pytest.raises(ValueError):
         MixedComplex(0, [1, 1, 0], [1, 1, 1], p_blocks, q_blocks,
-                     [[[Fraction(0)]], [[Fraction(2)]]])
+                     [IntMatrix.from_rows([[0]]), IntMatrix.from_rows([[2]])])
     ok = MixedComplex(0, [1, 1, 0], [1, 1, 1], p_blocks, q_blocks,
-                      [[[Fraction(0)]], [[Fraction(-2)]]])
+                      [IntMatrix.from_rows([[0]]), IntMatrix.from_rows([[-2]])])
     assert ok.int_complex().cohomology(1) == FgAbGroup(0, (2,))
 
 
@@ -53,6 +53,29 @@ def test_mixed_cocycle_and_coboundary():
     assert mixed.is_cocycle(1, [0], [Fraction(1, 3)])
     assert not mixed.is_coboundary(1, [0], [Fraction(1, 3)])
     assert mixed.is_coboundary(1, [0], [Fraction(2)])  # integer values die in C/Z
+
+
+def test_mixed_coboundary_through_nonzero_s_block():
+    # n = 0 on a point: S0 = [[0], [1]] and S1 = [[1, 0], [-1, 0]] have
+    # pivots, so the cokernel of S is projected out by a true nullspace
+    mixed = build_deligne_mixed(trivial_point(), 0).mixed
+    assert mixed.is_coboundary(1, [0], [0, Fraction(1, 3)])
+    assert not mixed.is_coboundary(1, [0], [Fraction(1, 3), 0])
+    assert not mixed.is_coboundary(1, [1], [0, 0])
+    assert mixed.is_coboundary(2, [1], [1, 0])
+    assert mixed.is_coboundary(2, [2], [1, 1])
+    assert not mixed.is_coboundary(2, [1], [1, Fraction(1, 3)])
+    # every d(y, w) is a coboundary, also where the cone has torsion
+    mixed = build_deligne_mixed(cp_point(2), 1).mixed
+    rng = random.Random(3)
+    for k in range(mixed.n_min, mixed.n_max):
+        y = [rng.randint(-3, 3) for _ in range(mixed.int_rank(k))]
+        w = [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+             for _ in range(mixed.rat_rank(k))]
+        x = mixed.p_block(k).apply(y)
+        v = [a + b for a, b in zip(mixed.q_block(k).apply(y), mixed.s_block(k).apply(w))]
+        assert mixed.is_cocycle(k + 1, x, v)
+        assert mixed.is_coboundary(k + 1, x, v)
 
 
 # --- differential cohomology of points ------------------------------------------
@@ -93,6 +116,10 @@ def test_direct_and_structural_routes_agree():
         (cp_point(3), range(0, 3)),
         (GAction.swap_two_points(), range(0, 4)),
         (GAction.coset_action(FiniteGroup.symmetric(3), (0,)), range(0, 2)),
+        # above the direct-route cell limit, where the unforced call takes
+        # the long-exact-sequence shortcut
+        (cp_point(4), range(0, 5)),
+        (GAction.trivial(FiniteGroup.symmetric(3), CellComplex.point()), range(0, 4)),
     ]
     for act, degrees in cases:
         for n in degrees:

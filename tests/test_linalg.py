@@ -211,6 +211,26 @@ def test_matrix_shape_guards():
         IntMatrix.from_rows([[1]]) @ IntMatrix.from_rows([[1, 2], [3, 4]])
 
 
+def test_matrix_rejects_non_integral_entries():
+    with pytest.raises(ValueError):
+        IntMatrix(1, 1, {(0, 0): Fraction(3, 2)})
+    with pytest.raises(ValueError):
+        IntMatrix.from_rows([[Fraction(1, 2), 1]])
+    # integral values of other exact types are stored as ints
+    m = IntMatrix.from_rows([[Fraction(4, 2), True, 0]])
+    assert m.entries == {(0, 0): 2, (0, 1): 1}
+    assert all(type(v) is int for v in m.entries.values())
+
+
+def test_hstack():
+    a = IntMatrix.from_rows([[1, 0], [0, 2]])
+    b = IntMatrix.from_rows([[3], [4]])
+    assert a.hstack(b) == IntMatrix.from_rows([[1, 0, 3], [0, 2, 4]])
+    assert IntMatrix.zero(2, 0).hstack(b) == b
+    with pytest.raises(ValueError):
+        IntMatrix.from_rows([[1, 2]]).hstack(b)
+
+
 # --- abelian groups ----------------------------------------------------------
 
 
@@ -332,3 +352,11 @@ def test_q_helpers():
     assert len(null) == 1 and null[0][0] * 2 + null[0][1] * 4 == 0
     assert q_solve(m, [Fraction(3), Fraction(6)]) is not None
     assert q_solve(m, [Fraction(3), Fraction(7)]) is None
+
+
+def test_q_helpers_stay_exact_on_int_rows():
+    # plain int rows must give Fractions, not floats: 1 / 3 is not exact
+    null = q_nullspace([[3, 1]])
+    assert null == [[Fraction(-1, 3), Fraction(1)]]
+    assert all(type(v) is Fraction for v in null[0])
+    assert q_solve([[3]], [1]) == [Fraction(1, 3)]
