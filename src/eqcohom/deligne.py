@@ -174,13 +174,15 @@ class MixedComplex:
         return self.rat_rank(k) - rank_q(self.s_block(k)) - rank_q(self.s_block(k - 1))
 
     def connecting_rank(self, k):
-        """Rank of the connecting map H^k(int) -> H^{k+1}(rat)."""
-        kernels = kernel_basis(self.p_block(k))
-        if not kernels:
-            return 0
-        images = self.q_block(k) @ IntMatrix.from_rows(kernels).transpose()
-        s_prev = self.s_block(k)
-        return rank_q(images.hstack(s_prev)) - rank_q(s_prev)
+        """Rank of the connecting map H^k(int) -> H^{k+1}(rat).
+
+        The kernel of [[P, 0], [Q, S]] is ker S + {x in ker P : Q x in im S},
+        so its rank exceeds rank P + rank S by exactly the rank wanted.
+        """
+        p, q, s = self.p_block(k), self.q_block(k), self.s_block(k)
+        q_below_p = IntMatrix(p.rows + s.rows, p.cols + s.cols,
+                              {(i + p.rows, j): v for (i, j), v in q.entries.items()})
+        return rank_q(p.stack_diag(s) + q_below_p) - rank_q(p) - rank_q(s)
 
     def cohomology(self, k) -> DiffCohGroup:
         """H^k via the long exact sequence of the rational subcomplex.

@@ -439,39 +439,76 @@ def solve_int(a: IntMatrix, b):
     return v_inv.apply(y)
 
 
+# columns of minimum count whose entries rank_q weighs for each pivot
+_PIVOT_SCAN_COLUMNS = 8
+
+
 def rank_q(a: IntMatrix) -> int:
-    """Rank over Q by sparse elimination (exact fractions when pivots aren't units)."""
+    """Rank over Q by sparse elimination (exact fractions when pivots aren't units).
+
+    Pivot rule: the columns are kept in buckets by their count of nonzeros,
+    updated as entries appear and vanish.  Each step weighs only the
+    entries of up to _PIVOT_SCAN_COLUMNS columns of the minimum count and
+    takes the best by (not a unit, Markowitz cost (row length - 1) *
+    (column count - 1)), stopping early at a unit of cost 0.  A step thus
+    costs the entries it touches, not a scan of the whole matrix.
+    Elimination is exact: c // p when p divides c, Fraction(c, p) otherwise.
+    """
     if a.rows > a.cols:
-        a = a.transpose()  # pivot scans walk the rows; keep that axis short
+        a = a.transpose()  # rows along the short axis: faster on bar-complex windows
     w = _Workspace(a)
+    row, col = w.row, w.col
+    buckets = {}  # column count -> set of columns with that many nonzeros
+    for j, rows_j in col.items():
+        buckets.setdefault(len(rows_j), set()).add(j)
     rank = 0
-    while w.row:
-        # Markowitz-flavored pivot: prefer unit entries and short rows/cols
+    while buckets:
+        count = min(buckets)
         best = None
-        pivot = None
-        for i, r in w.row.items():
-            li = len(r)
-            for j, val in r.items():
-                cost = (li - 1) * (len(w.col[j]) - 1)
-                key = (0 if abs(val) == 1 else 1, cost, i, j)
+        for scanned, j in enumerate(buckets[count], 1):
+            for i in col[j]:
+                key = (abs(row[i][j]) != 1, (len(row[i]) - 1) * (count - 1))
                 if best is None or key < best:
-                    best, pivot = key, (i, j)
-            if best is not None and best[0] == 0 and best[1] == 0:
+                    best, i0, j0 = key, i, j
+            if best == (False, 0) or scanned == _PIVOT_SCAN_COLUMNS:
                 break
-        i0, j0 = pivot
-        p = w.get(i0, j0)
-        prow = dict(w.row[i0])
-        for i in list(w.col.get(j0, set())):
-            if i == i0:
-                continue
-            c = w.get(i, j0)
+        prow = row.pop(i0)
+        p = prow.pop(j0)
+        old_counts = {j: len(col[j]) for j in prow}
+        old_counts[j0] = count
+        others = col.pop(j0)
+        others.discard(i0)
+        for j in prow:
+            col[j].discard(i0)
+        for i in others:
+            r = row[i]
+            c = r.pop(j0)
             f = c // p if c % p == 0 else Fraction(c, p)
             for j, pv in prow.items():
-                w.set(i, j, w.get(i, j) - f * pv)
-        for j in list(prow):
-            w.set(i0, j, 0)
-        for i in list(w.col.get(j0, set())):
-            w.set(i, j0, 0)
+                v = r.get(j)
+                if v is None:
+                    r[j] = -f * pv
+                    col[j].add(i)
+                else:
+                    v -= f * pv
+                    if v:
+                        r[j] = v
+                    else:
+                        del r[j]
+                        col[j].discard(i)
+            if not r:
+                del row[i]
+        for j, n in old_counts.items():
+            bucket = buckets[n]
+            bucket.discard(j)
+            if not bucket:
+                del buckets[n]
+            if j != j0:
+                m = len(col[j])
+                if m:
+                    buckets.setdefault(m, set()).add(j)
+                else:
+                    del col[j]
         rank += 1
     return rank
 
@@ -655,8 +692,10 @@ def reduce_complex(ranks, diffs, fill_cap=128):
     ranks: list of module ranks, diffs[t]: IntMatrix of shape
     (ranks[t+1] x ranks[t]).  Returns a ReducedComplex with the same
     cohomology in every degree.  Only pivots of value +-1 are used, so all
-    arithmetic stays integral; pivots whose Markowitz fill exceeds fill_cap
-    are deferred until nothing cheaper remains.
+    arithmetic stays integral.  Sweeps take the pivots of Markowitz cost 0
+    first, then those up to fill_cap; unit pivots whose cost exceeds
+    fill_cap are never taken and are left in the reduced complex for
+    rank_q and the Smith normal form.
     """
     n_deg = len(ranks)
     ws = [_Workspace(d) for d in diffs]

@@ -52,6 +52,9 @@ class FiniteGroup:
         self.identity = self._find_identity()
         self.inverse = self._build_inverses()
         self._check_associativity()
+        # highest bar level whose simplicial identities BarLevels has checked
+        # for this group (they compare group elements only); level 0 has none
+        self.bar_checked_level = 0
 
     def _find_identity(self):
         for e in range(self.order):
@@ -471,7 +474,7 @@ class BarLevels:
         self.tuple_counts = [m ** p for p in range(P + 1)]
         self._face_tables = {}
         self._degeneracy_tables = {}
-        if verify:
+        if verify and P > self.group.bar_checked_level:
             self.verify_simplicial_identities()
 
     def face_table(self, p, i):
@@ -541,10 +544,22 @@ class BarLevels:
         """Exhaustive check of all simplicial relations on decorated tuples.
 
         Cell parts factor through the (already validated) action
-        homomorphism, so comparing the acting group elements suffices.
+        homomorphism, so comparing the acting group elements suffices.  The
+        relations then depend on the group alone: the levels up to
+        group.bar_checked_level are skipped, and each level checked is
+        recorded there.
         """
+        for level in range(self.group.bar_checked_level + 1, self.P + 1):
+            self._verify_level(level)
+            self.group.bar_checked_level = level
+
+    def _verify_level(self, level):
+        """The relations whose tables reach no higher than this level:
+        d_i d_j from it, d_i s_j into it and s_i s_j two levels up into it."""
         mul = self.group.mul
-        for p in range(2, self.P + 1):
+        e = self.group.identity
+        p = level
+        if p >= 2:
             faces_p = [self.face_table(p, i) for i in range(p + 1)]
             faces_lo = [self.face_table(p - 1, i) for i in range(p)]
             for j in range(p + 1):
@@ -561,7 +576,7 @@ class BarLevels:
                         if ti != tj2 or mul(gi, gj) != mul(gj2, gi2):
                             raise InvalidAction(
                                 f"simplicial identity d_{i} d_{j} failed at level {p}")
-        for p in range(self.P - 1):
+            p = level - 2
             degen_p = [self.degeneracy_table(p, i) for i in range(p + 1)]
             degen_hi = [self.degeneracy_table(p + 1, i) for i in range(p + 2)]
             for j in range(p + 1):
@@ -572,29 +587,28 @@ class BarLevels:
                         if hi_i[dj[t]] != hi_j1[di[t]]:
                             raise InvalidAction(
                                 f"simplicial identity s_{i} s_{j} failed at level {p}")
-        e = self.group.identity
-        for p in range(self.P):
-            degen_p = [self.degeneracy_table(p, i) for i in range(p + 1)]
-            faces_hi = [self.face_table(p + 1, i) for i in range(p + 2)]
-            faces_p = [self.face_table(p, i) for i in range(p + 1)] if p >= 1 else []
-            degen_lo = [self.degeneracy_table(p - 1, i) for i in range(p)] if p >= 1 else []
-            for j in range(p + 1):
-                dj = degen_p[j]
-                for i in range(p + 2):
-                    fhi = faces_hi[i]
-                    for t in range(self.tuple_counts[p]):
-                        got = fhi[dj[t]]
-                        if i < j:
-                            t2, g2 = faces_p[i][t]
-                            want = (degen_lo[j - 1][t2], g2)
-                        elif i in (j, j + 1):
-                            want = (t, e)
-                        else:
-                            t2, g2 = faces_p[i - 1][t]
-                            want = (degen_lo[j][t2], g2)
-                        if got != want:
-                            raise InvalidAction(
-                                f"simplicial identity d_{i} s_{j} failed at level {p}")
+        p = level - 1
+        degen_p = [self.degeneracy_table(p, i) for i in range(p + 1)]
+        faces_hi = [self.face_table(p + 1, i) for i in range(p + 2)]
+        faces_p = [self.face_table(p, i) for i in range(p + 1)] if p >= 1 else []
+        degen_lo = [self.degeneracy_table(p - 1, i) for i in range(p)] if p >= 1 else []
+        for j in range(p + 1):
+            dj = degen_p[j]
+            for i in range(p + 2):
+                fhi = faces_hi[i]
+                for t in range(self.tuple_counts[p]):
+                    got = fhi[dj[t]]
+                    if i < j:
+                        t2, g2 = faces_p[i][t]
+                        want = (degen_lo[j - 1][t2], g2)
+                    elif i in (j, j + 1):
+                        want = (t, e)
+                    else:
+                        t2, g2 = faces_p[i - 1][t]
+                        want = (degen_lo[j][t2], g2)
+                    if got != want:
+                        raise InvalidAction(
+                            f"simplicial identity d_{i} s_{j} failed at level {p}")
 
     # -- cochain matrices
 

@@ -17,7 +17,7 @@ from eqcohom.deligne import (
     hexagon,
     homotopy_formula_check,
 )
-from eqcohom.linalg import FgAbGroup, IntMatrix
+from eqcohom.linalg import FgAbGroup, IntMatrix, kernel_basis, rank_q
 from eqcohom.complexes import DoubleComplex
 from eqcohom.simplicial import CellComplex, FiniteGroup, GAction
 
@@ -109,8 +109,8 @@ def test_cp_point_pattern_matches_hom_oracle():
     assert got.torsion.torsion_order() == len(homs)
 
 
-def test_direct_and_structural_routes_agree():
-    cases = [
+def route_cases():
+    return [
         (trivial_point(), range(0, 4)),
         (cp_point(2), range(0, 4)),
         (cp_point(3), range(0, 3)),
@@ -121,7 +121,10 @@ def test_direct_and_structural_routes_agree():
         (cp_point(4), range(0, 5)),
         (GAction.trivial(FiniteGroup.symmetric(3), CellComplex.point()), range(0, 4)),
     ]
-    for act, degrees in cases:
+
+
+def test_direct_and_structural_routes_agree():
+    for act, degrees in route_cases():
         for n in degrees:
             direct = differential_cohomology_zero_dim(act, n, force_direct=True)
             # structural route via the long exact sequence shortcut
@@ -135,6 +138,28 @@ def test_direct_and_structural_routes_agree():
                 structural = DiffCohGroup(circle_rank=h_prev.free_rank,
                                           torsion=h_n.torsion_part())
             assert direct == structural, (act.group.name, n)
+
+
+def kernel_connecting_rank(mixed, k):
+    """rank(H^k(int) -> H^{k+1}(rat)) from an integral kernel basis of P:
+    the images Q x of ker P, counted modulo im S."""
+    kernels = kernel_basis(mixed.p_block(k))
+    if not kernels:
+        return 0
+    images = mixed.q_block(k) @ IntMatrix.from_rows(kernels).transpose()
+    s_prev = mixed.s_block(k)
+    return rank_q(images.hstack(s_prev)) - rank_q(s_prev)
+
+
+def test_connecting_rank_matches_kernel_formula():
+    for act, degrees in route_cases():
+        for n in degrees:
+            mixed = build_deligne_mixed(act, n).mixed
+            # every degree up to n, which includes the two cohomology(n)
+            # reads; the kernel SNF of the top levels would take minutes
+            for k in range(mixed.n_min - 1, n + 1):
+                assert mixed.connecting_rank(k) == kernel_connecting_rank(mixed, k), \
+                    (act.group.name, n, k)
 
 
 def test_positive_dimensional_input_rejected():

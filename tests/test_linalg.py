@@ -185,11 +185,40 @@ def test_kernel_and_solve():
     assert solve_int(IntMatrix.from_rows([[2]]), [1]) is None
 
 
+def sparse_matrix(rng, rows, cols, density):
+    """Sparse entries in -3..3 (non-unit pivots, so fractions), with some
+    all-zero columns and rows, duplicated rows and rows dependent on two
+    earlier ones, shuffled."""
+    dead = set(rng.sample(range(cols), cols // 5))
+    data = []
+    for _ in range(rows):
+        roll = rng.random()
+        if data and roll < 0.15:
+            data.append(list(rng.choice(data)))
+        elif len(data) >= 2 and roll < 0.3:
+            a, b = rng.sample(data, 2)
+            c = rng.randint(-3, 3)
+            data.append([x + c * y for x, y in zip(a, b)])
+        elif roll < 0.4:
+            data.append([0] * cols)
+        else:
+            data.append([rng.randint(-3, 3) if j not in dead and rng.random() < density else 0
+                         for j in range(cols)])
+    rng.shuffle(data)
+    return IntMatrix.from_rows(data, cols=cols)
+
+
 def test_rank_q_matches_dense_oracle():
     rng = random.Random(12)
     for _ in range(60):
         m = random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7))
         assert rank_q(m) == rank_oracle(m)
+    for k in range(40):
+        short, long = rng.randint(1, 40), rng.randint(20, 60)
+        m = sparse_matrix(rng, short, long, rng.choice([0.05, 0.1, 0.2, 0.4]))
+        if k % 2:
+            m = m.transpose()  # tall: rank_q eliminates on the transpose
+        assert rank_q(m) == rank_oracle(m), (m.rows, m.cols, k)
 
 
 # --- matrices ----------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from eqcohom.complexes import IntCochainComplex, homotopy_total, total_complex
 from eqcohom.linalg import FgAbGroup, IntMatrix, StructuredCoefGroup, cohomology_at
 from eqcohom.simplicial import (
+    BarLevels,
     CellComplex,
     CoefficientNotDivisible,
     EquivariantCellMap,
@@ -127,6 +128,71 @@ def test_c2_point_level_two_faces():
 def test_simplicial_identities_c3_on_triangle():
     act = GAction.cyclic_rotation_circle(3)
     bar_levels(act, 3)  # constructor runs the exhaustive identity check
+
+
+def merge_wrongly_from(level):
+    """A face_tuple whose d_1 drops g_1 (acts as d_0) from the given level up."""
+    original = BarLevels.face_tuple
+
+    def face_tuple(self, p, i, t):
+        return original(self, p, 0 if i == 1 and p >= level else i, t)
+    return face_tuple
+
+
+def test_wrong_face_map_raises_on_fresh_group(monkeypatch):
+    monkeypatch.setattr(BarLevels, "face_tuple", merge_wrongly_from(2))
+    group = FiniteGroup.cyclic(2)
+    act = GAction.trivial(group, CellComplex.point())
+    with pytest.raises(InvalidAction):
+        bar_levels(act, 2)
+    assert group.bar_checked_level == 1  # the failing level is not recorded
+    with pytest.raises(InvalidAction):
+        bar_levels(act, 2)
+
+
+def test_wrong_face_map_above_checked_levels_raises(monkeypatch):
+    group = FiniteGroup.cyclic(2)
+    bar_levels(GAction.trivial(group, CellComplex.point()), 2)
+    monkeypatch.setattr(BarLevels, "face_tuple", merge_wrongly_from(3))
+    with pytest.raises(InvalidAction):
+        bar_levels(GAction.trivial(group, CellComplex.points(2)), 3)
+
+
+def test_wrong_degeneracy_above_checked_levels_raises(monkeypatch):
+    group = FiniteGroup.cyclic(3)
+    bar_levels(GAction.trivial(group, CellComplex.point()), 2)
+    original = BarLevels.degeneracy_tuple
+
+    def degeneracy_tuple(self, p, i, t):  # s_i acts as s_{i+1} from level 2 up
+        return original(self, p, min(i + 1, p) if p >= 2 else i, t)
+    monkeypatch.setattr(BarLevels, "degeneracy_tuple", degeneracy_tuple)
+    with pytest.raises(InvalidAction):
+        bar_levels(GAction.trivial(group, CellComplex.point()), 3)
+
+
+def test_identity_check_runs_once_per_group_and_level(monkeypatch):
+    checked = []
+    original = BarLevels._verify_level
+
+    def record(self, level):
+        checked.append(level)
+        original(self, level)
+    monkeypatch.setattr(BarLevels, "_verify_level", record)
+    group = FiniteGroup.symmetric(3)
+    bar_levels(GAction.trivial(group, CellComplex.point()), 2, verify=False)
+    assert checked == [] and group.bar_checked_level == 0
+    bar_levels(GAction.trivial(group, CellComplex.point()), 2)
+    assert checked == [1, 2] and group.bar_checked_level == 2
+    # another action over the same group at the same truncation
+    bar_levels(GAction.coset_action(group, (0,)), 2)
+    assert checked == [1, 2]
+    bar_levels(GAction.coset_action(group, (0,)), 4)
+    assert checked == [1, 2, 3, 4] and group.bar_checked_level == 4
+    bar_levels(GAction.trivial(group, CellComplex.point()), 3, verify=False)
+    assert group.bar_checked_level == 4
+    # an equal table in a new group object is checked afresh
+    bar_levels(GAction.trivial(FiniteGroup.symmetric(3), CellComplex.point()), 1)
+    assert checked == [1, 2, 3, 4, 1]
 
 
 def test_degenerate_inputs():
