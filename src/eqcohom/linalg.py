@@ -442,6 +442,9 @@ def solve_int(a: IntMatrix, b):
 # columns of minimum count whose entries rank_q weighs for each pivot
 _PIVOT_SCAN_COLUMNS = 8
 
+# largest Markowitz cost of a unit pivot that reduce_complex takes
+_FILL_CAP = 128
+
 
 def rank_q(a: IntMatrix) -> int:
     """Rank over Q by sparse elimination (exact fractions when pivots aren't units).
@@ -686,15 +689,15 @@ class ReducedComplex:
         return self.diffs[t]
 
 
-def reduce_complex(ranks, diffs, fill_cap=128):
+def reduce_complex(ranks, diffs):
     """Unit-pivot reduction of a cochain complex given by matrices.
 
     ranks: list of module ranks, diffs[t]: IntMatrix of shape
     (ranks[t+1] x ranks[t]).  Returns a ReducedComplex with the same
     cohomology in every degree.  Only pivots of value +-1 are used, so all
     arithmetic stays integral.  Sweeps take the pivots of Markowitz cost 0
-    first, then those up to fill_cap; unit pivots whose cost exceeds
-    fill_cap are never taken and are left in the reduced complex for
+    first, then those up to _FILL_CAP; unit pivots whose cost exceeds
+    _FILL_CAP are never taken and are left in the reduced complex for
     rank_q and the Smith normal form.
     """
     n_deg = len(ranks)
@@ -756,9 +759,9 @@ def reduce_complex(ranks, diffs, fill_cap=128):
         if progress:
             cap = 0
             continue
-        if cap >= fill_cap:
+        if cap >= _FILL_CAP:
             break
-        cap = fill_cap  # allow expensive pivots once cheap ones are gone
+        cap = _FILL_CAP  # allow expensive pivots once cheap ones are gone
 
     # repack surviving indices densely
     index = [sorted(a) for a in alive]

@@ -13,13 +13,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
-from .complexes import DoubleComplex
+from .complexes import DoubleComplex, IntCochainComplex
 from .linalg import (
     FgAbGroup,
     IntMatrix,
     StructuredCoefGroup,
     coefficient_change,
-    cohomology_at,
 )
 
 
@@ -759,13 +758,33 @@ def total_window(bl: BarLevels, n_lo, n_hi):
     return ranks, diffs
 
 
+def reduced_bar_complex(act: GAction, P, top) -> IntCochainComplex:
+    """The bar total complex in degrees 0..top, bar levels truncated at P,
+    checked for d^2 = 0 and unit-pivot reduced.
+
+    The window starts at degree 0 so that every cell can pair with a partner
+    one degree down: a window cut off below keeps its bottom cells, and the
+    fill they cause, in the reduced complex.
+    """
+    bl = bar_levels(act, P)
+    ranks, diffs = total_window(bl, 0, top)
+    return IntCochainComplex(0, [ranks[k] for k in range(top + 1)],
+                             [diffs[k] for k in range(top)]).reduced()
+
+
 def equivariant_cohomology(act: GAction, n, coeff="Z", truncation=None):
     """H^n of the bar total complex, truncated at P = n + 2.
 
     coeff 'Z' gives an FgAbGroup, 'Q' the rational dimension, 'QmodZ' the
     structured (C/Z)-coefficient group via the integral answer in degrees n
     and n+1.  The result is independent of any truncation P >= n + 1.
+
+    The total complex is taken from degree 0 up to n + 1 (n + 2 for
+    'QmodZ') and reduced once; truncation only sets the bar levels that are
+    built and checked against the simplicial identities.
     """
+    if coeff not in ("Z", "Q", "QmodZ"):
+        raise ValueError(f"unknown coefficient mode {coeff!r}")
     if n < 0:
         return FgAbGroup(0) if coeff == "Z" else (
             0 if coeff == "Q" else StructuredCoefGroup())
@@ -773,19 +792,12 @@ def equivariant_cohomology(act: GAction, n, coeff="Z", truncation=None):
     if P < n + 1:
         raise ValueError("truncation too small for the requested degree")
     if coeff == "QmodZ":
-        h_n = equivariant_cohomology(act, n, "Z", truncation=P)
-        h_next = equivariant_cohomology(act, n + 1, "Z", truncation=max(P, n + 3))
-        return coefficient_change(h_n, h_next, "CmodZ")
-    bl = bar_levels(act, P)
-    ranks, diffs = total_window(bl, max(n - 1, 0), n + 1)
-    d_in = diffs[n - 1] if n >= 1 else IntMatrix.zero(ranks[0], 0)
-    d_out = diffs[n]
+        cx = reduced_bar_complex(act, max(P, n + 3), n + 2)
+        return coefficient_change(cx.cohomology(n), cx.cohomology(n + 1), "CmodZ")
+    cx = reduced_bar_complex(act, P, n + 1)
     if coeff == "Z":
-        return cohomology_at(d_in, d_out)
-    if coeff == "Q":
-        from .linalg import rank_q
-        return ranks[n] - rank_q(d_out) - rank_q(d_in)
-    raise ValueError(f"unknown coefficient mode {coeff!r}")
+        return cx.cohomology(n)
+    return cx.cohomology_q_dim(n)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from eqcohom import deligne
 from eqcohom.deligne import (
     DiffCohGroup,
     FlatEquivariantLineBundle,
@@ -19,7 +20,7 @@ from eqcohom.deligne import (
 )
 from eqcohom.linalg import FgAbGroup, IntMatrix, kernel_basis, rank_q
 from eqcohom.complexes import DoubleComplex
-from eqcohom.simplicial import CellComplex, FiniteGroup, GAction
+from eqcohom.simplicial import BarLevels, CellComplex, FiniteGroup, GAction
 
 
 def trivial_point():
@@ -138,6 +139,27 @@ def test_direct_and_structural_routes_agree():
                 structural = DiffCohGroup(circle_rank=h_prev.free_rank,
                                           torsion=h_n.torsion_part())
             assert direct == structural, (act.group.name, n)
+
+
+def test_structural_route_builds_one_bar_construction(monkeypatch):
+    builds = []
+    real_init = BarLevels.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(args)
+        real_init(self, *args, **kwargs)
+
+    def no_cone(*args, **kwargs):
+        raise AssertionError("the structural route built the direct cone")
+
+    monkeypatch.setattr(BarLevels, "__init__", counting_init)
+    monkeypatch.setattr(deligne, "build_deligne_mixed", no_cone)
+    # |S3|^(n+2) points exceed the direct-route cell limit for n >= 2
+    act = GAction.trivial(FiniteGroup.symmetric(3), CellComplex.point())
+    for n in (2, 3):
+        builds.clear()
+        differential_cohomology_zero_dim(act, n)
+        assert len(builds) == 1, n
 
 
 def kernel_connecting_rank(mixed, k):

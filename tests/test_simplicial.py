@@ -4,7 +4,15 @@ from fractions import Fraction
 import pytest
 
 from eqcohom.complexes import IntCochainComplex, homotopy_total, total_complex
-from eqcohom.linalg import FgAbGroup, IntMatrix, StructuredCoefGroup, cohomology_at
+from eqcohom import simplicial
+from eqcohom.linalg import (
+    FgAbGroup,
+    IntMatrix,
+    StructuredCoefGroup,
+    coefficient_change,
+    cohomology_at,
+    rank_q,
+)
 from eqcohom.simplicial import (
     BarLevels,
     CellComplex,
@@ -288,6 +296,82 @@ def test_coefficient_modes():
     assert got == StructuredCoefGroup(divisible_circle_rank=0, finite_part=FgAbGroup(0, (3,)))
     got0 = equivariant_cohomology(act, 0, "QmodZ")
     assert got0 == StructuredCoefGroup(divisible_circle_rank=1, finite_part=FgAbGroup(0))
+
+
+def test_unknown_coefficient_mode_raises_before_any_work(monkeypatch):
+    act = GAction.trivial(FiniteGroup.cyclic(3), CellComplex.point())
+    with pytest.raises(ValueError):
+        equivariant_cohomology(act, -1, "R")
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("bar construction built for an unknown coefficient mode")
+
+    monkeypatch.setattr(simplicial, "bar_levels", no_build)
+    monkeypatch.setattr(simplicial, "total_window", no_build)
+    with pytest.raises(ValueError):
+        equivariant_cohomology(act, 2, "R")
+
+
+def window_reference(act, n, coeff):
+    """H^n over Z or Q from the three-degree window n-1..n+1 of the bar
+    total complex, unreduced for Q."""
+    ranks, diffs = total_window(bar_levels(act, n + 2), max(n - 1, 0), n + 1)
+    d_in = diffs[n - 1] if n >= 1 else IntMatrix.zero(ranks[0], 0)
+    d_out = diffs[n]
+    if coeff == "Z":
+        return cohomology_at(d_in, d_out)
+    return ranks[n] - rank_q(d_out) - rank_q(d_in)
+
+
+def reference_actions():
+    actions = [GAction.trivial(FiniteGroup.cyclic(1), CellComplex.point())]
+    for group in [FiniteGroup.cyclic(k) for k in (2, 3, 4)] + [FiniteGroup.symmetric(3)]:
+        actions.append(GAction.trivial(group, CellComplex.point()))
+        indices = {}
+        for sub in group.subgroups():
+            indices.setdefault(group.order // len(sub), sub)
+        actions += [GAction.coset_action(group, sub)
+                    for index, sub in indices.items() if 2 <= index <= 4]
+        # the smallest coset orbit plus a fixed point
+        base = GAction.coset_action(group, indices[min(i for i in indices if i >= 2)])
+        k = base.space.ncells(0) + 1
+        perms = {g: [list(base.perms[g][0]) + [k - 1]] for g in group.elements()}
+        actions.append(GAction(group, CellComplex.points(k), perms))
+    actions += [GAction.lens_sphere(3), GAction.cyclic_rotation_circle(3),
+                GAction.trivial(FiniteGroup.cyclic(2), CellComplex.circle(2)),
+                GAction.swap_two_points()]
+    return actions
+
+
+def test_bar_complex_from_degree_zero_matches_window_reference():
+    for act in reference_actions():
+        # H^4 of S3 takes seconds per action, so its Q/Z answer stops at n = 2
+        top = 3 if act.group.order == 6 else 4
+        h_z = [window_reference(act, n, "Z") for n in range(top + 1)]
+        for n in range(4):
+            assert equivariant_cohomology(act, n, "Z") == h_z[n], (act.name, n)
+            assert equivariant_cohomology(act, n, "Q") == window_reference(act, n, "Q"), (act.name, n)
+            if n < top:
+                # Q/Z from two separately computed integral answers
+                want = coefficient_change(h_z[n], h_z[n + 1], "CmodZ")
+                assert equivariant_cohomology(act, n, "QmodZ") == want, (act.name, n)
+
+
+def test_one_bar_construction_per_query(monkeypatch):
+    builds = []
+    real_init = BarLevels.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(args)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(BarLevels, "__init__", counting_init)
+    act = GAction.coset_action(FiniteGroup.symmetric(3), (0,))
+    for coeff in ("Z", "Q", "QmodZ"):
+        for n in range(3):
+            builds.clear()
+            equivariant_cohomology(act, n, coeff)
+            assert len(builds) == 1, (coeff, n)
 
 
 # --- group averaging --------------------------------------------------------------
