@@ -88,6 +88,16 @@ class JobSpec:
         return cls(command, inputs, fmt)
 
 
+def _int(value, what):
+    """An integer input, given as a JSON int or a decimal string."""
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise SchemaError(f"{what} must be an integer, got {value!r}")
+
+
 def _load_group(spec):
     if spec is None:
         raise SchemaError("missing group")
@@ -111,9 +121,9 @@ def _load_space(spec):
     if spec == "two-points":
         return CellComplex.points(2)
     if spec.startswith("points:"):
-        return CellComplex.points(int(spec.split(":")[1]))
+        return CellComplex.points(_int(spec.split(":")[1], "points:k"))
     if spec.startswith("circle:"):
-        return CellComplex.circle(int(spec.split(":")[1]))
+        return CellComplex.circle(_int(spec.split(":")[1], "circle:k"))
     raise SchemaError(f"unknown space {spec!r}")
 
 
@@ -145,7 +155,7 @@ def _build_action(inputs):
             raise SchemaError("rotation action needs cyclic:k on circle:k")
         return GAction.cyclic_rotation_circle(k)
     if isinstance(action_spec, str) and action_spec.startswith("cosets:"):
-        sub = tuple(int(x) for x in action_spec.split(":")[1].split(","))
+        sub = tuple(_int(x, "cosets element") for x in action_spec.split(":")[1].split(","))
         return GAction.coset_action(group, sub)
     raise SchemaError(f"unknown action {action_spec!r}")
 
@@ -153,13 +163,10 @@ def _build_action(inputs):
 def _parse_degrees(spec):
     if spec is None:
         raise SchemaError("missing degrees")
-    if isinstance(spec, int):
-        return [spec]
-    text = str(spec)
-    if ".." in text:
-        lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+    if isinstance(spec, str) and ".." in spec:
+        lo, _, hi = spec.partition("..")
+        return list(range(_int(lo, "degrees"), _int(hi, "degrees") + 1))
+    return [_int(spec, "degrees")]
 
 
 def _cartan_action(spec):
@@ -183,6 +190,7 @@ def run(job: JobSpec):
         if coeff is None:
             raise SchemaError("coeff must be one of z, q, qmodz")
         trunc = job.inputs.get("truncation")
+        trunc = None if trunc is None else _int(trunc, "truncation")
         values = {n: equivariant_cohomology(act, n, coeff, truncation=trunc)
                   for n in degrees}
         label = {"Z": "ℤ", "Q": "ℚ-dim", "QmodZ": "ℂ/ℤ"}[coeff]
@@ -192,18 +200,18 @@ def run(job: JobSpec):
         return {str(n): _enc(v) for n, v in values.items()}, lines
     if job.command == "diffcoh":
         act = _build_action(job.inputs)
-        n = int(job.inputs.get("degree"))
+        n = _int(job.inputs.get("degree"), "degree")
         value = differential_cohomology_zero_dim(act, n)
         return {"degree": n, "group": _enc(value)}, [f"Ĥ^{n} = {value}"]
     if job.command == "hexagon":
         act = _build_action(job.inputs)
-        n = int(job.inputs.get("degree"))
+        n = _int(job.inputs.get("degree"), "degree")
         rep = hexagon(act, n)
         return rep.to_json_obj(), rep.render_text().splitlines()
     if job.command == "cartan":
         act = _cartan_action(job.inputs.get("action"))
         degrees = _parse_degrees(job.inputs.get("degrees"))
-        bound = int(job.inputs.get("x_bound", 6))
+        bound = _int(job.inputs.get("x_bound", 6), "x_bound")
         out = {}
         lines = []
         for n in degrees:
@@ -226,9 +234,9 @@ def _run_chern(inputs):
     poly_spec = str(inputs.get("poly", "chern:1"))
     kind, _, arg = poly_spec.partition(":")
     kind = {"chern1": "chern", "total": "total_chern"}.get(kind, kind)
-    poly = InvariantPolynomial(kind, int(arg) if arg else 0)
+    poly = InvariantPolynomial(kind, _int(arg, "poly degree") if arg else 0)
     if preset.startswith("weight:"):
-        q = int(preset.split(":")[1])
+        q = _int(preset.split(":")[1], "weight")
         act = LinearAction.circle_rotation_r2()
         a = ConnectionMatrix.zero(1, 1, 2)
         mu = moment_map(a, [[[q]]], act)

@@ -99,3 +99,37 @@ def test_run_rejects_unknown_command():
     with pytest.raises(SchemaError):
         run(JobSpec("cohomology", {"group": "cyclic:3", "space": "point",
                                    "degrees": "0..1", "coeff": "bogus"}))
+
+
+@pytest.mark.parametrize("job", [
+    {"command": "diffcoh", "group": "cyclic:2", "space": "point"},
+    {"command": "diffcoh", "group": "cyclic:2", "space": "point", "degree": "two"},
+    {"command": "hexagon", "group": "cyclic:2", "space": "point"},
+    {"command": "hexagon", "group": "cyclic:2", "space": "point", "degree": 1.5},
+    {"command": "cohomology", "group": "cyclic:2", "space": "point", "degrees": "0..x"},
+    {"command": "cohomology", "group": "cyclic:2", "space": "point", "degrees": [0, 1]},
+    {"command": "cohomology", "group": "cyclic:2", "space": "point", "degrees": 1,
+     "truncation": "deep"},
+    {"command": "cohomology", "group": "cyclic:2", "space": "points:x", "degrees": 0},
+    {"command": "cohomology", "group": "cyclic:3", "space": "circle:x", "degrees": 0},
+    {"command": "cohomology", "group": "symmetric:3", "space": "point",
+     "action": "cosets:0,a", "degrees": 0},
+    {"command": "cartan", "degrees": "0..1", "x_bound": "six"},
+    {"command": "chern", "preset": "weight:x"},
+    {"command": "chern", "poly": "chern:x"},
+])
+def test_non_integer_inputs_are_schema_errors(tmp_path, capsys, job):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    code, _, err = invoke(capsys, "--job", str(path))
+    assert code == EXIT_SCHEMA and "schema error" in err, err
+
+
+def test_integer_strings_are_accepted(tmp_path, capsys):
+    job = {"command": "diffcoh", "group": "cyclic:3", "space": "points:1",
+           "degree": "2", "format": "json"}
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    code, out, _ = invoke(capsys, "--job", str(path))
+    assert code == EXIT_OK
+    assert json.loads(out)["group"]["torsion"]["torsion"] == [3]

@@ -13,6 +13,7 @@ from eqcohom.deligne import (
     InconsistentCorners,
     build_deligne_mixed,
     corner_table,
+    deligne_cone,
     differential_cohomology_zero_dim,
     flat_equivariant_chern_class,
     hexagon,
@@ -20,7 +21,15 @@ from eqcohom.deligne import (
 )
 from eqcohom.linalg import FgAbGroup, IntMatrix, kernel_basis, rank_q
 from eqcohom.complexes import DoubleComplex
-from eqcohom.simplicial import BarLevels, CellComplex, FiniteGroup, GAction
+from eqcohom.simplicial import (
+    BarLevels,
+    CellComplex,
+    FiniteGroup,
+    GAction,
+    equivariant_cohomology,
+    reduced_bar_complex,
+)
+from test_acceptance import _acceptance_actions
 
 
 def trivial_point():
@@ -117,28 +126,36 @@ def route_cases():
         (cp_point(3), range(0, 3)),
         (GAction.swap_two_points(), range(0, 4)),
         (GAction.coset_action(FiniteGroup.symmetric(3), (0,)), range(0, 2)),
-        # above the direct-route cell limit, where the unforced call takes
-        # the long-exact-sequence shortcut
+        # the largest unreduced cones: 4^6 and 6^5 integral cells on top
         (cp_point(4), range(0, 5)),
         (GAction.trivial(FiniteGroup.symmetric(3), CellComplex.point()), range(0, 4)),
     ]
 
 
+def long_exact_sequence_oracle(act, n):
+    """H^n of the cone read off the integral groups: the connecting map is
+    the coefficient inclusion, whose rank is the free rank, so
+    H^n = (C/Z)^{rank H^{n-1}(Z)} (+) torsion H^n(Z) for n >= 1, H^0 = H^0(Z)."""
+    h_n = equivariant_cohomology(act, n, "Z")
+    if n == 0:
+        return DiffCohGroup(free_rank=h_n.free_rank, torsion=h_n.torsion_part())
+    h_prev = equivariant_cohomology(act, n - 1, "Z")
+    return DiffCohGroup(circle_rank=h_prev.free_rank, torsion=h_n.torsion_part())
+
+
 def test_direct_and_structural_routes_agree():
+    # the cone over the reduced complex, the cone over the unreduced one,
+    # and the long exact sequence read off two separate integral answers
     for act, degrees in route_cases():
         for n in degrees:
-            direct = differential_cohomology_zero_dim(act, n, force_direct=True)
-            # structural route via the long exact sequence shortcut
-            from eqcohom.simplicial import equivariant_cohomology
-            if n == 0:
-                h0 = equivariant_cohomology(act, 0, "Z")
-                structural = DiffCohGroup(free_rank=h0.free_rank, torsion=h0.torsion_part())
-            else:
-                h_prev = equivariant_cohomology(act, n - 1, "Z")
-                h_n = equivariant_cohomology(act, n, "Z")
-                structural = DiffCohGroup(circle_rank=h_prev.free_rank,
-                                          torsion=h_n.torsion_part())
-            assert direct == structural, (act.group.name, n)
+            reduced = differential_cohomology_zero_dim(act, n)
+            unreduced = build_deligne_mixed(act, n).mixed.cohomology(n)
+            assert reduced == unreduced == long_exact_sequence_oracle(act, n), \
+                (act.group.name, n)
+    for act in _acceptance_actions():
+        for n in range(4):
+            assert differential_cohomology_zero_dim(act, n) == \
+                long_exact_sequence_oracle(act, n), (act.name, n)
 
 
 def test_structural_route_builds_one_bar_construction(monkeypatch):
@@ -150,16 +167,17 @@ def test_structural_route_builds_one_bar_construction(monkeypatch):
         real_init(self, *args, **kwargs)
 
     def no_cone(*args, **kwargs):
-        raise AssertionError("the structural route built the direct cone")
+        raise AssertionError("the cone was built over the unreduced bar complex")
 
     monkeypatch.setattr(BarLevels, "__init__", counting_init)
     monkeypatch.setattr(deligne, "build_deligne_mixed", no_cone)
-    # |S3|^(n+2) points exceed the direct-route cell limit for n >= 2
-    act = GAction.trivial(FiniteGroup.symmetric(3), CellComplex.point())
-    for n in (2, 3):
-        builds.clear()
-        differential_cohomology_zero_dim(act, n)
-        assert len(builds) == 1, n
+    cases = [(trivial_point(), range(4)), (cp_point(2), range(4)),
+             (GAction.trivial(FiniteGroup.symmetric(3), CellComplex.point()), (2, 3))]
+    for act, degrees in cases:
+        for n in degrees:
+            builds.clear()
+            differential_cohomology_zero_dim(act, n)
+            assert len(builds) == 1, (act.group.name, n)
 
 
 def kernel_connecting_rank(mixed, k):
@@ -181,6 +199,11 @@ def test_connecting_rank_matches_kernel_formula():
             # reads; the kernel SNF of the top levels would take minutes
             for k in range(mixed.n_min - 1, n + 1):
                 assert mixed.connecting_rank(k) == kernel_connecting_rank(mixed, k), \
+                    (act.group.name, n, k)
+            # the reduced cones are small enough for every degree
+            reduced = deligne_cone(reduced_bar_complex(act, n + 2, n + 1), n)
+            for k in range(reduced.n_min - 1, reduced.n_max + 1):
+                assert reduced.connecting_rank(k) == kernel_connecting_rank(reduced, k), \
                     (act.group.name, n, k)
 
 
