@@ -18,8 +18,9 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
-from .linalg import q_identity, q_inverse, q_mul, q_nullspace, q_rank, q_zeros
+from .linalg import IntMatrix, q_identity, q_inverse, q_mul, q_zeros, rank_q
 
 
 class TruncationUnstable(Exception):
@@ -146,10 +147,6 @@ class LinearAction:
         l2 = [[0, 0, 1], [0, 0, 0], [-1, 0, 0]]
         l3 = [[0, -1, 0], [1, 0, 0], [0, 0, 0]]
         return cls(LieAlgebra.so3(), [l1, l2, l3])
-
-    @classmethod
-    def trivial(cls, m):
-        return cls(LieAlgebra.abelian(0), [], ())
 
     def extend_trivially(self, extra=1):
         """Same action on R^{m+extra}; the new coordinates are fixed (used
@@ -589,92 +586,96 @@ def _compositions(total, parts):
     return out
 
 
-def _invariant_subspace(act, basis):
-    """Basis vectors (coordinates) of the invariant span of the monomials."""
-    if not basis:
-        return []
-    rows = []
-
-    def operator_rows(images):
-        # images: list over basis of EquivariantForm; rows of the stacked matrix
-        keys = sorted({k for img in images for k in img.terms})
-        for key in keys:
-            rows.append([img.terms.get(key, Fraction(0)) for img in images])
-
-    num_u = len(basis[0][0])
-    num_x = len(basis[0][1])
-    for a in range(act.lie_algebra.dim):
-        images = [total_lie(act, a, EquivariantForm(num_u, num_x, {key: 1}))
-                  for key in basis]
-        operator_rows(images)
-    for g, ad in act.finite_elements:
-        images = []
-        for key in basis:
-            form = EquivariantForm(num_u, num_x, {key: 1})
-            images.append(group_transform(act, form, g, ad) - form)
-        operator_rows(images)
-    if not rows:
-        return [[Fraction(1) if i == j else Fraction(0) for j in range(len(basis))]
-                for i in range(len(basis))]
-    return q_nullspace(rows)
-
-
-def _cartan_cohomology_dim(act, n, x_bound):
-    """(dimension, saturated flag) at one truncation level."""
+def _operator_images(act, key):
+    """Term dicts of the images of one monomial: L first (total_lie per Lie
+    basis element, then g.w - w per finite element), cartan_d last."""
     num_u, num_x = act.lie_algebra.dim, act.m
+    form = EquivariantForm(num_u, num_x, {key: 1})
+    images = [total_lie(act, a, form) for a in range(num_u)]
+    images += [group_transform(act, form, g, ad) - form for g, ad in act.finite_elements]
+    images.append(cartan_d(act, form))
+    return [img.terms for img in images]
 
-    def invariant_forms(deg, bound):
-        basis = _monomials_of_cartan_degree(num_u, num_x, deg, bound)
-        coords = _invariant_subspace(act, basis)
-        forms = []
-        for vec in coords:
-            terms = {key: c for key, c in zip(basis, vec) if c}
-            forms.append(EquivariantForm(num_u, num_x, terms))
-        return forms
 
-    inv_n = invariant_forms(n, x_bound)
-    # d_C lowers the x-degree by one (d) or raises it by one (the contraction
-    # with a linear field), so primitives of x-degree x_bound + 1 can still
-    # bound a form inside the cap; their images reach x-degree x_bound + 2
-    inv_prev = invariant_forms(n - 1, x_bound + 1) if n >= 1 else []
+def _graded_rank(columns, grade, rows_of):
+    """Rank over Q of the operator whose column for the monomial key has
+    the entries rows_of(key), a list of term dicts (row (i, term) holds
+    rows_of(key)[i][term]).  The operator must preserve grade(key): the
+    rank is the sum of rank_q over the graded blocks.  Each row is scaled
+    by the lcm of its denominators, so rational actions take the same
+    integer path."""
+    blocks = {}
+    for key in columns:
+        blocks.setdefault(grade(key), []).append(key)
+    total = 0
+    for block in blocks.values():
+        rows = {}
+        for j, key in enumerate(block):
+            for i, terms in enumerate(rows_of(key)):
+                for term, c in terms.items():
+                    rows.setdefault((i, term), {})[j] = c
+        entries = {}
+        for r, row in enumerate(rows.values()):
+            scale = lcm(*(c.denominator for c in row.values()))
+            for j, c in row.items():
+                entries[(r, j)] = c.numerator * (scale // c.denominator)
+        total += rank_q(IntMatrix(len(rows), len(block), entries))
+    return total
 
-    target_basis = _monomials_of_cartan_degree(num_u, num_x, n + 1, x_bound + 1)
-    target_index = {key: i for i, key in enumerate(target_basis)}
-    mid_basis = _monomials_of_cartan_degree(num_u, num_x, n, x_bound + 2)
-    mid_index = {key: i for i, key in enumerate(mid_basis)}
 
-    def vectorize(form, index):
-        v = [Fraction(0)] * len(index)
-        for key, c in form.terms.items():
-            v[index[key]] = c
-        return v
+def _form_grade(key):
+    """s = |x| + |dx|: d moves (|x|, |dx|) by (-1, +1), the contraction by
+    (+1, -1), and L preserves both."""
+    _u, x, dx = key
+    return sum(x) + len(dx)
 
-    # kernel of d_C on invariant degree-n forms
-    d_images = [cartan_d(act, f) for f in inv_n]
-    if inv_n:
-        d_matrix = [[vectorize(img, target_index)[i] for img in d_images]
-                    for i in range(len(target_basis))]
-        kernel_coords = q_nullspace(d_matrix)
-    else:
-        kernel_coords = []
-    dim_ker = len(kernel_coords)
 
-    # image of d_C from invariant degree n-1 forms, intersected with x <= bound
-    img_vectors = []
-    for f in inv_prev:
-        img = cartan_d(act, f)
-        img_vectors.append(vectorize(img, mid_index))
-    over_indices = [i for i, key in enumerate(mid_basis) if sum(key[1]) > x_bound]
-    if img_vectors:
-        full = [[vec[i] for vec in img_vectors] for i in range(len(mid_basis))]
-        dim_img = q_rank(full)
-        overflow = [[vec[i] for vec in img_vectors] for i in over_indices]
-        dim_overflow = q_rank(overflow) if over_indices else 0
-        dim_img_in = dim_img - dim_overflow
-    else:
-        dim_img_in = 0
+def _block(key):
+    u, x, dx = key
+    return sum(u), sum(x), len(dx)
 
-    saturated = any(f.x_degree_max() >= x_bound - 1 for f in inv_n + inv_prev)
+
+def _cartan_cohomology_dim(act, n, x_bound, images):
+    """(dimension, saturated flag) at one truncation level, from ranks.
+
+    L is the invariance operator, D = cartan_d, and pi keeps the target
+    coordinates of x-degree > x_bound.  Over the degree-n monomials of
+    x-degree <= x_bound, dim ker = N - rank [L; D]; over the degree-(n-1)
+    monomials of x-degree <= x_bound + 1 (D raises the x-degree by at most
+    one, so these primitives can still bound a form inside the cap), the
+    image inside the cap has dimension rank [L; D] - rank [L; pi D].  Both
+    stacks preserve s = |x| + |dx| and are ranked block by block.
+
+    saturated warns that invariant forms near the cap took part: some
+    (|u|, |x|, |dx|) block with |x| >= x_bound - 1 has invariants.  L
+    preserves that triple, so its kernel is spanned by vectors inside one
+    block each.
+
+    images maps each monomial to _operator_images(act, key); it is filled
+    here as needed and shared by the bounds of one query, since every
+    image depends on the action and the monomial alone.
+    """
+    num_u, num_x = act.lie_algebra.dim, act.m
+    top = _monomials_of_cartan_degree(num_u, num_x, n, x_bound)
+    prev = _monomials_of_cartan_degree(num_u, num_x, n - 1, x_bound + 1)
+    for key in top + prev:
+        if key not in images:
+            images[key] = _operator_images(act, key)
+
+    def projected(key):
+        *lie, d = images[key]
+        return lie + [{t: c for t, c in d.items() if sum(t[1]) > x_bound}]
+
+    dim_ker = len(top) - _graded_rank(top, _form_grade, images.__getitem__)
+    dim_img_in = (_graded_rank(prev, _form_grade, images.__getitem__)
+                  - _graded_rank(prev, _form_grade, projected))
+
+    near_cap = {}
+    for key in top + prev:
+        if sum(key[1]) >= x_bound - 1:
+            near_cap.setdefault(_block(key), []).append(key)
+    saturated = any(len(block) > _graded_rank(block, _block, lambda key: images[key][:-1])
+                    for block in near_cap.values())
     return dim_ker - dim_img_in, saturated
 
 
@@ -682,15 +683,20 @@ def cartan_cohomology_truncated(act: LinearAction, n, x_bound):
     """Dimension over Q of invariant Cartan cohomology in degree n, with
     the x-polynomial degree capped at x_bound.
 
-    Recomputed at x_bound + 2: a differing answer raises
-    TruncationUnstable.  Returns (dimension, saturated) where saturated
-    warns that monomials near the cap participated.
+    Returns (dimension, saturated) where saturated warns that monomials
+    near the cap participated.  The dimension is computed at x_bound,
+    x_bound + 1 and x_bound + 2 from one shared set of operator images;
+    unless all three agree, TruncationUnstable names the three bounds.
+    Comparing consecutive bounds catches an error that repeats with the
+    parity of the bound.
     """
-    dim, saturated = _cartan_cohomology_dim(act, n, x_bound)
-    dim_hi, _ = _cartan_cohomology_dim(act, n, x_bound + 2)
-    if dim != dim_hi:
+    images = {}
+    dim, saturated = _cartan_cohomology_dim(act, n, x_bound, images)
+    bounds = (x_bound, x_bound + 1, x_bound + 2)
+    dims = [dim] + [_cartan_cohomology_dim(act, n, b, images)[0] for b in bounds[1:]]
+    if len(set(dims)) > 1:
         raise TruncationUnstable(
-            f"degree {n}: dimension {dim} at bound {x_bound} vs {dim_hi} at {x_bound + 2}")
+            f"degree {n}: dimensions {dims} at bounds {list(bounds)}")
     return dim, saturated
 
 
@@ -807,7 +813,6 @@ def getzler_dbar_matrix(bl, p, q):
         for c in range(nq):
             c2, s = bl.act.act_cell(gp, q, c)
             add(t * nq + c, col_t * nq + c2, sign * s)
-    from .linalg import IntMatrix
     return IntMatrix(rows, cols, {k: v for k, v in entries.items() if v})
 
 

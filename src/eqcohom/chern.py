@@ -20,8 +20,8 @@ from .cartan import (
     _compositions,
     fiber_integrate_interval,
     lie_derivative,
-    q_nullspace,
 )
+from .linalg import q_nullspace
 
 
 class ConnectionNotInvariant(Exception):

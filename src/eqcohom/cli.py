@@ -98,9 +98,17 @@ def _int(value, what):
     raise SchemaError(f"{what} must be an integer, got {value!r}")
 
 
+def _str(value, what):
+    """A string input: SchemaError when missing or of another JSON type."""
+    if value is None:
+        raise SchemaError(f"missing {what}")
+    if not isinstance(value, str):
+        raise SchemaError(f"{what} must be a string, got {value!r}")
+    return value
+
+
 def _load_group(spec):
-    if spec is None:
-        raise SchemaError("missing group")
+    spec = _str(spec, "group")
     if spec.endswith(".json"):
         with open(spec) as fh:
             return FiniteGroup.from_json_obj(json.load(fh))
@@ -111,8 +119,7 @@ def _load_group(spec):
 
 
 def _load_space(spec):
-    if spec is None:
-        raise SchemaError("missing space")
+    spec = _str(spec, "space")
     if spec.endswith(".json"):
         with open(spec) as fh:
             return CellComplex.from_json_obj(json.load(fh))
@@ -121,9 +128,15 @@ def _load_space(spec):
     if spec == "two-points":
         return CellComplex.points(2)
     if spec.startswith("points:"):
-        return CellComplex.points(_int(spec.split(":")[1], "points:k"))
+        k = _int(spec.split(":")[1], "points:k")
+        if k < 0:
+            raise SchemaError(f"points:k needs k >= 0, got {k}")
+        return CellComplex.points(k)
     if spec.startswith("circle:"):
-        return CellComplex.circle(_int(spec.split(":")[1], "circle:k"))
+        k = _int(spec.split(":")[1], "circle:k")
+        if k < 1:
+            raise SchemaError(f"circle:k needs k >= 1, got {k}")
+        return CellComplex.circle(k)
     raise SchemaError(f"unknown space {spec!r}")
 
 
@@ -230,7 +243,7 @@ def run(job: JobSpec):
 
 
 def _run_chern(inputs):
-    preset = inputs.get("preset", "weight:1")
+    preset = _str(inputs.get("preset", "weight:1"), "preset")
     poly_spec = str(inputs.get("poly", "chern:1"))
     kind, _, arg = poly_spec.partition(":")
     kind = {"chern1": "chern", "total": "total_chern"}.get(kind, kind)

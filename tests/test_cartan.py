@@ -4,11 +4,15 @@ from fractions import Fraction
 
 import pytest
 
+import eqcohom.cartan as cartan
 from eqcohom.cartan import (
     EquivariantForm,
     LieAlgebra,
     LinearAction,
     ShuffleIndex,
+    TruncationUnstable,
+    _cartan_cohomology_dim,
+    _monomials_of_cartan_degree,
     cartan_cohomology_truncated,
     cartan_d,
     fiber_integrate_interval,
@@ -22,7 +26,9 @@ from eqcohom.cartan import (
     lie_derivative,
     parse_form,
     shuffle_set,
+    total_lie,
 )
+from eqcohom.linalg import q_nullspace, q_rank
 from eqcohom.simplicial import GAction, bar_levels
 
 
@@ -260,6 +266,128 @@ def test_trivial_symmetry_line():
     one_dim = LinearAction(LieAlgebra.abelian(1), [[[0]]])
     dim, _ = cartan_cohomology_truncated(one_dim, 0, 3)
     assert dim == 1
+
+
+# Chevalley-Weil: polynomial forms on R^m are acyclic by a linear homotopy
+# that commutes with the action, so the Cartan cohomology is S(g*)^G, with
+# u in degree 2 (Berline-Getzler-Vergne ch. 7; Guillemin-Sternberg ch. 4).
+def circle_table(n):
+    """H^n of Q[u], u in degree 2."""
+    return 1 if n % 2 == 0 else 0
+
+
+def quartic_table(n):
+    """H^n of a polynomial ring on one generator of degree 4: Q[p1] with
+    p1 = u1^2 + u2^2 + u3^2 for SO(3), Q[u^2] for O(2)."""
+    return 1 if n % 4 == 0 else 0
+
+
+@pytest.mark.parametrize("act", [
+    LinearAction.circle_rotation_r2(),
+    LinearAction.circle_rotation_r2(weight=2),
+    LinearAction.circle_rotation_r2(weight=Fraction(1, 2)),
+    LinearAction.circle_rotation_r2(finite_order=2),
+    LinearAction.circle_rotation_r2(finite_order=4),
+], ids=["weight1", "weight2", "weight_half", "order2", "order4"])
+def test_circle_matches_chevalley_weil(act):
+    for n in range(7):
+        assert cartan_cohomology_truncated(act, n, 4)[0] == circle_table(n), n
+
+
+def test_so3_matches_chevalley_weil():
+    for n in range(7):
+        assert cartan_cohomology_truncated(SO3, n, 2)[0] == quartic_table(n), n
+
+
+# O(2) acting on R through the determinant: SO(2) acts trivially and a
+# reflection flips both x and u, so S(g*)^G = Q[u^2] with u^2 in degree 4
+O2_DET = LinearAction(LieAlgebra.abelian(1), [[[0]]], [([[-1]], [[-1]])])
+
+
+def test_o2_on_determinant_line_matches_chevalley_weil():
+    for n in range(7):
+        assert cartan_cohomology_truncated(O2_DET, n, 4)[0] == quartic_table(n), n
+
+
+def dense_reference(act, n, x_bound):
+    """The dense formula the rank computation replaced: bases of the
+    invariant forms from q_nullspace of the stacked invariance operator,
+    then the kernel and the in-cap image of d_C on those bases."""
+    num_u, num_x = act.lie_algebra.dim, act.m
+
+    def invariant_forms(deg, bound):
+        basis = _monomials_of_cartan_degree(num_u, num_x, deg, bound)
+        images = []
+        for key in basis:
+            f = EquivariantForm(num_u, num_x, {key: 1})
+            images.append([total_lie(act, a, f) for a in range(num_u)]
+                          + [group_transform(act, f, g, ad) - f
+                             for g, ad in act.finite_elements])
+        rows = []
+        for op in range(num_u + len(act.finite_elements)):
+            keys = sorted({k for img in images for k in img[op].terms})
+            rows += [[img[op].terms.get(k, Fraction(0)) for img in images] for k in keys]
+        if rows:
+            coords = q_nullspace(rows)
+        else:
+            coords = [[Fraction(int(i == j)) for j in range(len(basis))]
+                      for i in range(len(basis))]
+        return [EquivariantForm(num_u, num_x, dict(zip(basis, vec))) for vec in coords]
+
+    def matrix(forms, basis):
+        return [[f.terms.get(key, Fraction(0)) for f in forms] for key in basis]
+
+    inv_n = invariant_forms(n, x_bound)
+    inv_prev = invariant_forms(n - 1, x_bound + 1)
+    target = _monomials_of_cartan_degree(num_u, num_x, n + 1, x_bound + 1)
+    dim_ker = len(inv_n) - q_rank(matrix([cartan_d(act, f) for f in inv_n], target))
+    mid = _monomials_of_cartan_degree(num_u, num_x, n, x_bound + 2)
+    over = [key for key in mid if sum(key[1]) > x_bound]
+    images = [cartan_d(act, f) for f in inv_prev]
+    dim_img_in = q_rank(matrix(images, mid)) - q_rank(matrix(images, over))
+    saturated = any(f.x_degree_max() >= x_bound - 1 for f in inv_n + inv_prev)
+    return dim_ker - dim_img_in, saturated
+
+
+def test_ranks_match_dense_reference():
+    half = LinearAction.circle_rotation_r2(weight=Fraction(1, 2))
+    cases = [(ROT, range(5), range(4)), (half, range(5), range(4)),
+             (LinearAction.circle_rotation_r2(finite_order=4), range(5), range(4)),
+             (LinearAction(LieAlgebra.abelian(1), [[[0]]]), range(4), range(3)),
+             # scalings of the line: invariants only at x-degree 0, so the
+             # flag is False above bound 1
+             (LinearAction(LieAlgebra.abelian(1), [[[1]]]), range(4), range(4)),
+             (LinearAction(LieAlgebra.abelian(1), [[[Fraction(2, 3)]]]), range(4), range(4)),
+             (ROT.extend_trivially(), range(4), range(3)),
+             (O2_DET, range(5), range(4)),
+             (SO3, range(3), range(3))]
+    for act, degrees, bounds in cases:
+        for n in degrees:
+            for b in bounds:
+                assert _cartan_cohomology_dim(act, n, b, {}) == dense_reference(act, n, b), \
+                    (act.rep, n, b)
+
+
+def test_zero_lie_algebra():
+    # no symmetry on R^0: the Cartan complex is Q in degree 0
+    act = LinearAction(LieAlgebra.abelian(0), [])
+    assert cartan_cohomology_truncated(act, 0, 2) == (1, False)
+    assert cartan_cohomology_truncated(act, 0, 0) == (1, True)
+    for n in range(1, 4):
+        assert cartan_cohomology_truncated(act, n, 2)[0] == 0
+
+
+def test_stability_checked_at_consecutive_bounds(monkeypatch):
+    # an error that repeats with the parity of the bound agrees at b and b + 2
+    exact = cartan._cartan_cohomology_dim
+
+    def parity_error(act, n, x_bound, images):
+        dim, saturated = exact(act, n, x_bound, images)
+        return dim + x_bound % 2, saturated
+
+    monkeypatch.setattr(cartan, "_cartan_cohomology_dim", parity_error)
+    with pytest.raises(TruncationUnstable, match=r"bounds \[6, 7, 8\]"):
+        cartan_cohomology_truncated(ROT, 2, 6)
 
 
 # --- fiber integration ------------------------------------------------------------

@@ -133,3 +133,19 @@ def test_integer_strings_are_accepted(tmp_path, capsys):
     code, out, _ = invoke(capsys, "--job", str(path))
     assert code == EXIT_OK
     assert json.loads(out)["group"]["torsion"]["torsion"] == [3]
+
+
+@pytest.mark.parametrize("job", [
+    {"command": "cohomology", "group": 3, "space": "point", "degrees": 0},
+    {"command": "cohomology", "group": "cyclic:2", "space": 3, "degrees": 0},
+    {"command": "hexagon", "group": ["cyclic:2"], "space": "point", "degree": 1},
+    {"command": "chern", "preset": 3},
+    {"command": "chern", "preset": None},
+    {"command": "cohomology", "group": "cyclic:2", "space": "points:-1", "degrees": 0},
+    {"command": "cohomology", "group": "cyclic:3", "space": "circle:0", "degrees": 0},
+])
+def test_malformed_names_and_counts_are_schema_errors(tmp_path, capsys, job):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    code, _, err = invoke(capsys, "--job", str(path))
+    assert code == EXIT_SCHEMA and "schema error" in err, err
