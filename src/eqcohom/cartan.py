@@ -455,10 +455,11 @@ def _poly_mul(p1, p2):
 
 
 def _merge_dx(dx1, dx2):
-    """Concatenate exterior monomials; returns (sign, sorted tuple)."""
-    if set(dx1) & set(dx2):
-        return 0, ()
+    """Concatenate exterior monomials; returns (sign, sorted tuple), or
+    (0, ()) when an index repeats."""
     merged = list(dx1) + list(dx2)
+    if len(set(merged)) != len(merged):
+        return 0, ()
     sign = 1
     # insertion sort counting inversions
     for i in range(1, len(merged)):
@@ -923,23 +924,9 @@ def parse_form(text, num_u, num_x) -> EquivariantForm:
                 x[idx] += e
             else:
                 dx.append(idx)
-        sgn, dx_sorted = _sort_with_sign(dx)
+        sgn, dx_sorted = _merge_dx(dx, ())
         if sgn == 0:
             continue
         key = (tuple(u), tuple(x), dx_sorted)
         terms[key] = terms.get(key, 0) + coeff * sgn
     return EquivariantForm(num_u, num_x, terms)
-
-
-def _sort_with_sign(dx):
-    if len(set(dx)) != len(dx):
-        return 0, ()
-    merged = list(dx)
-    sign = 1
-    for i in range(1, len(merged)):
-        j = i
-        while j > 0 and merged[j - 1] > merged[j]:
-            merged[j - 1], merged[j] = merged[j], merged[j - 1]
-            sign = -sign
-            j -= 1
-    return sign, tuple(merged)

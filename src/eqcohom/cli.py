@@ -204,6 +204,10 @@ def run(job: JobSpec):
             raise SchemaError("coeff must be one of z, q, qmodz")
         trunc = job.inputs.get("truncation")
         trunc = None if trunc is None else _int(trunc, "truncation")
+        top = max(degrees, default=-1)
+        if trunc is not None and trunc <= top:
+            raise SchemaError(f"truncation {trunc} is too small for degree {top}; "
+                              f"it must be at least {top + 1}")
         values = {n: equivariant_cohomology(act, n, coeff, truncation=trunc)
                   for n in degrees}
         label = {"Z": "ℤ", "Q": "ℚ-dim", "QmodZ": "ℂ/ℤ"}[coeff]
@@ -219,6 +223,8 @@ def run(job: JobSpec):
     if job.command == "hexagon":
         act = _build_action(job.inputs)
         n = _int(job.inputs.get("degree"), "degree")
+        if n < 0:
+            raise SchemaError(f"hexagon degree must be nonnegative, got {n}")
         rep = hexagon(act, n)
         return rep.to_json_obj(), rep.render_text().splitlines()
     if job.command == "cartan":
@@ -268,6 +274,8 @@ def _run_verify(inputs):
     if suite == "hexagon":
         act = _build_action(inputs)
         degrees = _parse_degrees(inputs.get("degrees", "0..2"))
+        if any(n < 0 for n in degrees):
+            raise SchemaError(f"hexagon degrees must be nonnegative, got {min(degrees)}")
         out = {}
         lines = []
         for n in degrees:

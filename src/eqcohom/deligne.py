@@ -22,7 +22,7 @@ from math import lcm
 from .complexes import (
     DoubleComplex,
     IntCochainComplex,
-    bockstein_apply,
+    bockstein_image,
     bockstein_image_matches_torsion,
     total_complex,
 )
@@ -32,11 +32,10 @@ from .linalg import (
     StructuredCoefGroup,
     coefficient_change,
     kernel_basis,
-    q_nullspace,
     rank_q,
     solve_int,
 )
-from .simplicial import BarLevels, GAction, bar_levels, reduced_bar_complex, total_window
+from .simplicial import BarLevels, GAction, bar_complex, bar_levels
 
 
 class PositiveDimensionalInput(Exception):
@@ -211,36 +210,20 @@ class MixedComplex:
         return not any(a + b for a, b in zip(qx, sv))
 
     def is_coboundary(self, k, x, v):
-        """Does (x, v) = d(y, w) have a solution with y integral, w rational?"""
-        p = self.p_block(k - 1)
-        y0 = solve_int(p, list(x))
-        if y0 is None:
-            return False
-        if self.rat_rank(k) == 0:
-            return True
-        q = self.q_block(k - 1)
-        s = self.s_block(k - 1)
-        ker = kernel_basis(p)
-        # residual: v - Q y0 must lie in im(S) + Z-span of Q(kernel basis)
-        resid = [Fraction(vi) - qy for vi, qy in zip(v, q.apply(y0))]
-        # rows of the projection: functionals vanishing on im(S); a zero row
-        # stands in for S^T when S has no columns
-        pi_rows = q_nullspace(s.transpose().to_rows() or [[0] * s.rows])
+        """Does (x, v) = d(y, w) have a solution with y integral, w rational?
 
-        def project(vec):
-            return [sum(r[i] * vec[i] for i in range(len(vec))) for r in pi_rows]
-
-        target = project(resid)
-        if not ker:
-            return not any(target)
-        cols = [project(q.apply(c)) for c in ker]
-        # solve (pi Q K) t = pi(resid) over the integers
-        denom = lcm(*(val.denominator for val in target + [e for col in cols for e in col]))
-        mat = IntMatrix.from_rows(
-            [[int(col[row_i] * denom) for col in cols] for row_i in range(len(pi_rows))],
-            cols=len(cols))
-        rhs = [int(t * denom) for t in target]
-        return solve_int(mat, rhs) is not None
+        With r the integral functionals killing im S (r S = 0), a rational w
+        with v - Q y = S w exists exactly when r (v - Q y) = 0.  So y must
+        solve [P; N r Q] y = [x; N r v] over Z, N clearing the denominators
+        of r v: one integer solve.
+        """
+        p, q = self.p_block(k - 1), self.q_block(k - 1)
+        r = kernel_basis(self.s_block(k - 1).transpose())
+        rv = [sum(ri * Fraction(vi) for ri, vi in zip(row, v)) for row in r]
+        scale = lcm(*(val.denominator for val in rv))
+        rq = (IntMatrix.from_rows(r, cols=q.rows) @ q).scale(scale)
+        stacked = p.transpose().hstack(rq.transpose()).transpose()   # [P; N r Q]
+        return solve_int(stacked, list(x) + [int(val * scale) for val in rv]) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -301,16 +284,14 @@ def deligne_cone(cx: IntCochainComplex, n) -> MixedComplex:
 
 def build_deligne_mixed(act: GAction, n) -> DeligneComplexData:
     """D(n) over the unreduced bar complex of G^. x M for 0-dimensional M,
-    degrees 0..n+2, with the bar levels kept for chain work."""
+    degrees 0..n+2 (bar_complex of the levels up to n+2), with the bar
+    levels kept for chain work."""
     if act.space.dim > 0:
         raise PositiveDimensionalInput(
             "the Deligne cone needs a 0-dimensional complex; "
             "use hexagon() with supplied form corners instead")
-    P = n + 2
-    bl = bar_levels(act, P)
-    cx = IntCochainComplex(0, [bl.cells(p, 0) for p in range(P + 1)],
-                           [bl.vertical_matrix(p, 0) for p in range(P)], check=False)
-    return DeligneComplexData(n, bl, deligne_cone(cx, n))
+    bl = bar_levels(act, n + 2)
+    return DeligneComplexData(n, bl, deligne_cone(bar_complex(bl, n + 2), n))
 
 
 def differential_cohomology_zero_dim(act: GAction, n) -> DiffCohGroup:
@@ -329,7 +310,7 @@ def differential_cohomology_zero_dim(act: GAction, n) -> DiffCohGroup:
             "positive-dimensional cells: use hexagon() with supplied form corners")
     if n < 0:
         return DiffCohGroup()
-    return deligne_cone(reduced_bar_complex(act, n + 2, n + 1), n).cohomology(n)
+    return deligne_cone(bar_complex(bar_levels(act, n + 2), n + 1).reduced(), n).cohomology(n)
 
 
 # ---------------------------------------------------------------------------
@@ -417,10 +398,13 @@ def hexagon(act, n, supplied: SuppliedCorners = None) -> HexagonReport:
     """Build the six corners and verify the four exactness statements and
     both commuting squares, by rank computations.
 
-    For 0-dimensional spaces everything is computed from the bar complex;
-    positive-dimensional actions must supply their double complex (the form
-    corners then enter as labels with their cocycle data checked).
+    For 0-dimensional spaces everything is computed from one bar
+    construction (see _hexagon_zero_dim); positive-dimensional actions must
+    supply their double complex (the form corners then enter as labels with
+    their cocycle data checked).  A negative degree raises ValueError.
     """
+    if n < 0:
+        raise ValueError(f"hexagon degree must be nonnegative, got {n}")
     if supplied is not None:
         return _hexagon_from_supplied(supplied, n)
     if not isinstance(act, GAction):
@@ -431,32 +415,29 @@ def hexagon(act, n, supplied: SuppliedCorners = None) -> HexagonReport:
     return _hexagon_zero_dim(act, n)
 
 
-def _window_complex(act, n):
-    """Bar total complex restricted to degrees n-2 .. n+1 (as far as they
-    exist), reduced; enough for H^{n-1}, H^n and the Bockstein data."""
-    # lo stays at n - 2 rather than 0: differential_cohomology_zero_dim
-    # builds its cone over the bar complex reduced from degree 0, so the two
-    # reductions differ and the diagonal verdicts compare the cone's H^n
-    # with an independent computation of H^{n-1}(Z) and H^n(Z)
-    lo = max(n - 2, 0)
-    hi = n + 1
-    bl = bar_levels(act, n + 2)
-    ranks, diffs = total_window(bl, lo, hi)
-    cx = IntCochainComplex(lo, [ranks[k] for k in range(lo, hi + 1)],
-                           [diffs[k] for k in range(lo, hi)], check=False)
-    return cx.reduced()
-
-
 def _hexagon_zero_dim(act: GAction, n) -> HexagonReport:
+    """The hexagon of a 0-dimensional action from one bar construction.
+
+    One BarLevels (levels 0..n+2) and one bar total complex `full` in
+    degrees 0..n+1 feed every corner.  Two separate reductions of it back
+    the diagonal verdicts: Ĥ^n is read off the Deligne cone over `full`
+    reduced from degree 0, while H^{n-1}(Z), H^n(Z) and the Bockstein data
+    come from the window of degrees n-2..n+1, reduced on its own.  The
+    window starts at n - 2 rather than 0 so that its reduction differs from
+    the cone's; its matrices were checked for d^2 = 0 as part of `full`.
+    """
     orbits = act.orbit_count()
     name = f"{act.group.name or 'group'} on {act.space.name or 'space'}"
-    cx = _window_complex(act, n)
+    bl = bar_levels(act, n + 2)
+    full = bar_complex(bl, n + 1)
+    lo = max(n - 2, 0)
+    cx = IntCochainComplex(lo, full.ranks[lo:], full.diffs[lo:], check=False).reduced()
     h_prev = cx.cohomology(n - 1) if n >= 1 else FgAbGroup(0)
     h_n = cx.cohomology(n)
     dim_l = h_prev.free_rank      # H^{n-1}(M_G, C) has this C-dimension
     dim_r = h_n.free_rank
     bl_corner = coefficient_change(h_prev, h_n, "CmodZ") if n >= 1 else StructuredCoefGroup()
-    hhat = differential_cohomology_zero_dim(act, n)
+    hhat = deligne_cone(full.reduced(), n).cohomology(n)
 
     tl_dim = orbits if n == 1 else 0       # invariant functions mod d(nothing)
     tr_dim = orbits if n == 0 else 0       # closed invariant 0-forms
@@ -481,23 +462,14 @@ def _hexagon_zero_dim(act: GAction, n) -> HexagonReport:
 
     # Bockstein data on the reduced window (natural under the reduction)
     if n >= 1:
-        beta_ok, beta_image, torsion = bockstein_image_matches_torsion(cx, n)
+        beta_image, torsion = bockstein_image(cx, n), h_n.torsion_part()
         evidence["image(-beta)"] = beta_image
         evidence["torsion H^n"] = torsion
-        # -beta vanishes on classes reduced from C: rational cocycles map to
-        # integral coboundary data, chainwise on a kernel basis
-        d_out = cx.differential(n - 1)
-        kills_c = True
-        for col in kernel_basis(d_out):
-            rep = [Fraction(v) for v in col]
-            if any(bockstein_apply(cx, n, rep)):
-                kills_c = False
-        # ker(iota: H^n(Z) -> H^n(C)) = torsion: rank of the kernel lattice
-        kernels = kernel_basis(cx.differential(n))
-        iota_rank = (rank_q(IntMatrix.from_rows(kernels).transpose().hstack(d_out))
-                     - rank_q(d_out)) if kernels else 0
+        # ker(iota: H^n(Z) -> H^n(C)) = torsion: iota has rank dim H^n(Q),
+        # taken by rank_q, apart from the Smith form behind h_n
+        iota_rank = cx.cohomology_q_dim(n)
         evidence["rank iota on H^n"] = iota_rank
-        exact["bottom_row"] = beta_ok and kills_c and iota_rank == h_n.free_rank
+        exact["bottom_row"] = beta_image == torsion and iota_rank == h_n.free_rank
     else:
         # n = 0: the row is 0 -> 0 -> H^0(Z) -> H^0(C) with injective iota
         exact["bottom_row"] = h_n.torsion_part().is_trivial()
@@ -540,7 +512,7 @@ def _hexagon_zero_dim(act: GAction, n) -> HexagonReport:
 
     # left square: through the forms corner vs through C/Z (nontrivial n = 1)
     if n == 1:
-        squares["left"] = _left_square_check(act)
+        squares["left"] = _left_square_check(bl)
     else:
         squares["left"] = True  # one of the two paths is through a zero corner
     # right square: R followed by the de Rham class vs iota after I; for
@@ -559,11 +531,12 @@ def _hexagon_zero_dim(act: GAction, n) -> HexagonReport:
     return HexagonReport(name, n, corners, maps, exact, squares, evidence, notes)
 
 
-def _left_square_check(act: GAction) -> bool:
+def _left_square_check(bl: BarLevels) -> bool:
     """Chain-level commutativity at n = 1: a(invariant function) equals the
-    inclusion of its C/Z reduction, up to a coboundary in the cone."""
-    data = build_deligne_mixed(act, 1)
-    mixed = data.mixed
+    inclusion of its C/Z reduction, up to a coboundary in the cone over the
+    unreduced bar complex of bl in degrees 0..3."""
+    act = bl.act
+    mixed = deligne_cone(bar_complex(bl, 3), 1)
     c0 = act.space.ncells(0)
     # basis of invariant rational functions: orbit indicators
     orbits = []
@@ -582,7 +555,7 @@ def _left_square_check(act: GAction) -> bool:
         x1 = [0] * mixed.int_rank(1)
         v1 = list(func)
         # path 2: reduce mod Z and include: ((-1)^{n+1} d r, (-1)^{n+1} r)
-        d_r = data.bl.vertical_matrix(0, 0).apply(func)
+        d_r = mixed.p_block(0).apply(func)
         if any(Fraction(v).denominator != 1 for v in d_r):
             return False  # invariant functions have integral (zero) coboundary
         x2 = [int(v) for v in d_r]

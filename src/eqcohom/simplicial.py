@@ -425,10 +425,8 @@ class GAction:
         space = CellComplex([p, p, p, p],
                             [IntMatrix(p, p, bd1), IntMatrix(p, p, bd2), IntMatrix(p, p, bd3)],
                             name=f"lens-sphere:{p}")
-        shift = [(c + 1) % p for c in range(p)]
         perms = {g: [[(c + g) % p for c in range(p)] for _ in range(4)]
                  for g in range(p)}
-        del shift
         return cls(group, space, perms, name=f"lens:{p}")
 
     def to_json_obj(self):
@@ -693,13 +691,8 @@ def bar_levels(act: GAction, P, verify=True) -> BarLevels:
 # ---------------------------------------------------------------------------
 # the cellular double complex and equivariant cohomology
 
-# full product checks on the assembled double complex are skipped above this
-# many cells per level; the simplicial identities (checked exhaustively on
-# tuples) and the validated action already imply them
-_CHECK_CELL_LIMIT = 4000
 
-
-def cellular_double_complex(bl: BarLevels, check="auto") -> DoubleComplex:
+def cellular_double_complex(bl: BarLevels) -> DoubleComplex:
     """Bidegree (p, q) holds cellular q-cochains of G^p x M; the vertical map
     is the alternating sum of face pullbacks, the horizontal one is the
     cellular coboundary.  Squares commute; signs enter at totalization."""
@@ -714,9 +707,7 @@ def cellular_double_complex(bl: BarLevels, check="auto") -> DoubleComplex:
                 horiz[(p, q)] = bl.horizontal_matrix(p, q)
             if p < bl.P:
                 vert[(p, q)] = bl.vertical_matrix(p, q)
-    if check == "auto":
-        check = max(ranks.values(), default=0) <= _CHECK_CELL_LIMIT
-    return DoubleComplex(bl.P, space.dim, ranks, horiz, vert, check=check)
+    return DoubleComplex(bl.P, space.dim, ranks, horiz, vert)
 
 
 def total_window(bl: BarLevels, n_lo, n_hi):
@@ -758,18 +749,16 @@ def total_window(bl: BarLevels, n_lo, n_hi):
     return ranks, diffs
 
 
-def reduced_bar_complex(act: GAction, P, top) -> IntCochainComplex:
-    """The bar total complex in degrees 0..top, bar levels truncated at P,
-    checked for d^2 = 0 and unit-pivot reduced.
+def bar_complex(bl: BarLevels, top) -> IntCochainComplex:
+    """The bar total complex of bl in degrees 0..top, checked for d^2 = 0.
 
-    The window starts at degree 0 so that every cell can pair with a partner
-    one degree down: a window cut off below keeps its bottom cells, and the
-    fill they cause, in the reduced complex.
+    It starts at degree 0 so that its reduction can pair every cell with a
+    partner one degree down: a window cut off below keeps its bottom cells,
+    and the fill they cause, in the reduced complex.
     """
-    bl = bar_levels(act, P)
     ranks, diffs = total_window(bl, 0, top)
     return IntCochainComplex(0, [ranks[k] for k in range(top + 1)],
-                             [diffs[k] for k in range(top)]).reduced()
+                             [diffs[k] for k in range(top)])
 
 
 def equivariant_cohomology(act: GAction, n, coeff="Z", truncation=None):
@@ -792,9 +781,9 @@ def equivariant_cohomology(act: GAction, n, coeff="Z", truncation=None):
     if P < n + 1:
         raise ValueError("truncation too small for the requested degree")
     if coeff == "QmodZ":
-        cx = reduced_bar_complex(act, max(P, n + 3), n + 2)
+        cx = bar_complex(bar_levels(act, max(P, n + 3)), n + 2).reduced()
         return coefficient_change(cx.cohomology(n), cx.cohomology(n + 1), "CmodZ")
-    cx = reduced_bar_complex(act, P, n + 1)
+    cx = bar_complex(bar_levels(act, P), n + 1).reduced()
     if coeff == "Z":
         return cx.cohomology(n)
     return cx.cohomology_q_dim(n)

@@ -6,9 +6,11 @@ hand enumeration) or a pinned table value; all comparisons are exact, no
 tolerances are needed anywhere because the arithmetic is rational.
 """
 
+import json
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from eqcohom.bundled import s3_conjugation_double_complex
 from eqcohom.cartan import (
@@ -168,7 +170,12 @@ def _acceptance_actions():
     return actions
 
 
+# corners, evidence and verdicts of the 100 criterion-5 reports, pinned
+PINNED_HEXAGONS = Path(__file__).resolve().parent / "criterion5_hexagons.json"
+
+
 def test_criterion_05_06_hexagon_and_bockstein():
+    pinned = json.loads(PINNED_HEXAGONS.read_text(encoding="utf-8"))
     t0 = time.monotonic()
     ok5 = True
     ok6 = True
@@ -176,6 +183,11 @@ def test_criterion_05_06_hexagon_and_bockstein():
     for act in _acceptance_actions():
         for n in range(5):
             rep = hexagon(act, n)
+            obj = rep.to_json_obj()
+            got = json.loads(json.dumps(
+                {"action": f"{act.group.name} on {act.name or act.space.name}", "degree": n,
+                 **{k: obj[k] for k in ("corners", "evidence", "exactness", "squares")}}))
+            assert got == pinned[count], (act.name, n)
             count += 1
             if not rep.all_exact:
                 ok5 = False
@@ -186,6 +198,7 @@ def test_criterion_05_06_hexagon_and_bockstein():
                 if image != torsion:
                     ok6 = False
                     print("bockstein failure:", act.group.name, act.name, n, image, torsion)
+    assert count == len(pinned)
     elapsed = time.monotonic() - t0
     report(5, ok5 and elapsed < 300.0,
            f"all four exactness verdicts positive on {count} instances ({elapsed:.1f}s)")

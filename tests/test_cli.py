@@ -149,3 +149,24 @@ def test_malformed_names_and_counts_are_schema_errors(tmp_path, capsys, job):
     path.write_text(json.dumps(job))
     code, _, err = invoke(capsys, "--job", str(path))
     assert code == EXIT_SCHEMA and "schema error" in err, err
+
+
+@pytest.mark.parametrize("argv", [
+    ("hexagon", "--group", "cyclic:2", "--space", "point", "--degree", "-1"),
+    ("hexagon", "--group", "cyclic:2", "--space", "point", "--degree", "-3"),
+    ("verify", "--suite", "hexagon", "--group", "cyclic:2", "--space", "two-points",
+     "--degrees=-1..1"),
+    ("cohomology", "--group", "cyclic:2", "--space", "point", "--truncation", "0",
+     "--degrees", "0..2"),
+])
+def test_out_of_range_degrees_are_schema_errors(capsys, argv):
+    # a negative hexagon degree and a truncation that does not reach past
+    # the top degree are bad input, not internal errors
+    code, _, err = invoke(capsys, *argv)
+    assert code == EXIT_SCHEMA and "schema error" in err, err
+
+
+def test_truncation_at_top_degree_plus_one_is_accepted(capsys):
+    code, out, _ = invoke(capsys, "cohomology", "--group", "cyclic:2", "--space", "point",
+                          "--truncation", "3", "--degrees", "0..2")
+    assert code == EXIT_OK and "summary: ℤ, 0, ℤ/2" in out

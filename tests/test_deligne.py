@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -19,15 +20,16 @@ from eqcohom.deligne import (
     hexagon,
     homotopy_formula_check,
 )
-from eqcohom.linalg import FgAbGroup, IntMatrix, kernel_basis, rank_q
+from eqcohom.linalg import FgAbGroup, IntMatrix, kernel_basis, q_nullspace, rank_q, solve_int
 from eqcohom.complexes import DoubleComplex
 from eqcohom.simplicial import (
     BarLevels,
     CellComplex,
     FiniteGroup,
     GAction,
+    bar_complex,
+    bar_levels,
     equivariant_cohomology,
-    reduced_bar_complex,
 )
 from test_acceptance import _acceptance_actions
 
@@ -86,6 +88,69 @@ def test_mixed_coboundary_through_nonzero_s_block():
         v = [a + b for a, b in zip(mixed.q_block(k).apply(y), mixed.s_block(k).apply(w))]
         assert mixed.is_cocycle(k + 1, x, v)
         assert mixed.is_coboundary(k + 1, x, v)
+
+
+def two_stage_is_coboundary(mixed, k, x, v):
+    """The earlier two-stage test, kept as the reference: solve P y0 = x,
+    then ask whether v - Q y0 lies in im S + Q(ker P), projecting im S away
+    with a rational nullspace and solving over Z in the kernel basis."""
+    p = mixed.p_block(k - 1)
+    y0 = solve_int(p, list(x))
+    if y0 is None:
+        return False
+    if mixed.rat_rank(k) == 0:
+        return True
+    q, s = mixed.q_block(k - 1), mixed.s_block(k - 1)
+    ker = kernel_basis(p)
+    resid = [Fraction(vi) - qy for vi, qy in zip(v, q.apply(y0))]
+    # a zero row stands in for S^T when S has no columns
+    pi_rows = q_nullspace(s.transpose().to_rows() or [[0] * s.rows])
+
+    def project(vec):
+        return [sum(r[i] * vec[i] for i in range(len(vec))) for r in pi_rows]
+
+    target = project(resid)
+    if not ker:
+        return not any(target)
+    cols = [project(q.apply(c)) for c in ker]
+    denom = lcm(*(val.denominator for val in target + [e for col in cols for e in col]))
+    mat = IntMatrix.from_rows(
+        [[int(col[row_i] * denom) for col in cols] for row_i in range(len(pi_rows))],
+        cols=len(cols))
+    return solve_int(mat, [int(t * denom) for t in target]) is not None
+
+
+def test_is_coboundary_matches_two_stage_reference():
+    # random coboundaries d(y, w) and three perturbations of each: a
+    # rational and an integral shift of v, and an integral shift of x
+    rng = random.Random(11)
+    verdicts = {True: 0, False: 0}
+    for p in (1, 2, 3):
+        for n in range(3):
+            mixed = build_deligne_mixed(cp_point(p), n).mixed
+            for k in range(mixed.n_min, mixed.n_max):
+                for _ in range(10):
+                    y = [rng.randint(-3, 3) for _ in range(mixed.int_rank(k))]
+                    w = [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                         for _ in range(mixed.rat_rank(k))]
+                    x = mixed.p_block(k).apply(y)
+                    v = [a + b for a, b in zip(mixed.q_block(k).apply(y),
+                                               mixed.s_block(k).apply(w))]
+                    assert mixed.is_coboundary(k + 1, x, v)
+                    cases = []
+                    if v:
+                        i = rng.randrange(len(v))
+                        for shift in (Fraction(1, rng.randint(2, 5)), 1):
+                            cases.append((x, v[:i] + [v[i] + shift] + v[i + 1:]))
+                    if x:
+                        j = rng.randrange(len(x))
+                        cases.append((x[:j] + [x[j] + 1] + x[j + 1:], v))
+                    for xc, vc in cases:
+                        got = mixed.is_coboundary(k + 1, xc, vc)
+                        assert got == two_stage_is_coboundary(mixed, k + 1, xc, vc), (p, n, k)
+                        verdicts[got] += 1
+    # the perturbations reach both verdicts
+    assert verdicts[True] and verdicts[False], verdicts
 
 
 # --- differential cohomology of points ------------------------------------------
@@ -201,10 +266,38 @@ def test_connecting_rank_matches_kernel_formula():
                 assert mixed.connecting_rank(k) == kernel_connecting_rank(mixed, k), \
                     (act.group.name, n, k)
             # the reduced cones are small enough for every degree
-            reduced = deligne_cone(reduced_bar_complex(act, n + 2, n + 1), n)
+            reduced = deligne_cone(bar_complex(bar_levels(act, n + 2), n + 1).reduced(), n)
             for k in range(reduced.n_min - 1, reduced.n_max + 1):
                 assert reduced.connecting_rank(k) == kernel_connecting_rank(reduced, k), \
                     (act.group.name, n, k)
+
+
+def test_one_bar_construction_per_hexagon(monkeypatch):
+    builds = []
+    real_init = BarLevels.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(args)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(BarLevels, "__init__", counting_init)
+    actions = [trivial_point(), cp_point(2), GAction.swap_two_points(),
+               GAction.coset_action(FiniteGroup.symmetric(3), (0,))]
+    for act in actions:
+        for n in range(4):
+            builds.clear()
+            hexagon(act, n)
+            assert len(builds) == 1, (act.name, n, len(builds))
+
+
+def test_hexagon_negative_degree_rejected_before_any_work(monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("bar construction built for a negative degree")
+
+    monkeypatch.setattr(BarLevels, "__init__", no_build)
+    for n in (-1, -2, -3):
+        with pytest.raises(ValueError):
+            hexagon(cp_point(2), n)
 
 
 def test_positive_dimensional_input_rejected():
