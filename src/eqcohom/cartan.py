@@ -98,7 +98,10 @@ class LieAlgebra:
 class LinearAction:
     """A representation of the Lie algebra on R^m by rational matrices, with
     optional finite subgroup elements (pairs of a base matrix and its
-    adjoint-action matrix) for the non-connected part of invariance checks."""
+    adjoint-action matrix) for the non-connected part of invariance checks.
+
+    finite_inverses holds (g^{-1}, Ad^{-1}) for each finite element, inverted
+    once here; a singular g or Ad raises ValueError."""
 
     def __init__(self, lie_algebra: LieAlgebra, rep, finite_elements=()):
         self.lie_algebra = lie_algebra
@@ -115,6 +118,9 @@ class LinearAction:
             adq = ([[Fraction(v) for v in row] for row in ad] if ad is not None
                    else q_identity(lie_algebra.dim))
             self.finite_elements.append((gq, adq))
+        self.finite_inverses = [(q_inverse(g), q_inverse(ad)) for g, ad in self.finite_elements]
+        if any(g_inv is None or ad_inv is None for g_inv, ad_inv in self.finite_inverses):
+            raise ValueError("finite element matrices must be invertible")
         self._validate()
 
     def _validate(self):
@@ -537,7 +543,8 @@ def total_lie(act: LinearAction, a, omega: EquivariantForm) -> EquivariantForm:
 
 def group_transform(act: LinearAction, omega: EquivariantForm, g, ad):
     """The action of a group element: pull the form back along x -> g^{-1} x
-    and twist the u variables by Ad_{g^{-1}}."""
+    and twist the u variables by Ad_{g^{-1}}.  g and ad are inverted on
+    every call; the finite elements of act use act.finite_inverses."""
     g_inv = q_inverse(g)
     ad_inv = q_inverse(ad)
     if g_inv is None or ad_inv is None:
@@ -551,8 +558,8 @@ def is_invariant(act: LinearAction, omega: EquivariantForm) -> bool:
     for a in range(act.lie_algebra.dim):
         if not total_lie(act, a, omega).is_zero():
             return False
-    for g, ad in act.finite_elements:
-        if group_transform(act, omega, g, ad) != omega:
+    for g_inv, ad_inv in act.finite_inverses:
+        if omega.substitute_linear(g_inv, u_matrix=ad_inv) != omega:
             return False
     return True
 
@@ -593,7 +600,8 @@ def _operator_images(act, key):
     num_u, num_x = act.lie_algebra.dim, act.m
     form = EquivariantForm(num_u, num_x, {key: 1})
     images = [total_lie(act, a, form) for a in range(num_u)]
-    images += [group_transform(act, form, g, ad) - form for g, ad in act.finite_elements]
+    images += [form.substitute_linear(g_inv, u_matrix=ad_inv) - form
+               for g_inv, ad_inv in act.finite_inverses]
     images.append(cartan_d(act, form))
     return [img.terms for img in images]
 

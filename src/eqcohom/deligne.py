@@ -298,19 +298,21 @@ def differential_cohomology_zero_dim(act: GAction, n) -> DiffCohGroup:
     """H^n of the Deligne cone D(n), split by divisibility.
 
     The cone is built over the unit-pivot reduced bar complex in degrees
-    0..n+1, which gives the H^n of the cone over the full bar complex: H^n
-    reads only cone degrees n-1..n+1, which hold cochains of degree <= n+1,
-    and unit-pivot reduction is a chain homotopy equivalence over Z that
-    stays one after tensoring with Q.  It commutes with Z -> Q and with the
-    sigma^{>=n} slot, which over a 0-dimensional space is all of C (x) Q for
-    n = 0 and zero for n >= 1, so the two cones are quasi-isomorphic.
+    0..n+1, from bar levels 0..n+1 (the levels it reads, the only ones
+    built and checked).  It gives the H^n of the cone over the full bar
+    complex: H^n reads only cone degrees n-1..n+1, which hold cochains of
+    degree <= n+1, and unit-pivot reduction is a chain homotopy equivalence
+    over Z that stays one after tensoring with Q.  It commutes with Z -> Q
+    and with the sigma^{>=n} slot, which over a 0-dimensional space is all
+    of C (x) Q for n = 0 and zero for n >= 1, so the two cones are
+    quasi-isomorphic.
     """
     if act.space.dim > 0:
         raise PositiveDimensionalInput(
             "positive-dimensional cells: use hexagon() with supplied form corners")
     if n < 0:
         return DiffCohGroup()
-    return deligne_cone(bar_complex(bar_levels(act, n + 2), n + 1).reduced(), n).cohomology(n)
+    return deligne_cone(bar_complex(bar_levels(act, n + 1), n + 1).reduced(), n).cohomology(n)
 
 
 # ---------------------------------------------------------------------------
@@ -399,9 +401,11 @@ def hexagon(act, n, supplied: SuppliedCorners = None) -> HexagonReport:
     both commuting squares, by rank computations.
 
     For 0-dimensional spaces everything is computed from one bar
-    construction (see _hexagon_zero_dim); positive-dimensional actions must
-    supply their double complex (the form corners then enter as labels with
-    their cocycle data checked).  A negative degree raises ValueError.
+    construction (see _hexagon_zero_dim) of levels 0..n+1, the only levels
+    it builds and checks against the simplicial identities.  Positive-
+    dimensional actions must supply their double complex (the form corners
+    then enter as labels with their cocycle data checked).  A negative
+    degree raises ValueError.
     """
     if n < 0:
         raise ValueError(f"hexagon degree must be nonnegative, got {n}")
@@ -418,8 +422,9 @@ def hexagon(act, n, supplied: SuppliedCorners = None) -> HexagonReport:
 def _hexagon_zero_dim(act: GAction, n) -> HexagonReport:
     """The hexagon of a 0-dimensional action from one bar construction.
 
-    One BarLevels (levels 0..n+2) and one bar total complex `full` in
-    degrees 0..n+1 feed every corner.  Two separate reductions of it back
+    One BarLevels (levels 0..n+1, the levels `full` reads, and the only
+    ones built and checked) and one bar total complex `full` in degrees
+    0..n+1 feed every corner.  Two separate reductions of it back
     the diagonal verdicts: Ĥ^n is read off the Deligne cone over `full`
     reduced from degree 0, while H^{n-1}(Z), H^n(Z) and the Bockstein data
     come from the window of degrees n-2..n+1, reduced on its own.  The
@@ -428,7 +433,7 @@ def _hexagon_zero_dim(act: GAction, n) -> HexagonReport:
     """
     orbits = act.orbit_count()
     name = f"{act.group.name or 'group'} on {act.space.name or 'space'}"
-    bl = bar_levels(act, n + 2)
+    bl = bar_levels(act, n + 1)
     full = bar_complex(bl, n + 1)
     lo = max(n - 2, 0)
     cx = IntCochainComplex(lo, full.ranks[lo:], full.diffs[lo:], check=False).reduced()
@@ -534,9 +539,10 @@ def _hexagon_zero_dim(act: GAction, n) -> HexagonReport:
 def _left_square_check(bl: BarLevels) -> bool:
     """Chain-level commutativity at n = 1: a(invariant function) equals the
     inclusion of its C/Z reduction, up to a coboundary in the cone over the
-    unreduced bar complex of bl in degrees 0..3."""
+    unreduced bar complex of bl in degrees 0..2: the degree-1 cocycle and
+    coboundary checks read cone degrees 0..2 only."""
     act = bl.act
-    mixed = deligne_cone(bar_complex(bl, 3), 1)
+    mixed = deligne_cone(bar_complex(bl, 2), 1)
     c0 = act.space.ncells(0)
     # basis of invariant rational functions: orbit indicators
     orbits = []

@@ -9,6 +9,7 @@ arbitrary-precision Python ints, rational ones carry fractions.Fraction.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -695,82 +696,142 @@ def reduce_complex(ranks, diffs):
     ranks: list of module ranks, diffs[t]: IntMatrix of shape
     (ranks[t+1] x ranks[t]).  Returns a ReducedComplex with the same
     cohomology in every degree.  Only pivots of value +-1 are used, so all
-    arithmetic stays integral.  Sweeps take the pivots of Markowitz cost 0
-    first, then those up to _FILL_CAP; unit pivots whose cost exceeds
-    _FILL_CAP are never taken and are left in the reduced complex for
-    rank_q and the Smith normal form.
+    arithmetic stays integral.
+
+    Pivot rule: a first-in first-out worklist holds the rows and columns
+    whose length has dropped to 1 (in any degree); a lone +-1 entry there
+    has Markowitz cost 0, an elementary collapse with no fill, and is
+    eliminated as it is popped.  A lone entry of any other value stays.
+    Once the worklist is empty, per-degree sweeps take the fill-bearing unit
+    pivots in order of Markowitz cost (row length - 1) * (column count - 1),
+    from 1 up to _FILL_CAP, draining the worklist after each elimination,
+    until a full round over the degrees takes nothing.  Unit pivots whose
+    cost exceeds _FILL_CAP are never taken and are left in the reduced
+    complex for rank_q and the Smith normal form.
     """
-    n_deg = len(ranks)
-    ws = [_Workspace(d) for d in diffs]
+    n_mat = len(ranks) - 1
+    rows = []  # rows[t]: i -> {j: v}, the nonzero rows of diffs[t]
+    cols = []  # cols[t]: j -> set of i, the nonzero columns of diffs[t]
+    for d in diffs:
+        row_t, col_t = {}, {}
+        for (i, j), v in d.entries.items():
+            row_t.setdefault(i, {})[j] = v
+            col_t.setdefault(j, set()).add(i)
+        rows.append(row_t)
+        cols.append(col_t)
     alive = [set(range(r)) for r in ranks]
+    queue = deque()  # (t, True, i): row i of diffs[t]; (t, False, j): column j
+    for t in range(n_mat):
+        queue.extend((t, True, i) for i, r in rows[t].items() if len(r) == 1)
+        queue.extend((t, False, j) for j, c in cols[t].items() if len(c) == 1)
+
+    def drop_row(t, i):
+        """Row i of diffs[t] goes; a column left with one entry is queued."""
+        r = rows[t].pop(i, None)
+        if r:
+            col_t = cols[t]
+            for j in r:
+                c = col_t[j]
+                c.discard(i)
+                if len(c) == 1:
+                    queue.append((t, False, j))
+                elif not c:
+                    del col_t[j]
+
+    def drop_col(t, j):
+        """Column j of diffs[t] goes; a row left with one entry is queued."""
+        c = cols[t].pop(j, None)
+        if c:
+            row_t = rows[t]
+            for i in c:
+                r = row_t[i]
+                del r[j]
+                if len(r) == 1:
+                    queue.append((t, True, i))
+                elif not r:
+                    del row_t[i]
 
     def eliminate(t, i0, j0):
-        w = ws[t]
-        p = w.get(i0, j0)
-        prow = [(j, v) for j, v in w.row[i0].items() if j != j0]
-        pcol = [(i, w.get(i, j0)) for i in w.col[j0] if i != i0]
-        # Schur complement: D -= c * p^{-1} * b   (p in {1,-1})
-        for i, c in pcol:
-            f = c * p
-            for j, bv in prow:
-                w.set(i, j, w.get(i, j) - f * bv)
-        for j, _ in prow:
-            w.set(i0, j, 0)
-        for i, _ in pcol:
-            w.set(i, j0, 0)
-        w.set(i0, j0, 0)
+        row_t, col_t = rows[t], cols[t]
+        prow, pcol = row_t[i0], col_t[j0]
+        if len(prow) > 1 and len(pcol) > 1:
+            # Schur complement: D -= c * p^{-1} * b   (p in {1,-1})
+            p = prow[j0]
+            for i in pcol:
+                if i == i0:
+                    continue
+                r = row_t[i]
+                f = r[j0] * p
+                for j, b in prow.items():
+                    if j == j0:
+                        continue
+                    v = r.get(j, 0) - f * b
+                    if v:
+                        if j not in r:
+                            col_t[j].add(i)
+                        r[j] = v
+                    else:
+                        del r[j]
+                        col_t[j].discard(i)
+        drop_row(t, i0)
+        drop_col(t, j0)
         if t > 0:
-            wp = ws[t - 1]  # loses row j0: basis element j0 of degree t died
-            for j in list(wp.row.get(j0, {})):
-                wp.set(j0, j, 0)
-        if t + 1 < n_deg - 1:
-            wn = ws[t + 1]  # loses column i0: element i0 of degree t+1 died
-            for i in list(wn.col.get(i0, set())):
-                wn.set(i, i0, 0)
+            drop_row(t - 1, j0)  # basis element j0 of degree t died
+        if t + 1 < n_mat:
+            drop_col(t + 1, i0)  # basis element i0 of degree t+1 died
         alive[t].discard(j0)
         alive[t + 1].discard(i0)
 
-    def sweep(t, cap):
-        """Process one batch of unit pivots of Markowitz cost <= cap."""
-        w = ws[t]
-        cands = []
-        for i, r in w.row.items():
-            li = len(r)
-            for j, v in r.items():
-                if v in (1, -1):
-                    cands.append(((li - 1) * (len(w.col[j]) - 1), i, j))
-        cands.sort()
+    def drain():
+        """Take the cost-0 unit pivots of the worklist until it is empty."""
+        while queue:
+            t, is_row, k = queue.popleft()
+            if is_row:
+                r = rows[t].get(k)
+                if r is None or len(r) != 1:
+                    continue  # stale: the row grew or went
+                i0 = k
+                (j0, v), = r.items()
+            else:
+                c = cols[t].get(k)
+                if c is None or len(c) != 1:
+                    continue
+                j0 = k
+                (i0,) = c
+                v = rows[t][i0][j0]
+            if v == 1 or v == -1:
+                eliminate(t, i0, j0)
+
+    def sweep(t):
+        """Take the fill-bearing unit pivots of diffs[t] in order of cost."""
+        row_t, col_t = rows[t], cols[t]
+        cands = sorted(((len(r) - 1) * (len(col_t[j]) - 1), i, j)
+                       for i, r in row_t.items()
+                       for j, v in r.items() if v == 1 or v == -1)
         done = 0
         for _, i0, j0 in cands:
-            if w.get(i0, j0) not in (1, -1):
+            r = row_t.get(i0)
+            if r is None or r.get(j0) not in (1, -1):
                 continue  # stale candidate
-            cost = (len(w.row[i0]) - 1) * (len(w.col[j0]) - 1)
-            if cost > cap:
-                continue
-            eliminate(t, i0, j0)
-            done += 1
+            cost = (len(r) - 1) * (len(col_t[j0]) - 1)
+            if 0 < cost <= _FILL_CAP:
+                eliminate(t, i0, j0)
+                drain()
+                done += 1
         return done
 
-    cap = 0
-    while True:
-        progress = 0
-        for t in range(n_deg - 1):
-            progress += sweep(t, cap)
-        if progress:
-            cap = 0
-            continue
-        if cap >= _FILL_CAP:
-            break
-        cap = _FILL_CAP  # allow expensive pivots once cheap ones are gone
+    drain()
+    while sum(sweep(t) for t in range(n_mat)):
+        pass
 
     # repack surviving indices densely
     index = [sorted(a) for a in alive]
     lookup = [{orig: k for k, orig in enumerate(idx)} for idx in index]
     new_ranks = [len(idx) for idx in index]
     new_diffs = []
-    for t in range(n_deg - 1):
+    for t in range(n_mat):
         entries = {}
-        for i, r in ws[t].row.items():
+        for i, r in rows[t].items():
             for j, v in r.items():
                 entries[(lookup[t + 1][i], lookup[t][j])] = v
         new_diffs.append(IntMatrix(new_ranks[t + 1], new_ranks[t], entries))

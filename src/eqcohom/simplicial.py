@@ -762,26 +762,27 @@ def bar_complex(bl: BarLevels, top) -> IntCochainComplex:
 
 
 def equivariant_cohomology(act: GAction, n, coeff="Z", truncation=None):
-    """H^n of the bar total complex, truncated at P = n + 2.
+    """H^n of the bar total complex, truncated at P = n + 1.
 
     coeff 'Z' gives an FgAbGroup, 'Q' the rational dimension, 'QmodZ' the
     structured (C/Z)-coefficient group via the integral answer in degrees n
     and n+1.  The result is independent of any truncation P >= n + 1.
 
     The total complex is taken from degree 0 up to n + 1 (n + 2 for
-    'QmodZ') and reduced once; truncation only sets the bar levels that are
-    built and checked against the simplicial identities.
+    'QmodZ') and reduced once.  It reads the bar levels up to its top
+    degree, so the levels built and checked against the simplicial
+    identities are 0..P for 'Z' and 'Q' and 0..max(P, n + 2) for 'QmodZ'.
     """
     if coeff not in ("Z", "Q", "QmodZ"):
         raise ValueError(f"unknown coefficient mode {coeff!r}")
     if n < 0:
         return FgAbGroup(0) if coeff == "Z" else (
             0 if coeff == "Q" else StructuredCoefGroup())
-    P = truncation if truncation is not None else n + 2
+    P = truncation if truncation is not None else n + 1
     if P < n + 1:
         raise ValueError("truncation too small for the requested degree")
     if coeff == "QmodZ":
-        cx = bar_complex(bar_levels(act, max(P, n + 3)), n + 2).reduced()
+        cx = bar_complex(bar_levels(act, max(P, n + 2)), n + 2).reduced()
         return coefficient_change(cx.cohomology(n), cx.cohomology(n + 1), "CmodZ")
     cx = bar_complex(bar_levels(act, P), n + 1).reduced()
     if coeff == "Z":

@@ -203,6 +203,25 @@ def test_group_transform_is_action():
     assert twice == group_transform(act, omega, g2, [[1]])
 
 
+def test_finite_elements_inverted_once_per_action(monkeypatch):
+    calls = []
+    inverse = cartan.q_inverse
+    monkeypatch.setattr(cartan, "q_inverse", lambda m: calls.append(m) or inverse(m))
+    act = LinearAction.circle_rotation_r2(finite_order=4)
+    assert len(calls) == 2  # g and Ad(g), at construction
+    table = [cartan_cohomology_truncated(act, n, 6) for n in range(6)]
+    assert table == [(1, True), (0, True)] * 3
+    cartan_cohomology_truncated(act, 2, 2)
+    assert len(calls) == 2  # none per monomial, at bound 6 as at bound 2
+
+
+def test_singular_finite_element_rejected_at_construction():
+    with pytest.raises(ValueError, match="invertible"):
+        LinearAction(LieAlgebra.abelian(1), [[[0, -1], [1, 0]]], [([[1, 0], [0, 0]], [[1]])])
+    with pytest.raises(ValueError, match="invertible"):
+        LinearAction(LieAlgebra.abelian(1), [[[0, -1], [1, 0]]], [([[0, -1], [1, 0]], [[0]])])
+
+
 # --- wedge algebra -------------------------------------------------------------------
 
 

@@ -460,3 +460,63 @@ def test_homotopy_formula_random_cocycles():
 def test_homotopy_formula_guards():
     with pytest.raises(ValueError):
         homotopy_formula_check(trivial_point(), n=2)
+
+
+# --- bar levels built only as far as they are read -------------------------------
+
+
+def _record_table_reads(monkeypatch):
+    """Patch BarLevels so that every face or degeneracy table read outside
+    the simplicial-identity check is recorded as (level, checked level): a
+    face table of level p reads level p, a degeneracy table of level p
+    writes into level p + 1."""
+    reads = []
+    verifying = []
+    face, degeneracy, verify = (BarLevels.face_table, BarLevels.degeneracy_table,
+                                BarLevels._verify_level)
+
+    def face_table(self, p, i):
+        if not verifying:
+            reads.append((p, self.group.bar_checked_level))
+        return face(self, p, i)
+
+    def degeneracy_table(self, p, i):
+        if not verifying:
+            reads.append((p + 1, self.group.bar_checked_level))
+        return degeneracy(self, p, i)
+
+    def verify_level(self, level):
+        verifying.append(level)
+        try:
+            verify(self, level)
+        finally:
+            verifying.pop()
+
+    monkeypatch.setattr(BarLevels, "face_table", face_table)
+    monkeypatch.setattr(BarLevels, "degeneracy_table", degeneracy_table)
+    monkeypatch.setattr(BarLevels, "_verify_level", verify_level)
+    return reads
+
+
+def _fresh_s3_on_three_points():
+    group = FiniteGroup.symmetric(3)
+    sub = next(s for s in group.subgroups() if len(s) == 2)
+    return GAction.coset_action(group, sub)
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_levels_read_are_checked_and_hexagon_checks_no_more(monkeypatch, n):
+    reads = _record_table_reads(monkeypatch)
+    calls = [lambda act: hexagon(act, n),
+             lambda act: differential_cohomology_zero_dim(act, n)]
+    calls += [lambda act, c=c: equivariant_cohomology(act, n, c) for c in ("Z", "Q", "QmodZ")]
+    for call in calls:
+        act = _fresh_s3_on_three_points()
+        assert act.group.bar_checked_level == 0
+        reads.clear()
+        call(act)
+        assert reads
+        assert all(level <= checked for level, checked in reads), reads
+    act = _fresh_s3_on_three_points()
+    hexagon(act, n)
+    assert act.group.bar_checked_level == n + 1
