@@ -313,6 +313,8 @@ class InvariantPolynomial:
     def __post_init__(self):
         if self.kind not in ("chern", "total_chern", "trace_power", "pontryagin"):
             raise ValueError(f"unknown invariant polynomial kind {self.kind!r}")
+        if self.k < 0:
+            raise ValueError(f"invariant polynomial degree must be nonnegative, got {self.k}")
 
     def evaluate(self, m):
         if self.kind == "chern":

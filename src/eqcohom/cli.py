@@ -169,6 +169,8 @@ def _build_action(inputs):
         return GAction.cyclic_rotation_circle(k)
     if isinstance(action_spec, str) and action_spec.startswith("cosets:"):
         sub = tuple(_int(x, "cosets element") for x in action_spec.split(":")[1].split(","))
+        if not all(0 <= g < group.order for g in sub):
+            raise SchemaError(f"cosets elements must lie in 0..{group.order - 1}, got {sub}")
         return GAction.coset_action(group, sub)
     raise SchemaError(f"unknown action {action_spec!r}")
 
@@ -231,6 +233,8 @@ def run(job: JobSpec):
         act = _cartan_action(job.inputs.get("action"))
         degrees = _parse_degrees(job.inputs.get("degrees"))
         bound = _int(job.inputs.get("x_bound", 6), "x_bound")
+        if bound < 0:
+            raise SchemaError(f"x_bound must be nonnegative, got {bound}")
         out = {}
         lines = []
         for n in degrees:
@@ -253,7 +257,10 @@ def _run_chern(inputs):
     poly_spec = str(inputs.get("poly", "chern:1"))
     kind, _, arg = poly_spec.partition(":")
     kind = {"chern1": "chern", "total": "total_chern"}.get(kind, kind)
-    poly = InvariantPolynomial(kind, _int(arg, "poly degree") if arg else 0)
+    try:
+        poly = InvariantPolynomial(kind, _int(arg, "poly degree") if arg else 0)
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
     if preset.startswith("weight:"):
         q = _int(preset.split(":")[1], "weight")
         act = LinearAction.circle_rotation_r2()

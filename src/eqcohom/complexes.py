@@ -25,7 +25,6 @@ from .linalg import (
     reduce_complex,
     smith_normal_form,
     solve_int,
-    _snf_with_inverses,
 )
 
 
@@ -740,17 +739,16 @@ def bockstein_apply(cx: IntCochainComplex, n, rep):
 def qz_torsion_cocycles(cx: IntCochainComplex, n):
     """Generators of the finite part of H^{n-1}(., Q/Z) as rational cochains.
 
-    From the Smith form of d^{n-1} = u s v: the cochains v^{-1} e_i / s_i
-    (for diagonal entries s_i >= 2) are closed mod Z and generate the
-    torsion summand; -beta maps them to the classes of -u e_i.
+    From the Smith form left @ d^{n-1} @ right = s: the cochains
+    right e_i / s_i (for diagonal entries s_i >= 2) are closed mod Z and
+    generate the torsion summand; -beta maps them to the classes of
+    -left^{-1} e_i.
     """
-    d = cx.differential(n - 1)
-    u, smat, v, u_inv, v_inv = _snf_with_inverses(d)
-    del u_inv, v
+    snf = smith_normal_form(cx.differential(n - 1))
     out = []
-    for i, si in enumerate(smat.diagonal()):
+    for i, si in enumerate(snf.s.diagonal()):
         if si >= 2:
-            col = v_inv.column(i)
+            col = snf.right.column(i)
             out.append(([Fraction(c, si) % 1 for c in col], si))
     return out
 

@@ -424,17 +424,19 @@ def _hexagon_zero_dim(act: GAction, n) -> HexagonReport:
 
     One BarLevels (levels 0..n+1, the levels `full` reads, and the only
     ones built and checked) and one bar total complex `full` in degrees
-    0..n+1 feed every corner.  Two separate reductions of it back
-    the diagonal verdicts: Ĥ^n is read off the Deligne cone over `full`
-    reduced from degree 0, while H^{n-1}(Z), H^n(Z) and the Bockstein data
-    come from the window of degrees n-2..n+1, reduced on its own.  The
-    window starts at n - 2 rather than 0 so that its reduction differs from
-    the cone's; its matrices were checked for d^2 = 0 as part of `full`.
+    0..n+1 feed every corner, and at n = 1 the left square too.  Ĥ^n is
+    read off the Deligne cone over `full` reduced from degree 0;
+    H^{n-1}(Z), H^n(Z) and the Bockstein data come from the window of
+    degrees max(n-2, 0)..n+1, reduced on its own.  For n >= 3 the window's
+    reduction differs from the cone's; for n <= 2 the window is all of
+    `full` and the two reductions are the same computation, so there the
+    diagonal verdicts do not compare independent computations (ROADMAP
+    item 1 proposes the normalized bar complex as the second one).  The
+    window's matrices were checked for d^2 = 0 as part of `full`.
     """
     orbits = act.orbit_count()
     name = f"{act.group.name or 'group'} on {act.space.name or 'space'}"
-    bl = bar_levels(act, n + 1)
-    full = bar_complex(bl, n + 1)
+    full = bar_complex(bar_levels(act, n + 1), n + 1)
     lo = max(n - 2, 0)
     cx = IntCochainComplex(lo, full.ranks[lo:], full.diffs[lo:], check=False).reduced()
     h_prev = cx.cohomology(n - 1) if n >= 1 else FgAbGroup(0)
@@ -517,7 +519,7 @@ def _hexagon_zero_dim(act: GAction, n) -> HexagonReport:
 
     # left square: through the forms corner vs through C/Z (nontrivial n = 1)
     if n == 1:
-        squares["left"] = _left_square_check(bl)
+        squares["left"] = _left_square_check(act, full)
     else:
         squares["left"] = True  # one of the two paths is through a zero corner
     # right square: R followed by the de Rham class vs iota after I; for
@@ -536,13 +538,12 @@ def _hexagon_zero_dim(act: GAction, n) -> HexagonReport:
     return HexagonReport(name, n, corners, maps, exact, squares, evidence, notes)
 
 
-def _left_square_check(bl: BarLevels) -> bool:
+def _left_square_check(act: GAction, full: IntCochainComplex) -> bool:
     """Chain-level commutativity at n = 1: a(invariant function) equals the
-    inclusion of its C/Z reduction, up to a coboundary in the cone over the
-    unreduced bar complex of bl in degrees 0..2: the degree-1 cocycle and
-    coboundary checks read cone degrees 0..2 only."""
-    act = bl.act
-    mixed = deligne_cone(bar_complex(bl, 2), 1)
+    inclusion of its C/Z reduction, up to a coboundary in the cone over
+    `full`, the unreduced bar complex of act in degrees 0..2: the degree-1
+    cocycle and coboundary checks read cone degrees 0..2 only."""
+    mixed = deligne_cone(full, 1)
     c0 = act.space.ncells(0)
     # basis of invariant rational functions: orbit indicators
     orbits = []

@@ -203,11 +203,12 @@ class IntMatrix:
 
 @dataclass(frozen=True)
 class SnfDecomposition:
-    """u @ s @ v == input, u and v unimodular, s diagonal with d_i | d_{i+1}."""
+    """left @ a @ right == s for the input a: left and right unimodular, s
+    diagonal with nonnegative entries d_1 | d_2 | ... (zeros last)."""
 
-    u: IntMatrix
+    left: IntMatrix
     s: IntMatrix
-    v: IntMatrix
+    right: IntMatrix
 
 
 class _Workspace:
@@ -278,166 +279,111 @@ class _Workspace:
         for j, v in list(self.row.get(i, {}).items()):
             self.set(i, j, c * v)
 
-    def scale_col(self, j, c):
-        for i in list(self.col.get(j, set())):
-            self.set(i, j, c * self.get(i, j))
-
     def to_matrix(self):
-        entries = {}
-        for i, r in self.row.items():
-            for j, v in r.items():
-                entries[(i, j)] = v
-        return IntMatrix(self.rows, self.cols, entries)
+        return IntMatrix(self.rows, self.cols,
+                         {(i, j): v for i, r in self.row.items() for j, v in r.items()})
 
 
-def _snf_with_inverses(a: IntMatrix):
-    """Return (u, s, v, u_inv, v_inv) with u @ s @ v == a.
+def _smallest_entry(w: _Workspace, t):
+    """Position of a nonzero of least absolute value in w[t:, t:], ties
+    broken row-major, the first unit taken at once; None if the block is 0."""
+    pivot = best = None
+    for i in sorted(w.row):
+        if i < t:
+            continue
+        r = w.row[i]
+        for j in sorted(r):
+            if j < t:
+                continue
+            x = abs(r[j])
+            if best is None or x < best:
+                if x == 1:
+                    return i, j
+                best, pivot = x, (i, j)
+    return pivot
 
-    Pivot rule: smallest absolute value, ties broken row-major; this makes
-    the decomposition deterministic for golden tests.
+
+def smith_normal_form(a: IntMatrix) -> SnfDecomposition:
+    """Smith normal form left @ a @ right == s with nonnegative divisor-chain diagonal.
+
+    left accumulates the row operations and right the column operations.
+    Pivot rule: smallest absolute value, ties broken row-major, stopping at
+    a unit; this makes the decomposition deterministic for golden tests.
     """
     w = _Workspace(a)
-    u = _Workspace(IntMatrix.identity(a.rows))
-    u_inv = _Workspace(IntMatrix.identity(a.rows))
-    v = _Workspace(IntMatrix.identity(a.cols))
-    v_inv = _Workspace(IntMatrix.identity(a.cols))
-
-    # Row op R applied to w (w := R w) keeps a == u w v when u := u R^{-1},
-    # u_inv := R u_inv; columns dually with v := C^{-1} v... transforms below.
+    left = _Workspace(IntMatrix.identity(a.rows))
+    right = _Workspace(IntMatrix.identity(a.cols))
 
     def row_add(src, dst, c):  # w[dst] += c*w[src]
         w.add_row(src, dst, c)
-        u.add_col(dst, src, -c)      # u := u * R^{-1}
-        u_inv.add_row(src, dst, c)   # u_inv := R * u_inv
+        left.add_row(src, dst, c)
 
     def col_add(src, dst, c):  # wcol[dst] += c*wcol[src]
         w.add_col(src, dst, c)
-        v.add_row(dst, src, -c)      # v := C^{-1} * v
-        v_inv.add_col(src, dst, c)   # v_inv := v_inv * C
+        right.add_col(src, dst, c)
 
-    def row_swap(x, y):
-        w.swap_rows(x, y)
-        u.swap_cols(x, y)
-        u_inv.swap_rows(x, y)
+    def move_to(t, pivot):
+        """Swap the pivot to (t, t) and make it positive."""
+        i, j = pivot
+        w.swap_rows(t, i)
+        left.swap_rows(t, i)
+        w.swap_cols(t, j)
+        right.swap_cols(t, j)
+        if w.get(t, t) < 0:
+            w.scale_row(t, -1)
+            left.scale_row(t, -1)
 
-    def col_swap(x, y):
-        w.swap_cols(x, y)
-        v.swap_rows(x, y)
-        v_inv.swap_cols(x, y)
-
-    def row_negate(i):
-        w.scale_row(i, -1)
-        u.scale_col(i, -1)
-        u_inv.scale_row(i, -1)
-
-    n = min(a.rows, a.cols)
-    t = 0
-    while t < n:
-        # smallest-absolute-value nonzero pivot in w[t:, t:], row-major ties
-        pivot = None
-        best = None
-        for i in sorted(w.row):
-            if i < t:
-                continue
-            for j in sorted(w.row[i]):
-                if j < t:
-                    continue
-                x = abs(w.row[i][j])
-                if best is None or x < best:
-                    best, pivot = x, (i, j)
-            if best == 1:
-                break
+    for t in range(min(a.rows, a.cols)):
+        pivot = _smallest_entry(w, t)
         if pivot is None:
             break
-        row_swap(t, pivot[0])
-        col_swap(t, pivot[1])
-        if w.get(t, t) < 0:
-            row_negate(t)
-
+        move_to(t, pivot)
         while True:
             p = w.get(t, t)
             progressed = False
             for i in [i for i in w.col.get(t, set()) if i > t]:
-                q = w.get(i, t) // p
-                row_add(t, i, -q)
+                row_add(t, i, -(w.get(i, t) // p))
                 if w.get(i, t):
                     progressed = True
             for j in [j for j in w.row.get(t, {}) if j > t]:
-                q = w.get(t, j) // p
-                col_add(t, j, -q)
+                col_add(t, j, -(w.get(t, j) // p))
                 if w.get(t, j):
                     progressed = True
             if progressed:
                 # leftover remainders are smaller than p; re-pivot on one
-                pivot = None
-                best = None
-                for i in sorted(w.row):
-                    if i < t:
-                        continue
-                    for j in sorted(w.row[i]):
-                        if j < t:
-                            continue
-                        x = abs(w.row[i][j])
-                        if best is None or x < best:
-                            best, pivot = x, (i, j)
-                row_swap(t, pivot[0])
-                col_swap(t, pivot[1])
-                if w.get(t, t) < 0:
-                    row_negate(t)
+                move_to(t, _smallest_entry(w, t))
                 continue
             # row/col t cleared; enforce divisibility of the remaining block
-            p = w.get(t, t)
-            bad = None
-            for i in sorted(w.row):
-                if i <= t:
-                    continue
-                for j, val in sorted(w.row[i].items()):
-                    if j > t and val % p:
-                        bad = (i, j)
-                        break
-                if bad:
-                    break
+            bad = next((i for i in sorted(w.row) if i > t
+                        and any(j > t and v % p for j, v in w.row[i].items())), None)
             if bad is None:
                 break
-            row_add(bad[0], t, 1)  # drag the non-divisible entry into row t
-        t += 1
+            row_add(bad, t, 1)  # drag the non-divisible entry into row t
 
-    return (u.to_matrix(), w.to_matrix(), v.to_matrix(),
-            u_inv.to_matrix(), v_inv.to_matrix())
-
-
-def smith_normal_form(a: IntMatrix) -> SnfDecomposition:
-    """Smith normal form a == u @ s @ v with nonnegative divisor-chain diagonal."""
-    u, s, v, _, _ = _snf_with_inverses(a)
-    return SnfDecomposition(u=u, s=s, v=v)
+    return SnfDecomposition(left.to_matrix(), w.to_matrix(), right.to_matrix())
 
 
 def kernel_basis(a: IntMatrix):
     """Columns (as lists) generating ker(a) over Z; the kernel is saturated."""
-    _, s, _, _, v_inv = _snf_with_inverses(a)
-    diag = s.diagonal()
-    free = [j for j in range(a.cols) if j >= len(diag) or diag[j] == 0]
-    return [v_inv.column(j) for j in free]
+    snf = smith_normal_form(a)
+    diag = snf.s.diagonal()
+    return [snf.right.column(j) for j in range(a.cols) if j >= len(diag) or diag[j] == 0]
 
 
 def solve_int(a: IntMatrix, b):
     """One integer solution x of a @ x == b, or None."""
-    _, s, _, u_inv, v_inv = _snf_with_inverses(a)
-    c = u_inv.apply(list(b))
-    diag = s.diagonal()
+    snf = smith_normal_form(a)
+    diag = snf.s.diagonal()
     y = [0] * a.cols
-    for i in range(a.rows):
+    for i, ci in enumerate(snf.left.apply(list(b))):  # solve s y == left b
         d = diag[i] if i < len(diag) else 0
-        ci = c[i]
-        if d == 0:
-            if ci != 0:
-                return None
-        else:
+        if d:
             if ci % d:
                 return None
-            if i < a.cols:
-                y[i] = ci // d
-    return v_inv.apply(y)
+            y[i] = ci // d
+        elif ci:
+            return None
+    return snf.right.apply(y)
 
 
 # columns of minimum count whose entries rank_q weighs for each pivot

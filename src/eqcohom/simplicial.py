@@ -148,6 +148,8 @@ class FiniteGroup:
         """Parse 'cyclic:5', 'symmetric:3', 'dihedral:4', 'quaternion:8'."""
         kind, _, arg = spec.partition(":")
         n = int(arg) if arg else None
+        if n is None and kind in ("cyclic", "symmetric", "dihedral"):
+            raise ValueError(f"{kind} needs an order, as in {kind}:3")
         if kind == "cyclic":
             return cls.cyclic(n)
         if kind == "symmetric":
@@ -374,8 +376,12 @@ class GAction:
 
     @classmethod
     def coset_action(cls, group, subgroup_elements, name=None):
-        """Left multiplication on cosets of the given subgroup."""
+        """Left multiplication on cosets of the given subgroup; InvalidAction
+        if the elements are not a subgroup."""
         sub = sorted(subgroup_elements)
+        if not sub or not all(0 <= g < group.order for g in sub) \
+                or any(group.mul(a, b) not in sub for a in sub for b in sub):
+            raise InvalidAction(f"{sub} is not a subgroup of {group.name or 'the group'}")
         cosets = []
         seen = {}
         for g in group.elements():

@@ -65,6 +65,10 @@ def test_precondition_exit_code(capsys):
     code, _, err = invoke(capsys, "diffcoh", "--group", "cyclic:3",
                           "--space", "circle:3", "--degree", "1")
     assert code == EXIT_PRECONDITION and "precondition" in err
+    # cosets of a set that is not a subgroup
+    code, _, err = invoke(capsys, "cohomology", "--group", "cyclic:3", "--space", "point",
+                          "--action", "cosets:1", "--degrees", "0")
+    assert code == EXIT_PRECONDITION and "not a subgroup" in err
 
 
 def test_job_file(tmp_path, capsys):
@@ -143,6 +147,10 @@ def test_integer_strings_are_accepted(tmp_path, capsys):
     {"command": "chern", "preset": None},
     {"command": "cohomology", "group": "cyclic:2", "space": "points:-1", "degrees": 0},
     {"command": "cohomology", "group": "cyclic:3", "space": "circle:0", "degrees": 0},
+    {"command": "cohomology", "group": "cyclic:", "space": "point", "degrees": 0},
+    {"command": "cohomology", "group": "cyclic:3", "space": "point",
+     "action": "cosets:0,7", "degrees": 0},
+    {"command": "chern", "poly": "foo:1"},
 ])
 def test_malformed_names_and_counts_are_schema_errors(tmp_path, capsys, job):
     path = tmp_path / "job.json"
@@ -158,10 +166,13 @@ def test_malformed_names_and_counts_are_schema_errors(tmp_path, capsys, job):
      "--degrees=-1..1"),
     ("cohomology", "--group", "cyclic:2", "--space", "point", "--truncation", "0",
      "--degrees", "0..2"),
+    ("chern", "--poly", "chern:-1"),
+    ("cartan", "--degrees", "0", "--x-bound", "-1"),
 ])
 def test_out_of_range_degrees_are_schema_errors(capsys, argv):
-    # a negative hexagon degree and a truncation that does not reach past
-    # the top degree are bad input, not internal errors
+    # a negative hexagon degree or polynomial degree, a negative x-bound and
+    # a truncation that does not reach past the top degree are bad input,
+    # not internal errors or failed preconditions
     code, _, err = invoke(capsys, *argv)
     assert code == EXIT_SCHEMA and "schema error" in err, err
 

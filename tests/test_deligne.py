@@ -4,7 +4,7 @@ from math import lcm
 
 import pytest
 
-from eqcohom import deligne
+from eqcohom import deligne, simplicial
 from eqcohom.deligne import (
     DiffCohGroup,
     FlatEquivariantLineBundle,
@@ -273,21 +273,32 @@ def test_connecting_rank_matches_kernel_formula():
 
 
 def test_one_bar_construction_per_hexagon(monkeypatch):
+    # one BarLevels and one bar total complex per hexagon; at n = 1 the
+    # left square reads the hexagon's complex too
     builds = []
+    windows = []
     real_init = BarLevels.__init__
+    real_window = simplicial.total_window
 
     def counting_init(self, *args, **kwargs):
         builds.append(args)
         real_init(self, *args, **kwargs)
 
+    def counting_window(*args):
+        windows.append(args)
+        return real_window(*args)
+
     monkeypatch.setattr(BarLevels, "__init__", counting_init)
+    monkeypatch.setattr(simplicial, "total_window", counting_window)
     actions = [trivial_point(), cp_point(2), GAction.swap_two_points(),
                GAction.coset_action(FiniteGroup.symmetric(3), (0,))]
     for act in actions:
         for n in range(4):
             builds.clear()
+            windows.clear()
             hexagon(act, n)
             assert len(builds) == 1, (act.name, n, len(builds))
+            assert len(windows) == 1, (act.name, n, len(windows))
 
 
 def test_hexagon_negative_degree_rejected_before_any_work(monkeypatch):

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
 import pytest
 
@@ -115,8 +116,8 @@ def random_matrix(rng, rows, cols, lo=-9, hi=9):
 def test_snf_zero_matrix():
     snf = smith_normal_form(IntMatrix.from_rows([[0]]))
     assert snf.s == IntMatrix.from_rows([[0]])
-    assert snf.u == IntMatrix.identity(1)
-    assert snf.v == IntMatrix.identity(1)
+    assert snf.left == IntMatrix.identity(1)
+    assert snf.right == IntMatrix.identity(1)
 
 
 def test_snf_identity():
@@ -129,14 +130,14 @@ def test_snf_worked_example():
     m = IntMatrix.from_rows([[2, 4], [6, 8]])
     snf = smith_normal_form(m)
     assert snf.s.diagonal() == [2, 4]
-    assert snf.u @ snf.s @ snf.v == m
+    assert snf.left @ m @ snf.right == snf.s
 
 
 def test_snf_empty_shapes():
     for rows, cols in [(0, 0), (0, 3), (3, 0)]:
         m = IntMatrix.zero(rows, cols)
         snf = smith_normal_form(m)
-        assert snf.u @ snf.s @ snf.v == m
+        assert snf.left @ m @ snf.right == snf.s == m
         assert snf.s.diagonal() == []
 
 
@@ -147,9 +148,9 @@ def test_snf_random_properties():
         cols = rng.randint(1, 8)
         m = random_matrix(rng, rows, cols)
         snf = smith_normal_form(m)
-        assert snf.u @ snf.s @ snf.v == m
-        assert abs(det_int(snf.u.to_rows())) == 1
-        assert abs(det_int(snf.v.to_rows())) == 1
+        assert snf.left @ m @ snf.right == snf.s
+        assert abs(det_int(snf.left.to_rows())) == 1
+        assert abs(det_int(snf.right.to_rows())) == 1
         diag = snf.s.diagonal()
         assert all(d >= 0 for d in diag)
         for a, b in zip(diag, diag[1:]):
@@ -171,7 +172,57 @@ def test_snf_deterministic():
     m = random_matrix(rng, 5, 5)
     first = smith_normal_form(m)
     again = smith_normal_form(m)
-    assert first.u == again.u and first.s == again.s and first.v == again.v
+    assert first.left == again.left and first.s == again.s and first.right == again.right
+
+
+def matrix_with_zero_lines(rng, rows, cols):
+    """A small random matrix, some of whose rows and columns are zero."""
+    m = random_matrix(rng, rows, cols, -4, 4)
+    dead_rows = {i for i in range(rows) if rng.random() < 0.2}
+    dead_cols = {j for j in range(cols) if rng.random() < 0.2}
+    return IntMatrix(rows, cols, {(i, j): v for (i, j), v in m.entries.items()
+                                  if i not in dead_rows and j not in dead_cols})
+
+
+def rank_and_divisor(m: IntMatrix):
+    """Rank and last nonzero determinantal divisor (gcd of the r x r minors)."""
+    factors = [d for d in snf_diagonal_oracle(m) if d]
+    return len(factors), prod(factors)
+
+
+def test_solve_int_exactly_when_minor_gcds_agree():
+    # a x = b has an integer solution iff a and [a | b] have the same rank r
+    # and the same gcd of r x r minors
+    rng = random.Random(31)
+    outcomes = set()
+    for k in range(150):
+        rows, cols = rng.randint(0, 4), rng.randint(0, 4)
+        a = matrix_with_zero_lines(rng, rows, cols)
+        if k % 3 == 0:
+            b = a.apply([rng.randint(-3, 3) for _ in range(cols)])
+        else:
+            b = [rng.randint(-4, 4) for _ in range(rows)]
+        augmented = a.hstack(IntMatrix.from_rows([[v] for v in b], cols=1))
+        solvable = rank_and_divisor(a) == rank_and_divisor(augmented)
+        x = solve_int(a, b)
+        assert (x is not None) == solvable, (a.to_rows(), b)
+        if x is not None:
+            assert a.apply(x) == b
+        outcomes.add(solvable)
+    assert outcomes == {True, False}
+
+
+def test_kernel_basis_is_saturated():
+    # the kernel basis spans a pure sublattice: as the columns of a matrix
+    # it has full column rank and every invariant factor 1
+    rng = random.Random(57)
+    for _ in range(80):
+        a = matrix_with_zero_lines(rng, rng.randint(0, 4), rng.randint(0, 5))
+        basis = kernel_basis(a)
+        k = IntMatrix(a.cols, len(basis), {(i, j): v for j, col in enumerate(basis)
+                                           for i, v in enumerate(col) if v})
+        assert len(basis) == a.cols - rank_q(a)
+        assert snf_diagonal_oracle(k) == [1] * len(basis), a.to_rows()
 
 
 def test_kernel_and_solve():

@@ -88,6 +88,17 @@ def test_action_validation():
         GAction.points_action(FiniteGroup.cyclic(3), 2, {0: [0, 1], 1: [1, 0], 2: [1, 0]})
 
 
+def test_coset_action_needs_a_subgroup():
+    c3, s3 = FiniteGroup.cyclic(3), FiniteGroup.symmetric(3)
+    for group, elements in [(c3, (1,)), (c3, (0, 1)), (c3, ()), (c3, (0, 7)), (c3, (0, -1)),
+                            (s3, (0, 1, 2))]:
+        with pytest.raises(InvalidAction):
+            GAction.coset_action(group, elements)
+    for sub in s3.subgroups():
+        act = GAction.coset_action(s3, sub)
+        assert act.space.ncells(0) == s3.order // len(sub)
+
+
 def test_rotation_action_and_generator_closure():
     act = GAction.cyclic_rotation_circle(5)
     gen = {1: [[(c + 1) % 5 for c in range(5)], [(c + 1) % 5 for c in range(5)]]}
