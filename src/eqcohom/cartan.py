@@ -4,7 +4,8 @@ An equivariant form is a finite sum of terms
 
     coefficient * u^a (x) x^b (x) dx_{i_1} ^ ... ^ dx_{i_r}
 
-with rational coefficients; u_1..u_k are coordinates on the Lie algebra
+with exact rational coefficients, held as int when integral and as
+Fraction otherwise (see _exact); u_1..u_k are coordinates on the Lie algebra
 (polynomial degree counts twice in the grading), x_1..x_m coordinates on
 the base, dx-monomials keep strictly increasing index order.  The Cartan
 differential is d + sum_a u_a iota(V_a) where V_a is the fundamental
@@ -27,12 +28,24 @@ class TruncationUnstable(Exception):
     pass
 
 
+def _exact(v):
+    """An exact coefficient: an int stays as it is; anything else becomes a
+    Fraction, or its numerator when the denominator is 1.  Integral
+    coefficients thus stay on int arithmetic, and Fraction(2) and 2 (equal,
+    with equal hashes) are stored alike."""
+    if type(v) is int:
+        return v
+    v = Fraction(v)
+    return v.numerator if v.denominator == 1 else v
+
+
 # ---------------------------------------------------------------------------
 # Lie algebras and linear actions
 
 
 class LieAlgebra:
-    """Structure constants [X_b, X_c] = sum_a c[a][b][c] X_a, all rational."""
+    """Structure constants [X_b, X_c] = sum_a c[a][b][c] X_a, all rational
+    (held through _exact)."""
 
     def __init__(self, dim, structure=None, basis_names=None):
         self.dim = dim
@@ -40,14 +53,14 @@ class LieAlgebra:
             structure = {}
         self.structure = {}
         for (a, b, c), v in structure.items():
-            v = Fraction(v)
+            v = _exact(v)
             if v:
                 self.structure[(a, b, c)] = v
         self.basis_names = basis_names or [f"X{i + 1}" for i in range(dim)]
         self._validate()
 
     def c(self, a, b, c):
-        return self.structure.get((a, b, c), Fraction(0))
+        return self.structure.get((a, b, c), 0)
 
     def bracket_coeffs(self, b, c):
         """Coefficients of [X_b, X_c] in the basis."""
@@ -65,7 +78,7 @@ class LieAlgebra:
                 for c in range(k):
                     # Jacobi: [[a,b],c] + [[b,c],a] + [[c,a],b] = 0
                     for e in range(k):
-                        total = Fraction(0)
+                        total = 0
                         for d in range(k):
                             total += self.c(d, a, b) * self.c(e, d, c)
                             total += self.c(d, b, c) * self.c(e, d, a)
@@ -82,8 +95,8 @@ class LieAlgebra:
         """Cross-product basis: [X1, X2] = X3 cyclically (su(2) over Q)."""
         structure = {}
         for (a, b, c) in [(2, 0, 1), (0, 1, 2), (1, 2, 0)]:
-            structure[(a, b, c)] = Fraction(1)
-            structure[(a, c, b)] = Fraction(-1)
+            structure[(a, b, c)] = 1
+            structure[(a, c, b)] = -1
         return cls(3, structure, basis_names=["X1", "X2", "X3"])
 
     def to_json_obj(self):
@@ -92,20 +105,22 @@ class LieAlgebra:
 
     @classmethod
     def from_json_obj(cls, obj):
-        return cls(obj["dim"], {(a, b, c): Fraction(v) for a, b, c, v in obj["structure"]})
+        return cls(obj["dim"], {(a, b, c): v for a, b, c, v in obj["structure"]})
 
 
 class LinearAction:
     """A representation of the Lie algebra on R^m by rational matrices, with
     optional finite subgroup elements (pairs of a base matrix and its
     adjoint-action matrix) for the non-connected part of invariance checks.
+    Entries are held through _exact, so an integral action keeps contractions
+    and Lie derivatives on int arithmetic.
 
     finite_inverses holds (g^{-1}, Ad^{-1}) for each finite element, inverted
     once here; a singular g or Ad raises ValueError."""
 
     def __init__(self, lie_algebra: LieAlgebra, rep, finite_elements=()):
         self.lie_algebra = lie_algebra
-        self.rep = [[[Fraction(v) for v in row] for row in m] for m in rep]
+        self.rep = [_exact_matrix(m) for m in rep]
         if len(self.rep) != lie_algebra.dim:
             raise ValueError("need one representation matrix per basis element")
         self.m = len(self.rep[0]) if self.rep else 0
@@ -114,10 +129,8 @@ class LinearAction:
                 raise ValueError("representation matrices must be square of equal size")
         self.finite_elements = []
         for g, ad in finite_elements:
-            gq = [[Fraction(v) for v in row] for row in g]
-            adq = ([[Fraction(v) for v in row] for row in ad] if ad is not None
-                   else q_identity(lie_algebra.dim))
-            self.finite_elements.append((gq, adq))
+            adq = _exact_matrix(ad if ad is not None else q_identity(lie_algebra.dim))
+            self.finite_elements.append((_exact_matrix(g), adq))
         self.finite_inverses = [(q_inverse(g), q_inverse(ad)) for g, ad in self.finite_elements]
         if any(g_inv is None or ad_inv is None for g_inv, ad_inv in self.finite_inverses):
             raise ValueError("finite element matrices must be invertible")
@@ -139,7 +152,7 @@ class LinearAction:
 
     @classmethod
     def circle_rotation_r2(cls, weight=1, finite_order=None):
-        """Rotation generator on R^2 with the given integer weight."""
+        """Rotation generator on R^2 with the given rational weight."""
         rep = [[[0, -weight], [weight, 0]]]
         finite = []
         if finite_order in (2, 4):
@@ -160,17 +173,17 @@ class LinearAction:
         k = self.lie_algebra.dim
         rep = []
         for a in range(k):
-            mat = [[self.rep[a][i][j] for j in range(self.m)] + [Fraction(0)] * extra
+            mat = [[self.rep[a][i][j] for j in range(self.m)] + [0] * extra
                    for i in range(self.m)]
-            mat += [[Fraction(0)] * (self.m + extra) for _ in range(extra)]
+            mat += [[0] * (self.m + extra) for _ in range(extra)]
             rep.append(mat)
         finite = []
         for g, ad in self.finite_elements:
-            gmat = [[g[i][j] for j in range(self.m)] + [Fraction(0)] * extra
+            gmat = [[g[i][j] for j in range(self.m)] + [0] * extra
                     for i in range(self.m)]
             for r in range(extra):
-                row = [Fraction(0)] * (self.m + extra)
-                row[self.m + r] = Fraction(1)
+                row = [0] * (self.m + extra)
+                row[self.m + r] = 1
                 gmat.append(row)
             finite.append((gmat, ad))
         return LinearAction(self.lie_algebra, rep, finite)
@@ -185,11 +198,12 @@ class LinearAction:
 
     @classmethod
     def from_json_obj(cls, obj):
-        rep = [[[Fraction(v) for v in row] for row in m] for m in obj["rep"]]
-        finite = [([[Fraction(v) for v in row] for row in g],
-                   [[Fraction(v) for v in row] for row in ad])
-                  for g, ad in obj.get("finite_elements", [])]
-        return cls(LieAlgebra.from_json_obj(obj["lie_algebra"]), rep, finite)
+        return cls(LieAlgebra.from_json_obj(obj["lie_algebra"]), obj["rep"],
+                   obj.get("finite_elements", []))
+
+
+def _exact_matrix(m):
+    return [[_exact(v) for v in row] for row in m]
 
 
 def _mat_add(a, b):
@@ -212,7 +226,9 @@ class EquivariantForm:
     """Finite sum of (u-monomial x x-polynomial x exterior monomial) terms.
 
     Keys are (u_exponents, x_exponents, dx_indices) with the dx tuple
-    strictly increasing; values are nonzero Fractions.
+    strictly increasing; values are nonzero exact rationals, an int when
+    integral and a Fraction otherwise (_exact).  Every key is validated on
+    construction.
     """
 
     __slots__ = ("num_u", "num_x", "terms")
@@ -222,7 +238,7 @@ class EquivariantForm:
         self.num_x = num_x
         self.terms = {}
         for key, v in (terms or {}).items():
-            v = Fraction(v)
+            v = _exact(v)
             if not v:
                 continue
             u, x, dx = key
@@ -240,17 +256,17 @@ class EquivariantForm:
 
     @classmethod
     def constant(cls, num_u, num_x, value):
-        return cls(num_u, num_x, {((0,) * num_u, (0,) * num_x, ()): Fraction(value)})
+        return cls(num_u, num_x, {((0,) * num_u, (0,) * num_x, ()): value})
 
     @classmethod
     def coordinate(cls, num_u, num_x, i):
         x = [0] * num_x
         x[i] = 1
-        return cls(num_u, num_x, {((0,) * num_u, tuple(x), ()): Fraction(1)})
+        return cls(num_u, num_x, {((0,) * num_u, tuple(x), ()): 1})
 
     @classmethod
     def dx(cls, num_u, num_x, i):
-        return cls(num_u, num_x, {((0,) * num_u, (0,) * num_x, (i,)): Fraction(1)})
+        return cls(num_u, num_x, {((0,) * num_u, (0,) * num_x, (i,)): 1})
 
     # -- structure
 
@@ -300,7 +316,7 @@ class EquivariantForm:
         return self + other.scale(-1)
 
     def scale(self, c):
-        c = Fraction(c)
+        c = _exact(c)
         return EquivariantForm(self.num_u, self.num_x,
                                {k: c * v for k, v in self.terms.items()})
 
@@ -310,9 +326,14 @@ class EquivariantForm:
     def wedge(self, other):
         self._check_compatible(other)
         out = {}
+        merged = {}  # (dx1, dx2) -> _merge_dx(dx1, dx2), for this call only
         for (u1, x1, dx1), v1 in self.terms.items():
             for (u2, x2, dx2), v2 in other.terms.items():
-                sign, dx = _merge_dx(dx1, dx2)
+                pair = (dx1, dx2)
+                merge = merged.get(pair)
+                if merge is None:
+                    merge = merged[pair] = _merge_dx(dx1, dx2)
+                sign, dx = merge
                 if sign == 0:
                     continue
                 u = tuple(a + b for a, b in zip(u1, u2))
@@ -374,11 +395,11 @@ class EquivariantForm:
         """Pullback along x -> A x (so x_j -> sum_k A[j][k] x_k and dx_j
         likewise), with an optional linear substitution on the u variables."""
         out = EquivariantForm.zero(self.num_u, self.num_x)
-        x_polys = [{_unit_x(self.num_x, k): Fraction(a_matrix[j][k])
+        x_polys = [{_unit_x(self.num_x, k): _exact(a_matrix[j][k])
                     for k in range(self.num_x) if a_matrix[j][k]}
                    for j in range(self.num_x)]
         for (u, x, dx), v in self.terms.items():
-            poly = {(0,) * self.num_x: Fraction(v)}
+            poly = {(0,) * self.num_x: v}
             for j in range(self.num_x):
                 for _ in range(x[j]):
                     poly = _poly_mul(poly, x_polys[j])
@@ -389,7 +410,7 @@ class EquivariantForm:
             for j in dx:
                 lin = EquivariantForm(self.num_u, self.num_x,
                                       {((0,) * self.num_u, (0,) * self.num_x, (k,)):
-                                       Fraction(a_matrix[j][k])
+                                       a_matrix[j][k]
                                        for k in range(self.num_x) if a_matrix[j][k]})
                 wedge_part = wedge_part.wedge(lin)
             form = base.wedge(wedge_part)
@@ -420,13 +441,13 @@ class EquivariantForm:
             e = x[t_index]
             new_x = x[:-1]
             key = (u, new_x, rest)
-            out[key] = out.get(key, 0) + sign * v * Fraction(1, e + 1)
+            out[key] = out.get(key, 0) + Fraction(sign * v, e + 1)
         return EquivariantForm(self.num_u, self.num_x - 1, out)
 
     def restrict_t(self, value):
         """Pull back along the inclusion at t = value (drops dt terms)."""
         t_index = self.num_x - 1
-        value = Fraction(value)
+        value = _exact(value)
         out = {}
         for (u, x, dx), v in self.terms.items():
             if t_index in dx:
@@ -502,7 +523,7 @@ def fundamental_vector_field(act: LinearAction, coeffs):
     out = q_zeros(m, m)
     for a, c in enumerate(coeffs):
         if c:
-            out = _mat_add(out, _mat_scale(act.rep[a], Fraction(c)))
+            out = _mat_add(out, _mat_scale(act.rep[a], _exact(c)))
     return out
 
 
@@ -697,8 +718,10 @@ def cartan_cohomology_truncated(act: LinearAction, n, x_bound):
     x_bound + 1 and x_bound + 2 from one shared set of operator images;
     unless all three agree, TruncationUnstable names the three bounds.
     Comparing consecutive bounds catches an error that repeats with the
-    parity of the bound.
+    parity of the bound.  A negative x_bound raises ValueError.
     """
+    if x_bound < 0:
+        raise ValueError(f"x_bound must be nonnegative, got {x_bound}")
     images = {}
     dim, saturated = _cartan_cohomology_dim(act, n, x_bound, images)
     bounds = (x_bound, x_bound + 1, x_bound + 2)
@@ -899,9 +922,9 @@ def parse_form(text, num_u, num_x) -> EquivariantForm:
         chunk = chunk.strip()
         if not chunk:
             continue
-        sign = Fraction(1)
+        sign = 1
         if chunk.startswith("-"):
-            sign = Fraction(-1)
+            sign = -1
             chunk = chunk[1:].strip()
         coeff = sign
         u = [0] * num_u

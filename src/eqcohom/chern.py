@@ -10,7 +10,7 @@ inverts d_C on the difference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -184,18 +184,21 @@ class ConnectionMatrix:
 
 @dataclass
 class CurvatureMatrix:
-    """R = dA + A ^ A of a stored source connection; Bianchi holds."""
+    """The curvature R = dA + A ^ A of a connection A.
 
-    rank: int
-    entries: list
+    Only the connection is given: rank and entries are derived from it once,
+    on construction, so a curvature with other entries cannot be built.  The
+    Bianchi identity dR = R ^ A - A ^ R is checked on every construction.
+    """
+
     connection: ConnectionMatrix
+    rank: int = field(init=False)
+    entries: list = field(init=False)
 
     def __post_init__(self):
         a = self.connection.entries
-        want = form_mat_add(form_mat_d(a), form_mat_wedge(a, a))
-        if self.entries != want:
-            raise ValueError("curvature does not equal dA + A^A of its connection")
-        # Bianchi: dR = R^A - A^R
+        self.rank = self.connection.rank
+        self.entries = form_mat_add(form_mat_d(a), form_mat_wedge(a, a))
         lhs = form_mat_d(self.entries)
         rhs = form_mat_sub(form_mat_wedge(self.entries, a), form_mat_wedge(a, self.entries))
         if lhs != rhs:
@@ -203,8 +206,7 @@ class CurvatureMatrix:
 
 
 def curvature(a: ConnectionMatrix) -> CurvatureMatrix:
-    m = form_mat_add(form_mat_d(a.entries), form_mat_wedge(a.entries, a.entries))
-    return CurvatureMatrix(a.rank, m, a)
+    return CurvatureMatrix(a)
 
 
 @dataclass
@@ -367,66 +369,46 @@ def equivariant_characteristic_form(poly: InvariantPolynomial, r: CurvatureMatri
 # transgression
 
 
-def _connection_on_interval(a0: ConnectionMatrix, a1: ConnectionMatrix):
-    """The convex path (1-t) A0 + t A1 as a connection on R^m x [0,1]
-    (t is the appended last coordinate)."""
+def _connection_on_interval(a0: ConnectionMatrix, a1: ConnectionMatrix, s):
+    """The path (1 - s) A0 + s A1 as a connection on R^m x [0,1], where s is
+    a polynomial in t, the appended last coordinate."""
     if a0.rank != a1.rank:
         raise ValueError("connections live on different ranks")
-    num_u, num_x = a0.num_u, a0.num_x
-    t_poly = EquivariantForm.coordinate(num_u, num_x + 1, num_x)
-    one = EquivariantForm.constant(num_u, num_x + 1, 1)
-    entries = []
-    for i in range(a0.rank):
-        row = []
-        for j in range(a0.rank):
-            e0 = a0.entries[i][j].embed(num_x + 1)
-            e1 = a1.entries[i][j].embed(num_x + 1)
-            row.append((one - t_poly).wedge(e0) + t_poly.wedge(e1))
-        entries.append(row)
+    num_x = a0.num_x + 1
+    one_minus_s = EquivariantForm.constant(a0.num_u, num_x, 1) - s
+    entries = [[one_minus_s.wedge(e0.embed(num_x)) + s.wedge(e1.embed(num_x))
+                for e0, e1 in zip(row0, row1)]
+               for row0, row1 in zip(a0.entries, a1.entries)]
     return ConnectionMatrix(a0.rank, entries)
+
+
+def _path_transgression(act, a0, a1, poly, drho, path):
+    """Fiber integral of P over the connections (1 - s) A0 + s A1, where
+    path(t) gives s as a polynomial in the interval coordinate t."""
+    rank = a0.rank
+    if drho is None:
+        drho = [[[0] * rank for _ in range(rank)] for _ in range(act.lie_algebra.dim)]
+    t = EquivariantForm.coordinate(a0.num_u, a0.num_x + 1, a0.num_x)
+    a_s = _connection_on_interval(a0, a1, path(t))
+    mu_s = moment_map(a_s, drho, act.extend_trivially())
+    omega_s = equivariant_characteristic_form(poly, curvature(a_s), mu_s)
+    return fiber_integrate_interval(omega_s)
 
 
 def transgression(act: LinearAction, a0: ConnectionMatrix, a1: ConnectionMatrix,
                   poly: InvariantPolynomial, drho=None) -> EquivariantForm:
     """Fiber integral of P over the convex path of connections; satisfies
     d_C (transgression) = P(at A1) - P(at A0) exactly."""
-    rank = a0.rank
-    if drho is None:
-        drho = [[[0] * rank for _ in range(rank)] for _ in range(act.lie_algebra.dim)]
-    act_ext = act.extend_trivially()
-    a_t = _connection_on_interval(a0, a1)
-    r_t = curvature(a_t)
-    mu_t = moment_map(a_t, drho, act_ext)
-    omega_t = equivariant_characteristic_form(poly, r_t, mu_t)
-    return fiber_integrate_interval(omega_t)
+    return _path_transgression(act, a0, a1, poly, drho, lambda t: t)
 
 
 def reparametrized_transgression(act: LinearAction, a0, a1, poly, drho=None):
     """Same transgression along t -> t^2 (3 - 2t); used to test that the
     class of the transgression form does not depend on the path."""
-    rank = a0.rank
-    if drho is None:
-        drho = [[[0] * rank for _ in range(rank)] for _ in range(act.lie_algebra.dim)]
-    act_ext = act.extend_trivially()
-    num_u, num_x = a0.num_u, a0.num_x
-    t = EquivariantForm.coordinate(num_u, num_x + 1, num_x)
-    three = EquivariantForm.constant(num_u, num_x + 1, 3)
-    two = EquivariantForm.constant(num_u, num_x + 1, 2)
-    s_poly = t.wedge(t).wedge(three - two.wedge(t))  # s(t) = t^2(3-2t)
-    one = EquivariantForm.constant(num_u, num_x + 1, 1)
-    entries = []
-    for i in range(rank):
-        row = []
-        for j in range(rank):
-            e0 = a0.entries[i][j].embed(num_x + 1)
-            e1 = a1.entries[i][j].embed(num_x + 1)
-            row.append((one - s_poly).wedge(e0) + s_poly.wedge(e1))
-        entries.append(row)
-    a_s = ConnectionMatrix(rank, entries)
-    r_s = curvature(a_s)
-    mu_s = moment_map(a_s, drho, act_ext)
-    omega_s = equivariant_characteristic_form(poly, r_s, mu_s)
-    return fiber_integrate_interval(omega_s)
+    def path(t):
+        three = EquivariantForm.constant(t.num_u, t.num_x, 3)
+        return t.wedge(t).wedge(three - t.scale(2))
+    return _path_transgression(act, a0, a1, poly, drho, path)
 
 
 # ---------------------------------------------------------------------------
@@ -497,13 +479,13 @@ def invariant_connection_space(act: LinearAction, rank, drho=None, x_bound=2):
              for mono in monos]
     if drho is None:
         drho = [[[0] * rank for _ in range(rank)] for _ in range(num_u)]
-    drho_q = [[[Fraction(v) for v in row] for row in m] for m in drho]
+    drho_mats = bundle_action_matrices(drho, rank, num_u, num_x)
 
     def basis_connection(slot):
         (r_i, c_j, (exps, dx_i)) = slot
         entries = form_zero_matrix(rank, num_u, num_x)
         entries[r_i][c_j] = EquivariantForm(
-            num_u, num_x, {((0,) * num_u, exps, (dx_i,)): Fraction(1)})
+            num_u, num_x, {((0,) * num_u, exps, (dx_i,)): 1})
         return entries
 
     rows = []
@@ -513,9 +495,8 @@ def invariant_connection_space(act: LinearAction, rank, drho=None, x_bound=2):
         defect = []
         for idx in range(num_u):
             lied = [[lie_derivative(act, idx, e) for e in row] for row in entries]
-            drho_mat = bundle_action_matrices(drho_q, rank, num_u, num_x)[idx]
-            want = form_mat_sub(form_mat_wedge(drho_mat, entries),
-                                form_mat_wedge(entries, drho_mat))
+            want = form_mat_sub(form_mat_wedge(drho_mats[idx], entries),
+                                form_mat_wedge(entries, drho_mats[idx]))
             defect.append(form_mat_sub(lied, want))
         images.append(defect)
     keys = set()

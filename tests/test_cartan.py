@@ -247,6 +247,32 @@ def test_wedge_graded_commutative():
         assert lhs == b.wedge(a).scale(sign)
 
 
+def test_integral_coefficients_are_stored_as_int():
+    key = ((0,), (1, 0), (1,))
+    forms = [EquivariantForm(1, 2, {key: v}) for v in (2, Fraction(2), Fraction(4, 2))]
+    assert forms[0] == forms[1] == forms[2]
+    assert len({hash(f) for f in forms}) == 1
+    assert all(type(f.terms[key]) is int for f in forms)
+    assert {str(f) for f in forms} == {"2*x1*dx2"}
+    half = EquivariantForm(1, 2, {key: Fraction(1, 2)})
+    assert type(half.terms[key]) is Fraction
+    assert str(half) == "1/2*x1*dx2"
+    # a Fraction that becomes integral by arithmetic is stored as an int again
+    assert type((half + half).terms[key]) is int
+    assert type(half.scale(Fraction(4)).terms[key]) is int
+
+
+def test_integral_action_keeps_int_coefficients():
+    assert all(type(v) is int for m in ROT.rep for row in m for v in row)
+    assert all(type(v) is int for (a, b, c), v in SO3.lie_algebra.structure.items())
+    omega = form("x1^2*x2*dx1 + 3*u1*x2^2*dx1^dx2")
+    images = [cartan_d(ROT, omega), total_lie(ROT, 0, omega), lie_derivative(ROT, 0, omega)]
+    images += [cartan_d(SO3, form("x1*x2*dx3 - 2*x3*dx1^dx2", SO3)),
+               total_lie(SO3, 1, form("u1*x1*x3 + u3*dx2", SO3))]
+    assert all(type(v) is int for img in images for v in img.terms.values())
+    assert all(not img.is_zero() for img in images)
+
+
 def test_print_parse_roundtrip():
     rng = random.Random(77)
     for act in (ROT, SO3):
@@ -407,6 +433,16 @@ def test_stability_checked_at_consecutive_bounds(monkeypatch):
     monkeypatch.setattr(cartan, "_cartan_cohomology_dim", parity_error)
     with pytest.raises(TruncationUnstable, match=r"bounds \[6, 7, 8\]"):
         cartan_cohomology_truncated(ROT, 2, 6)
+
+
+def test_negative_x_bound_rejected_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("a rank was computed")
+
+    monkeypatch.setattr(cartan, "_cartan_cohomology_dim", no_work)
+    for bound in (-1, -3):
+        with pytest.raises(ValueError, match=f"x_bound must be nonnegative, got {bound}"):
+            cartan_cohomology_truncated(ROT, 0, bound)
 
 
 # --- fiber integration ------------------------------------------------------------

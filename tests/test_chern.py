@@ -3,23 +3,27 @@ from fractions import Fraction
 
 import pytest
 
+import eqcohom.chern as chern
 from eqcohom.cartan import (
     EquivariantForm,
     LieAlgebra,
     LinearAction,
     cartan_d,
+    fiber_integrate_interval,
     is_invariant,
     parse_form,
 )
 from eqcohom.chern import (
     ConnectionMatrix,
     ConnectionNotInvariant,
+    CurvatureMatrix,
     InvariantPolynomial,
     conjugation_invariance_check,
     connection_is_invariant,
     curvature,
     equivariant_characteristic_form,
     form_mat_add,
+    form_mat_scale,
     form_zero_matrix,
     invariant_connection_space,
     moment_defining_equation_check,
@@ -70,6 +74,39 @@ def test_bianchi_checked_on_construction():
     for _ in range(10):
         a = random_invariant_connection(ROT, 2, rng)
         curvature(a)  # CurvatureMatrix validates Bianchi internally
+
+
+def test_curvature_computed_once_and_bianchi_still_checked(monkeypatch):
+    wedge = chern.form_mat_wedge
+    calls = []
+
+    def counting_wedge(a, b):
+        calls.append((a, b))
+        return wedge(a, b)
+
+    monkeypatch.setattr(chern, "form_mat_wedge", counting_wedge)
+    a = conn([["0", "x1*dx1"], ["x2*dx2", "0"]])
+    r = curvature(a)
+    assert len(calls) == 3  # A^A for R, then R^A and A^R for Bianchi
+    assert (r.connection, r.rank) == (a, 2)
+    assert r.entries[0][0] == parse_form("x1*x2*dx1^dx2", 1, 2)
+    with pytest.raises(TypeError):
+        CurvatureMatrix(a, r.entries)  # the entries are derived, never passed in
+    monkeypatch.setattr(chern, "form_mat_wedge", wedge)
+
+    # corrupt R = dA + A^A by a 2-form with nonzero d: dR != R^A - A^R = 0
+    add = chern.form_mat_add
+
+    def corrupting_add(x, y):
+        out = add(x, y)
+        out[0][0] = out[0][0] + parse_form("x1*dx2^dx3", 3, 3)
+        return out
+
+    flat = ConnectionMatrix.zero(1, 3, 3)
+    assert curvature(flat).entries[0][0].is_zero()
+    monkeypatch.setattr(chern, "form_mat_add", corrupting_add)
+    with pytest.raises(ValueError, match="Bianchi identity fails"):
+        curvature(flat)
 
 
 # --- moment maps ----------------------------------------------------------------
@@ -249,6 +286,71 @@ def test_transgression_path_reparametrization_stable():
         assert straight == bent
 
 
+def test_reparametrized_transgression_differs_by_exact_form():
+    # The square (t, r) -> (1 - s) A0 + s A1 with s = (1 - r) t + r t^2 (3 - 2t)
+    # joins the straight path (r = 0) to the bent one (r = 1) and is constant
+    # on the sides t = 0 and t = 1.  P of it is d_C-closed, so Stokes on the
+    # square gives bent - straight = -d_C(eta) with eta the integral of P over
+    # the square (r integrated first, then t).  Both paths run along one
+    # segment, so for these linear families the difference is zero as well.
+    rng = random.Random(59)
+    half = Fraction(1, 2)
+    for rank, poly in [(1, InvariantPolynomial("chern", 1)),
+                       (2, InvariantPolynomial("chern", 2)),
+                       (2, InvariantPolynomial("trace_power", 2))]:
+        drho = [[[half if i == j else 0 for j in range(rank)] for i in range(rank)]]
+        a0 = random_invariant_connection(ROT, rank, rng, drho=drho)
+        a1 = random_invariant_connection(ROT, rank, rng, drho=drho)
+        straight = transgression(ROT, a0, a1, poly, drho)
+        bent = reparametrized_transgression(ROT, a0, a1, poly, drho)
+        want = (equivariant_characteristic_form(poly, curvature(a1), moment_map(a1, drho, ROT))
+                - equivariant_characteristic_form(poly, curvature(a0), moment_map(a0, drho, ROT)))
+        assert cartan_d(ROT, bent) == want
+
+        num_x = ROT.m + 2
+        t = EquivariantForm.coordinate(1, num_x, ROT.m)
+        r = EquivariantForm.coordinate(1, num_x, ROT.m + 1)
+        one = EquivariantForm.constant(1, num_x, 1)
+        bend = t.wedge(t).wedge(EquivariantForm.constant(1, num_x, 3) - t.scale(2))
+        s = (one - r).wedge(t) + r.wedge(bend)
+        square = ConnectionMatrix(rank, [
+            [(one - s).wedge(e0.embed(num_x)) + s.wedge(e1.embed(num_x))
+             for e0, e1 in zip(row0, row1)]
+            for row0, row1 in zip(a0.entries, a1.entries)])
+        act2 = ROT.extend_trivially(2)
+        omega = equivariant_characteristic_form(poly, curvature(square),
+                                                moment_map(square, drho, act2))
+        assert cartan_d(act2, omega).is_zero()
+        eta = fiber_integrate_interval(fiber_integrate_interval(omega))
+        assert bent - straight == -cartan_d(ROT, eta)
+
+
+def test_transgression_identity_rational_action_and_connections():
+    # weight 1/2, a rational bundle action and connections scaled by 1/3 mix
+    # int and Fraction coefficients all the way through
+    half = LinearAction.circle_rotation_r2(weight=Fraction(1, 2))
+    rng = random.Random(61)
+    third = Fraction(1, 3)
+    seen_fraction = seen_nonzero = False
+    for rank, poly in [(1, InvariantPolynomial("chern", 1)),
+                       (2, InvariantPolynomial("chern", 1)),
+                       (2, InvariantPolynomial("chern", 2))]:
+        drho = [[[Fraction(1, 2) if i == j else 0 for j in range(rank)]
+                 for i in range(rank)]]
+        a0, a1 = (ConnectionMatrix(rank, form_mat_scale(
+            random_invariant_connection(half, rank, rng, drho=drho).entries, third))
+            for _ in range(2))
+        tr = transgression(half, a0, a1, poly, drho)
+        want = (equivariant_characteristic_form(poly, curvature(a1), moment_map(a1, drho, half))
+                - equivariant_characteristic_form(poly, curvature(a0), moment_map(a0, drho, half)))
+        assert cartan_d(half, tr) == want
+        values = list(tr.terms.values()) + list(want.terms.values())
+        assert all(type(v) is int or v.denominator > 1 for v in values)
+        seen_fraction |= any(type(v) is Fraction for v in values)
+        seen_nonzero |= not want.is_zero()
+    assert seen_fraction and seen_nonzero
+
+
 # --- Whitney sum --------------------------------------------------------------------
 
 
@@ -339,3 +441,18 @@ def test_invariant_connection_space_nontrivial():
     vectors = [[c.entries[0][0].terms.get(k, Fraction(0)) for k in keys] for c in basis]
     target = [angular.terms.get(k, Fraction(0)) for k in keys]
     assert q_in_span(vectors, target)
+
+
+def test_invariant_connection_space_builds_bundle_action_once(monkeypatch):
+    build = chern.bundle_action_matrices
+    calls = []
+
+    def counting_build(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(chern, "bundle_action_matrices", counting_build)
+    drho = [[[1, 0], [0, -1]]]
+    basis = invariant_connection_space(ROT, 2, drho=drho, x_bound=1)
+    assert len(calls) == 1
+    assert basis and all(connection_is_invariant(ROT, c, drho) for c in basis)
