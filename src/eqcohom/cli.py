@@ -54,8 +54,7 @@ class SchemaError(Exception):
 _COMMANDS = ("cohomology", "diffcoh", "hexagon", "cartan", "chern", "verify", "examples")
 
 _FIELDS = {
-    "cohomology": {"command", "group", "space", "action", "degrees", "coeff", "truncation",
-                   "format"},
+    "cohomology": {"command", "group", "space", "action", "degrees", "coeff", "format"},
     "diffcoh": {"command", "group", "space", "action", "degree", "format"},
     "hexagon": {"command", "group", "space", "action", "degree", "format"},
     "cartan": {"command", "action", "degrees", "x_bound", "format"},
@@ -204,14 +203,7 @@ def run(job: JobSpec):
             str(job.inputs.get("coeff", "z")).lower())
         if coeff is None:
             raise SchemaError("coeff must be one of z, q, qmodz")
-        trunc = job.inputs.get("truncation")
-        trunc = None if trunc is None else _int(trunc, "truncation")
-        top = max(degrees, default=-1)
-        if trunc is not None and trunc <= top:
-            raise SchemaError(f"truncation {trunc} is too small for degree {top}; "
-                              f"it must be at least {top + 1}")
-        values = {n: equivariant_cohomology(act, n, coeff, truncation=trunc)
-                  for n in degrees}
+        values = {n: equivariant_cohomology(act, n, coeff) for n in degrees}
         label = {"Z": "ℤ", "Q": "ℚ-dim", "QmodZ": "ℂ/ℤ"}[coeff]
         lines = [f"H^{n}({act.group.name or 'G'} ⋉ {act.space.name or 'M'}; {label}) = {v}"
                  for n, v in values.items()]
@@ -341,7 +333,6 @@ def build_parser():
     p.add_argument("--action", default="auto")
     p.add_argument("--degrees", required=True)
     p.add_argument("--coeff", default="z")
-    p.add_argument("--truncation", type=int)
     p = sub.add_parser("diffcoh", help="differential cohomology of a 0-dimensional action")
     p.add_argument("--group", required=True)
     p.add_argument("--space", required=True)

@@ -94,7 +94,7 @@ class IntCochainComplex:
     def reduced(self):
         """Unit-pivot reduced complex with the same cohomology everywhere."""
         red = reduce_complex(self.ranks, self.diffs)
-        return IntCochainComplex(self.n_min, red.ranks, red.diffs, check=False)
+        return IntCochainComplex(self.n_min, red.ranks, red.diffs)
 
     def __eq__(self, other):
         if not isinstance(other, IntCochainComplex):
@@ -167,15 +167,12 @@ def cone(w) -> IntCochainComplex:
     ranks = [a.rank(n + 1) + b.rank(n) for n in range(n_min, n_max + 1)]
     diffs = []
     for n in range(n_min, n_max):
-        ra1, rb = a.rank(n + 1), b.rank(n)
-        entries = {}
-        for (i, j), v in a.differential(n + 1).entries.items():
-            entries[(i, j)] = -v
-        for (i, j), v in b.differential(n).entries.items():
-            entries[(a.rank(n + 2) + i, ra1 + j)] = v
-        for (i, j), v in w.component(n + 1).entries.items():
-            entries[(a.rank(n + 2) + i, j)] = entries.get((a.rank(n + 2) + i, j), 0) - v
-        diffs.append(IntMatrix(a.rank(n + 2) + b.rank(n + 1), ra1 + rb, entries))
+        ra2, ra1 = a.rank(n + 2), a.rank(n + 1)
+        diffs.append(IntMatrix.from_blocks(ra2 + b.rank(n + 1), ra1 + b.rank(n), [
+            (0, 0, a.differential(n + 1), -1),
+            (ra2, ra1, b.differential(n), 1),
+            (ra2, 0, w.component(n + 1), -1),
+        ]))
     return IntCochainComplex(n_min, ranks, diffs)
 
 
@@ -229,15 +226,7 @@ class DoubleComplex:
 
     def block_layout(self, n):
         """Anti-diagonal p+q = n as a list of (p, q, offset, rank), p ascending."""
-        out = []
-        offset = 0
-        for p in range(self.p_max + 1):
-            q = n - p
-            r = self.rank(p, q)
-            if 0 <= q <= self.q_max and r:
-                out.append((p, q, offset, r))
-                offset += r
-        return out
+        return anti_diagonal(n, self.p_max, self.rank)
 
     def to_json_obj(self):
         return {
@@ -255,32 +244,53 @@ class DoubleComplex:
                    {(p, q): IntMatrix.from_json_obj(m) for p, q, m in obj["vertical"]})
 
 
+def anti_diagonal(n, p_max, rank):
+    """The bidegrees of total degree n = p + q, p = 0..p_max ascending, as
+    (p, q, offset, rank) with offsets into the total module; rank(p, q) is
+    0 outside the object, and bidegrees of rank 0 are left out."""
+    out = []
+    offset = 0
+    for p in range(p_max + 1):
+        r = rank(p, n - p)
+        if r:
+            out.append((p, n - p, offset, r))
+            offset += r
+    return out
+
+
+def totalize(n_lo, n_hi, p_max, rank, arrows):
+    """Ranks (a dict) of the total modules of degrees n_lo..n_hi of a
+    bigraded object, and its total differentials diffs[n], n_lo <= n < n_hi.
+
+    Each arrow (dp, dq, block, sign) maps bidegree (p, q) to
+    (p + dp, q + dq) by sign(p, q) * block(p, q).  A block is built only
+    where both of its ends have nonzero rank.
+    """
+    layouts = {n: anti_diagonal(n, p_max, rank) for n in range(n_lo, n_hi + 1)}
+    ranks = {n: sum(r for _, _, _, r in lay) for n, lay in layouts.items()}
+    diffs = {}
+    for n in range(n_lo, n_hi):
+        t_off = {(p, q): off for p, q, off, _ in layouts[n + 1]}
+        blocks = []
+        for p, q, off, _ in layouts[n]:
+            for dp, dq, block, sign in arrows:
+                target = t_off.get((p + dp, q + dq))
+                if target is not None:
+                    blocks.append((target, off, block(p, q), sign(p, q)))
+        diffs[n] = IntMatrix.from_blocks(ranks[n + 1], ranks[n], blocks)
+    return ranks, diffs
+
+
 def total_complex(dc: DoubleComplex) -> IntCochainComplex:
     """Total complex with differential d + (-1)^q dV, blockwise."""
     if not isinstance(dc, DoubleComplex):
         raise IllFormedDoubleComplex("total_complex expects a DoubleComplex")
     n_max = dc.p_max + dc.q_max
-    layouts = [dc.block_layout(n) for n in range(n_max + 1)]
-    ranks = [sum(r for _, _, _, r in lay) for lay in layouts]
-    diffs = []
-    for n in range(n_max):
-        src, tgt = layouts[n], layouts[n + 1]
-        tgt_offset = {(p, q): off for p, q, off, _ in tgt}
-        entries = {}
-        for p, q, off, _ in src:
-            h = dc.horiz(p, q)
-            if (p, q + 1) in tgt_offset:
-                toff = tgt_offset[(p, q + 1)]
-                for (i, j), val in h.entries.items():
-                    entries[(toff + i, off + j)] = val
-            v = dc.vert(p, q)
-            if (p + 1, q) in tgt_offset:
-                toff = tgt_offset[(p + 1, q)]
-                sign = -1 if q % 2 else 1
-                for (i, j), val in v.entries.items():
-                    entries[(toff + i, off + j)] = sign * val
-        diffs.append(IntMatrix(ranks[n + 1], ranks[n], entries))
-    return IntCochainComplex(0, ranks, diffs)
+    ranks, diffs = totalize(0, n_max, dc.p_max, dc.rank,
+                            [(0, 1, dc.horiz, lambda p, q: 1),
+                             (1, 0, dc.vert, lambda p, q: (-1) ** q)])
+    return IntCochainComplex(0, [ranks[n] for n in range(n_max + 1)],
+                             [diffs[n] for n in range(n_max)])
 
 
 @dataclass
@@ -313,15 +323,10 @@ class DoubleComplexMap:
         tgt = total_complex(self.target)
         comps = {}
         for n in range(max(src.n_max, tgt.n_max) + 1):
-            s_lay = self.source.block_layout(n)
             t_off = {(p, q): off for p, q, off, _ in self.target.block_layout(n)}
-            entries = {}
-            for p, q, off, _ in s_lay:
-                if (p, q) not in t_off:
-                    continue
-                for (i, j), v in self.component(p, q).entries.items():
-                    entries[(t_off[(p, q)] + i, off + j)] = v
-            comps[n] = IntMatrix(tgt.rank(n), src.rank(n), entries)
+            comps[n] = IntMatrix.from_blocks(tgt.rank(n), src.rank(n), [
+                (t_off[(p, q)], off, self.component(p, q), 1)
+                for p, q, off, _ in self.source.block_layout(n) if (p, q) in t_off])
         return ComplexMap(src, tgt, comps)
 
 
@@ -378,14 +383,18 @@ def _relations_in_kernel(kernel_cols, d_in):
 
 def is_iso_presented(rel_s: IntMatrix, rel_t: IntMatrix, fbar: IntMatrix) -> bool:
     """Is Z^{k_s}/im(rel_s) -> Z^{k_t}/im(rel_t) via fbar an isomorphism?"""
-    k_t = rel_t.rows
+    k_s, k_t = fbar.cols, rel_t.rows
+
+    def beside(sign):  # [fbar | sign * rel_t]
+        return IntMatrix.from_blocks(k_t, k_s + rel_t.cols, [(0, 0, fbar, 1), (0, k_s, rel_t, sign)])
+
     # surjective: [fbar | rel_t] has trivial cokernel
-    diag = smith_normal_form(fbar.hstack(rel_t)).s.diagonal()
+    diag = smith_normal_form(beside(1)).s.diagonal()
     if len([d for d in diag if d]) != k_t or any(d not in (0, 1) for d in diag):
         return False
     # injective: fbar x in im(rel_t) forces x in im(rel_s)
-    for col in kernel_basis(fbar.hstack(rel_t.scale(-1))):
-        x = col[:fbar.cols]
+    for col in kernel_basis(beside(-1)):
+        x = col[:k_s]
         if solve_int(rel_s, x) is None:
             return False
     return True
@@ -399,7 +408,9 @@ def is_iso_rational(d_in_s, d_out_s, d_in_t, d_out_t, f_mid) -> bool:
         return False
     # dim of induced image = rank [f | d_in_t] - rank d_in_t, restricted to cycles
     cycles = IntMatrix.from_rows(kernel_basis(d_out_s), cols=d_out_s.cols).transpose()
-    image_dim = rank_q((f_mid @ cycles).hstack(d_in_t)) - rank_q(d_in_t)
+    images = f_mid @ cycles
+    image_dim = rank_q(IntMatrix.from_blocks(d_in_t.rows, images.cols + d_in_t.cols, [
+        (0, 0, images, 1), (0, images.cols, d_in_t, 1)])) - rank_q(d_in_t)
     return image_dim == dim_s
 
 
@@ -583,41 +594,16 @@ class SimplicialHomotopyCochainComplex:
         if not degrees:
             return IntCochainComplex(0, [0], [])
         n_min, n_max = degrees[0], degrees[-1]
-
-        def layout(n):
-            out = []
-            off = 0
-            for p in range(self.p_max + 1):
-                q = n - p
-                r = self.rank(p, q)
-                if r:
-                    out.append((p, q, off, r))
-                    off += r
-            return out
-
-        layouts = {n: layout(n) for n in range(n_min, n_max + 2)}
-        ranks = [sum(r for _, _, _, r in layouts[n]) for n in range(n_min, n_max + 1)]
-        diffs = []
-        for n in range(n_min, n_max):
-            t_off = {(p, q): off for p, q, off, _ in layouts[n + 1]}
-            entries = {}
-            for p, q, off, _ in layouts[n]:
-                blocks = [
-                    ((p + 1, q), self.boundary(p, q), 1),
-                    ((p - 1, q + 2), self.s_map(p, q), 1),
-                    ((p, q + 1), self.f_map(p, q), -1 if p % 2 else 1),
-                ]
-                for key, m, sign in blocks:
-                    if key in t_off:
-                        toff = t_off[key]
-                        for (i, j), v in m.entries.items():
-                            k = (toff + i, off + j)
-                            entries[k] = entries.get(k, 0) + sign * v
-            diffs.append(IntMatrix(ranks[n + 1 - n_min], ranks[n - n_min], entries))
-        for k in range(len(diffs) - 1):
-            if not (diffs[k + 1] @ diffs[k]).is_zero():
-                raise AxiomViolation(f"homotopy total differential fails d^2 = 0 at {n_min + k}")
-        return IntCochainComplex(n_min, ranks, diffs)
+        ranks, diffs = totalize(n_min, n_max, self.p_max, self.rank, [
+            (1, 0, self.boundary, lambda p, q: 1),
+            (-1, 2, self.s_map, lambda p, q: 1),
+            (0, 1, self.f_map, lambda p, q: (-1) ** p),
+        ])
+        for n in range(n_min, n_max - 1):
+            if not (diffs[n + 1] @ diffs[n]).is_zero():
+                raise AxiomViolation(f"homotopy total differential fails d^2 = 0 at {n}")
+        return IntCochainComplex(n_min, [ranks[n] for n in range(n_min, n_max + 1)],
+                                 [diffs[n] for n in range(n_min, n_max)], check=False)
 
 
 def homotopy_total(shc: SimplicialHomotopyCochainComplex) -> IntCochainComplex:
@@ -665,52 +651,35 @@ def cone_homotopy(w: SHCMorphism) -> SimplicialHomotopyCochainComplex:
             if r:
                 ranks[(p, k)] = r
 
-    def rank_a(p, k):
-        return a.rank(p, k + 1)
+    def diag(a_map, b_map, p, i):
+        """{k: diag(a_map(p, i, k + 1), b_map(p, i, k))} over the grades,
+        0 x 0 blocks left out."""
+        out = {}
+        for k in grades:
+            x, y = a_map(p, i, k + 1), b_map(p, i, k)
+            if x.rows + y.rows or x.cols + y.cols:
+                out[k] = IntMatrix.from_blocks(x.rows + y.rows, x.cols + y.cols,
+                                               [(0, 0, x, 1), (x.rows, x.cols, y, 1)])
+        return out
 
-    cofaces = {}
-    codegens = {}
-    for p in range(p_max):
-        for i in range(p + 2):
-            cofaces[(p, i)] = {}
-            for k in grades:
-                m = a.coface(p, i, k + 1).stack_diag(b.coface(p, i, k))
-                if not _is_zero_shape(m):
-                    cofaces[(p, i)][k] = m
-        for i in range(p + 1):
-            codegens[(p, i)] = {}
-            for k in grades:
-                m = a.codegen(p, i, k + 1).stack_diag(b.codegen(p, i, k))
-                if not _is_zero_shape(m):
-                    codegens[(p, i)][k] = m
+    cofaces = {(p, i): diag(a.coface, b.coface, p, i)
+               for p in range(p_max) for i in range(p + 2)}
+    codegens = {(p, i): diag(a.codegen, b.codegen, p, i)
+                for p in range(p_max) for i in range(p + 1)}
+    s = {(p, i): diag(a.s_single, b.s_single, p, i)
+         for p in range(1, p_max + 1) for i in range(p)}
     f = {}
     for p in range(p_max + 1):
         for k in grades:
-            rows = rank_a(p, k + 1) + b.rank(p, k + 1)
-            cols = rank_a(p, k) + b.rank(p, k)
-            entries = {}
-            for (i, j), v in a.f_map(p, k + 1).entries.items():
-                entries[(i, j)] = -v
-            for (i, j), v in b.f_map(p, k).entries.items():
-                entries[(rank_a(p, k + 1) + i, rank_a(p, k) + j)] = v
-            for (i, j), v in w.component(p, k + 1).entries.items():
-                key = (rank_a(p, k + 1) + i, j)
-                entries[key] = entries.get(key, 0) - v
-            if entries or (rows and cols):
-                f[(p, k)] = IntMatrix(rows, cols, entries)
-    s = {}
-    for p in range(1, p_max + 1):
-        for i in range(p):
-            s.setdefault((p, i), {})
-            for k in grades:
-                m = a.s_single(p, i, k + 1).stack_diag(b.s_single(p, i, k))
-                if not _is_zero_shape(m):
-                    s[(p, i)][k] = m
+            ra1, ra0 = a.rank(p, k + 2), a.rank(p, k + 1)
+            rows, cols = ra1 + b.rank(p, k + 1), ra0 + b.rank(p, k)
+            if rows and cols:
+                f[(p, k)] = IntMatrix.from_blocks(rows, cols, [
+                    (0, 0, a.f_map(p, k + 1), -1),
+                    (ra1, ra0, b.f_map(p, k), 1),
+                    (ra1, 0, w.component(p, k + 1), -1),
+                ])
     return SimplicialHomotopyCochainComplex(p_max, grades, ranks, cofaces, codegens, f, s)
-
-
-def _is_zero_shape(m: IntMatrix) -> bool:
-    return m.rows == 0 and m.cols == 0
 
 
 # ---------------------------------------------------------------------------
@@ -769,10 +738,8 @@ def bockstein_image(cx: IntCochainComplex, n) -> FgAbGroup:
     k = len(gens[0])
     w = IntMatrix.from_rows([[g[i] for g in gens] for i in range(k)], cols=len(gens))
     # kernel of Z^{#gens} -> H^n: combinations landing in im(d_in)
-    entries = dict(w.entries)
-    for (i, j), v in d_in.entries.items():
-        entries[(i, w.cols + j)] = -v
-    stacked = IntMatrix(k, w.cols + d_in.cols, entries)
+    stacked = IntMatrix.from_blocks(k, w.cols + d_in.cols,
+                                    [(0, 0, w, 1), (0, w.cols, d_in, -1)])
     rel_rows = []
     for col in kernel_basis(stacked):
         rel_rows.append(col[:w.cols])

@@ -97,48 +97,46 @@ class DiffCohGroup:
 class MixedComplex:
     """Degreewise Z^{a_k} (+) Q^{b_k} with triangular differential blocks
 
-        p_blocks[k]: Z^{a_k} -> Z^{a_{k+1}}   (integral)
-        q_blocks[k]: Z^{a_k} -> Q^{b_{k+1}}
-        s_blocks[k]: Q^{b_k} -> Q^{b_{k+1}}
+        P = integral.differential(k): Z^{a_k} -> Z^{a_{k+1}}
+        q_blocks[k]:                  Z^{a_k} -> Q^{b_{k+1}}
+        s_blocks[k]:                  Q^{b_k} -> Q^{b_{k+1}}
 
-    Every block is an IntMatrix: the cone differential has integer entries
-    even where it acts on rational cochains, so d^2 = 0 is checked and
-    every rank taken in exact integer arithmetic.  Only the chain-level
-    checks (is_cocycle, is_coboundary) carry Fractions, in their vectors.
+    The integral part is an IntCochainComplex, whose d^2 = 0 was checked
+    when it was built; validate checks the rest of the square, S S = 0 and
+    Q P + S Q = 0.  Every block is an IntMatrix: the cone differential has
+    integer entries even where it acts on rational cochains, so every rank
+    is taken in exact integer arithmetic.  Only the chain-level checks
+    (is_cocycle, is_coboundary) carry Fractions, in their vectors.
 
     Nothing maps out of the rational part into the integral part, so the
     rational columns form a subcomplex with an integral quotient.
     """
 
-    def __init__(self, n_min, int_ranks, rat_ranks, p_blocks, q_blocks, s_blocks):
-        self.n_min = n_min
-        self.int_ranks = list(int_ranks)
+    def __init__(self, integral, rat_ranks, q_blocks, s_blocks):
+        if not isinstance(integral, IntCochainComplex):
+            raise TypeError("the integral part of a MixedComplex must be an IntCochainComplex")
+        self.integral = integral
+        self.n_min = integral.n_min
         self.rat_ranks = list(rat_ranks)
-        self.p_blocks = list(p_blocks)
         self.q_blocks = list(q_blocks)
         self.s_blocks = list(s_blocks)
-        if not all(isinstance(m, IntMatrix)
-                   for m in self.p_blocks + self.q_blocks + self.s_blocks):
+        if not all(isinstance(m, IntMatrix) for m in self.q_blocks + self.s_blocks):
             raise TypeError("MixedComplex blocks must be IntMatrix")
         self.validate()
 
     @property
     def n_max(self):
-        return self.n_min + len(self.int_ranks) - 1
+        return self.integral.n_max
 
     def int_rank(self, k):
-        i = k - self.n_min
-        return self.int_ranks[i] if 0 <= i < len(self.int_ranks) else 0
+        return self.integral.rank(k)
 
     def rat_rank(self, k):
         i = k - self.n_min
         return self.rat_ranks[i] if 0 <= i < len(self.rat_ranks) else 0
 
     def p_block(self, k):
-        i = k - self.n_min
-        if 0 <= i < len(self.p_blocks):
-            return self.p_blocks[i]
-        return IntMatrix.zero(self.int_rank(k + 1), self.int_rank(k))
+        return self.integral.differential(k)
 
     def q_block(self, k):
         i = k - self.n_min
@@ -154,8 +152,6 @@ class MixedComplex:
 
     def validate(self):
         for k in range(self.n_min, self.n_max):
-            if not (self.p_block(k + 1) @ self.p_block(k)).is_zero():
-                raise ValueError(f"integral blocks fail d^2 = 0 at degree {k}")
             # rational square: S S = 0 and Q P + S Q = 0
             if not (self.s_block(k + 1) @ self.s_block(k)).is_zero():
                 raise ValueError(f"rational blocks fail d^2 = 0 at degree {k}")
@@ -164,9 +160,7 @@ class MixedComplex:
                 raise ValueError(f"mixed blocks fail d^2 = 0 at degree {k}")
 
     def int_complex(self) -> IntCochainComplex:
-        return IntCochainComplex(self.n_min, self.int_ranks,
-                                 [self.p_block(self.n_min + i)
-                                  for i in range(len(self.int_ranks) - 1)], check=False)
+        return self.integral
 
     def rat_cohomology_dim(self, k):
         return self.rat_rank(k) - rank_q(self.s_block(k)) - rank_q(self.s_block(k - 1))
@@ -178,9 +172,9 @@ class MixedComplex:
         so its rank exceeds rank P + rank S by exactly the rank wanted.
         """
         p, q, s = self.p_block(k), self.q_block(k), self.s_block(k)
-        q_below_p = IntMatrix(p.rows + s.rows, p.cols + s.cols,
-                              {(i + p.rows, j): v for (i, j), v in q.entries.items()})
-        return rank_q(p.stack_diag(s) + q_below_p) - rank_q(p) - rank_q(s)
+        whole = IntMatrix.from_blocks(p.rows + s.rows, p.cols + s.cols,
+                                      [(0, 0, p, 1), (p.rows, p.cols, s, 1), (p.rows, 0, q, 1)])
+        return rank_q(whole) - rank_q(p) - rank_q(s)
 
     def cohomology(self, k) -> DiffCohGroup:
         """H^k via the long exact sequence of the rational subcomplex.
@@ -222,7 +216,8 @@ class MixedComplex:
         rv = [sum(ri * Fraction(vi) for ri, vi in zip(row, v)) for row in r]
         scale = lcm(*(val.denominator for val in rv))
         rq = (IntMatrix.from_rows(r, cols=q.rows) @ q).scale(scale)
-        stacked = p.transpose().hstack(rq.transpose()).transpose()   # [P; N r Q]
+        stacked = IntMatrix.from_blocks(p.rows + rq.rows, p.cols,
+                                        [(0, 0, p, 1), (p.rows, 0, rq, 1)])   # [P; N r Q]
         return solve_int(stacked, list(x) + [int(val * scale) for val in rv]) is not None
 
 
@@ -260,7 +255,6 @@ def deligne_cone(cx: IntCochainComplex, n) -> MixedComplex:
         rat_ranks = [cells[k] + (cells[k - 1] if k >= 1 else 0) for k in range(degrees)]
     else:
         rat_ranks = [cells[k - 1] if k >= 1 else 0 for k in range(degrees)]
-    p_blocks = cx.diffs
     q_blocks = []
     s_blocks = []
     for k in range(degrees - 1):
@@ -268,18 +262,21 @@ def deligne_cone(cx: IntCochainComplex, n) -> MixedComplex:
         # for n >= 1; for n = 0 the degree-(k+1) slot comes first
         offset = cells[k + 1] if n == 0 else 0
         sign = -1 if k % 2 else 1  # (-1)^p with p = k, times the cone's -1
-        q_blocks.append(IntMatrix(rat_ranks[k + 1], cells[k],
-                                  {(offset + c, c): -sign for c in range(cells[k])}))
-        vert_prev = p_blocks[k - 1] if k >= 1 else IntMatrix.zero(cells[0], 0)
+        ident = IntMatrix.identity(cells[k])
+        q_blocks.append(IntMatrix.from_blocks(rat_ranks[k + 1], cells[k],
+                                              [(offset, 0, ident, -sign)]))
+        vert_prev = cx.differential(k - 1)
         if n == 0:
             # [[d_here, 0], [cone map, d_prev]]: the cone map sends the
             # degree-k sigma-slot to the degree-k function slot
-            cone = IntMatrix(rat_ranks[k + 1], rat_ranks[k],
-                             {(cells[k + 1] + c, c): sign for c in range(cells[k])})
-            s_blocks.append(p_blocks[k].stack_diag(vert_prev) + cone)
+            s_blocks.append(IntMatrix.from_blocks(rat_ranks[k + 1], rat_ranks[k], [
+                (0, 0, cx.diffs[k], 1),
+                (cells[k + 1], cells[k], vert_prev, 1),
+                (cells[k + 1], 0, ident, sign),
+            ]))
         else:
             s_blocks.append(vert_prev)
-    return MixedComplex(0, cells, rat_ranks, p_blocks, q_blocks, s_blocks)
+    return MixedComplex(cx, rat_ranks, q_blocks, s_blocks)
 
 
 def build_deligne_mixed(act: GAction, n) -> DeligneComplexData:

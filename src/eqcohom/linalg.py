@@ -30,28 +30,62 @@ def _exact_int(v):
     return i
 
 
-class IntMatrix:
-    """Immutable integer matrix, stored sparsely as {(i, j): nonzero int}.
+def _pruned(store):
+    """store without its zero values and the rows they leave empty; the
+    order of what stays is kept."""
+    out = {}
+    for i, r in store.items():
+        if 0 in r.values():
+            r = {j: v for j, v in r.items() if v}
+        if r:
+            out[i] = r
+    return out
 
-    Serialization is dense (arrays of arrays of decimal strings), the
-    sparse storage is an internal detail; bar-complex differentials are
-    large and very sparse.  An entry that is not an integer value (say
-    Fraction(3, 2)) raises ValueError rather than being truncated.
+
+class IntMatrix:
+    """Immutable integer matrix, stored once by rows: row index -> {column:
+    nonzero int}, with no empty rows.
+
+    This module is the only reader of that store (``_store``).  Every other
+    module builds matrices through the constructor (an {(i, j): value}
+    dict), from_rows, identity, zero, from_blocks (the one place where block
+    offsets and signs are placed) or the arithmetic, and reads them through
+    the accessors.  ``entries`` is an {(i, j): value} dict derived from the
+    rows on each read, for tests and tools.
+
+    Serialization is dense (arrays of arrays of decimal strings);
+    bar-complex differentials are large and very sparse.  An entry that is
+    not an integer value (say Fraction(3, 2)) raises ValueError rather than
+    being truncated.
     """
 
-    __slots__ = ("rows", "cols", "entries", "_hash")
+    __slots__ = ("rows", "cols", "_store", "_hash")
 
     def __init__(self, rows, cols, entries):
         if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimensions")
-        self.rows = rows
-        self.cols = cols
-        self.entries = {k: v if type(v) is int else _exact_int(v)
-                        for k, v in entries.items() if v}
-        for (i, j) in self.entries:
+        store = {}
+        for (i, j), v in entries.items():
+            if not v:
+                continue
+            if type(v) is not int:
+                v = _exact_int(v)
             if not (0 <= i < rows and 0 <= j < cols):
                 raise ValueError(f"entry ({i},{j}) outside {rows}x{cols}")
-        self._hash = None
+            r = store.get(i)
+            if r is None:
+                store[i] = {j: v}
+            else:
+                r[j] = v
+        self.rows, self.cols, self._store, self._hash = rows, cols, store, None
+
+    @classmethod
+    def _of(cls, rows, cols, store):
+        """Wrap a row store that is already valid: in bounds, int values,
+        no zeros and no empty rows.  The matrix takes ownership of it."""
+        m = cls.__new__(cls)
+        m.rows, m.cols, m._store, m._hash = rows, cols, store, None
+        return m
 
     # -- constructors
 
@@ -70,6 +104,33 @@ class IntMatrix:
         return cls(rows, cols, entries)
 
     @classmethod
+    def from_blocks(cls, rows, cols, blocks):
+        """The rows x cols matrix holding sign * m with its (0, 0) entry at
+        (row_off, col_off), for each (row_off, col_off, m, sign) in blocks.
+
+        Overlapping blocks add up; a sum that cancels leaves no entry.  A
+        block reaching outside the shape, or a sign other than +1 or -1,
+        raises ValueError.
+        """
+        store = {}
+        merged = False
+        for r0, c0, m, sign in blocks:
+            if sign not in (1, -1):
+                raise ValueError(f"block sign {sign!r} is not +1 or -1")
+            if r0 < 0 or c0 < 0 or r0 + m.rows > rows or c0 + m.cols > cols:
+                raise ValueError(f"{m.rows}x{m.cols} block at ({r0},{c0}) "
+                                 f"outside {rows}x{cols}")
+            for i, r in m._store.items():
+                out = store.get(r0 + i)
+                if out is None:
+                    store[r0 + i] = {c0 + j: sign * v for j, v in r.items()}
+                else:
+                    merged = True
+                    for j, v in r.items():
+                        out[c0 + j] = out.get(c0 + j, 0) + sign * v
+        return cls._of(rows, cols, _pruned(store) if merged else store)
+
+    @classmethod
     def identity(cls, n):
         return cls(n, n, {(i, i): 1 for i in range(n)})
 
@@ -79,94 +140,110 @@ class IntMatrix:
 
     # -- access
 
+    @property
+    def entries(self):
+        """{(i, j): value} of the nonzero entries, a fresh dict on each read."""
+        return {(i, j): v for i, r in self._store.items() for j, v in r.items()}
+
     def __getitem__(self, key):
-        return self.entries.get(key, 0)
+        i, j = key
+        r = self._store.get(i)
+        return r.get(j, 0) if r else 0
+
+    def row(self, i):
+        """{column: value} of the nonzero entries of row i, a fresh dict."""
+        return dict(self._store.get(i, ()))
+
+    def column(self, j):
+        out = [0] * self.rows
+        for i, r in self._store.items():
+            v = r.get(j)
+            if v:
+                out[i] = v
+        return out
 
     def to_rows(self):
         out = [[0] * self.cols for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
-            out[i][j] = v
+        for i, r in self._store.items():
+            dense = out[i]
+            for j, v in r.items():
+                dense[j] = v
         return out
 
     def is_zero(self):
-        return not self.entries
+        return not self._store
 
     def diagonal(self):
-        return [self.entries.get((i, i), 0) for i in range(min(self.rows, self.cols))]
+        return [self[i, i] for i in range(min(self.rows, self.cols))]
 
     def __eq__(self, other):
         if not isinstance(other, IntMatrix):
             return NotImplemented
-        return (self.rows, self.cols) == (other.rows, other.cols) and self.entries == other.entries
+        return (self.rows, self.cols) == (other.rows, other.cols) and self._store == other._store
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.rows, self.cols, frozenset(self.entries.items())))
+            self._hash = hash((self.rows, self.cols, frozenset(
+                (i, frozenset(r.items())) for i, r in self._store.items())))
         return self._hash
 
     def __repr__(self):
         if self.rows * self.cols <= 36:
             return f"IntMatrix({self.to_rows()})"
-        return f"IntMatrix({self.rows}x{self.cols}, {len(self.entries)} nonzero)"
+        nnz = sum(len(r) for r in self._store.values())
+        return f"IntMatrix({self.rows}x{self.cols}, {nnz} nonzero)"
 
     # -- arithmetic
 
     def __add__(self, other):
         self._check_same_shape(other)
-        entries = dict(self.entries)
-        for k, v in other.entries.items():
-            entries[k] = entries.get(k, 0) + v
-        return IntMatrix(self.rows, self.cols, entries)
+        return IntMatrix.from_blocks(self.rows, self.cols, [(0, 0, self, 1), (0, 0, other, 1)])
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, c):
-        return IntMatrix(self.rows, self.cols, {k: c * v for k, v in self.entries.items()})
+        if not c:
+            return IntMatrix.zero(self.rows, self.cols)
+        c = _exact_int(c)
+        return IntMatrix._of(self.rows, self.cols,
+                             {i: {j: c * v for j, v in r.items()} for i, r in self._store.items()})
 
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        by_row = {}
-        for (i, j), v in other.entries.items():
-            by_row.setdefault(i, []).append((j, v))
-        out = {}
-        for (i, k), v in self.entries.items():
-            for j, w in by_row.get(k, ()):
-                key = (i, j)
-                out[key] = out.get(key, 0) + v * w
-        return IntMatrix(self.rows, other.cols, out)
+        right = other._store
+        store = {}
+        for i, r in self._store.items():
+            acc = {}
+            for k, v in r.items():
+                rk = right.get(k)
+                if rk:
+                    for j, w in rk.items():
+                        acc[j] = acc.get(j, 0) + v * w
+            if acc:
+                store[i] = acc
+        return IntMatrix._of(self.rows, other.cols, _pruned(store))
 
     def transpose(self):
-        return IntMatrix(self.cols, self.rows, {(j, i): v for (i, j), v in self.entries.items()})
+        store = {}
+        for i, r in self._store.items():
+            for j, v in r.items():
+                t = store.get(j)
+                if t is None:
+                    store[j] = {i: v}
+                else:
+                    t[i] = v
+        return IntMatrix._of(self.cols, self.rows, store)
 
     def apply(self, vec):
         """Matrix times integer/rational column vector (as a list)."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
         out = [0] * self.rows
-        for (i, j), v in self.entries.items():
-            out[i] += v * vec[j]
+        for i, r in self._store.items():
+            out[i] = sum(v * vec[j] for j, v in r.items())
         return out
-
-    def column(self, j):
-        return [self.entries.get((i, j), 0) for i in range(self.rows)]
-
-    def stack_diag(self, other):
-        """Block diagonal [self 0; 0 other]."""
-        entries = dict(self.entries)
-        for (i, j), v in other.entries.items():
-            entries[(i + self.rows, j + self.cols)] = v
-        return IntMatrix(self.rows + other.rows, self.cols + other.cols, entries)
-
-    def hstack(self, other):
-        """[self | other]: the columns of other placed after those of self."""
-        if self.rows != other.rows:
-            raise ValueError(f"row mismatch {self.rows} vs {other.rows} in hstack")
-        entries = dict(self.entries)
-        for (i, j), v in other.entries.items():
-            entries[(i, j + self.cols)] = v
-        return IntMatrix(self.rows, self.cols + other.cols, entries)
 
     def _check_same_shape(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -212,16 +289,13 @@ class SnfDecomposition:
 
 
 class _Workspace:
-    """Mutable sparse matrix with row and column indexes, for eliminations."""
+    """The Smith normal form's mutable copy of a matrix: its rows and a
+    column index."""
 
     def __init__(self, m: IntMatrix):
         self.rows = m.rows
         self.cols = m.cols
-        self.row = {}  # i -> {j: v}
-        self.col = {}  # j -> set of i
-        for (i, j), v in m.entries.items():
-            self.row.setdefault(i, {})[j] = v
-            self.col.setdefault(j, set()).add(i)
+        self.row, self.col = _rows_and_columns(m)  # i -> {j: v}, j -> set of i
 
     def get(self, i, j):
         return self.row.get(i, {}).get(j, 0)
@@ -280,8 +354,22 @@ class _Workspace:
             self.set(i, j, c * v)
 
     def to_matrix(self):
-        return IntMatrix(self.rows, self.cols,
-                         {(i, j): v for i, r in self.row.items() for j, v in r.items()})
+        return IntMatrix._of(self.rows, self.cols, self.row)
+
+
+def _rows_and_columns(m: IntMatrix):
+    """A mutable copy of the rows of m, i -> {j: v}, and its column index,
+    j -> set of the rows i with a nonzero at (i, j)."""
+    row = {i: dict(r) for i, r in m._store.items()}
+    col = {}
+    for i, r in row.items():
+        for j in r:
+            c = col.get(j)
+            if c is None:
+                col[j] = {i}
+            else:
+                c.add(i)
+    return row, col
 
 
 def _smallest_entry(w: _Workspace, t):
@@ -406,8 +494,7 @@ def rank_q(a: IntMatrix) -> int:
     """
     if a.rows > a.cols:
         a = a.transpose()  # rows along the short axis: faster on bar-complex windows
-    w = _Workspace(a)
-    row, col = w.row, w.col
+    row, col = _rows_and_columns(a)
     buckets = {}  # column count -> set of columns with that many nonzeros
     for j, rows_j in col.items():
         buckets.setdefault(len(rows_j), set()).add(j)
@@ -656,13 +743,9 @@ def reduce_complex(ranks, diffs):
     complex for rank_q and the Smith normal form.
     """
     n_mat = len(ranks) - 1
-    rows = []  # rows[t]: i -> {j: v}, the nonzero rows of diffs[t]
-    cols = []  # cols[t]: j -> set of i, the nonzero columns of diffs[t]
+    rows, cols = [], []  # rows[t]: i -> {j: v} and cols[t]: j -> set of i, of diffs[t]
     for d in diffs:
-        row_t, col_t = {}, {}
-        for (i, j), v in d.entries.items():
-            row_t.setdefault(i, {})[j] = v
-            col_t.setdefault(j, set()).add(i)
+        row_t, col_t = _rows_and_columns(d)
         rows.append(row_t)
         cols.append(col_t)
     alive = [set(range(r)) for r in ranks]
@@ -776,11 +859,9 @@ def reduce_complex(ranks, diffs):
     new_ranks = [len(idx) for idx in index]
     new_diffs = []
     for t in range(n_mat):
-        entries = {}
-        for i, r in rows[t].items():
-            for j, v in r.items():
-                entries[(lookup[t + 1][i], lookup[t][j])] = v
-        new_diffs.append(IntMatrix(new_ranks[t + 1], new_ranks[t], entries))
+        at_i, at_j = lookup[t + 1], lookup[t]
+        new_diffs.append(IntMatrix._of(new_ranks[t + 1], new_ranks[t], {
+            at_i[i]: {at_j[j]: v for j, v in r.items()} for i, r in rows[t].items()}))
     return ReducedComplex(new_ranks, new_diffs)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
-from .complexes import DoubleComplex, IntCochainComplex
+from .complexes import DoubleComplex, IntCochainComplex, totalize
 from .linalg import (
     FgAbGroup,
     IntMatrix,
@@ -631,20 +631,11 @@ class BarLevels:
                 for c in range(nq):
                     key = (t * nq + c, t2 * nq + perm[c])
                     entries[key] = entries.get(key, 0) + sign_i * sgns[c]
-        return IntMatrix(self.cells(p + 1, q), self.cells(p, q),
-                         {k: v for k, v in entries.items() if v})
+        return IntMatrix(self.cells(p + 1, q), self.cells(p, q), entries)
 
     def horizontal_matrix(self, p, q):
         """Cellular cochain d: C^q(level p) -> C^{q+1}(level p), blockwise over tuples."""
-        delta = self.space.coboundary(q)
-        nt = self.tuple_counts[p]
-        entries = {}
-        for t in range(nt):
-            base_r = t * delta.rows
-            base_c = t * delta.cols
-            for (i, j), v in delta.entries.items():
-                entries[(base_r + i, base_c + j)] = v
-        return IntMatrix(nt * delta.rows, nt * delta.cols, entries)
+        return _block_diagonal(self.space.coboundary(q), self.tuple_counts[p])
 
     def degeneracy_pullback(self, p, i, q):
         """sigma_i^*: C^q(level p+1) -> C^q(level p)."""
@@ -667,6 +658,12 @@ class BarLevels:
                 c2, s = self.act.act_cell(g, q, c)
                 entries[(t * nq + c, t2 * nq + c2)] = s
         return IntMatrix(self.cells(p + 1, q), self.cells(p, q), entries)
+
+
+def _block_diagonal(m: IntMatrix, copies):
+    """copies copies of m down the diagonal, one per bar tuple."""
+    return IntMatrix.from_blocks(copies * m.rows, copies * m.cols,
+                                 [(t * m.rows, t * m.cols, m, 1) for t in range(copies)])
 
 
 def bar_homotopy_complex(bl: BarLevels):
@@ -720,39 +717,11 @@ def total_window(bl: BarLevels, n_lo, n_hi):
     """Ranks for degrees n_lo..n_hi of the bar total complex and the
     differentials between them (diffs[n] for n_lo <= n < n_hi), without
     materializing bidegrees outside the window."""
-
-    def layout(n):
-        out = []
-        off = 0
-        for p in range(min(n, bl.P) + 1):
-            q = n - p
-            if 0 <= q <= bl.space.dim:
-                r = bl.cells(p, q)
-                if r:
-                    out.append((p, q, off, r))
-                    off += r
-        return out
-
-    layouts = {n: layout(n) for n in range(max(n_lo, 0), n_hi + 1)}
-    ranks = {n: sum(r for _, _, _, r in lay) for n, lay in layouts.items()}
-    diffs = {}
-    for n in range(max(n_lo, 0), n_hi):
-        t_off = {(p, q): off for p, q, off, _ in layouts.get(n + 1, [])}
-        entries = {}
-        for p, q, off, _ in layouts[n]:
-            if (p, q + 1) in t_off:
-                h = bl.horizontal_matrix(p, q)
-                toff = t_off[(p, q + 1)]
-                for (i, j), v in h.entries.items():
-                    entries[(toff + i, off + j)] = v
-            if (p + 1, q) in t_off:
-                v_m = bl.vertical_matrix(p, q)
-                toff = t_off[(p + 1, q)]
-                sign = -1 if q % 2 else 1
-                for (i, j), val in v_m.entries.items():
-                    entries[(toff + i, off + j)] = sign * val
-        diffs[n] = IntMatrix(ranks.get(n + 1, 0), ranks[n], entries)
-    return ranks, diffs
+    dim = bl.space.dim
+    return totalize(max(n_lo, 0), n_hi, bl.P,
+                    lambda p, q: bl.cells(p, q) if 0 <= q <= dim else 0,
+                    [(0, 1, bl.horizontal_matrix, lambda p, q: 1),
+                     (1, 0, bl.vertical_matrix, lambda p, q: (-1) ** q)])
 
 
 def bar_complex(bl: BarLevels, top) -> IntCochainComplex:
@@ -767,30 +736,27 @@ def bar_complex(bl: BarLevels, top) -> IntCochainComplex:
                              [diffs[k] for k in range(top)])
 
 
-def equivariant_cohomology(act: GAction, n, coeff="Z", truncation=None):
-    """H^n of the bar total complex, truncated at P = n + 1.
+def equivariant_cohomology(act: GAction, n, coeff="Z"):
+    """H^n of the bar total complex.
 
     coeff 'Z' gives an FgAbGroup, 'Q' the rational dimension, 'QmodZ' the
     structured (C/Z)-coefficient group via the integral answer in degrees n
-    and n+1.  The result is independent of any truncation P >= n + 1.
+    and n+1.
 
     The total complex is taken from degree 0 up to n + 1 (n + 2 for
-    'QmodZ') and reduced once.  It reads the bar levels up to its top
-    degree, so the levels built and checked against the simplicial
-    identities are 0..P for 'Z' and 'Q' and 0..max(P, n + 2) for 'QmodZ'.
+    'QmodZ') and reduced once.  Its top degree is also its bar truncation:
+    the levels built and checked against the simplicial identities are
+    0..n+1 for 'Z' and 'Q' and 0..n+2 for 'QmodZ', the levels it reads.
     """
     if coeff not in ("Z", "Q", "QmodZ"):
         raise ValueError(f"unknown coefficient mode {coeff!r}")
     if n < 0:
         return FgAbGroup(0) if coeff == "Z" else (
             0 if coeff == "Q" else StructuredCoefGroup())
-    P = truncation if truncation is not None else n + 1
-    if P < n + 1:
-        raise ValueError("truncation too small for the requested degree")
+    top = n + 2 if coeff == "QmodZ" else n + 1
+    cx = bar_complex(bar_levels(act, top), top).reduced()
     if coeff == "QmodZ":
-        cx = bar_complex(bar_levels(act, max(P, n + 2)), n + 2).reduced()
         return coefficient_change(cx.cohomology(n), cx.cohomology(n + 1), "CmodZ")
-    cx = bar_complex(bar_levels(act, P), n + 1).reduced()
     if coeff == "Z":
         return cx.cohomology(n)
     return cx.cohomology_q_dim(n)
@@ -867,11 +833,11 @@ class SimplicialCover:
 
 def _subcomplex_closed(space: CellComplex, cells_by_dim):
     for q in range(1, space.dim + 1):
-        bd = space.boundary(q)
+        faces = cells_by_dim.get(q - 1, frozenset())
+        boundary_rows = space.boundary(q).transpose()  # row c: the faces of cell c
         for c in cells_by_dim.get(q, frozenset()):
-            for (i, j), v in bd.entries.items():
-                if j == c and v and i not in cells_by_dim.get(q - 1, frozenset()):
-                    return False
+            if not boundary_rows.row(c).keys() <= faces:
+                return False
     return True
 
 
@@ -1021,12 +987,4 @@ class EquivariantCellMap:
 
     def bar_cochain_pullback(self, p, q):
         """f^*: C^q(G^p x M') -> C^q(G^p x M), blockwise over tuples."""
-        base = self.chain_matrix(q).transpose()
-        nt = self.source.group.order ** p
-        entries = {}
-        for t in range(nt):
-            for (i, j), v in base.entries.items():
-                entries[(t * base.rows + i, t * base.cols + j)] = v
-        n_s = self.source.space.ncells(q)
-        n_t = self.target.space.ncells(q)
-        return IntMatrix(nt * n_s, nt * n_t, entries)
+        return _block_diagonal(self.chain_matrix(q).transpose(), self.source.group.order ** p)

@@ -164,20 +164,25 @@ def test_malformed_names_and_counts_are_schema_errors(tmp_path, capsys, job):
     ("hexagon", "--group", "cyclic:2", "--space", "point", "--degree", "-3"),
     ("verify", "--suite", "hexagon", "--group", "cyclic:2", "--space", "two-points",
      "--degrees=-1..1"),
-    ("cohomology", "--group", "cyclic:2", "--space", "point", "--truncation", "0",
-     "--degrees", "0..2"),
     ("chern", "--poly", "chern:-1"),
     ("cartan", "--degrees", "0", "--x-bound", "-1"),
 ])
 def test_out_of_range_degrees_are_schema_errors(capsys, argv):
-    # a negative hexagon degree or polynomial degree, a negative x-bound and
-    # a truncation that does not reach past the top degree are bad input,
-    # not internal errors or failed preconditions
+    # a negative hexagon degree or polynomial degree and a negative x-bound
+    # are bad input, not internal errors or failed preconditions
     code, _, err = invoke(capsys, *argv)
     assert code == EXIT_SCHEMA and "schema error" in err, err
 
 
-def test_truncation_at_top_degree_plus_one_is_accepted(capsys):
-    code, out, _ = invoke(capsys, "cohomology", "--group", "cyclic:2", "--space", "point",
-                          "--truncation", "3", "--degrees", "0..2")
-    assert code == EXIT_OK and "summary: ℤ, 0, ℤ/2" in out
+def test_removed_truncation_flag_and_job_field_exit_2(tmp_path, capsys):
+    # the bar truncation follows from the degrees; neither the flag nor the
+    # job field that used to set it is accepted
+    with pytest.raises(SystemExit) as exc:
+        main(["cohomology", "--group", "cyclic:2", "--space", "point",
+              "--truncation", "3", "--degrees", "0..2"])
+    assert exc.value.code == EXIT_SCHEMA == 2
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"command": "cohomology", "group": "cyclic:2",
+                                "space": "point", "degrees": "0..2", "truncation": 3}))
+    code, _, err = invoke(capsys, "--job", str(path))
+    assert code == EXIT_SCHEMA and "unknown fields" in err and "truncation" in err, err

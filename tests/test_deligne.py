@@ -21,7 +21,7 @@ from eqcohom.deligne import (
     homotopy_formula_check,
 )
 from eqcohom.linalg import FgAbGroup, IntMatrix, kernel_basis, q_nullspace, rank_q, solve_int
-from eqcohom.complexes import DoubleComplex
+from eqcohom.complexes import DoubleComplex, IntCochainComplex
 from eqcohom.simplicial import (
     BarLevels,
     CellComplex,
@@ -47,12 +47,12 @@ def cp_point(p):
 
 def test_mixed_complex_validation():
     # degrees 0..2 with P0 = [2]: d^2 = 0 needs Q1 P0 + S1 Q0 = 0
-    p_blocks = [IntMatrix.from_rows([[2]]), IntMatrix.zero(0, 1)]
+    integral = IntCochainComplex(0, [1, 1, 0], [IntMatrix.from_rows([[2]]), IntMatrix.zero(0, 1)])
     q_blocks = [IntMatrix.from_rows([[-1]]), IntMatrix.from_rows([[-1]])]
     with pytest.raises(ValueError):
-        MixedComplex(0, [1, 1, 0], [1, 1, 1], p_blocks, q_blocks,
+        MixedComplex(integral, [1, 1, 1], q_blocks,
                      [IntMatrix.from_rows([[0]]), IntMatrix.from_rows([[2]])])
-    ok = MixedComplex(0, [1, 1, 0], [1, 1, 1], p_blocks, q_blocks,
+    ok = MixedComplex(integral, [1, 1, 1], q_blocks,
                       [IntMatrix.from_rows([[0]]), IntMatrix.from_rows([[-2]])])
     assert ok.int_complex().cohomology(1) == FgAbGroup(0, (2,))
 
@@ -253,7 +253,9 @@ def kernel_connecting_rank(mixed, k):
         return 0
     images = mixed.q_block(k) @ IntMatrix.from_rows(kernels).transpose()
     s_prev = mixed.s_block(k)
-    return rank_q(images.hstack(s_prev)) - rank_q(s_prev)
+    beside = IntMatrix.from_blocks(images.rows, images.cols + s_prev.cols,
+                                   [(0, 0, images, 1), (0, images.cols, s_prev, 1)])
+    return rank_q(beside) - rank_q(s_prev)
 
 
 def test_connecting_rank_matches_kernel_formula():

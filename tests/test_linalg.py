@@ -1,7 +1,9 @@
+import ast
 import random
 from fractions import Fraction
 from itertools import combinations
 from math import prod
+from pathlib import Path
 
 import pytest
 
@@ -202,7 +204,8 @@ def test_solve_int_exactly_when_minor_gcds_agree():
             b = a.apply([rng.randint(-3, 3) for _ in range(cols)])
         else:
             b = [rng.randint(-4, 4) for _ in range(rows)]
-        augmented = a.hstack(IntMatrix.from_rows([[v] for v in b], cols=1))
+        augmented = IntMatrix.from_blocks(rows, cols + 1, [
+            (0, 0, a, 1), (0, cols, IntMatrix.from_rows([[v] for v in b], cols=1), 1)])
         solvable = rank_and_divisor(a) == rank_and_divisor(augmented)
         x = solve_int(a, b)
         assert (x is not None) == solvable, (a.to_rows(), b)
@@ -306,12 +309,106 @@ def test_matrix_rejects_non_integral_entries():
 
 
 def test_hstack():
+    # [a | b], placed by from_blocks
     a = IntMatrix.from_rows([[1, 0], [0, 2]])
     b = IntMatrix.from_rows([[3], [4]])
-    assert a.hstack(b) == IntMatrix.from_rows([[1, 0, 3], [0, 2, 4]])
-    assert IntMatrix.zero(2, 0).hstack(b) == b
+    assert IntMatrix.from_blocks(2, 3, [(0, 0, a, 1), (0, 2, b, 1)]) == \
+        IntMatrix.from_rows([[1, 0, 3], [0, 2, 4]])
+    assert IntMatrix.from_blocks(2, 1, [(0, 0, IntMatrix.zero(2, 0), 1), (0, 0, b, 1)]) == b
     with pytest.raises(ValueError):
-        IntMatrix.from_rows([[1, 2]]).hstack(b)
+        IntMatrix.from_blocks(1, 3, [(0, 0, IntMatrix.from_rows([[1, 2]]), 1), (0, 2, b, 1)])
+
+
+def _rows_are_clean(m: IntMatrix):
+    """The row store holds no zero value and no empty row."""
+    return all(r and 0 not in r.values() for r in m._store.values())
+
+
+def test_from_blocks_matches_dense_oracle():
+    rng = random.Random(1709)
+    cancelled = zero_size = 0
+    for _ in range(300):
+        rows, cols = rng.randint(0, 7), rng.randint(0, 7)
+        dense = [[0] * cols for _ in range(rows)]
+        blocks = []
+        for _ in range(rng.randint(0, 5)):
+            h, w = rng.randint(0, rows), rng.randint(0, cols)
+            r0, c0 = rng.randint(0, rows - h), rng.randint(0, cols - w)
+            m = random_matrix(rng, h, w, -2, 2) if h and w else IntMatrix.zero(h, w)
+            sign = rng.choice([1, -1])
+            placed = [(r0, c0, m, sign)]
+            if rng.random() < 0.3:
+                placed.append((r0, c0, m, -sign))  # the pair cancels to 0
+                cancelled += not m.is_zero()
+            zero_size += not (h and w)
+            for b in placed:
+                blocks.append(b)
+                for i, row in enumerate(b[2].to_rows()):
+                    for j, v in enumerate(row):
+                        dense[b[0] + i][b[1] + j] += b[3] * v
+        got = IntMatrix.from_blocks(rows, cols, blocks)
+        assert got.to_rows() == dense
+        assert got == IntMatrix.from_rows(dense, cols=cols)
+        assert _rows_are_clean(got)
+    assert cancelled and zero_size
+
+
+def test_from_blocks_rejects_blocks_outside_the_shape():
+    m = IntMatrix.from_rows([[1, 2], [3, 4]])
+    for r0, c0 in [(1, 0), (0, 1), (-1, 0), (0, -1), (3, 3)]:
+        with pytest.raises(ValueError):
+            IntMatrix.from_blocks(2, 2, [(r0, c0, m, 1)])
+    with pytest.raises(ValueError):
+        IntMatrix.from_blocks(2, 2, [(0, 0, m, 2)])
+    assert IntMatrix.from_blocks(2, 2, [(2, 2, IntMatrix.zero(0, 0), 1)]).is_zero()
+
+
+def test_no_empty_row_is_stored_after_cancellation():
+    a = IntMatrix.from_rows([[1, 1], [1, 0], [0, 0]])
+    b = IntMatrix.from_rows([[1], [-1]])
+    product = a @ b  # row 0 cancels, row 2 is zero
+    assert product == IntMatrix.from_rows([[0], [1], [0]])
+    assert product.row(0) == {} and product.row(1) == {0: 1}
+    difference = a - a
+    total = a + a.scale(-1)
+    blocks = IntMatrix.from_blocks(3, 4, [(0, 0, a, 1), (0, 2, a, 1), (0, 2, a, -1)])
+    for m in (product, difference, total, blocks, a.scale(0)):
+        assert _rows_are_clean(m)
+    assert difference.is_zero() and total.is_zero() and a.scale(0).is_zero()
+    assert blocks == IntMatrix.from_rows([[1, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0]])
+
+
+def test_equality_hash_and_json_ignore_how_a_matrix_was_built():
+    dense = [[1, 0, 2], [0, 0, 0], [3, -1, 0]]
+    by_rows = IntMatrix.from_rows(dense)
+    perm = IntMatrix.from_rows([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+    by_product = (by_rows @ perm) @ perm.transpose()  # other column order per row
+    bottom = IntMatrix.from_rows([[3, -1, 0]])
+    top = IntMatrix.from_rows([[1, 0, 2]])
+    by_blocks = IntMatrix.from_blocks(3, 3, [(2, 0, bottom, 1), (0, 0, top, 1),
+                                             (0, 2, IntMatrix.from_rows([[5]]), 1),
+                                             (0, 2, IntMatrix.from_rows([[5]]), -1)])
+    for m in (by_product, by_blocks):
+        assert m == by_rows
+        assert hash(m) == hash(by_rows)
+        assert m.to_json() == by_rows.to_json()
+        assert m.entries == by_rows.entries == {(0, 0): 1, (0, 2): 2, (2, 0): 3, (2, 1): -1}
+    assert len({by_rows, by_product, by_blocks}) == 1
+
+
+def test_only_linalg_reads_the_matrix_layout():
+    # every module but linalg goes through IntMatrix's constructors and
+    # accessors; chern's ConnectionMatrix and CurvatureMatrix have their own
+    # .entries, matrices of forms
+    src = Path(linalg.__file__).resolve().parent
+    readers = set()
+    for path in sorted(src.glob("*.py")):
+        if path.name in ("linalg.py", "chern.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in ("entries", "_store"):
+                readers.add(f"{path.name}:{node.lineno}")
+    assert not readers, sorted(readers)
 
 
 # --- abelian groups ----------------------------------------------------------
@@ -477,12 +574,48 @@ def test_reduce_complex_collapses_staircases_without_fill(monkeypatch):
     assert red.ranks == [1, 0]
 
 
+class _RefWorkspace:
+    """Mutable sparse matrix with row and column indexes, for the reference
+    reduction; filled from the public entries view."""
+
+    def __init__(self, m: IntMatrix):
+        self.rows = m.rows
+        self.cols = m.cols
+        self.row = {}  # i -> {j: v}
+        self.col = {}  # j -> set of i
+        for (i, j), v in m.entries.items():
+            self.row.setdefault(i, {})[j] = v
+            self.col.setdefault(j, set()).add(i)
+
+    def get(self, i, j):
+        return self.row.get(i, {}).get(j, 0)
+
+    def set(self, i, j, v):
+        if v:
+            self.row.setdefault(i, {})[j] = v
+            self.col.setdefault(j, set()).add(i)
+        else:
+            r = self.row.get(i)
+            if r and j in r:
+                del r[j]
+                if not r:
+                    del self.row[i]
+                c = self.col[j]
+                c.discard(i)
+                if not c:
+                    del self.col[j]
+
+    def to_matrix(self):
+        return IntMatrix(self.rows, self.cols,
+                         {(i, j): v for i, r in self.row.items() for j, v in r.items()})
+
+
 def _sweep_reference(ranks, diffs):
     """Reference unit-pivot reduction: per-degree sweeps that sort every unit
     candidate by Markowitz cost, first at cost 0 until nothing is left, then
     at costs up to _FILL_CAP, back to cost 0 after any progress."""
     n_deg = len(ranks)
-    ws = [linalg._Workspace(d) for d in diffs]
+    ws = [_RefWorkspace(d) for d in diffs]
     alive = [set(range(r)) for r in ranks]
 
     def eliminate(t, i0, j0):

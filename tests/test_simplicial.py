@@ -290,14 +290,6 @@ def test_free_rotation_matches_quotient(p):
         assert equivariant_cohomology(act, n) == want
 
 
-def test_truncation_stability():
-    act = GAction.trivial(FiniteGroup.cyclic(3), CellComplex.point())
-    for n in range(3):
-        low = equivariant_cohomology(act, n, truncation=n + 1)
-        high = equivariant_cohomology(act, n, truncation=n + 3)
-        assert low == high == equivariant_cohomology(act, n)
-
-
 def test_coefficient_modes():
     act = GAction.trivial(FiniteGroup.cyclic(3), CellComplex.point())
     assert equivariant_cohomology(act, 1, "Q") == 0
