@@ -861,7 +861,7 @@ def getzler_map_finite(bl, p, q, cochain):
 def getzler_chain_map_check(bl, p, q):
     """Does the comparison map intertwine the simplicial boundary with the
     group-cochain boundary at level p?  (Exhaustive: matrix equality.)"""
-    return bl.vertical_matrix(p, q) == getzler_dbar_matrix(bl, p, q)
+    return bl.full_vertical_matrix(p, q) == getzler_dbar_matrix(bl, p, q)
 
 
 # ---------------------------------------------------------------------------

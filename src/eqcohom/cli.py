@@ -194,6 +194,14 @@ def _cartan_action(spec):
     raise SchemaError(f"unknown linear action {spec!r}")
 
 
+def _largest_first(degrees, compute):
+    """{n: compute(n)} in the order of degrees, computed from the largest
+    degree down: an input over the bar budget (BarComplexTooLarge) fails
+    before any smaller degree is computed."""
+    values = {n: compute(n) for n in sorted(degrees, reverse=True)}
+    return {n: values[n] for n in degrees}
+
+
 def run(job: JobSpec):
     """Dispatch a validated job; returns (payload, text_lines)."""
     if job.command == "cohomology":
@@ -203,7 +211,7 @@ def run(job: JobSpec):
             str(job.inputs.get("coeff", "z")).lower())
         if coeff is None:
             raise SchemaError("coeff must be one of z, q, qmodz")
-        values = {n: equivariant_cohomology(act, n, coeff) for n in degrees}
+        values = _largest_first(degrees, lambda n: equivariant_cohomology(act, n, coeff))
         label = {"Z": "ℤ", "Q": "ℚ-dim", "QmodZ": "ℂ/ℤ"}[coeff]
         lines = [f"H^{n}({act.group.name or 'G'} ⋉ {act.space.name or 'M'}; {label}) = {v}"
                  for n, v in values.items()]
@@ -275,10 +283,10 @@ def _run_verify(inputs):
         degrees = _parse_degrees(inputs.get("degrees", "0..2"))
         if any(n < 0 for n in degrees):
             raise SchemaError(f"hexagon degrees must be nonnegative, got {min(degrees)}")
+        reports = _largest_first(degrees, lambda n: hexagon(act, n))
         out = {}
         lines = []
-        for n in degrees:
-            rep = hexagon(act, n)
+        for n, rep in reports.items():
             out[str(n)] = rep.exactness
             verdicts = ", ".join(f"{k}={'ok' if v else 'FAIL'}" for k, v in rep.exactness.items())
             lines.append(f"degree {n}: {verdicts}")

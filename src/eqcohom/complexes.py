@@ -67,7 +67,7 @@ class IntCochainComplex:
                                  f"expected {self.ranks[k + 1]}x{self.ranks[k]}")
         if check:
             for k in range(len(self.diffs) - 1):
-                if not (self.diffs[k + 1] @ self.diffs[k]).is_zero():
+                if not self.diffs[k + 1].product_is_zero(self.diffs[k]):
                     raise IllFormedDoubleComplex(
                         f"d^{self.n_min + k + 1} composed with d^{self.n_min + k} is nonzero")
 
@@ -217,9 +217,9 @@ class DoubleComplex:
                     raise IllFormedDoubleComplex(f"horizontal shape at ({p},{q})")
                 if (v.rows, v.cols) != (self.rank(p + 1, q), self.rank(p, q)):
                     raise IllFormedDoubleComplex(f"vertical shape at ({p},{q})")
-                if not (self.horiz(p, q + 1) @ d).is_zero():
+                if not self.horiz(p, q + 1).product_is_zero(d):
                     raise IllFormedDoubleComplex(f"d.d != 0 at ({p},{q})")
-                if not (self.vert(p + 1, q) @ v).is_zero():
+                if not self.vert(p + 1, q).product_is_zero(v):
                     raise IllFormedDoubleComplex(f"dV.dV != 0 at ({p},{q})")
                 if self.vert(p, q + 1) @ d != self.horiz(p + 1, q) @ v:
                     raise IllFormedDoubleComplex(f"square at ({p},{q}) does not commute")
@@ -580,7 +580,7 @@ class SimplicialHomotopyCochainComplex:
                         != self.f_map(p - 1, q + 2) @ self.s_map(p, q)):
                     raise AxiomViolation(f"sf = fs at level {p}, grade {q}")
                 # s^2 = 0
-                if not (self.s_map(p - 1, q + 2) @ self.s_map(p, q)).is_zero():
+                if not self.s_map(p - 1, q + 2).product_is_zero(self.s_map(p, q)):
                     raise AxiomViolation(f"s^2 = 0 at level {p}, grade {q}")
                 # f is a map of simplicial modules
                 if p < self.p_max:
@@ -600,7 +600,7 @@ class SimplicialHomotopyCochainComplex:
             (0, 1, self.f_map, lambda p, q: (-1) ** p),
         ])
         for n in range(n_min, n_max - 1):
-            if not (diffs[n + 1] @ diffs[n]).is_zero():
+            if not diffs[n + 1].product_is_zero(diffs[n]):
                 raise AxiomViolation(f"homotopy total differential fails d^2 = 0 at {n}")
         return IntCochainComplex(n_min, [ranks[n] for n in range(n_min, n_max + 1)],
                                  [diffs[n] for n in range(n_min, n_max)], check=False)
@@ -817,5 +817,5 @@ def bad_resolution_counterexample(lift_choices=None) -> BadResolutionReport:
         witness_in=witness_in,
         witness_out=tuple(wz),
         witness_real_projection=wz[0],
-        honest_composite_is_zero=(honest[1] @ honest[0]).is_zero(),
+        honest_composite_is_zero=honest[1].product_is_zero(honest[0]),
     )

@@ -153,10 +153,16 @@ class MixedComplex:
     def validate(self):
         for k in range(self.n_min, self.n_max):
             # rational square: S S = 0 and Q P + S Q = 0
-            if not (self.s_block(k + 1) @ self.s_block(k)).is_zero():
+            q1, s1, p0, q0 = (self.q_block(k + 1), self.s_block(k + 1),
+                              self.p_block(k), self.q_block(k))
+            if not s1.product_is_zero(self.s_block(k)):
                 raise ValueError(f"rational blocks fail d^2 = 0 at degree {k}")
-            mix = self.q_block(k + 1) @ self.p_block(k) + self.s_block(k + 1) @ self.q_block(k)
-            if not mix.is_zero():
+            # Q P + S Q = [Q | S] @ [P ; Q]
+            beside = IntMatrix.from_blocks(q1.rows, q1.cols + s1.cols,
+                                           [(0, 0, q1, 1), (0, q1.cols, s1, 1)])
+            stacked = IntMatrix.from_blocks(p0.rows + q0.rows, p0.cols,
+                                            [(0, 0, p0, 1), (p0.rows, 0, q0, 1)])
+            if not beside.product_is_zero(stacked):
                 raise ValueError(f"mixed blocks fail d^2 = 0 at degree {k}")
 
     def int_complex(self) -> IntCochainComplex:
@@ -280,9 +286,9 @@ def deligne_cone(cx: IntCochainComplex, n) -> MixedComplex:
 
 
 def build_deligne_mixed(act: GAction, n) -> DeligneComplexData:
-    """D(n) over the unreduced bar complex of G^. x M for 0-dimensional M,
-    degrees 0..n+2 (bar_complex of the levels up to n+2), with the bar
-    levels kept for chain work."""
+    """D(n) over the unreduced normalized bar complex of G^. x M for
+    0-dimensional M, degrees 0..n+2 (bar_complex of the levels up to n+2),
+    with the bar levels kept for chain work."""
     if act.space.dim > 0:
         raise PositiveDimensionalInput(
             "the Deligne cone needs a 0-dimensional complex; "
@@ -294,15 +300,16 @@ def build_deligne_mixed(act: GAction, n) -> DeligneComplexData:
 def differential_cohomology_zero_dim(act: GAction, n) -> DiffCohGroup:
     """H^n of the Deligne cone D(n), split by divisibility.
 
-    The cone is built over the unit-pivot reduced bar complex in degrees
-    0..n+1, from bar levels 0..n+1 (the levels it reads, the only ones
-    built and checked).  It gives the H^n of the cone over the full bar
-    complex: H^n reads only cone degrees n-1..n+1, which hold cochains of
-    degree <= n+1, and unit-pivot reduction is a chain homotopy equivalence
-    over Z that stays one after tensoring with Q.  It commutes with Z -> Q
-    and with the sigma^{>=n} slot, which over a 0-dimensional space is all
-    of C (x) Q for n = 0 and zero for n >= 1, so the two cones are
-    quasi-isomorphic.
+    The cone is built over the unit-pivot reduced normalized bar complex
+    (bar_complex) in degrees 0..n+1, from bar levels 0..n+1 (the levels it
+    reads, the only ones built and checked).  It gives the H^n of the cone
+    over the full bar complex: H^n reads only cone degrees n-1..n+1, which
+    hold cochains of degree <= n+1, and both the inclusion of the
+    normalized cochains and unit-pivot reduction are chain homotopy
+    equivalences over Z that stay ones after tensoring with Q.  They
+    commute with Z -> Q and with the sigma^{>=n} slot, which over a
+    0-dimensional space is all of C (x) Q for n = 0 and zero for n >= 1, so
+    the cones are quasi-isomorphic.
     """
     if act.space.dim > 0:
         raise PositiveDimensionalInput(
@@ -419,29 +426,30 @@ def hexagon(act, n, supplied: SuppliedCorners = None) -> HexagonReport:
 def _hexagon_zero_dim(act: GAction, n) -> HexagonReport:
     """The hexagon of a 0-dimensional action from one bar construction.
 
-    One BarLevels (levels 0..n+1, the levels `full` reads, and the only
-    ones built and checked) and one bar total complex `full` in degrees
-    0..n+1 feed every corner, and at n = 1 the left square too.  Ĥ^n is
-    read off the Deligne cone over `full` reduced from degree 0;
-    H^{n-1}(Z), H^n(Z) and the Bockstein data come from the window of
-    degrees max(n-2, 0)..n+1, reduced on its own.  For n >= 3 the window's
-    reduction differs from the cone's; for n <= 2 the window is all of
-    `full` and the two reductions are the same computation, so there the
-    diagonal verdicts do not compare independent computations (ROADMAP
-    item 1 proposes the normalized bar complex as the second one).  The
-    window's matrices were checked for d^2 = 0 as part of `full`.
+    One BarLevels (levels 0..n+1, the levels `bar` reads, and the only
+    ones built and checked) and one normalized bar total complex `bar` in
+    degrees 0..n+1 (bar_complex) feed every corner, and at n = 1 the left
+    square too.  Ĥ^n is read off the Deligne cone over `bar` reduced from
+    degree 0; H^{n-1}(Z), H^n(Z) and the Bockstein data come from the
+    window of degrees max(n-2, 0)..n+1, reduced on its own.  For n >= 3 the
+    window's reduction differs from the cone's; for n <= 2 the window is
+    all of `bar` and the two reductions are the same computation, so there
+    the diagonal verdicts do not compare independent computations (ROADMAP
+    item 1: the Shapiro split over orbits would give the window from other
+    complexes).  The window's matrices were checked for d^2 = 0 as part of
+    `bar`.
     """
     orbits = act.orbit_count()
     name = f"{act.group.name or 'group'} on {act.space.name or 'space'}"
-    full = bar_complex(bar_levels(act, n + 1), n + 1)
+    bar = bar_complex(bar_levels(act, n + 1), n + 1)
     lo = max(n - 2, 0)
-    cx = IntCochainComplex(lo, full.ranks[lo:], full.diffs[lo:], check=False).reduced()
+    cx = IntCochainComplex(lo, bar.ranks[lo:], bar.diffs[lo:], check=False).reduced()
     h_prev = cx.cohomology(n - 1) if n >= 1 else FgAbGroup(0)
     h_n = cx.cohomology(n)
     dim_l = h_prev.free_rank      # H^{n-1}(M_G, C) has this C-dimension
     dim_r = h_n.free_rank
     bl_corner = coefficient_change(h_prev, h_n, "CmodZ") if n >= 1 else StructuredCoefGroup()
-    hhat = deligne_cone(full.reduced(), n).cohomology(n)
+    hhat = deligne_cone(bar.reduced(), n).cohomology(n)
 
     tl_dim = orbits if n == 1 else 0       # invariant functions mod d(nothing)
     tr_dim = orbits if n == 0 else 0       # closed invariant 0-forms
@@ -516,7 +524,7 @@ def _hexagon_zero_dim(act: GAction, n) -> HexagonReport:
 
     # left square: through the forms corner vs through C/Z (nontrivial n = 1)
     if n == 1:
-        squares["left"] = _left_square_check(act, full)
+        squares["left"] = _left_square_check(act, bar)
     else:
         squares["left"] = True  # one of the two paths is through a zero corner
     # right square: R followed by the de Rham class vs iota after I; for
@@ -535,12 +543,14 @@ def _hexagon_zero_dim(act: GAction, n) -> HexagonReport:
     return HexagonReport(name, n, corners, maps, exact, squares, evidence, notes)
 
 
-def _left_square_check(act: GAction, full: IntCochainComplex) -> bool:
+def _left_square_check(act: GAction, bar: IntCochainComplex) -> bool:
     """Chain-level commutativity at n = 1: a(invariant function) equals the
     inclusion of its C/Z reduction, up to a coboundary in the cone over
-    `full`, the unreduced bar complex of act in degrees 0..2: the degree-1
-    cocycle and coboundary checks read cone degrees 0..2 only."""
-    mixed = deligne_cone(full, 1)
+    `bar`, the unreduced normalized bar complex of act in degrees 0..2: the
+    degree-1 cocycle and coboundary checks read cone degrees 0..2 only.
+    Level 0 has no degenerate tuple, so functions on M are its degree-0
+    cochains as in the full complex."""
+    mixed = deligne_cone(bar, 1)
     c0 = act.space.ncells(0)
     # basis of invariant rational functions: orbit indicators
     orbits = []

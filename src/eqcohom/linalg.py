@@ -209,11 +209,12 @@ class IntMatrix:
         return IntMatrix._of(self.rows, self.cols,
                              {i: {j: c * v for j, v in r.items()} for i, r in self._store.items()})
 
-    def __matmul__(self, other):
+    def _product_rows(self, other):
+        """(i, {j: sum}) for each stored row i of self @ other, summed one row
+        at a time; a sum may be 0 and a row may be empty."""
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         right = other._store
-        store = {}
         for i, r in self._store.items():
             acc = {}
             for k, v in r.items():
@@ -221,9 +222,17 @@ class IntMatrix:
                 if rk:
                     for j, w in rk.items():
                         acc[j] = acc.get(j, 0) + v * w
-            if acc:
-                store[i] = acc
+            yield i, acc
+
+    def __matmul__(self, other):
+        store = {i: acc for i, acc in self._product_rows(other) if acc}
         return IntMatrix._of(self.rows, other.cols, _pruned(store))
+
+    def product_is_zero(self, other):
+        """Whether self @ other is the zero matrix, without building it: only
+        one row's sums are kept, and the first row with a nonzero entry ends
+        the check."""
+        return not any(any(acc.values()) for _, acc in self._product_rows(other))
 
     def transpose(self):
         store = {}
@@ -878,7 +887,7 @@ def cohomology_at(d_in: IntMatrix, d_out: IntMatrix) -> FgAbGroup:
     """
     if d_out.cols != d_in.rows:
         raise ValueError(f"middle rank mismatch: d_out cols {d_out.cols}, d_in rows {d_in.rows}")
-    if not (d_out @ d_in).is_zero():
+    if not d_out.product_is_zero(d_in):
         raise CompositionNotZero("d_out @ d_in != 0: not a complex at this spot")
     red = reduce_complex([d_in.cols, d_in.rows, d_out.rows], [d_in, d_out])
     m_in, m_out = red.diffs

@@ -5,6 +5,14 @@ are discrete, so q-cells are (p-tuple, q-cell of M) pairs).  Face maps drop
 the first entry, multiply adjacent entries, or act on M with the last entry;
 degeneracies insert the identity.  The cellular cochain double complex of
 this object computes equivariant cohomology.
+
+The pipeline reads the normalized cochains, those that vanish on tuples
+containing the identity (Eilenberg-Mac Lane; Brown, Cohomology of Groups
+I.5): level p of them has (|G|-1)^p copies of the cells of M, one per tuple
+over G \\ {e}.  Their inclusion into the full cochains is a chain homotopy
+equivalence over Z, in each column of the double complex, so the total
+complexes have the same cohomology with any coefficients.  The full double
+complex stays as the test oracle and for the cosimplicial helpers.
 """
 
 from __future__ import annotations
@@ -204,7 +212,7 @@ class CellComplex:
             if (bd.rows, bd.cols) != (self.cells[d], self.cells[d + 1]):
                 raise ValueError(f"boundary {d + 1} has wrong shape")
         for d in range(len(self.boundaries) - 1):
-            if not (self.boundaries[d] @ self.boundaries[d + 1]).is_zero():
+            if not self.boundaries[d].product_is_zero(self.boundaries[d + 1]):
                 raise ValueError("cellular boundary does not square to zero")
 
     @property
@@ -462,6 +470,15 @@ class BarLevels:
     Tuples (g_1, ..., g_p) are encoded with g_1 most significant:
     t = g_1 m^{p-1} + ... + g_p where m = |G|.  A q-cell of level p is the
     pair (t, c), flattened as t * ncells(q) + c.
+
+    The simplicial identities are checked on the full tables, all m^p
+    tuples of a level.  The cochain matrices the pipeline reads
+    (vertical_matrix, horizontal_matrix, over normalized_cells) are those
+    of the normalized complex: its basis at level p is the nondegenerate
+    tuples, those with no identity entry, in increasing order, and a q-cell
+    (r, c) is flattened as r * ncells(q) + c with r the position of the
+    tuple.  The full cochains (cells, face_pullback, full_vertical_matrix,
+    full_horizontal_matrix) serve the cosimplicial helpers and the tests.
     """
 
     def __init__(self, act: GAction, P, verify=True):
@@ -475,8 +492,11 @@ class BarLevels:
         self.P = P
         m = self.group.order
         self.tuple_counts = [m ** p for p in range(P + 1)]
+        self.nondegenerate_counts = [(m - 1) ** p for p in range(P + 1)]
         self._face_tables = {}
         self._degeneracy_tables = {}
+        self._nondegenerate = [[0]]       # level p -> its nondegenerate tuples
+        self._nondegenerate_faces = {}
         if verify and P > self.group.bar_checked_level:
             self.verify_simplicial_identities()
 
@@ -497,9 +517,40 @@ class BarLevels:
             self._degeneracy_tables[key] = tab
         return tab
 
+    def nondegenerate_tuples(self, p):
+        """The tuples of level p with no identity entry, in increasing order."""
+        m, e = self.group.order, self.group.identity
+        levels = self._nondegenerate
+        while len(levels) <= p:
+            levels.append([t * m + g for t in levels[-1] for g in range(m) if g != e])
+        return levels[p]
+
+    def nondegenerate_face_table(self, p, i):
+        """Face i of each nondegenerate tuple of level p, as (r, g): r is the
+        position of the face among the nondegenerate tuples of level p - 1,
+        or None where the face is degenerate, and g acts on the M factor.
+        Only the nondegenerate tuples go through face_tuple."""
+        key = (p, i)
+        tab = self._nondegenerate_faces.get(key)
+        if tab is None:
+            position = {t: r for r, t in enumerate(self.nondegenerate_tuples(p - 1))}
+            tab = []
+            for t in self.nondegenerate_tuples(p):
+                t2, g = self.face_tuple(p, i, t)
+                tab.append((position.get(t2), g))
+            self._nondegenerate_faces[key] = tab
+        return tab
+
     def cells(self, p, q):
+        """q-cells of level p of the full bar object."""
         if 0 <= p <= self.P:
             return self.tuple_counts[p] * self.space.ncells(q)
+        return 0
+
+    def normalized_cells(self, p, q):
+        """q-cells of level p of the normalized complex."""
+        if 0 <= p <= self.P:
+            return self.nondegenerate_counts[p] * self.space.ncells(q)
         return 0
 
     # -- decorated tuple maps: (tuple index) -> (tuple index, acting element)
@@ -555,6 +606,9 @@ class BarLevels:
         for level in range(self.group.bar_checked_level + 1, self.P + 1):
             self._verify_level(level)
             self.group.bar_checked_level = level
+        # the normalized complex does not read the full tables: free them
+        self._face_tables.clear()
+        self._degeneracy_tables.clear()
 
     def _verify_level(self, level):
         """The relations whose tables reach no higher than this level:
@@ -615,26 +669,50 @@ class BarLevels:
 
     # -- cochain matrices
 
-    def vertical_matrix(self, p, q):
-        """dV: C^q(level p) -> C^q(level p+1), alternating sum of face pullbacks."""
-        if p + 1 > self.P:
-            return IntMatrix.zero(0, self.cells(p, q))
+    def _coface_sum(self, q, faces, rows, cols):
+        """The sum of sign * d_i^* on q-cochains over (sign, table) in faces,
+        a rows x cols matrix.  A table lists one face d_i: table[r] = (r2, g)
+        says that d_i of tuple r of the upper level is tuple r2 of the lower
+        one, with g acting on M; r2 None (a degenerate face) contributes
+        nothing."""
         nq = self.space.ncells(q)
+        perms, signs = self.act.perms, self.act.signs
         entries = {}
-        for i in range(p + 2):
-            tab = self.face_table(p + 1, i)
-            sign_i = -1 if i % 2 else 1
-            for t in range(self.tuple_counts[p + 1]):
-                t2, g = tab[t]
-                perm = self.act.perms[g][q]
-                sgns = self.act.signs[g][q]
+        for sign, tab in faces:
+            for r, (r2, g) in enumerate(tab):
+                if r2 is None:
+                    continue
+                perm, sgns = perms[g][q], signs[g][q]
+                row, col = r * nq, r2 * nq
                 for c in range(nq):
-                    key = (t * nq + c, t2 * nq + perm[c])
-                    entries[key] = entries.get(key, 0) + sign_i * sgns[c]
-        return IntMatrix(self.cells(p + 1, q), self.cells(p, q), entries)
+                    key = (row + c, col + perm[c])
+                    entries[key] = entries.get(key, 0) + sign * sgns[c]
+        return IntMatrix(rows, cols, entries)
+
+    def vertical_matrix(self, p, q):
+        """Normalized dV: C^q(level p) -> C^q(level p+1), the alternating sum
+        of the face pullbacks on nondegenerate tuples."""
+        if p + 1 > self.P:
+            return IntMatrix.zero(0, self.normalized_cells(p, q))
+        return self._coface_sum(
+            q, [((-1) ** i, self.nondegenerate_face_table(p + 1, i)) for i in range(p + 2)],
+            self.normalized_cells(p + 1, q), self.normalized_cells(p, q))
 
     def horizontal_matrix(self, p, q):
-        """Cellular cochain d: C^q(level p) -> C^{q+1}(level p), blockwise over tuples."""
+        """Normalized cellular cochain d: C^q(level p) -> C^{q+1}(level p),
+        blockwise over nondegenerate tuples."""
+        return _block_diagonal(self.space.coboundary(q), self.nondegenerate_counts[p])
+
+    def full_vertical_matrix(self, p, q):
+        """dV on the full cochains: the alternating sum of face_pullback(p, i, q)."""
+        if p + 1 > self.P:
+            return IntMatrix.zero(0, self.cells(p, q))
+        return self._coface_sum(
+            q, [((-1) ** i, self.face_table(p + 1, i)) for i in range(p + 2)],
+            self.cells(p + 1, q), self.cells(p, q))
+
+    def full_horizontal_matrix(self, p, q):
+        """Cellular cochain d on the full cochains, blockwise over all tuples."""
         return _block_diagonal(self.space.coboundary(q), self.tuple_counts[p])
 
     def degeneracy_pullback(self, p, i, q):
@@ -649,15 +727,8 @@ class BarLevels:
 
     def face_pullback(self, p, i, q):
         """d_i^*: C^q(level p) -> C^q(level p+1), a single face pullback."""
-        nq = self.space.ncells(q)
-        entries = {}
-        tab = self.face_table(p + 1, i)
-        for t in range(self.tuple_counts[p + 1]):
-            t2, g = tab[t]
-            for c in range(nq):
-                c2, s = self.act.act_cell(g, q, c)
-                entries[(t * nq + c, t2 * nq + c2)] = s
-        return IntMatrix(self.cells(p + 1, q), self.cells(p, q), entries)
+        return self._coface_sum(q, [(1, self.face_table(p + 1, i))],
+                                self.cells(p + 1, q), self.cells(p, q))
 
 
 def _block_diagonal(m: IntMatrix, copies):
@@ -682,12 +753,47 @@ def bar_homotopy_complex(bl: BarLevels):
             cofaces[(p, i)] = {q: bl.face_pullback(p, i, q) for q in grades}
         for i in range(p + 1):
             codegens[(p, i)] = {q: bl.degeneracy_pullback(p, i, q) for q in grades}
-    f = {(p, q): bl.horizontal_matrix(p, q)
+    f = {(p, q): bl.full_horizontal_matrix(p, q)
          for p in range(bl.P + 1) for q in range(space.dim)}
     return SimplicialHomotopyCochainComplex(bl.P, grades, ranks, cofaces, codegens, f, {})
 
 
+# The largest bar construction a query may build, counted by bar_size:
+# the cells of the normalized bar total complex plus the tuples of the full
+# tables that the simplicial-identity check tabulates.  The largest tier-1
+# and benchmark inputs need about 25 000.  Near the budget a query takes about
+# half a minute and half a gigabyte: H^6 of symmetric:3 on a point needs
+# 433 579 (degrees 0..7) and took 31 s and 490 MB on a 2-core host.
+# symmetric:4 on a point at degree 9 would need about 10^14.
+BAR_BUDGET = 500_000
+
+
+class BarComplexTooLarge(InvalidAction):
+    """The bar construction of a query is over BAR_BUDGET (a failed
+    precondition, like every InvalidAction)."""
+
+
+def bar_size(act: GAction, top):
+    """(cells, tuples): the cells of the normalized bar total complex in
+    degrees 0..top, sum over p + q <= top of (|G|-1)^p |M_q|, and the full
+    tuples of levels 0..top, sum of |G|^p, that the identity check reads."""
+    m = act.group.order
+    cells = sum((m - 1) ** p * act.space.ncells(q)
+                for p in range(top + 1) for q in range(top - p + 1))
+    return cells, sum(m ** p for p in range(top + 1))
+
+
 def bar_levels(act: GAction, P, verify=True) -> BarLevels:
+    """The bar levels 0..P of act.  Before anything is built, raises
+    BarComplexTooLarge when their bar complex in degrees 0..P and the
+    identity check's tables are over BAR_BUDGET together."""
+    cells, tuples = bar_size(act, P)
+    if cells + tuples > BAR_BUDGET:
+        raise BarComplexTooLarge(
+            f"{act.group.name or 'the group'} on {act.space.name or 'the space'} in degrees "
+            f"0..{P}: the normalized bar complex has {cells} cells and the identity check "
+            f"reads {tuples} tuples, {cells + tuples} together, over the budget of "
+            f"{BAR_BUDGET}")
     return BarLevels(act, P, verify=verify)
 
 
@@ -696,9 +802,10 @@ def bar_levels(act: GAction, P, verify=True) -> BarLevels:
 
 
 def cellular_double_complex(bl: BarLevels) -> DoubleComplex:
-    """Bidegree (p, q) holds cellular q-cochains of G^p x M; the vertical map
-    is the alternating sum of face pullbacks, the horizontal one is the
-    cellular coboundary.  Squares commute; signs enter at totalization."""
+    """Bidegree (p, q) holds cellular q-cochains of G^p x M, all |G|^p
+    tuples; the vertical map is the alternating sum of face pullbacks, the
+    horizontal one is the cellular coboundary.  Squares commute; signs enter
+    at totalization.  Its total complex is the oracle for bar_complex."""
     space = bl.space
     ranks = {}
     horiz = {}
@@ -707,25 +814,28 @@ def cellular_double_complex(bl: BarLevels) -> DoubleComplex:
         for q in range(space.dim + 1):
             ranks[(p, q)] = bl.cells(p, q)
             if q < space.dim:
-                horiz[(p, q)] = bl.horizontal_matrix(p, q)
+                horiz[(p, q)] = bl.full_horizontal_matrix(p, q)
             if p < bl.P:
-                vert[(p, q)] = bl.vertical_matrix(p, q)
+                vert[(p, q)] = bl.full_vertical_matrix(p, q)
     return DoubleComplex(bl.P, space.dim, ranks, horiz, vert)
 
 
 def total_window(bl: BarLevels, n_lo, n_hi):
-    """Ranks for degrees n_lo..n_hi of the bar total complex and the
-    differentials between them (diffs[n] for n_lo <= n < n_hi), without
+    """Ranks for degrees n_lo..n_hi of the normalized bar total complex and
+    the differentials between them (diffs[n] for n_lo <= n < n_hi), without
     materializing bidegrees outside the window."""
     dim = bl.space.dim
     return totalize(max(n_lo, 0), n_hi, bl.P,
-                    lambda p, q: bl.cells(p, q) if 0 <= q <= dim else 0,
+                    lambda p, q: bl.normalized_cells(p, q) if 0 <= q <= dim else 0,
                     [(0, 1, bl.horizontal_matrix, lambda p, q: 1),
                      (1, 0, bl.vertical_matrix, lambda p, q: (-1) ** q)])
 
 
 def bar_complex(bl: BarLevels, top) -> IntCochainComplex:
-    """The bar total complex of bl in degrees 0..top, checked for d^2 = 0.
+    """The normalized bar total complex of bl in degrees 0..top, checked for
+    d^2 = 0: degree n holds (|G|-1)^p |M_q| cells for each p + q = n, where
+    the full complex, cellular_double_complex's total, holds |G|^p |M_q|.
+    The two are chain homotopy equivalent over Z.
 
     It starts at degree 0 so that its reduction can pair every cell with a
     partner one degree down: a window cut off below keeps its bottom cells,
@@ -737,7 +847,8 @@ def bar_complex(bl: BarLevels, top) -> IntCochainComplex:
 
 
 def equivariant_cohomology(act: GAction, n, coeff="Z"):
-    """H^n of the bar total complex.
+    """H^n of the normalized bar total complex (bar_complex), for a space of
+    any dimension.
 
     coeff 'Z' gives an FgAbGroup, 'Q' the rational dimension, 'QmodZ' the
     structured (C/Z)-coefficient group via the integral answer in degrees n
@@ -747,6 +858,8 @@ def equivariant_cohomology(act: GAction, n, coeff="Z"):
     'QmodZ') and reduced once.  Its top degree is also its bar truncation:
     the levels built and checked against the simplicial identities are
     0..n+1 for 'Z' and 'Q' and 0..n+2 for 'QmodZ', the levels it reads.
+    A query over BAR_BUDGET raises BarComplexTooLarge before any of them
+    is built.
     """
     if coeff not in ("Z", "Q", "QmodZ"):
         raise ValueError(f"unknown coefficient mode {coeff!r}")
@@ -767,17 +880,8 @@ def equivariant_cohomology(act: GAction, n, coeff="Z"):
 
 
 def vertical_apply(bl: BarLevels, p, q, cochain):
-    """Apply dV to a level-p cochain given as a list of values."""
-    nq = bl.space.ncells(q)
-    out = [0] * bl.cells(p + 1, q)
-    for t in range(bl.tuple_counts[p + 1]):
-        for i in range(p + 2):
-            t2, g = bl.face_tuple(p + 1, i, t)
-            sign_i = -1 if i % 2 else 1
-            for c in range(nq):
-                c2, s = bl.act.act_cell(g, q, c)
-                out[t * nq + c] += sign_i * s * cochain[t2 * nq + c2]
-    return out
+    """Apply the full dV to a level-p cochain given as a list of values."""
+    return bl.full_vertical_matrix(p, q).apply(cochain)
 
 
 def group_average(bl: BarLevels, p, q, cochain, over="Q"):
@@ -986,5 +1090,7 @@ class EquivariantCellMap:
                          {(self.cell_map[d][c], c): self.cell_sign[d][c] for c in range(n_s)})
 
     def bar_cochain_pullback(self, p, q):
-        """f^*: C^q(G^p x M') -> C^q(G^p x M), blockwise over tuples."""
-        return _block_diagonal(self.chain_matrix(q).transpose(), self.source.group.order ** p)
+        """f^* on the normalized q-cochains of level p, from M' to M,
+        blockwise over the nondegenerate tuples."""
+        return _block_diagonal(self.chain_matrix(q).transpose(),
+                               (self.source.group.order - 1) ** p)

@@ -548,7 +548,7 @@ def test_getzler_map_is_identity_on_coordinates():
     # applying boundary then the map equals the map then the group-cochain
     # boundary, exhaustively over the basis
     dbar = getzler_dbar_matrix(bl, 1, 0)
-    vert = bl.vertical_matrix(1, 0)
+    vert = bl.full_vertical_matrix(1, 0)
     for j in range(bl.cells(1, 0)):
         basis_vec = [1 if i == j else 0 for i in range(bl.cells(1, 0))]
         assert dbar.apply(basis_vec) == vert.apply(basis_vec)

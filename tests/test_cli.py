@@ -12,6 +12,7 @@ from eqcohom.cli import (
     run,
 )
 from eqcohom.bundled import bundled_examples
+from eqcohom.simplicial import BAR_BUDGET, BarLevels
 
 
 def invoke(capsys, *argv):
@@ -69,6 +70,21 @@ def test_precondition_exit_code(capsys):
     code, _, err = invoke(capsys, "cohomology", "--group", "cyclic:3", "--space", "point",
                           "--action", "cosets:1", "--degrees", "0")
     assert code == EXIT_PRECONDITION and "not a subgroup" in err
+
+
+def test_query_over_the_bar_budget_exits_3_before_any_work(capsys, monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a bar construction was started over the budget")
+
+    monkeypatch.setattr(BarLevels, "__init__", no_build)
+    code, out, err = invoke(capsys, "cohomology", "--group", "symmetric:4",
+                            "--space", "point", "--degrees", "0..9")
+    # H^9 reads degrees 0..10: 23^p nondegenerate tuples and 24^p tuples per level
+    cells = sum(23 ** p for p in range(11))
+    tuples = sum(24 ** p for p in range(11))
+    assert code == EXIT_PRECONDITION and out == ""
+    assert "precondition failed" in err and "0..10" in err
+    assert f"{cells} cells" in err and f"{tuples} tuples" in err and str(BAR_BUDGET) in err
 
 
 def test_job_file(tmp_path, capsys):

@@ -58,25 +58,32 @@ def test_mixed_complex_validation():
 
 
 def test_mixed_cocycle_and_coboundary():
-    # trivial group on a point, n = 1: cocycles (z; v) with v free rational,
-    # coboundaries shift v by integers
+    # trivial group on a point, n = 1: the normalized cone has no integral
+    # cells in degree 1; cocycles (z; v) with v free rational, coboundaries
+    # shift v by integers
     data = build_deligne_mixed(trivial_point(), 1)
     mixed = data.mixed
-    assert mixed.is_cocycle(1, [0], [Fraction(1, 3)])
-    assert not mixed.is_coboundary(1, [0], [Fraction(1, 3)])
-    assert mixed.is_coboundary(1, [0], [Fraction(2)])  # integer values die in C/Z
+    assert (mixed.int_rank(1), mixed.rat_rank(1)) == (0, 1)
+    assert mixed.is_cocycle(1, [], [Fraction(1, 3)])
+    assert not mixed.is_coboundary(1, [], [Fraction(1, 3)])
+    assert mixed.is_coboundary(1, [], [Fraction(2)])  # integer values die in C/Z
 
 
 def test_mixed_coboundary_through_nonzero_s_block():
-    # n = 0 on a point: S0 = [[0], [1]] and S1 = [[1, 0], [-1, 0]] have
-    # pivots, so the cokernel of S is projected out by a true nullspace
-    mixed = build_deligne_mixed(trivial_point(), 0).mixed
+    # n = 0, C2 on a point (one nondegenerate tuple per level, P1 = [2]):
+    # S0 = [[0], [1]] and S1 = [[2, 0], [-1, 0]] have pivots, so the
+    # cokernel of S is projected out by a true nullspace.  From degree 1,
+    # d(y; w0, w1) = (2y; 2 w0, y - w0).
+    mixed = build_deligne_mixed(cp_point(2), 0).mixed
+    assert mixed.p_block(1) == IntMatrix.from_rows([[2]])
+    assert mixed.s_block(0) == IntMatrix.from_rows([[0], [1]])
+    assert mixed.s_block(1) == IntMatrix.from_rows([[2, 0], [-1, 0]])
     assert mixed.is_coboundary(1, [0], [0, Fraction(1, 3)])
     assert not mixed.is_coboundary(1, [0], [Fraction(1, 3), 0])
     assert not mixed.is_coboundary(1, [1], [0, 0])
-    assert mixed.is_coboundary(2, [1], [1, 0])
-    assert mixed.is_coboundary(2, [2], [1, 1])
-    assert not mixed.is_coboundary(2, [1], [1, Fraction(1, 3)])
+    assert mixed.is_coboundary(2, [2], [2, 0])
+    assert mixed.is_coboundary(2, [4], [2, 1])
+    assert not mixed.is_coboundary(2, [2], [2, Fraction(1, 3)])
     # every d(y, w) is a coboundary, also where the cone has torsion
     mixed = build_deligne_mixed(cp_point(2), 1).mixed
     rng = random.Random(3)
@@ -481,17 +488,24 @@ def test_homotopy_formula_guards():
 def _record_table_reads(monkeypatch):
     """Patch BarLevels so that every face or degeneracy table read outside
     the simplicial-identity check is recorded as (level, checked level): a
-    face table of level p reads level p, a degeneracy table of level p
-    writes into level p + 1."""
+    face table of level p, full or over the nondegenerate tuples (the one
+    the normalized bar complex reads), reads level p, a degeneracy table of
+    level p writes into level p + 1."""
     reads = []
     verifying = []
-    face, degeneracy, verify = (BarLevels.face_table, BarLevels.degeneracy_table,
-                                BarLevels._verify_level)
+    face, nondegenerate_face, degeneracy, verify = (
+        BarLevels.face_table, BarLevels.nondegenerate_face_table,
+        BarLevels.degeneracy_table, BarLevels._verify_level)
 
     def face_table(self, p, i):
         if not verifying:
             reads.append((p, self.group.bar_checked_level))
         return face(self, p, i)
+
+    def nondegenerate_face_table(self, p, i):
+        if not verifying:
+            reads.append((p, self.group.bar_checked_level))
+        return nondegenerate_face(self, p, i)
 
     def degeneracy_table(self, p, i):
         if not verifying:
@@ -506,6 +520,7 @@ def _record_table_reads(monkeypatch):
             verifying.pop()
 
     monkeypatch.setattr(BarLevels, "face_table", face_table)
+    monkeypatch.setattr(BarLevels, "nondegenerate_face_table", nondegenerate_face_table)
     monkeypatch.setattr(BarLevels, "degeneracy_table", degeneracy_table)
     monkeypatch.setattr(BarLevels, "_verify_level", verify_level)
     return reads

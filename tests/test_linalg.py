@@ -290,6 +290,37 @@ def test_matrix_mul_and_serialization():
     assert big.to_json_obj()["entries"][0][0] == str(10**30)
 
 
+def test_product_is_zero_agrees_with_the_product():
+    # random products, products that cancel to zero entry by entry, and
+    # products whose only nonzero entry is in the last row
+    rng = random.Random(2718)
+    seen = {"zero": 0, "nonzero": 0, "cancelled": 0, "last_row": 0}
+    for _ in range(400):
+        rows, mid, cols = rng.randint(0, 6), rng.randint(0, 6), rng.randint(0, 6)
+        a = random_matrix(rng, rows, mid, -2, 2)
+        b = random_matrix(rng, mid, cols, -2, 2) if rng.random() < 0.5 else \
+            IntMatrix.zero(mid, cols)
+        kind = rng.randrange(3)
+        if kind == 1 and mid >= 2 and cols:
+            # b = [x ; -x ; 0] against a with two equal leading columns
+            x = random_matrix(rng, 1, cols, -3, 3)
+            b = IntMatrix.from_blocks(mid, cols, [(0, 0, x, 1), (1, 0, x, -1)])
+            first = random_matrix(rng, rows, 1, -3, 3)
+            a = IntMatrix.from_blocks(rows, mid, [(0, 0, first, 1), (0, 1, first, 1)])
+            seen["cancelled"] += not (a.is_zero() or b.is_zero())
+        elif kind == 2 and rows and mid and cols:
+            # one nonzero entry, in the last row of the product
+            a = IntMatrix(rows, mid, {(rows - 1, rng.randrange(mid)): rng.choice([-3, 2])})
+            b = random_matrix(rng, mid, cols, -2, 2)
+            seen["last_row"] += not (a @ b).is_zero()
+        want = (a @ b).is_zero()
+        assert a.product_is_zero(b) == want
+        seen["zero" if want else "nonzero"] += 1
+    assert all(seen.values()), seen
+    with pytest.raises(ValueError):
+        IntMatrix.from_rows([[1]]).product_is_zero(IntMatrix.from_rows([[1, 2], [3, 4]]))
+
+
 def test_matrix_shape_guards():
     with pytest.raises(ValueError):
         IntMatrix.from_rows([[1, 2], [3]])

@@ -1,0 +1,135 @@
+"""The normalized bar complex against the full one, and its properties.
+
+bar_complex builds the normalized bar total complex, on tuples without the
+identity.  The total complex of cellular_double_complex, on all tuples, is
+its oracle: the two are chain homotopy equivalent over Z, so they agree on
+H^n over Z and Q below their common truncation degree.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from eqcohom.complexes import total_complex
+from eqcohom.linalg import FgAbGroup, IntMatrix
+from eqcohom.simplicial import (
+    CellComplex,
+    FiniteGroup,
+    GAction,
+    bar_complex,
+    bar_levels,
+    cellular_double_complex,
+    equivariant_cohomology,
+)
+from test_acceptance import _acceptance_actions
+
+
+def assert_same_cohomology(act, n_max):
+    """H^n over Z and Q agree for n <= n_max on the normalized and the full
+    bar total complexes in degrees 0..n_max + 1."""
+    bl = bar_levels(act, n_max + 1)
+    normalized = bar_complex(bl, n_max + 1)
+    full = total_complex(cellular_double_complex(bl))
+    for n in range(n_max + 1):
+        assert normalized.cohomology(n) == full.cohomology(n), (act.name, n)
+        assert normalized.cohomology_q_dim(n) == full.cohomology_q_dim(n), (act.name, n)
+
+
+def test_normalized_matches_full_on_acceptance_actions():
+    for act in _acceptance_actions():
+        assert_same_cohomology(act, 3)
+
+
+def test_normalized_matches_full_on_lens_sphere():
+    assert_same_cohomology(GAction.lens_sphere(3), 4)
+
+
+def test_normalized_cells_and_vertical_map_restrict_the_full_ones():
+    # level p keeps the (|G|-1)^p tuples without the identity, and the
+    # normalized dV is the full dV on those rows and columns
+    for act in (GAction.coset_action(FiniteGroup.symmetric(3), (0, 1)),
+                GAction.lens_sphere(3),
+                GAction.trivial(FiniteGroup.cyclic(4), CellComplex.circle(2))):
+        bl = bar_levels(act, 3)
+        m, e = act.group.order, act.group.identity
+        for p in range(4):
+            tuples = [t for t in range(m ** p)
+                      if all((t // m ** k) % m != e for k in range(p))]
+            assert bl.nondegenerate_tuples(p) == tuples
+            for q in range(act.space.dim + 1):
+                nq = act.space.ncells(q)
+                assert bl.normalized_cells(p, q) == (m - 1) ** p * nq
+                if p == 3:
+                    continue
+                upper = bl.nondegenerate_tuples(p + 1)
+                full = bl.full_vertical_matrix(p, q).to_rows()
+                keep_rows = [t * nq + c for t in upper for c in range(nq)]
+                keep_cols = [t * nq + c for t in tuples for c in range(nq)]
+                want = [[full[i][j] for j in keep_cols] for i in keep_rows]
+                assert bl.vertical_matrix(p, q) == IntMatrix.from_rows(want, cols=len(keep_cols))
+
+
+def test_trivial_group_normalized_complex_is_the_space():
+    # the trivial group has no nondegenerate tuple above level 0
+    act = GAction.trivial(FiniteGroup.cyclic(1), CellComplex.circle(2))
+    cx = bar_complex(bar_levels(act, 3), 3)
+    assert cx.ranks == [2, 2, 0, 0]
+    assert cx.diffs[0] == CellComplex.circle(2).coboundary(0)
+
+
+# --- properties over random small actions ------------------------------------------
+
+
+GROUPS = ["cyclic:1", "cyclic:2", "cyclic:3", "cyclic:4", "cyclic:5", "cyclic:6",
+          "symmetric:3", "dihedral:2"]
+
+
+def disjoint_union(group, subgroups):
+    """G acting on the disjoint union of the coset spaces G/H, H in subgroups."""
+    perms = {g: [] for g in group.elements()}
+    for sub in subgroups:
+        part = GAction.coset_action(group, sub)
+        offset = len(perms[group.identity])
+        for g in group.elements():
+            perms[g] += [offset + c for c in part.perms[g][0]]
+    return GAction.points_action(group, len(perms[group.identity]), perms)
+
+
+@st.composite
+def orbit_actions(draw, min_orbits=1):
+    """A named group of order <= 6 and 1..3 orbits G/H, as the list of H."""
+    group = FiniteGroup.named(draw(st.sampled_from(GROUPS)))
+    orbits = draw(st.lists(st.sampled_from(group.subgroups()), min_size=min_orbits, max_size=3))
+    return group, orbits
+
+
+PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+
+
+@PROPERTY_SETTINGS
+@given(orbit_actions())
+def test_property_normalized_matches_full(group_orbits):
+    group, orbits = group_orbits
+    assert_same_cohomology(disjoint_union(group, orbits), 2)
+
+
+@PROPERTY_SETTINGS
+@given(orbit_actions(min_orbits=2), st.integers(min_value=1, max_value=2))
+def test_property_additive_over_orbits(group_orbits, cut):
+    # H(M + N) = H(M) + H(N) for M, N unions of orbits
+    group, orbits = group_orbits
+    cut = min(cut, len(orbits) - 1)
+    union = disjoint_union(group, orbits)
+    for n in range(3):
+        left, right = (equivariant_cohomology(disjoint_union(group, part), n)
+                       for part in (orbits[:cut], orbits[cut:]))
+        assert equivariant_cohomology(union, n) == left.direct_sum(right), n
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(min_value=1, max_value=6))
+def test_property_cyclic_point_is_periodic(k):
+    # the periodic resolution of C_k: Z, 0, Z/k, 0, Z/k, ...
+    act = GAction.trivial(FiniteGroup.cyclic(k), CellComplex.point())
+    for n in range(5):
+        want = FgAbGroup(1) if n == 0 else (
+            FgAbGroup(0, (k,)) if n % 2 == 0 and k > 1 else FgAbGroup(0))
+        assert equivariant_cohomology(act, n) == want, (k, n)

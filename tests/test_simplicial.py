@@ -23,7 +23,10 @@ from eqcohom.simplicial import (
     InvalidAction,
     NotACover,
     bar_homotopy_complex,
+    BAR_BUDGET,
+    BarComplexTooLarge,
     bar_levels,
+    bar_size,
     cellular_double_complex,
     equivariant_cohomology,
     group_average,
@@ -212,6 +215,32 @@ def test_identity_check_runs_once_per_group_and_level(monkeypatch):
     # an equal table in a new group object is checked afresh
     bar_levels(GAction.trivial(FiniteGroup.symmetric(3), CellComplex.point()), 1)
     assert checked == [1, 2, 3, 4, 1]
+
+
+def test_bar_budget_admits_the_largest_tested_inputs_tenfold():
+    # hexagons at n = 4 read degrees 0..5; Q/Z at n = 4 and the unreduced
+    # Deligne cones at n = 4 read degrees 0..6
+    from test_acceptance import _acceptance_actions
+
+    largest = [(act, 5) for act in _acceptance_actions()]
+    largest += [(GAction.lens_sphere(3), 6),
+                (GAction.trivial(FiniteGroup.cyclic(4), CellComplex.point()), 6)]
+    for act, top in largest:
+        assert 10 * sum(bar_size(act, top)) <= BAR_BUDGET, (act.name, top)
+
+
+def test_bar_levels_over_the_budget_fail_before_any_work(monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("bar levels built over the budget")
+
+    monkeypatch.setattr(BarLevels, "__init__", no_build)
+    act = GAction.trivial(FiniteGroup.cyclic(2), CellComplex.point())
+    # 20 cells for C2, but 2^20 - 1 tuples for the identity check of levels 0..19
+    assert bar_size(act, 19) == (20, 2 ** 20 - 1)
+    for call in (lambda: bar_levels(act, 19), lambda: equivariant_cohomology(act, 18)):
+        with pytest.raises(BarComplexTooLarge) as err:
+            call()
+        assert isinstance(err.value, InvalidAction) and "1048595" in str(err.value)
 
 
 def test_degenerate_inputs():
