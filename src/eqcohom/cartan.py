@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
+from operator import add
 
 from .linalg import IntMatrix, q_identity, q_inverse, q_mul, q_zeros, rank_q
 
@@ -225,10 +226,12 @@ def _mat_scale(a, c):
 class EquivariantForm:
     """Finite sum of (u-monomial x x-polynomial x exterior monomial) terms.
 
-    Keys are (u_exponents, x_exponents, dx_indices) with the dx tuple
-    strictly increasing; values are nonzero exact rationals, an int when
-    integral and a Fraction otherwise (_exact).  Every key is validated on
-    construction.
+    Keys are (u_exponents, x_exponents, dx_indices): nonnegative int
+    exponents and a strictly increasing dx tuple of indices below num_x.
+    Values are nonzero exact rationals, an int when integral and a Fraction
+    otherwise (_exact).  The constructor validates every key of its input;
+    the results of the operations below are built by _of, which checks no
+    key because theirs are valid by construction.
     """
 
     __slots__ = ("num_u", "num_x", "terms")
@@ -244,15 +247,30 @@ class EquivariantForm:
             u, x, dx = key
             if len(u) != num_u or len(x) != num_x:
                 raise ValueError("exponent tuple lengths do not match the variable counts")
-            if list(dx) != sorted(set(dx)) or any(not 0 <= i < num_x for i in dx):
+            if any(type(e) is not int or e < 0 for e in (*u, *x)):
+                raise ValueError(f"exponents must be nonnegative ints, got {key}")
+            if (any(type(i) is not int or not 0 <= i < num_x for i in dx)
+                    or list(dx) != sorted(set(dx))):
                 raise ValueError(f"bad dx monomial {dx}")
             self.terms[(tuple(u), tuple(x), tuple(dx))] = v
+
+    @classmethod
+    def _of(cls, num_u, num_x, terms):
+        """Wrap a term dict whose keys are valid by construction: zero values
+        are dropped and values that are not int go through _exact, but no
+        key is checked."""
+        form = cls.__new__(cls)
+        form.num_u = num_u
+        form.num_x = num_x
+        form.terms = {k: v if type(v) is int else _exact(v)
+                      for k, v in terms.items() if v}
+        return form
 
     # -- constructors
 
     @classmethod
     def zero(cls, num_u, num_x):
-        return cls(num_u, num_x)
+        return cls._of(num_u, num_x, {})
 
     @classmethod
     def constant(cls, num_u, num_x, value):
@@ -310,37 +328,23 @@ class EquivariantForm:
         terms = dict(self.terms)
         for k, v in other.terms.items():
             terms[k] = terms.get(k, 0) + v
-        return EquivariantForm(self.num_u, self.num_x, terms)
+        return EquivariantForm._of(self.num_u, self.num_x, terms)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, c):
         c = _exact(c)
-        return EquivariantForm(self.num_u, self.num_x,
-                               {k: c * v for k, v in self.terms.items()})
+        return EquivariantForm._of(self.num_u, self.num_x,
+                                   {k: c * v for k, v in self.terms.items()})
 
     def __neg__(self):
         return self.scale(-1)
 
     def wedge(self, other):
-        self._check_compatible(other)
         out = {}
-        merged = {}  # (dx1, dx2) -> _merge_dx(dx1, dx2), for this call only
-        for (u1, x1, dx1), v1 in self.terms.items():
-            for (u2, x2, dx2), v2 in other.terms.items():
-                pair = (dx1, dx2)
-                merge = merged.get(pair)
-                if merge is None:
-                    merge = merged[pair] = _merge_dx(dx1, dx2)
-                sign, dx = merge
-                if sign == 0:
-                    continue
-                u = tuple(a + b for a, b in zip(u1, u2))
-                x = tuple(a + b for a, b in zip(x1, x2))
-                key = (u, x, dx)
-                out[key] = out.get(key, 0) + sign * v1 * v2
-        return EquivariantForm(self.num_u, self.num_x, out)
+        _wedge_into(out, self, other)
+        return EquivariantForm._of(self.num_u, self.num_x, out)
 
     def d(self):
         """Exterior derivative in the x variables."""
@@ -356,7 +360,7 @@ class EquivariantForm:
                 new_x[i] -= 1
                 key = (u, tuple(new_x), new_dx)
                 out[key] = out.get(key, 0) + sign * v * x[i]
-        return EquivariantForm(self.num_u, self.num_x, out)
+        return EquivariantForm._of(self.num_u, self.num_x, out)
 
     def contract_linear_field(self, field_matrix):
         """iota_V for the linear vector field V(x) = field_matrix @ x."""
@@ -373,7 +377,7 @@ class EquivariantForm:
                     new_x[j] += 1
                     key = (u, tuple(new_x), rest)
                     out[key] = out.get(key, 0) + sign * coeff * v
-        return EquivariantForm(self.num_u, self.num_x, out)
+        return EquivariantForm._of(self.num_u, self.num_x, out)
 
     def u_times(self, a):
         out = {}
@@ -381,46 +385,46 @@ class EquivariantForm:
             nu = list(u)
             nu[a] += 1
             out[(tuple(nu), x, dx)] = v
-        return EquivariantForm(self.num_u, self.num_x, out)
+        return EquivariantForm._of(self.num_u, self.num_x, out)
 
     def embed(self, num_x):
         """Extend by fresh fixed coordinates (exponent zero everywhere)."""
         if num_x < self.num_x:
             raise ValueError("cannot shrink the coordinate count")
         pad = (0,) * (num_x - self.num_x)
-        return EquivariantForm(self.num_u, num_x,
-                               {(u, x + pad, dx): v for (u, x, dx), v in self.terms.items()})
+        return EquivariantForm._of(self.num_u, num_x,
+                                   {(u, x + pad, dx): v for (u, x, dx), v in self.terms.items()})
 
     def substitute_linear(self, a_matrix, u_matrix=None):
         """Pullback along x -> A x (so x_j -> sum_k A[j][k] x_k and dx_j
         likewise), with an optional linear substitution on the u variables."""
-        out = EquivariantForm.zero(self.num_u, self.num_x)
-        x_polys = [{_unit_x(self.num_x, k): _exact(a_matrix[j][k])
-                    for k in range(self.num_x) if a_matrix[j][k]}
-                   for j in range(self.num_x)]
+        num_u, num_x = self.num_u, self.num_x
+        zero_u = (0,) * num_u
+        x_polys = [{_unit_x(num_x, k): _exact(a_matrix[j][k])
+                    for k in range(num_x) if a_matrix[j][k]}
+                   for j in range(num_x)]
+        dx_images = [EquivariantForm._of(num_u, num_x,
+                                         {(zero_u, (0,) * num_x, (k,)): a_matrix[j][k]
+                                          for k in range(num_x)})
+                     for j in range(num_x)]
+        out = {}
         for (u, x, dx), v in self.terms.items():
-            poly = {(0,) * self.num_x: v}
-            for j in range(self.num_x):
+            poly = {(0,) * num_x: v}
+            for j in range(num_x):
                 for _ in range(x[j]):
                     poly = _poly_mul(poly, x_polys[j])
-            form = EquivariantForm.zero(self.num_u, self.num_x)
-            base = EquivariantForm(self.num_u, self.num_x,
-                                   {((0,) * self.num_u, xe, ()): c for xe, c in poly.items()})
-            wedge_part = EquivariantForm.constant(self.num_u, self.num_x, 1)
+            form = EquivariantForm._of(num_u, num_x,
+                                       {(zero_u, xe, ()): c for xe, c in poly.items()})
             for j in dx:
-                lin = EquivariantForm(self.num_u, self.num_x,
-                                      {((0,) * self.num_u, (0,) * self.num_x, (k,)):
-                                       a_matrix[j][k]
-                                       for k in range(self.num_x) if a_matrix[j][k]})
-                wedge_part = wedge_part.wedge(lin)
-            form = base.wedge(wedge_part)
+                form = form.wedge(dx_images[j])
             if u_matrix is not None:
                 form = _substitute_u(form, u, u_matrix)
             else:
-                form = EquivariantForm(self.num_u, self.num_x,
-                                       {(u, xk, dxk): c for (_u0, xk, dxk), c in form.terms.items()})
-            out = out + form
-        return out
+                form = EquivariantForm._of(num_u, num_x,
+                                           {(u, xk, dxk): c for (_u0, xk, dxk), c in form.terms.items()})
+            for k, c in form.terms.items():
+                out[k] = out.get(k, 0) + c
+        return EquivariantForm._of(num_u, num_x, out)
 
     # -- interval fiber operations: the LAST x variable is the interval
     # coordinate t, its differential dt = dx_{m-1}
@@ -442,7 +446,7 @@ class EquivariantForm:
             new_x = x[:-1]
             key = (u, new_x, rest)
             out[key] = out.get(key, 0) + Fraction(sign * v, e + 1)
-        return EquivariantForm(self.num_u, self.num_x - 1, out)
+        return EquivariantForm._of(self.num_u, self.num_x - 1, out)
 
     def restrict_t(self, value):
         """Pull back along the inclusion at t = value (drops dt terms)."""
@@ -455,7 +459,7 @@ class EquivariantForm:
             coeff = v * value ** x[t_index] if x[t_index] else v
             key = (u, x[:-1], dx)
             out[key] = out.get(key, 0) + coeff
-        return EquivariantForm(self.num_u, self.num_x - 1, out)
+        return EquivariantForm._of(self.num_u, self.num_x - 1, out)
 
     # -- printing / parsing
 
@@ -476,9 +480,39 @@ def _poly_mul(p1, p2):
     out = {}
     for e1, c1 in p1.items():
         for e2, c2 in p2.items():
-            key = tuple(a + b for a, b in zip(e1, e2))
+            key = tuple(map(add, e1, e2))
             out[key] = out.get(key, 0) + c1 * c2
     return out
+
+
+def _wedge_into(out, f, g):
+    """Add the terms of f ^ g into the term dict out, a sum over the
+    variables of f and g that the caller wraps with EquivariantForm._of."""
+    f._check_compatible(g)
+    merged = {}  # (dx1, dx2) -> _merge_dx(dx1, dx2), for this call only
+    for (u1, x1, dx1), v1 in f.terms.items():
+        for (u2, x2, dx2), v2 in g.terms.items():
+            pair = (dx1, dx2)
+            merge = merged.get(pair)
+            if merge is None:
+                merge = merged[pair] = _merge_dx(dx1, dx2)
+            sign, dx = merge
+            if sign == 0:
+                continue
+            key = (tuple(map(add, u1, u2)), tuple(map(add, x1, x2)), dx)
+            out[key] = out.get(key, 0) + sign * v1 * v2
+
+
+def _sum_forms(num_u, num_x, forms):
+    """The sum of an iterable of forms over num_u, num_x variables,
+    accumulated in one term dict."""
+    out = {}
+    for form in forms:
+        if (form.num_u, form.num_x) != (num_u, num_x):
+            raise ValueError("forms live over different variable counts")
+        for k, v in form.terms.items():
+            out[k] = out.get(k, 0) + v
+    return EquivariantForm._of(num_u, num_x, out)
 
 
 def _merge_dx(dx1, dx2):
@@ -505,11 +539,9 @@ def _substitute_u(form, u_exp, u_matrix):
     k = len(u_exp)
     for b in range(k):
         for _ in range(u_exp[b]):
-            summed = EquivariantForm.zero(form.num_u, form.num_x)
-            for c in range(k):
-                if u_matrix[b][c]:
-                    summed = summed + out.u_times(c).scale(u_matrix[b][c])
-            out = summed
+            out = _sum_forms(form.num_u, form.num_x,
+                             (out.u_times(c).scale(u_matrix[b][c])
+                              for c in range(k) if u_matrix[b][c]))
     return out
 
 
@@ -529,10 +561,9 @@ def fundamental_vector_field(act: LinearAction, coeffs):
 
 def cartan_d(act: LinearAction, omega: EquivariantForm) -> EquivariantForm:
     """d_C = d + sum_a u_a iota(X_a^#); raises the Cartan degree by one."""
-    out = omega.d()
-    for a in range(act.lie_algebra.dim):
-        out = out + omega.contract_linear_field(act.rep[a]).u_times(a)
-    return out
+    images = [omega.contract_linear_field(act.rep[a]).u_times(a)
+              for a in range(act.lie_algebra.dim)]
+    return _sum_forms(omega.num_u, omega.num_x, [omega.d(), *images])
 
 
 def lie_derivative(act: LinearAction, a, omega: EquivariantForm) -> EquivariantForm:
@@ -544,7 +575,7 @@ def lie_derivative(act: LinearAction, a, omega: EquivariantForm) -> EquivariantF
 def total_lie(act: LinearAction, a, omega: EquivariantForm) -> EquivariantForm:
     """Equivariance derivative: manifold Lie derivative plus the induced
     derivation on the u variables (u_b -> sum_c c^b_{a c} u_c)."""
-    out = lie_derivative(act, a, omega)
+    out = dict(lie_derivative(act, a, omega).terms)
     k = act.lie_algebra.dim
     for (u, x, dx), v in omega.terms.items():
         for b in range(k):
@@ -557,9 +588,9 @@ def total_lie(act: LinearAction, a, omega: EquivariantForm) -> EquivariantForm:
                 nu = list(u)
                 nu[b] -= 1
                 nu[c] += 1
-                out = out + EquivariantForm(omega.num_u, omega.num_x,
-                                            {(tuple(nu), x, dx): v * coeff * u[b]})
-    return out
+                key = (tuple(nu), x, dx)
+                out[key] = out.get(key, 0) + v * coeff * u[b]
+    return EquivariantForm._of(omega.num_u, omega.num_x, out)
 
 
 def group_transform(act: LinearAction, omega: EquivariantForm, g, ad):
@@ -908,6 +939,17 @@ def format_form(omega: EquivariantForm) -> str:
 _TOKEN = re.compile(r"^(u|x|dx)(\d+)(?:\^(\d+))?$")
 
 
+def _variable_index(mobj, num_u, num_x):
+    """0-based index of a matched u, x or dx token; the printer numbers
+    variables from 1, so 0 and numbers above the variable count raise
+    ValueError."""
+    kind, number = mobj.group(1), int(mobj.group(2))
+    count = num_u if kind == "u" else num_x
+    if not 1 <= number <= count:
+        raise ValueError(f"{kind}{number} is not among {kind}1..{kind}{count}")
+    return number - 1
+
+
 def parse_form(text, num_u, num_x) -> EquivariantForm:
     """Parse the printer grammar: rational coefficients, u1..uk, x1..xm,
     dx1..dxm, '^' wedges dx factors (or powers scalars), '*' multiplies."""
@@ -942,12 +984,12 @@ def parse_form(text, num_u, num_x) -> EquivariantForm:
                     mobj = _TOKEN.match(wf)
                     if not mobj or mobj.group(1) != "dx":
                         raise ValueError(f"cannot parse wedge factor {wf!r}")
-                    dx.append(int(mobj.group(2)) - 1)
+                    dx.append(_variable_index(mobj, num_u, num_x))
                 continue
             mobj = _TOKEN.match(factor)
             if not mobj:
                 raise ValueError(f"cannot parse factor {factor!r}")
-            kind, idx, power = mobj.group(1), int(mobj.group(2)) - 1, mobj.group(3)
+            kind, idx, power = mobj.group(1), _variable_index(mobj, num_u, num_x), mobj.group(3)
             e = int(power) if power else 1
             if kind == "u":
                 u[idx] += e

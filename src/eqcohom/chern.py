@@ -18,6 +18,8 @@ from .cartan import (
     EquivariantForm,
     LinearAction,
     _compositions,
+    _sum_forms,
+    _wedge_into,
     fiber_integrate_interval,
     lie_derivative,
 )
@@ -50,17 +52,15 @@ def form_mat_scale(a, c):
 
 
 def form_mat_wedge(a, b):
-    r = len(a)
-    mid = len(b)
+    num_u, num_x = a[0][0].num_u, a[0][0].num_x
     out = []
-    for i in range(r):
+    for row_a in a:
         row = []
         for j in range(len(b[0])):
-            acc = None
-            for k in range(mid):
-                term = a[i][k].wedge(b[k][j])
-                acc = term if acc is None else acc + term
-            row.append(acc)
+            terms = {}
+            for a_ik, row_b in zip(row_a, b):
+                _wedge_into(terms, a_ik, row_b[j])
+            row.append(EquivariantForm._of(num_u, num_x, terms))
         out.append(row)
     return out
 
@@ -78,10 +78,7 @@ def form_mat_u_times(a, idx):
 
 
 def form_trace(a):
-    acc = None
-    for i in range(len(a)):
-        acc = a[i][i] if acc is None else acc + a[i][i]
-    return acc
+    return _sum_forms(a[0][0].num_u, a[0][0].num_x, (a[i][i] for i in range(len(a))))
 
 
 def form_mat_scalar_conjugate(a, g):
@@ -93,29 +90,28 @@ def form_mat_scalar_conjugate(a, g):
     out = form_zero_matrix(r, num_u, num_x)
     for i in range(r):
         for j in range(r):
-            acc = EquivariantForm.zero(num_u, num_x)
-            for k in range(r):
-                for l in range(r):
-                    c = Fraction(g[i][k]) * Fraction(g_inv[l][j])
-                    if c:
-                        acc = acc + a[k][l].scale(c)
-            out[i][j] = acc
+            out[i][j] = _sum_forms(num_u, num_x,
+                                   (a[k][l].scale(Fraction(g[i][k]) * Fraction(g_inv[l][j]))
+                                    for k in range(r) for l in range(r)))
     return out
 
 
 def _principal_minor_det(m, subset):
-    """Determinant of the principal submatrix; entries must be even forms."""
-    num_u, num_x = m[0][0].num_u, m[0][0].num_x
-    acc = EquivariantForm.zero(num_u, num_x)
+    """Determinant of the principal submatrix of a nonempty subset; entries
+    must be even forms.  Each permutation's last factor is wedged straight
+    into the one term dict of the sum."""
     idx = list(subset)
     k = len(idx)
+    if k == 1:
+        return m[idx[0]][idx[0]]
+    terms = {}
     for sigma in permutations(range(k)):
-        sign = _perm_sign(sigma)
-        prod = EquivariantForm.constant(num_u, num_x, sign)
-        for i in range(k):
-            prod = prod.wedge(m[idx[i]][idx[sigma[i]]])
-        acc = acc + prod
-    return acc
+        factors = [m[idx[i]][idx[sigma[i]]] for i in range(k)]
+        prod = factors[0].scale(_perm_sign(sigma))
+        for factor in factors[1:-1]:
+            prod = prod.wedge(factor)
+        _wedge_into(terms, prod, factors[-1])
+    return EquivariantForm._of(m[0][0].num_u, m[0][0].num_x, terms)
 
 
 def _perm_sign(sigma):
@@ -133,10 +129,8 @@ def elementary_symmetric(m, k):
     num_u, num_x = m[0][0].num_u, m[0][0].num_x
     if k == 0:
         return EquivariantForm.constant(num_u, num_x, 1)
-    acc = EquivariantForm.zero(num_u, num_x)
-    for subset in combinations(range(r), k):
-        acc = acc + _principal_minor_det(m, subset)
-    return acc
+    return _sum_forms(num_u, num_x,
+                      (_principal_minor_det(m, subset) for subset in combinations(range(r), k)))
 
 
 def trace_power(m, k):
@@ -322,11 +316,8 @@ class InvariantPolynomial:
         if self.kind == "chern":
             return elementary_symmetric(m, self.k)
         if self.kind == "total_chern":
-            total = None
-            for k in range(len(m) + 1):
-                term = elementary_symmetric(m, k)
-                total = term if total is None else total + term
-            return total
+            return _sum_forms(m[0][0].num_u, m[0][0].num_x,
+                              (elementary_symmetric(m, k) for k in range(len(m) + 1)))
         if self.kind == "trace_power":
             return trace_power(m, self.k)
         if self.kind == "pontryagin":
@@ -454,11 +445,11 @@ def whitney_check(act: LinearAction, a: ConnectionMatrix, a2: ConnectionMatrix,
     c2 = [elementary_symmetric(m2, n) for n in range(r2 + 1)]
     rhs = []
     for n in range(r1 + r2 + 1):
-        acc = EquivariantForm.zero(num_u, num_x)
+        terms = {}
         for i in range(n + 1):
             if i <= r1 and (n - i) <= r2:
-                acc = acc + c1[i].wedge(c2[n - i])
-        rhs.append(acc)
+                _wedge_into(terms, c1[i], c2[n - i])
+        rhs.append(EquivariantForm._of(num_u, num_x, terms))
     return WhitneyVerdict(lhs == rhs, lhs, rhs)
 
 
