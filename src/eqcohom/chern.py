@@ -226,11 +226,15 @@ def bundle_action_matrices(drho, rank, num_u, num_x):
 def connection_is_invariant(act: LinearAction, a: ConnectionMatrix, drho=None):
     """Infinitesimal invariance: L_{X_a^#} A = [drho(X_a), A] for every basis
     element (drho = 0 when the bundle action is trivial)."""
-    k = act.lie_algebra.dim
+    return _is_invariant(act, a, None if drho is None else
+                         bundle_action_matrices(drho, a.rank, a.num_u, a.num_x))
+
+
+def _is_invariant(act: LinearAction, a: ConnectionMatrix, drho_mats):
+    """connection_is_invariant with drho given by bundle_action_matrices,
+    or None for drho = 0."""
     num_u, num_x = a.num_u, a.num_x
-    drho_mats = (bundle_action_matrices(drho, a.rank, num_u, num_x)
-                 if drho is not None else None)
-    for idx in range(k):
+    for idx in range(act.lie_algebra.dim):
         lied = [[lie_derivative(act, idx, entry) for entry in row] for row in a.entries]
         if drho_mats is None:
             want = form_zero_matrix(a.rank, num_u, num_x)
@@ -242,14 +246,11 @@ def connection_is_invariant(act: LinearAction, a: ConnectionMatrix, drho=None):
     return True
 
 
-def _moment_components(a: ConnectionMatrix, drho, act: LinearAction):
-    num_u, num_x = a.num_u, a.num_x
-    drho_mats = bundle_action_matrices(drho, a.rank, num_u, num_x)
-    comps = []
-    for idx in range(act.lie_algebra.dim):
-        contracted = form_mat_contract(a.entries, act.rep[idx])
-        comps.append(form_mat_add(contracted, drho_mats[idx]))
-    return comps
+def _moment_components(a: ConnectionMatrix, drho_mats, act: LinearAction):
+    """iota(X_a^#) A + drho_E(X_a) per basis element, drho given by
+    bundle_action_matrices."""
+    return [form_mat_add(form_mat_contract(a.entries, act.rep[idx]), drho_mats[idx])
+            for idx in range(act.lie_algebra.dim)]
 
 
 def moment_map(a: ConnectionMatrix, drho, act: LinearAction) -> MomentMap:
@@ -257,11 +258,13 @@ def moment_map(a: ConnectionMatrix, drho, act: LinearAction) -> MomentMap:
 
     drho: per basis element a rational r x r matrix (the derivative of the
     bundle action in the trivialization).  Raises ConnectionNotInvariant if
-    the combined invariance criterion fails.
+    the combined invariance criterion fails.  drho is turned into matrices
+    of 0-forms once, for the criterion and the components alike.
     """
-    if not connection_is_invariant(act, a, drho):
+    drho_mats = bundle_action_matrices(drho, a.rank, a.num_u, a.num_x)
+    if not _is_invariant(act, a, drho_mats):
         raise ConnectionNotInvariant("connection fails the combined invariance criterion")
-    return MomentMap(a.rank, _moment_components(a, drho, act))
+    return MomentMap(a.rank, _moment_components(a, drho_mats, act))
 
 
 def moment_defining_equation_check(act, a: ConnectionMatrix, drho, mu: MomentMap, phi):
@@ -425,9 +428,11 @@ def whitney_check(act: LinearAction, a: ConnectionMatrix, a2: ConnectionMatrix,
         drho2 = [[[0] * r2 for _ in range(r2)] for _ in range(k)]
     # the determinant identity holds whether or not the connections are
     # invariant, so the moment formula is applied without the precondition
-    m1 = equivariant_curvature(curvature(a), MomentMap(r1, _moment_components(a, drho, act)))
-    m2 = equivariant_curvature(curvature(a2), MomentMap(r2, _moment_components(a2, drho2, act)))
     num_u, num_x = a.num_u, a.num_x
+    m1 = equivariant_curvature(curvature(a), MomentMap(r1, _moment_components(
+        a, bundle_action_matrices(drho, r1, num_u, num_x), act)))
+    m2 = equivariant_curvature(curvature(a2), MomentMap(r2, _moment_components(
+        a2, bundle_action_matrices(drho2, r2, a2.num_u, a2.num_x), act)))
     zero = EquivariantForm.zero(num_u, num_x)
     block = []
     for i in range(r1 + r2):

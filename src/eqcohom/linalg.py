@@ -46,11 +46,13 @@ class IntMatrix:
     """Immutable integer matrix, stored once by rows: row index -> {column:
     nonzero int}, with no empty rows.
 
-    This module is the only reader of that store (``_store``).  Every other
-    module builds matrices through the constructor (an {(i, j): value}
+    This module is the only reader of that store (``_store``).  Other
+    modules build matrices through the constructor (an {(i, j): value}
     dict), from_rows, identity, zero, from_blocks (the one place where block
-    offsets and signs are placed) or the arithmetic, and reads them through
-    the accessors.  ``entries`` is an {(i, j): value} dict derived from the
+    offsets and signs are placed) or the arithmetic, and read them through
+    the accessors; the one exception is the bar cochain builder
+    (simplicial.BarLevels._coface_sum), which sums its rows as dicts and
+    hands them to _of.  ``entries`` is an {(i, j): value} dict derived from the
     rows on each read, for tests and tools.
 
     Serialization is dense (arrays of arrays of decimal strings);
@@ -110,8 +112,12 @@ class IntMatrix:
 
         Overlapping blocks add up; a sum that cancels leaves no entry.  A
         block reaching outside the shape, or a sign other than +1 or -1,
-        raises ValueError.
+        raises ValueError.  One block that is the whole matrix with sign +1
+        is returned as it is (matrices are immutable).
         """
+        if len(blocks) == 1 and blocks[0][:2] == (0, 0) and blocks[0][3] == 1 \
+                and (blocks[0][2].rows, blocks[0][2].cols) == (rows, cols):
+            return blocks[0][2]
         store = {}
         merged = False
         for r0, c0, m, sign in blocks:

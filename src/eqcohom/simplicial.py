@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import chain, permutations, repeat
+from operator import add
 
 from .complexes import DoubleComplex, IntCochainComplex, totalize
 from .linalg import (
@@ -62,6 +63,8 @@ class FiniteGroup:
         # highest bar level whose simplicial identities BarLevels has checked
         # for this group (they compare group elements only); level 0 has none
         self.bar_checked_level = 0
+        self._subgroups = {}          # sorted element tuple -> FiniteGroup
+        self._normalized_faces = {}   # bar level -> its faces on nondegenerate tuples
 
     def _find_identity(self):
         for e in range(self.order):
@@ -169,6 +172,45 @@ class FiniteGroup:
                 raise ValueError("only quaternion:8 is available")
             return cls.quaternion8()
         raise ValueError(f"unknown group family {spec!r}")
+
+    def _subgroup_elements(self, elements):
+        """The elements as a sorted tuple; InvalidAction unless they are a
+        subgroup (in range, with the identity, closed under the product)."""
+        sub = tuple(sorted(set(elements)))
+        if not all(0 <= g < self.order for g in sub) or self.identity not in sub \
+                or any(self.table[a][b] not in sub for a in sub for b in sub):
+            raise InvalidAction(f"{list(sub)} is not a subgroup of {self.name or 'the group'}")
+        return sub
+
+    def subgroup(self, elements):
+        """The subgroup on these elements as a FiniteGroup, its table
+        reindexed in increasing element order; the group itself for all of
+        its elements.  Kept on the group, so each subgroup is built once and
+        the simplicial identities of its bar levels are checked once."""
+        sub = self._subgroup_elements(elements)
+        if len(sub) == self.order:
+            return self
+        group = self._subgroups.get(sub)
+        if group is None:
+            index = {g: i for i, g in enumerate(sub)}
+            group = FiniteGroup([[index[self.table[a][b]] for b in sub] for a in sub])
+            self._subgroups[sub] = group
+        return group
+
+    def normalized_bar_faces(self, p):
+        """The faces d_0..d_p of bar level p on the tuples without the
+        identity, as _face_maps over the alphabet G \\ {e}: a code is the
+        position of its tuple among the nondegenerate tuples of its level,
+        and a face that lands on a degenerate tuple has code None.  Built
+        once per level and kept: the faces depend on the group alone."""
+        faces = self._normalized_faces.get(p)
+        if faces is None:
+            rest = [g for g in range(self.order) if g != self.identity]
+            digit = {g: a for a, g in enumerate(rest)}
+            merge = [[digit.get(self.table[g][h]) for h in rest] for g in rest]
+            faces = _face_maps(p, len(rest), merge, rest)
+            self._normalized_faces[p] = faces
+        return faces
 
     def subgroups(self):
         """All subgroups, as sorted element tuples (fine for order <= 24)."""
@@ -331,15 +373,40 @@ class GAction:
 
     def orbit_count(self):
         """Number of orbits on 0-cells."""
+        return len(self._orbit_representatives())
+
+    def _orbit_representatives(self):
+        """The first 0-cell of each orbit on 0-cells, in increasing order."""
         seen = set()
-        orbits = 0
+        firsts = []
         for c in range(self.space.ncells(0)):
-            if c in seen:
-                continue
-            orbits += 1
-            for g in self.group.elements():
-                seen.add(self.perms[g][0][c])
-        return orbits
+            if c not in seen:
+                firsts.append(c)
+                seen.update(self.perms[g][0][c] for g in self.group.elements())
+        return firsts
+
+    def orbit_stabilizers(self):
+        """One action per orbit on 0-cells: the stabilizer H of the orbit's
+        first 0-cell c, a subgroup of the group (FiniteGroup.subgroup), on a
+        point, each element with the sign it gives c.  M's 0-cells are then
+        the disjoint union of the G/H, with Z twisted by those signs, and
+        Shapiro's lemma (Brown, Cohomology of Groups III.5-6) gives
+        H^*_G(0-cells of M) = the sum over orbits of H^*(H) with these
+        coefficients.  Orbits with equal stabilizers and signs share one
+        action."""
+        shared = {}
+        out = []
+        for c in self._orbit_representatives():
+            stab = tuple(g for g in self.group.elements() if self.perms[g][0][c] == c)
+            signs = tuple(self.signs[g][0][c] for g in stab)
+            act = shared.get((stab, signs))
+            if act is None:
+                sub = self.group.subgroup(stab)
+                act = shared[(stab, signs)] = GAction(
+                    sub, CellComplex.point(), {h: [[0]] for h in sub.elements()},
+                    {h: [[s]] for h, s in zip(sub.elements(), signs)})
+            out.append(act)
+        return out
 
     # -- stock actions
 
@@ -386,10 +453,7 @@ class GAction:
     def coset_action(cls, group, subgroup_elements, name=None):
         """Left multiplication on cosets of the given subgroup; InvalidAction
         if the elements are not a subgroup."""
-        sub = sorted(subgroup_elements)
-        if not sub or not all(0 <= g < group.order for g in sub) \
-                or any(group.mul(a, b) not in sub for a in sub for b in sub):
-            raise InvalidAction(f"{sub} is not a subgroup of {group.name or 'the group'}")
+        sub = group._subgroup_elements(subgroup_elements)
         cosets = []
         seen = {}
         for g in group.elements():
@@ -464,6 +528,81 @@ class GAction:
 # bar levels
 
 
+def _runs(starts, width):
+    """range(s, s + width) for each s in starts, concatenated into one list;
+    a start of None gives width Nones."""
+    if width == 1:
+        return list(starts)
+    nones = (None,) * width
+    return list(chain.from_iterable(nones if s is None else range(s, s + width)
+                                    for s in starts))
+
+
+def _face_maps(p, radix, merge, acting):
+    """The faces d_0..d_p of bar level p >= 1, tabulated by list arithmetic
+    on mixed-radix codes.
+
+    A tuple of level p is p digits in range(radix), the first most
+    significant; merge[a][b] is the digit of the product of the elements
+    with digits a and b, or None where that product is not in the
+    alphabet, and acting[a] is the element with digit a.  Face i is a
+    decorated map (codes, acts): tuple t goes to tuple codes[t] of level
+    p - 1 (None where a merged product left the alphabet), and acts[t] acts
+    on the M factor; acts is None, every element the identity, except for
+    the last face.  Over the alphabet G (merge the group table) these are
+    face_tuple on every tuple.
+    """
+    size, lower = radix ** p, radix ** (p - 1)
+    faces = [(list(range(lower)) * radix, None)]        # d_0 drops g_1
+    merged = [c for row in merge for c in row]
+    for i in range(1, p):                                # d_i merges g_i, g_{i+1}
+        width = radix ** (p - i - 1)
+        starts = [None if c is None else (high * radix + c) * width
+                  for high in range(radix ** (i - 1)) for c in merged]
+        faces.append((_runs(starts, width), None))
+    last = [0] * size                                    # d_p drops g_p, which acts
+    for d in range(radix):
+        last[d::radix] = range(lower)
+    faces.append((last, acting * lower))
+    return faces
+
+
+def _degeneracy_maps(p, radix, identity):
+    """The degeneracies s_0..s_p of bar level p over the alphabet G (radix
+    |G|), by list arithmetic: s_i inserts the identity after g_i, and
+    codes[t] is the code of s_i t at level p + 1 (degeneracy_tuple on every
+    tuple)."""
+    return [_runs(range(identity * width, radix ** (p + 1), radix * width), width)
+            for width in (radix ** (p - i) for i in range(p + 1))]
+
+
+def _compose(outer, inner, table):
+    """outer after inner, for decorated maps (codes, acts) with no None
+    code: inner's codes sent on by outer, and the element acting on M the
+    product of outer's element after inner's, for the group table."""
+    (out_codes, out_acts), (in_codes, in_acts) = outer, inner
+    codes = list(map(out_codes.__getitem__, in_codes))
+    if out_acts is None:
+        return codes, in_acts
+    firsts = map(out_acts.__getitem__, in_codes)
+    if in_acts is None:
+        return codes, list(firsts)
+    flat = [c for row in table for c in row]        # a * |G| + b -> ab
+    return codes, list(map(flat.__getitem__, map(add, map(len(table).__mul__, firsts), in_acts)))
+
+
+def _same_map(f, g, identity):
+    """Whether two decorated maps agree on every tuple; acts None stands for
+    every element the identity."""
+    (f_codes, f_acts), (g_codes, g_acts) = f, g
+    if f_codes != g_codes:
+        return False
+    if f_acts is None or g_acts is None:
+        acts = g_acts if f_acts is None else f_acts
+        return acts is None or acts.count(identity) == len(acts)
+    return f_acts == g_acts
+
+
 class BarLevels:
     """Levels 0..P of G^p x M with face/degeneracy maps as cellular maps.
 
@@ -471,14 +610,17 @@ class BarLevels:
     t = g_1 m^{p-1} + ... + g_p where m = |G|.  A q-cell of level p is the
     pair (t, c), flattened as t * ncells(q) + c.
 
-    The simplicial identities are checked on the full tables, all m^p
-    tuples of a level.  The cochain matrices the pipeline reads
-    (vertical_matrix, horizontal_matrix, over normalized_cells) are those
-    of the normalized complex: its basis at level p is the nondegenerate
-    tuples, those with no identity entry, in increasing order, and a q-cell
-    (r, c) is flattened as r * ncells(q) + c with r the position of the
-    tuple.  The full cochains (cells, face_pullback, full_vertical_matrix,
-    full_horizontal_matrix) serve the cosimplicial helpers and the tests.
+    The face and degeneracy maps are tabulated by _face_maps and
+    _degeneracy_maps.  The simplicial identities are checked on the full
+    tables, all m^p tuples of a level.  The cochain matrices the pipeline
+    reads (vertical_matrix, horizontal_matrix, over normalized_cells) are
+    those of the normalized complex: its basis at level p is the
+    nondegenerate tuples, those with no identity entry, in increasing
+    order, and a q-cell (r, c) is flattened as r * ncells(q) + c with r the
+    position of the tuple; their faces are the group's
+    normalized_bar_faces, _face_maps over G \\ {e}.  The full cochains
+    (cells, face_pullback, full_vertical_matrix, full_horizontal_matrix)
+    serve the cosimplicial helpers and the tests.
     """
 
     def __init__(self, act: GAction, P, verify=True):
@@ -493,29 +635,30 @@ class BarLevels:
         m = self.group.order
         self.tuple_counts = [m ** p for p in range(P + 1)]
         self.nondegenerate_counts = [(m - 1) ** p for p in range(P + 1)]
-        self._face_tables = {}
-        self._degeneracy_tables = {}
+        self._face_tables = {}            # level -> its faces on all tuples
+        self._degeneracy_tables = {}      # level -> its degeneracies on all tuples
         self._nondegenerate = [[0]]       # level p -> its nondegenerate tuples
-        self._nondegenerate_faces = {}
         if verify and P > self.group.bar_checked_level:
             self.verify_simplicial_identities()
 
     def face_table(self, p, i):
-        """face_tuple(p, i, .) tabulated over all tuples of level p."""
-        key = (p, i)
-        tab = self._face_tables.get(key)
-        if tab is None:
-            tab = [self.face_tuple(p, i, t) for t in range(self.tuple_counts[p])]
-            self._face_tables[key] = tab
-        return tab
+        """Face i of level p on all tuples, a decorated map (codes, acts):
+        tuple t goes to tuple codes[t] of level p - 1 with acts[t] acting on
+        the M factor (acts None: the identity acts)."""
+        faces = self._face_tables.get(p)
+        if faces is None:
+            g = self.group
+            faces = _face_maps(p, g.order, g.table, list(g.elements()))
+            self._face_tables[p] = faces
+        return faces[i]
 
     def degeneracy_table(self, p, i):
-        key = (p, i)
-        tab = self._degeneracy_tables.get(key)
-        if tab is None:
-            tab = [self.degeneracy_tuple(p, i, t) for t in range(self.tuple_counts[p])]
-            self._degeneracy_tables[key] = tab
-        return tab
+        """Degeneracy i of level p on all tuples: codes[t] is s_i t."""
+        degeneracies = self._degeneracy_tables.get(p)
+        if degeneracies is None:
+            degeneracies = _degeneracy_maps(p, self.group.order, self.group.identity)
+            self._degeneracy_tables[p] = degeneracies
+        return degeneracies[i]
 
     def nondegenerate_tuples(self, p):
         """The tuples of level p with no identity entry, in increasing order."""
@@ -526,20 +669,12 @@ class BarLevels:
         return levels[p]
 
     def nondegenerate_face_table(self, p, i):
-        """Face i of each nondegenerate tuple of level p, as (r, g): r is the
-        position of the face among the nondegenerate tuples of level p - 1,
-        or None where the face is degenerate, and g acts on the M factor.
-        Only the nondegenerate tuples go through face_tuple."""
-        key = (p, i)
-        tab = self._nondegenerate_faces.get(key)
-        if tab is None:
-            position = {t: r for r, t in enumerate(self.nondegenerate_tuples(p - 1))}
-            tab = []
-            for t in self.nondegenerate_tuples(p):
-                t2, g = self.face_tuple(p, i, t)
-                tab.append((position.get(t2), g))
-            self._nondegenerate_faces[key] = tab
-        return tab
+        """Face i of the nondegenerate tuples of level p, a decorated map
+        (codes, acts): codes[r] is the position of the face of tuple r among
+        the nondegenerate tuples of level p - 1, or None where the face is
+        degenerate, and acts[r] acts on the M factor (acts None: the
+        identity acts)."""
+        return self.group.normalized_bar_faces(p)[i]
 
     def cells(self, p, q):
         """q-cells of level p of the full bar object."""
@@ -612,82 +747,83 @@ class BarLevels:
 
     def _verify_level(self, level):
         """The relations whose tables reach no higher than this level:
-        d_i d_j from it, d_i s_j into it and s_i s_j two levels up into it."""
-        mul = self.group.mul
-        e = self.group.identity
+        d_i d_j from it, d_i s_j into it and s_i s_j two levels up into it.
+        Each side is composed over every tuple as a whole list."""
+        table, e = self.group.table, self.group.identity
+        face = self.face_table
+
+        def degeneracy(p, i):  # as a decorated map: nothing acts on M
+            return self.degeneracy_table(p, i), None
+
+        def fails(f, g):
+            return not _same_map(f, g, e)
+
         p = level
         if p >= 2:
-            faces_p = [self.face_table(p, i) for i in range(p + 1)]
-            faces_lo = [self.face_table(p - 1, i) for i in range(p)]
             for j in range(p + 1):
-                fj = faces_p[j]
                 for i in range(j):
-                    fi_lo = faces_lo[i]
-                    fi = faces_p[i]
-                    fj1_lo = faces_lo[j - 1]
-                    for t in range(self.tuple_counts[p]):
-                        tj, gj = fj[t]
-                        ti, gi = fi_lo[tj]
-                        ti2, gi2 = fi[t]
-                        tj2, gj2 = fj1_lo[ti2]
-                        if ti != tj2 or mul(gi, gj) != mul(gj2, gi2):
-                            raise InvalidAction(
-                                f"simplicial identity d_{i} d_{j} failed at level {p}")
+                    if fails(_compose(face(p - 1, i), face(p, j), table),
+                             _compose(face(p - 1, j - 1), face(p, i), table)):
+                        raise InvalidAction(
+                            f"simplicial identity d_{i} d_{j} failed at level {p}")
             p = level - 2
-            degen_p = [self.degeneracy_table(p, i) for i in range(p + 1)]
-            degen_hi = [self.degeneracy_table(p + 1, i) for i in range(p + 2)]
             for j in range(p + 1):
                 for i in range(j + 1):
-                    dj, di = degen_p[j], degen_p[i]
-                    hi_i, hi_j1 = degen_hi[i], degen_hi[j + 1]
-                    for t in range(self.tuple_counts[p]):
-                        if hi_i[dj[t]] != hi_j1[di[t]]:
-                            raise InvalidAction(
-                                f"simplicial identity s_{i} s_{j} failed at level {p}")
-        p = level - 1
-        degen_p = [self.degeneracy_table(p, i) for i in range(p + 1)]
-        faces_hi = [self.face_table(p + 1, i) for i in range(p + 2)]
-        faces_p = [self.face_table(p, i) for i in range(p + 1)] if p >= 1 else []
-        degen_lo = [self.degeneracy_table(p - 1, i) for i in range(p)] if p >= 1 else []
-        for j in range(p + 1):
-            dj = degen_p[j]
-            for i in range(p + 2):
-                fhi = faces_hi[i]
-                for t in range(self.tuple_counts[p]):
-                    got = fhi[dj[t]]
-                    if i < j:
-                        t2, g2 = faces_p[i][t]
-                        want = (degen_lo[j - 1][t2], g2)
-                    elif i in (j, j + 1):
-                        want = (t, e)
-                    else:
-                        t2, g2 = faces_p[i - 1][t]
-                        want = (degen_lo[j][t2], g2)
-                    if got != want:
+                    if fails(_compose(degeneracy(p + 1, i), degeneracy(p, j), table),
+                             _compose(degeneracy(p + 1, j + 1), degeneracy(p, i), table)):
                         raise InvalidAction(
-                            f"simplicial identity d_{i} s_{j} failed at level {p}")
+                            f"simplicial identity s_{i} s_{j} failed at level {p}")
+        p = level - 1
+        identity = (list(range(self.tuple_counts[p])), None)
+        for j in range(p + 1):
+            s_j = degeneracy(p, j)
+            for i in range(p + 2):
+                got = _compose(face(p + 1, i), s_j, table)
+                if i < j:
+                    want = _compose(degeneracy(p - 1, j - 1), face(p, i), table)
+                elif i in (j, j + 1):
+                    want = identity
+                else:
+                    want = _compose(degeneracy(p - 1, j), face(p, i - 1), table)
+                if fails(got, want):
+                    raise InvalidAction(
+                        f"simplicial identity d_{i} s_{j} failed at level {p}")
 
     # -- cochain matrices
 
     def _coface_sum(self, q, faces, rows, cols):
-        """The sum of sign * d_i^* on q-cochains over (sign, table) in faces,
-        a rows x cols matrix.  A table lists one face d_i: table[r] = (r2, g)
-        says that d_i of tuple r of the upper level is tuple r2 of the lower
-        one, with g acting on M; r2 None (a degenerate face) contributes
-        nothing."""
+        """The sum of sign * d_i^* on q-cochains over (sign, face) in faces,
+        a rows x cols matrix.  A face is a decorated map (codes, acts): d_i
+        of tuple r of the upper level is tuple codes[r] of the lower one,
+        with acts[r] acting on M (acts None: the identity acts); a code None
+        (a degenerate face) contributes nothing.  The rows are summed as
+        dicts and handed to IntMatrix as they are, without zeros or empty
+        rows."""
         nq = self.space.ncells(q)
         perms, signs = self.act.perms, self.act.signs
-        entries = {}
-        for sign, tab in faces:
-            for r, (r2, g) in enumerate(tab):
+        # per element: (cell, its image, orientation sign) of each q-cell
+        moves = [list(zip(range(nq), perms[g][q], signs[g][q])) for g in self.group.elements()]
+        store = {}
+        for sign, (codes, acts) in faces:
+            for r, (r2, g) in enumerate(zip(codes, acts or repeat(self.group.identity))):
                 if r2 is None:
                     continue
-                perm, sgns = perms[g][q], signs[g][q]
-                row, col = r * nq, r2 * nq
-                for c in range(nq):
-                    key = (row + c, col + perm[c])
-                    entries[key] = entries.get(key, 0) + sign * sgns[c]
-        return IntMatrix(rows, cols, entries)
+                row0, col0 = r * nq, r2 * nq
+                for c, c2, s in moves[g]:
+                    row = store.get(row0 + c)
+                    if row is None:
+                        store[row0 + c] = {col0 + c2: sign * s}
+                    else:
+                        col = col0 + c2
+                        row[col] = row.get(col, 0) + sign * s
+        nonzero = {}
+        for i, row in store.items():
+            if not all(row.values()):       # faces that cancel
+                row = {j: v for j, v in row.items() if v}
+                if not row:
+                    continue
+            nonzero[i] = row
+        return IntMatrix._of(rows, cols, nonzero)
 
     def vertical_matrix(self, p, q):
         """Normalized dV: C^q(level p) -> C^q(level p+1), the alternating sum
@@ -718,12 +854,10 @@ class BarLevels:
     def degeneracy_pullback(self, p, i, q):
         """sigma_i^*: C^q(level p+1) -> C^q(level p)."""
         nq = self.space.ncells(q)
-        entries = {}
-        for t in range(self.tuple_counts[p]):
-            t2 = self.degeneracy_tuple(p, i, t)
-            for c in range(nq):
-                entries[(t * nq + c, t2 * nq + c)] = 1
-        return IntMatrix(self.cells(p, q), self.cells(p + 1, q), entries)
+        return IntMatrix(self.cells(p, q), self.cells(p + 1, q),
+                         {(t * nq + c, t2 * nq + c): 1
+                          for t, t2 in enumerate(self.degeneracy_table(p, i))
+                          for c in range(nq)})
 
     def face_pullback(self, p, i, q):
         """d_i^*: C^q(level p) -> C^q(level p+1), a single face pullback."""
@@ -761,9 +895,11 @@ def bar_homotopy_complex(bl: BarLevels):
 # The largest bar construction a query may build, counted by bar_size:
 # the cells of the normalized bar total complex plus the tuples of the full
 # tables that the simplicial-identity check tabulates.  The largest tier-1
-# and benchmark inputs need about 25 000.  Near the budget a query takes about
-# half a minute and half a gigabyte: H^6 of symmetric:3 on a point needs
-# 433 579 (degrees 0..7) and took 31 s and 490 MB on a 2-core host.
+# and benchmark inputs need about 25 000.  Near the budget a query takes tens
+# of seconds and a quarter of a gigabyte: H^6 of symmetric:3 on a point needs
+# 433 579 (degrees 0..7) and took 20 s of process time and 245 MB max RSS in a
+# fresh process on a 2-core host (Python 3.11), of which bar_levels, the
+# identity check of levels 0..7, took 1.4 s and 128 MB.
 # symmetric:4 on a point at degree 9 would need about 10^14.
 BAR_BUDGET = 500_000
 

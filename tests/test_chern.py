@@ -456,3 +456,29 @@ def test_invariant_connection_space_builds_bundle_action_once(monkeypatch):
     basis = invariant_connection_space(ROT, 2, drho=drho, x_bound=1)
     assert len(calls) == 1
     assert basis and all(connection_is_invariant(ROT, c, drho) for c in basis)
+
+
+def test_moment_map_builds_bundle_action_once(monkeypatch):
+    # the invariance criterion and the components share one conversion of drho
+    build = chern.bundle_action_matrices
+    calls = []
+
+    def counting_build(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(chern, "bundle_action_matrices", counting_build)
+    drho = [[[1, 0], [0, -1]]]
+    a = invariant_connection_space(ROT, 2, drho=drho, x_bound=1)[0]
+    calls.clear()
+    mu = moment_map(a, drho, ROT)
+    assert len(calls) == 1
+    # mu(X) = iota(X^#) A + drho(X), built from the public pieces
+    mats = build(drho, 2, a.num_u, a.num_x)
+    assert mu.components[0] == form_mat_add(
+        [[entry.contract_linear_field(ROT.rep[0]) for entry in row] for row in a.entries],
+        mats[0])
+    calls.clear()
+    with pytest.raises(ConnectionNotInvariant):
+        moment_map(conn([["x1*dx1"]]), [[[0]]], ROT)
+    assert len(calls) == 1

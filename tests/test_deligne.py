@@ -281,17 +281,29 @@ def test_connecting_rank_matches_kernel_formula():
                     (act.group.name, n, k)
 
 
+def _distinct_stabilizers(act):
+    """The stabilizers of the first 0-cell of each orbit of act, as a set of
+    sorted element tuples."""
+    seen, out = set(), set()
+    for c in range(act.space.ncells(0)):
+        if c not in seen:
+            seen |= {act.perms[g][0][c] for g in act.group.elements()}
+            out.add(tuple(g for g in act.group.elements() if act.perms[g][0][c] == c))
+    return out
+
+
 def test_one_bar_construction_per_hexagon(monkeypatch):
-    # one BarLevels and one bar total complex per hexagon; at n = 1 the
-    # left square reads the hexagon's complex too
+    # one BarLevels and one bar total complex for act, plus one of each
+    # distinct stabilizer on a point (Shapiro), and none extra when M is a
+    # point; at n = 1 the left square reads act's complex too
     builds = []
     windows = []
     real_init = BarLevels.__init__
     real_window = simplicial.total_window
 
-    def counting_init(self, *args, **kwargs):
-        builds.append(args)
-        real_init(self, *args, **kwargs)
+    def counting_init(self, act, *args, **kwargs):
+        builds.append(act)
+        real_init(self, act, *args, **kwargs)
 
     def counting_window(*args):
         windows.append(args)
@@ -299,15 +311,105 @@ def test_one_bar_construction_per_hexagon(monkeypatch):
 
     monkeypatch.setattr(BarLevels, "__init__", counting_init)
     monkeypatch.setattr(simplicial, "total_window", counting_window)
+    s3 = FiniteGroup.symmetric(3)
+    mixed = GAction.points_action(s3, 4, {g: GAction.coset_action(s3, (0, 1)).perms[g][0] + [3]
+                                          for g in s3.elements()})
     actions = [trivial_point(), cp_point(2), GAction.swap_two_points(),
-               GAction.coset_action(FiniteGroup.symmetric(3), (0,))]
+               GAction.coset_action(s3, (0,)), GAction.trivial(FiniteGroup.cyclic(3),
+                                                                CellComplex.points(2)), mixed]
     for act in actions:
+        stabilizers = _distinct_stabilizers(act)
+        subgroups = {id(act.group.subgroup(stab)) for stab in stabilizers}
         for n in range(4):
             builds.clear()
             windows.clear()
             hexagon(act, n)
-            assert len(builds) == 1, (act.name, n, len(builds))
-            assert len(windows) == 1, (act.name, n, len(windows))
+            assert builds[0] is act, (act.name, n)
+            if act.space.ncells(0) == 1:
+                assert len(builds) == 1, (act.name, n, len(builds))
+            else:
+                assert len(builds) == 1 + len(stabilizers), (act.name, n, len(builds))
+                assert all(b.space.ncells(0) == 1 for b in builds[1:])
+                assert {id(b.group) for b in builds[1:]} == subgroups, (act.name, n)
+            assert len(windows) == len(builds), (act.name, n, len(windows))
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_hexagon_reads_no_window_datum_from_the_complex_on_m(monkeypatch, n):
+    # with more than one 0-cell, H^{n-1}(Z), H^n(Z), the Bockstein image and
+    # iota's rank all come from complexes of stabilizers on a point: outside
+    # the Deligne cone's own H^n, no cohomology, rational dimension or
+    # Bockstein image is read from a complex built or reduced from act
+    origin = []       # (complex, the action whose bar complex it is or reduces)
+    read_from = []
+    in_cone = []
+    real_bar_complex, real_reduced = deligne.bar_complex, IntCochainComplex.reduced
+    real_cohomology, real_q_dim = IntCochainComplex.cohomology, IntCochainComplex.cohomology_q_dim
+    real_bockstein, real_cone = deligne.bockstein_image, MixedComplex.cohomology
+
+    def source(cx):
+        return [act for made, act in origin if made is cx]
+
+    def bar_complex_of(bl, top):
+        cx = real_bar_complex(bl, top)
+        origin.append((cx, bl.act))
+        return cx
+
+    def reduced(self):
+        red = real_reduced(self)
+        origin.extend((red, act) for act in source(self))
+        return red
+
+    def reading(real):
+        def read(cx, k):
+            if not in_cone:
+                read_from.extend(source(cx))
+            return real(cx, k)
+        return read
+
+    def cone_cohomology(self, k):
+        in_cone.append(k)
+        try:
+            return real_cone(self, k)
+        finally:
+            in_cone.pop()
+
+    monkeypatch.setattr(deligne, "bar_complex", bar_complex_of)
+    monkeypatch.setattr(IntCochainComplex, "reduced", reduced)
+    monkeypatch.setattr(IntCochainComplex, "cohomology", reading(real_cohomology))
+    monkeypatch.setattr(IntCochainComplex, "cohomology_q_dim", reading(real_q_dim))
+    monkeypatch.setattr(deligne, "bockstein_image", reading(real_bockstein))
+    monkeypatch.setattr(MixedComplex, "cohomology", cone_cohomology)
+    for act in _acceptance_actions():
+        if act.space.ncells(0) == 1:
+            continue
+        origin.clear()
+        read_from.clear()
+        hexagon(act, n)
+        assert read_from, (act.name, n)
+        assert all(a is not act and a.space.ncells(0) == 1 for a in read_from), (act.name, n)
+
+
+def test_shapiro_corners_match_the_complex_on_m_with_signed_points():
+    # a 0-cell whose stabilizer reverses its sign twists Z by that sign;
+    # the stabilizer on a point carries the same sign
+    c2, c4 = FiniteGroup.cyclic(2), FiniteGroup.cyclic(4)
+    actions = [
+        GAction(c2, CellComplex.points(3), {0: [[0, 1, 2]], 1: [[1, 0, 2]]},
+                {0: [[1, 1, 1]], 1: [[1, 1, -1]]}),
+        GAction(c4, CellComplex.points(2), {g: [[0, 1]] for g in range(4)},
+                {g: [[1, (-1) ** g]] for g in range(4)}),
+        GAction(c4, CellComplex.points(3), {g: [[g % 2, 1 - g % 2, 2]] for g in range(4)},
+                {g: [[1, 1, (-1) ** g]] for g in range(4)}),
+    ]
+    for act in actions:
+        h = [equivariant_cohomology(act, n) for n in range(5)]
+        for n in range(5):
+            evidence = hexagon(act, n).evidence
+            assert evidence["H^n(Z)"] == h[n], (n, act.signs)
+            if n:
+                assert evidence["H^{n-1}(Z)"] == h[n - 1], (n, act.signs)
+                assert evidence["rank iota on H^n"] == equivariant_cohomology(act, n, "Q")
 
 
 def test_hexagon_negative_degree_rejected_before_any_work(monkeypatch):

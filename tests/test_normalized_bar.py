@@ -101,6 +101,35 @@ def orbit_actions(draw, min_orbits=1):
     return group, orbits
 
 
+@st.composite
+def circle_actions(draw):
+    """circle:k for k <= 4 under a trivial action of a named group, the
+    rotations of a cyclic group of order dividing k, or (k <= 3) the
+    dihedral group of the k-gon, whose reflections reverse the edges."""
+    k = draw(st.integers(min_value=1, max_value=4))
+    space = CellComplex.circle(k)
+    kind = draw(st.sampled_from(["trivial", "rotation", "dihedral"] if k <= 3
+                                else ["trivial", "rotation"]))
+    if kind == "trivial":
+        return GAction.trivial(FiniteGroup.named(draw(st.sampled_from(GROUPS))), space)
+    if kind == "rotation":
+        d = draw(st.sampled_from([d for d in range(1, k + 1) if k % d == 0]))
+        perms = {g: [[(c + g * (k // d)) % k for c in range(k)]] * 2 for g in range(d)}
+        return GAction(FiniteGroup.cyclic(d), space, perms)
+    # element g of dihedral:k is x -> s + (-1)^r x with s = g % k, r = g // k;
+    # a reflection sends the edge v_x -> v_{x+1} to v_{s-x-1} -> v_{s-x}, reversed
+    group = FiniteGroup.dihedral(k)
+    perms, signs = {}, {}
+    for g in group.elements():
+        shift, r = g % k, g // k
+        vertices = [(shift + (-1) ** r * x) % k for x in range(k)]
+        edges = [(shift + x) % k for x in range(k)] if r == 0 else \
+            [(shift - x - 1) % k for x in range(k)]
+        perms[g] = [vertices, edges]
+        signs[g] = [[1] * k, [(-1) ** r] * k]
+    return GAction(group, space, perms, signs)
+
+
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
 
@@ -109,6 +138,28 @@ PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, d
 def test_property_normalized_matches_full(group_orbits):
     group, orbits = group_orbits
     assert_same_cohomology(disjoint_union(group, orbits), 2)
+
+
+@PROPERTY_SETTINGS
+@given(circle_actions())
+def test_property_normalized_matches_full_on_circles(act):
+    assert_same_cohomology(act, 2)
+
+
+@PROPERTY_SETTINGS
+@given(orbit_actions())
+def test_property_shapiro_stabilizers_give_the_g_bar_cohomology(group_orbits):
+    # H^k_G(union of the G/H) = sum of H^k(H), each H on a point, k <= 3
+    group, orbits = group_orbits
+    union = bar_complex(bar_levels(disjoint_union(group, orbits), 4), 4)
+    stabilizers = [bar_complex(bar_levels(GAction.trivial(group.subgroup(sub),
+                                                          CellComplex.point()), 4), 4)
+                   for sub in orbits]
+    for k in range(4):
+        total = FgAbGroup(0)
+        for cx in stabilizers:
+            total = total.direct_sum(cx.cohomology(k))
+        assert union.cohomology(k) == total, (group.name, orbits, k)
 
 
 @PROPERTY_SETTINGS

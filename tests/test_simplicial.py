@@ -153,16 +153,19 @@ def test_simplicial_identities_c3_on_triangle():
 
 
 def merge_wrongly_from(level):
-    """A face_tuple whose d_1 drops g_1 (acts as d_0) from the given level up."""
-    original = BarLevels.face_tuple
+    """A face tabulation whose d_1 drops g_1 (acts as d_0) from the given level up."""
+    original = simplicial._face_maps
 
-    def face_tuple(self, p, i, t):
-        return original(self, p, 0 if i == 1 and p >= level else i, t)
-    return face_tuple
+    def face_maps(p, *args):
+        faces = original(p, *args)
+        if p >= level:
+            faces[1] = faces[0]
+        return faces
+    return face_maps
 
 
 def test_wrong_face_map_raises_on_fresh_group(monkeypatch):
-    monkeypatch.setattr(BarLevels, "face_tuple", merge_wrongly_from(2))
+    monkeypatch.setattr(simplicial, "_face_maps", merge_wrongly_from(2))
     group = FiniteGroup.cyclic(2)
     act = GAction.trivial(group, CellComplex.point())
     with pytest.raises(InvalidAction):
@@ -175,7 +178,7 @@ def test_wrong_face_map_raises_on_fresh_group(monkeypatch):
 def test_wrong_face_map_above_checked_levels_raises(monkeypatch):
     group = FiniteGroup.cyclic(2)
     bar_levels(GAction.trivial(group, CellComplex.point()), 2)
-    monkeypatch.setattr(BarLevels, "face_tuple", merge_wrongly_from(3))
+    monkeypatch.setattr(simplicial, "_face_maps", merge_wrongly_from(3))
     with pytest.raises(InvalidAction):
         bar_levels(GAction.trivial(group, CellComplex.points(2)), 3)
 
@@ -183,13 +186,64 @@ def test_wrong_face_map_above_checked_levels_raises(monkeypatch):
 def test_wrong_degeneracy_above_checked_levels_raises(monkeypatch):
     group = FiniteGroup.cyclic(3)
     bar_levels(GAction.trivial(group, CellComplex.point()), 2)
-    original = BarLevels.degeneracy_tuple
+    original = simplicial._degeneracy_maps
 
-    def degeneracy_tuple(self, p, i, t):  # s_i acts as s_{i+1} from level 2 up
-        return original(self, p, min(i + 1, p) if p >= 2 else i, t)
-    monkeypatch.setattr(BarLevels, "degeneracy_tuple", degeneracy_tuple)
+    def degeneracy_maps(p, *args):  # s_i acts as s_{i+1} from level 2 up
+        maps = original(p, *args)
+        return [maps[min(i + 1, p)] for i in range(p + 1)] if p >= 2 else maps
+    monkeypatch.setattr(simplicial, "_degeneracy_maps", degeneracy_maps)
     with pytest.raises(InvalidAction):
         bar_levels(GAction.trivial(group, CellComplex.point()), 3)
+
+
+TABLE_GROUPS = [f"cyclic:{k}" for k in range(1, 7)] + ["symmetric:3", "dihedral:4", "quaternion:8"]
+
+
+@pytest.mark.parametrize("name", TABLE_GROUPS)
+def test_tables_match_face_and_degeneracy_tuples(name):
+    # the list-arithmetic tabulation against the per-tuple maps, levels <= 4
+    group = FiniteGroup.named(name)
+    bl = bar_levels(GAction.trivial(group, CellComplex.point()), 4)
+    e = group.identity
+    for p in range(5):
+        tuples = range(group.order ** p)
+        for i in range(p + 1):
+            assert bl.degeneracy_table(p, i) == [bl.degeneracy_tuple(p, i, t) for t in tuples]
+        if p == 0:
+            continue
+        position = {t: r for r, t in enumerate(bl.nondegenerate_tuples(p - 1))}
+        for i in range(p + 1):
+            codes, acts = bl.face_table(p, i)
+            assert list(zip(codes, acts or [e] * len(codes))) == \
+                [bl.face_tuple(p, i, t) for t in tuples], (p, i)
+            # over the nondegenerate tuples: positions, None where degenerate
+            codes, acts = bl.nondegenerate_face_table(p, i)
+            want = [bl.face_tuple(p, i, t) for t in bl.nondegenerate_tuples(p)]
+            assert list(zip(codes, acts or [e] * len(codes))) == \
+                [(position.get(t2), g) for t2, g in want], (p, i)
+
+
+def test_subgroup_reindexes_and_is_kept_on_the_group():
+    s3 = FiniteGroup.symmetric(3)
+    assert s3.subgroup(range(6)) is s3
+    for elements in s3.subgroups():
+        sub = s3.subgroup(elements)
+        assert sub is s3.subgroup(reversed(elements))
+        assert sub.order == len(elements) and elements[sub.identity] == s3.identity
+        for a in sub.elements():
+            for b in sub.elements():
+                assert elements[sub.mul(a, b)] == s3.mul(elements[a], elements[b])
+
+
+def test_subgroup_rejects_a_set_that_is_not_a_subgroup():
+    c4, s3 = FiniteGroup.cyclic(4), FiniteGroup.symmetric(3)
+    not_closed = [(c4, (0, 1)), (s3, (0, 1, 2)), (c4, (0, 1, 3))]
+    no_identity = [(c4, (2,)), (c4, ()), (s3, (1,))]
+    out_of_range = [(c4, (0, 4)), (c4, (0, -1))]
+    for group, elements in not_closed + no_identity + out_of_range:
+        with pytest.raises(InvalidAction):
+            group.subgroup(elements)
+    assert not c4._subgroups and not s3._subgroups
 
 
 def test_identity_check_runs_once_per_group_and_level(monkeypatch):
