@@ -18,7 +18,6 @@ from fractions import Fraction
 from .linalg import (
     FgAbGroup,
     IntMatrix,
-    cohomology_at,
     kernel_basis,
     q_solve,
     rank_q,
@@ -52,13 +51,17 @@ class IntCochainComplex:
     """Finite complex of free Z-modules, degrees n_min .. n_min+len(ranks)-1.
 
     diffs[k] is d^{n_min+k}: degree n_min+k -> n_min+k+1; outside the stored
-    range every module is zero.
+    range every module is zero.  d^2 = 0 is checked once, when it is built
+    (unless check=False).  Cohomology is read off its reduction (reduced),
+    computed once and kept, so no degree read reduces anything again.
     """
 
     def __init__(self, n_min, ranks, diffs, check=True):
         self.n_min = n_min
         self.ranks = list(ranks)
         self.diffs = list(diffs)
+        self._reduced = None     # the reduction, once computed
+        self._is_reduced = False
         if len(self.diffs) != max(len(self.ranks) - 1, 0):
             raise ValueError("need one differential between consecutive degrees")
         for k, d in enumerate(self.diffs):
@@ -86,15 +89,27 @@ class IntCochainComplex:
         return IntMatrix.zero(self.rank(n + 1), self.rank(n))
 
     def cohomology(self, n) -> FgAbGroup:
-        return cohomology_at(self.differential(n - 1), self.differential(n))
+        """H^n off the reduced complex: the invariant factors of one Smith
+        form of d^{n-1} (ker d^n is pure, so it holds all torsion of
+        Z^k / im d^{n-1}) and the free rank rank(n) - rk d^n - rk d^{n-1}."""
+        red = self.reduced()
+        diag = smith_normal_form(red.differential(n - 1)).s.diagonal()
+        return FgAbGroup.from_diagonal(diag, red.rank(n) - rank_q(red.differential(n)))
 
     def cohomology_q_dim(self, n) -> int:
-        return self.rank(n) - rank_q(self.differential(n)) - rank_q(self.differential(n - 1))
+        red = self.reduced()
+        return red.rank(n) - rank_q(red.differential(n)) - rank_q(red.differential(n - 1))
 
     def reduced(self):
-        """Unit-pivot reduced complex with the same cohomology everywhere."""
-        red = reduce_complex(self.ranks, self.diffs)
-        return IntCochainComplex(self.n_min, red.ranks, red.diffs)
+        """Unit-pivot reduced complex with the same cohomology everywhere,
+        computed and d^2-checked once; a reduced complex returns itself."""
+        if self._is_reduced:
+            return self
+        if self._reduced is None:
+            red = reduce_complex(self.ranks, self.diffs)
+            self._reduced = IntCochainComplex(self.n_min, red.ranks, red.diffs)
+            self._reduced._is_reduced = True
+        return self._reduced
 
     def __eq__(self, other):
         if not isinstance(other, IntCochainComplex):

@@ -35,7 +35,7 @@ from .linalg import (
     rank_q,
     solve_int,
 )
-from .simplicial import BarLevels, GAction, bar_complex, bar_levels
+from .simplicial import GAction, bar_complex, bar_levels
 
 
 class PositiveDimensionalInput(Exception):
@@ -234,10 +234,8 @@ class MixedComplex:
 @dataclass
 class DeligneComplexData:
     """Assembled mixed complex for D(n) over the bar object of a
-    0-dimensional G-space, with the bar levels kept for chain work."""
+    0-dimensional G-space."""
 
-    n: int
-    bl: BarLevels
     mixed: MixedComplex
 
 
@@ -287,14 +285,12 @@ def deligne_cone(cx: IntCochainComplex, n) -> MixedComplex:
 
 def build_deligne_mixed(act: GAction, n) -> DeligneComplexData:
     """D(n) over the unreduced normalized bar complex of G^. x M for
-    0-dimensional M, degrees 0..n+2 (bar_complex of the levels up to n+2),
-    with the bar levels kept for chain work."""
+    0-dimensional M, degrees 0..n+2 (bar_complex of the levels up to n+2)."""
     if act.space.dim > 0:
         raise PositiveDimensionalInput(
             "the Deligne cone needs a 0-dimensional complex; "
             "use hexagon() with supplied form corners instead")
-    bl = bar_levels(act, n + 2)
-    return DeligneComplexData(n, bl, deligne_cone(bar_complex(bl, n + 2), n))
+    return DeligneComplexData(deligne_cone(bar_complex(bar_levels(act, n + 2), n + 2), n))
 
 
 def differential_cohomology_zero_dim(act: GAction, n) -> DiffCohGroup:
@@ -453,18 +449,18 @@ class _IntegralCorners:
                                 self.iota_rank + other.iota_rank)
 
 
-def _integral_corners(act: GAction, n, reduced: IntCochainComplex) -> _IntegralCorners:
+def _integral_corners(act: GAction, n, bar: IntCochainComplex) -> _IntegralCorners:
     """The integral corners of a 0-dimensional action at degree n, summed
     over its orbits by Shapiro's lemma (GAction.orbit_stabilizers).
 
     Each distinct stabilizer H contributes the corners of the reduced
     normalized bar complex of H on a point in degrees 0..n+1, built once.
     When M is a single point, Shapiro is the identity and H is G itself:
-    the corners are then read from `reduced`, the reduced bar complex of
-    act in degrees 0..n+1 that the caller already holds.
+    the corners are then read from the reduction of `bar`, the bar complex
+    of act in degrees 0..n+1 that the caller already holds.
     """
     if act.space.ncells(0) == 1:
-        return _IntegralCorners.of(reduced, n)
+        return _IntegralCorners.of(bar.reduced(), n)
     total = _IntegralCorners(FgAbGroup(0), FgAbGroup(0), FgAbGroup(0), 0)
     per_stabilizer = {}
     for stab in act.orbit_stabilizers():
@@ -481,9 +477,10 @@ def _hexagon_zero_dim(act: GAction, n) -> HexagonReport:
 
     Ĥ^n is read off the Deligne cone over the normalized bar total complex
     of act in degrees 0..n+1 (bar_complex of BarLevels 0..n+1, the only
-    levels built and checked), reduced once; at n = 1 the left square reads
-    the same complex unreduced.  H^{n-1}(Z), H^n(Z), the Bockstein image
-    and the rank of iota come from the stabilizers of the orbits, one bar
+    levels built and checked), reduced once.  At n <= 1 the form corners
+    are the invariant functions on M, ker d^0 of the same complex
+    unreduced, which the left square reads at n = 1.  H^{n-1}(Z), H^n(Z),
+    the Bockstein image and the rank of iota come from the stabilizers of the orbits, one bar
     complex of each distinct stabilizer on a point (_integral_corners,
     Shapiro's lemma), so the diagonal verdicts compare complexes of
     different groups.  The one case left without an independent check is M
@@ -493,16 +490,16 @@ def _hexagon_zero_dim(act: GAction, n) -> HexagonReport:
     orbits = act.orbit_count()
     name = f"{act.group.name or 'group'} on {act.space.name or 'space'}"
     bar = bar_complex(bar_levels(act, n + 1), n + 1)
-    reduced = bar.reduced()
-    hhat = deligne_cone(reduced, n).cohomology(n)
-    integral = _integral_corners(act, n, reduced)
+    hhat = deligne_cone(bar.reduced(), n).cohomology(n)
+    integral = _integral_corners(act, n, bar)
     h_prev, h_n = integral.h_prev, integral.h_n
     dim_l = h_prev.free_rank      # H^{n-1}(M_G, C) has this C-dimension
     dim_r = h_n.free_rank
     bl_corner = coefficient_change(h_prev, h_n, "CmodZ") if n >= 1 else StructuredCoefGroup()
 
-    tl_dim = orbits if n == 1 else 0       # invariant functions mod d(nothing)
-    tr_dim = orbits if n == 0 else 0       # closed invariant 0-forms
+    functions = _invariant_functions(bar) if n <= 1 else []
+    tl_dim = len(functions) if n == 1 else 0   # invariant functions mod d(nothing)
+    tr_dim = len(functions) if n == 0 else 0   # closed invariant 0-forms
     corners = {
         "h_prev_C": f"ℂ^{dim_l}" if dim_l else "0",
         "forms_mod_exact": (f"Ω⁰(M)^G ≅ ℂ^{tl_dim}" if tl_dim else "0"),
@@ -573,7 +570,7 @@ def _hexagon_zero_dim(act: GAction, n) -> HexagonReport:
 
     # left square: through the forms corner vs through C/Z (nontrivial n = 1)
     if n == 1:
-        squares["left"] = _left_square_check(act, bar)
+        squares["left"] = _left_square_check(bar, functions)
     else:
         squares["left"] = True  # one of the two paths is through a zero corner
     # right square: R followed by the de Rham class vs iota after I; for
@@ -592,28 +589,23 @@ def _hexagon_zero_dim(act: GAction, n) -> HexagonReport:
     return HexagonReport(name, n, corners, maps, exact, squares, evidence, notes)
 
 
-def _left_square_check(act: GAction, bar: IntCochainComplex) -> bool:
+def _invariant_functions(bar: IntCochainComplex):
+    """A basis of the invariant rational functions on M, halved so that
+    none is integral: ker d^0 of `bar`, the unreduced normalized bar complex
+    of a 0-dimensional action.  Level 0 has no degenerate tuple, so its
+    degree 0 is the functions on M's 0-cells as in the full complex, and
+    d^0 f = 0 says g.f = f for every g, with the sign g gives each 0-cell."""
+    return [[Fraction(v, 2) for v in col] for col in kernel_basis(bar.differential(0))]
+
+
+def _left_square_check(bar: IntCochainComplex, functions) -> bool:
     """Chain-level commutativity at n = 1: a(invariant function) equals the
     inclusion of its C/Z reduction, up to a coboundary in the cone over
     `bar`, the unreduced normalized bar complex of act in degrees 0..2: the
     degree-1 cocycle and coboundary checks read cone degrees 0..2 only.
-    Level 0 has no degenerate tuple, so functions on M are its degree-0
-    cochains as in the full complex."""
+    `functions` is a basis of the invariant functions (_invariant_functions)."""
     mixed = deligne_cone(bar, 1)
-    c0 = act.space.ncells(0)
-    # basis of invariant rational functions: orbit indicators
-    orbits = []
-    seen = set()
-    for c in range(c0):
-        if c in seen:
-            continue
-        orbit = set()
-        for g in act.group.elements():
-            orbit.add(act.perms[g][0][c])
-        seen |= orbit
-        orbits.append(sorted(orbit))
-    for orbit in orbits:
-        func = [Fraction(1, 2) if c in orbit else Fraction(0) for c in range(c0)]
+    for func in functions:
         # path 1: a(func): the function slot of degree 1, integer part 0
         x1 = [0] * mixed.int_rank(1)
         v1 = list(func)
@@ -637,11 +629,8 @@ def _hexagon_from_supplied(supplied: SuppliedCorners, n) -> HexagonReport:
     the bottom row are computed; analytic form corners are reported as the
     supplied labels (the smooth function spaces are not desk-scale objects)."""
     supplied.validate_cocycles(n)
-    dc = supplied.double_complex
-    tot = total_complex(dc)
-    h = {k: tot.cohomology(k) for k in range(max(n - 1, 0), n + 1)}
-    h_prev = h.get(n - 1, FgAbGroup(0))
-    h_n = h[n]
+    tot = total_complex(supplied.double_complex).reduced()
+    h_prev, h_n = tot.cohomology(n - 1), tot.cohomology(n)
     bl_corner = coefficient_change(h_prev, h_n, "CmodZ")
     beta_ok, beta_image, torsion = (bockstein_image_matches_torsion(tot, n)
                                     if n >= 1 else (True, FgAbGroup(0), FgAbGroup(0)))
@@ -665,8 +654,9 @@ def _hexagon_from_supplied(supplied: SuppliedCorners, n) -> HexagonReport:
 
 def corner_table(dc: DoubleComplex, degrees, coeffs=("Z", "Q", "QmodZ")):
     """H^k of the total complex of a supplied double complex for the three
-    coefficient systems, reported per degree."""
-    tot = total_complex(dc)
+    coefficient systems, reported per degree, all read from one reduction
+    of the total complex."""
+    tot = total_complex(dc).reduced()
     out = {}
     for k in degrees:
         row = {}
@@ -795,9 +785,6 @@ class IntervalModel:
     act: GAction
     K: int
     D: int
-
-    def components(self, level):
-        return self.act.group.order ** level * self.act.space.ncells(0)
 
     def fn_dim_per_component(self):
         return (self.K + 1) + self.K * (self.D - 1)

@@ -734,9 +734,6 @@ class ReducedComplex:
         self.ranks = ranks
         self.diffs = diffs  # diffs[t]: rank[t] -> rank[t+1]
 
-    def differential(self, t):
-        return self.diffs[t]
-
 
 def reduce_complex(ranks, diffs):
     """Unit-pivot reduction of a cochain complex given by matrices.
@@ -886,21 +883,17 @@ def cohomology_at(d_in: IntMatrix, d_out: IntMatrix) -> FgAbGroup:
     Shapes: d_in maps Z^a -> Z^n, d_out maps Z^n -> Z^b, so cols(d_out)
     == rows(d_in) == n.  Raises CompositionNotZero when d_out @ d_in != 0.
 
-    After unit-pivot reduction, the free rank is n' - rank(d_out') -
-    rank(d_in') and the torsion equals the nontrivial invariant factors of
-    d_in' (kernels of integer matrices are pure subgroups, so all torsion
-    of Z^n/im(d_in) already lives inside ker(d_out)).
+    The entry point for raw matrices: read as the complex Z^a -> Z^n ->
+    Z^b, through IntCochainComplex.cohomology at its middle degree.
     """
+    from .complexes import IntCochainComplex
+
     if d_out.cols != d_in.rows:
         raise ValueError(f"middle rank mismatch: d_out cols {d_out.cols}, d_in rows {d_in.rows}")
     if not d_out.product_is_zero(d_in):
         raise CompositionNotZero("d_out @ d_in != 0: not a complex at this spot")
-    red = reduce_complex([d_in.cols, d_in.rows, d_out.rows], [d_in, d_out])
-    m_in, m_out = red.diffs
-    diag = [d for d in smith_normal_form(m_in).s.diagonal() if d]
-    free = red.ranks[1] - rank_q(m_out) - len(diag)
-    tors = [d for d in diag if d >= 2]
-    return _group_from_cyclic_orders(tors, free)
+    return IntCochainComplex(0, [d_in.cols, d_in.rows, d_out.rows], [d_in, d_out],
+                             check=False).cohomology(1)
 
 
 def coefficient_change(h_n: FgAbGroup, h_next: FgAbGroup, mode: str) -> StructuredCoefGroup:

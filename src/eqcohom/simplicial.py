@@ -623,7 +623,7 @@ class BarLevels:
     serve the cosimplicial helpers and the tests.
     """
 
-    def __init__(self, act: GAction, P, verify=True):
+    def __init__(self, act: GAction, P):
         if P < 0:
             raise ValueError("truncation must be nonnegative")
         if not isinstance(act, GAction):
@@ -638,7 +638,7 @@ class BarLevels:
         self._face_tables = {}            # level -> its faces on all tuples
         self._degeneracy_tables = {}      # level -> its degeneracies on all tuples
         self._nondegenerate = [[0]]       # level p -> its nondegenerate tuples
-        if verify and P > self.group.bar_checked_level:
+        if P > self.group.bar_checked_level:
             self.verify_simplicial_identities()
 
     def face_table(self, p, i):
@@ -919,7 +919,7 @@ def bar_size(act: GAction, top):
     return cells, sum(m ** p for p in range(top + 1))
 
 
-def bar_levels(act: GAction, P, verify=True) -> BarLevels:
+def bar_levels(act: GAction, P) -> BarLevels:
     """The bar levels 0..P of act.  Before anything is built, raises
     BarComplexTooLarge when their bar complex in degrees 0..P and the
     identity check's tables are over BAR_BUDGET together."""
@@ -930,7 +930,7 @@ def bar_levels(act: GAction, P, verify=True) -> BarLevels:
             f"0..{P}: the normalized bar complex has {cells} cells and the identity check "
             f"reads {tuples} tuples, {cells + tuples} together, over the budget of "
             f"{BAR_BUDGET}")
-    return BarLevels(act, P, verify=verify)
+    return BarLevels(act, P)
 
 
 # ---------------------------------------------------------------------------

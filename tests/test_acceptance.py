@@ -369,7 +369,7 @@ def test_criterion_13_contraction():
     ok = True
     while checked < 100:
         act = setups[checked % len(setups)]
-        bl = bar_levels(act, 3, verify=False)
+        bl = bar_levels(act, 3)
         q = rng.choice(range(act.space.dim + 1))
         p = rng.choice([1, 2])
         eta = [Fraction(rng.randint(-5, 5)) for _ in range(bl.cells(p - 1, q))]

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from eqcohom import complexes, linalg
 from eqcohom.linalg import FgAbGroup, IntMatrix, kernel_basis, q_rank
 from eqcohom.complexes import (
     AxiomViolation,
@@ -26,6 +27,7 @@ from eqcohom.complexes import (
     qz_torsion_cocycles,
     total_complex,
 )
+from eqcohom.simplicial import FiniteGroup, GAction, bar_complex, bar_levels
 
 
 def two_term(m):
@@ -63,6 +65,58 @@ def square_double_complex():
     horiz = {(0, 0): one, (1, 0): one}
     vert = {(0, 0): one, (0, 1): one}
     return DoubleComplex(1, 1, ranks, horiz, vert)
+
+
+def _s3_bar_complex():
+    """An unreduced complex with unit pivots to take and torsion left over:
+    the normalized bar complex of S3 on S3/<(0 1)> in degrees 0..4."""
+    s3 = FiniteGroup.symmetric(3)
+    return bar_complex(bar_levels(GAction.coset_action(s3, (0, 1)), 4), 4)
+
+
+def _counting_reductions(monkeypatch):
+    calls = []
+    real = complexes.reduce_complex
+
+    def counting(ranks, diffs):
+        calls.append(list(ranks))
+        return real(ranks, diffs)
+    monkeypatch.setattr(complexes, "reduce_complex", counting)
+    monkeypatch.setattr(linalg, "reduce_complex", counting)
+    return calls
+
+
+def test_reading_every_degree_reduces_the_complex_once(monkeypatch):
+    calls = _counting_reductions(monkeypatch)
+    cx = _s3_bar_complex()
+    groups = [cx.cohomology(n) for n in range(-1, cx.n_max + 2)]
+    dims = [cx.cohomology_q_dim(n) for n in range(-1, cx.n_max + 2)]
+    assert calls == [cx.ranks]
+    assert [g.free_rank for g in groups] == dims
+    assert any(g.torsion for g in groups)
+
+
+def test_a_reduced_complex_is_its_own_reduction():
+    cx = _s3_bar_complex()
+    red = cx.reduced()
+    assert red is cx.reduced()
+    assert red.reduced() is red
+    assert sum(red.ranks) < sum(cx.ranks)
+
+
+def test_cohomology_of_a_reduced_complex_reduces_and_rechecks_nothing(monkeypatch):
+    cx = _s3_bar_complex()
+    red = cx.reduced()
+    want = [cx.cohomology(n) for n in range(cx.n_max + 1)]
+
+    def refuse(*args):
+        raise AssertionError("reduced or re-checked a complex that was already reduced")
+    monkeypatch.setattr(complexes, "reduce_complex", refuse)
+    monkeypatch.setattr(linalg, "reduce_complex", refuse)
+    monkeypatch.setattr(IntMatrix, "product_is_zero", refuse)
+    assert [red.cohomology(n) for n in range(red.n_max + 1)] == want
+    assert [red.cohomology_q_dim(n) for n in range(red.n_max + 1)] == \
+        [g.free_rank for g in want]
 
 
 def test_total_of_single_row_is_the_row():

@@ -4,7 +4,7 @@ from math import lcm
 
 import pytest
 
-from eqcohom import deligne, simplicial
+from eqcohom import complexes, deligne, linalg, simplicial
 from eqcohom.deligne import (
     DiffCohGroup,
     FlatEquivariantLineBundle,
@@ -410,6 +410,63 @@ def test_shapiro_corners_match_the_complex_on_m_with_signed_points():
             if n:
                 assert evidence["H^{n-1}(Z)"] == h[n - 1], (n, act.signs)
                 assert evidence["rank iota on H^n"] == equivariant_cohomology(act, n, "Q")
+
+
+def _signed_zero_cell_actions():
+    c2, c4 = FiniteGroup.cyclic(2), FiniteGroup.cyclic(4)
+    return [
+        GAction(c2, CellComplex.point(), {0: [[0]], 1: [[0]]}, {0: [[1]], 1: [[-1]]}),
+        GAction(c2, CellComplex.points(2), {0: [[0, 1]], 1: [[1, 0]]},
+                {0: [[1, 1]], 1: [[-1, -1]]}),
+        GAction(c4, CellComplex.points(2), {g: [[0, 1]] for g in range(4)},
+                {g: [[1, (-1) ** g]] for g in range(4)}),
+        GAction(c4, CellComplex.points(3), {g: [[g % 2, 1 - g % 2, 2]] for g in range(4)},
+                {g: [[1, 1, (-1) ** g]] for g in range(4)}),
+    ]
+
+
+@pytest.mark.parametrize("act", _signed_zero_cell_actions(),
+                         ids=["C2-point", "C2-two-points", "C4-two-points", "C4-three-points"])
+def test_hexagon_holds_when_an_element_reverses_a_zero_cell(act):
+    # an invariant function f satisfies f(g c) = sign(g, c) f(c): a 0-cell
+    # whose stabilizer reverses its sign carries none, so the form corners
+    # count fewer functions than orbits
+    functions = equivariant_cohomology(act, 0, "Q")
+    for n in range(4):
+        rep = hexagon(act, n)
+        assert rep.all_exact, (n, rep.exactness)
+        assert all(rep.squares.values()), (n, rep.squares)
+        assert rep.evidence["orbits"] == act.orbit_count()
+        corner = {0: "closed_forms", 1: "forms_mod_exact"}.get(n)
+        if corner and functions:
+            assert rep.corners[corner].endswith(f"ℂ^{functions}"), (n, rep.corners)
+        elif corner:
+            assert rep.corners[corner] == "0", (n, rep.corners)
+
+
+def test_hexagon_reduces_each_bar_complex_it_builds_once(monkeypatch):
+    # Ĥ^n and the integral corners read one reduction of each bar complex:
+    # no degree is reduced again when its cohomology is read
+    reductions = []
+    windows = []
+    real_reduce, real_window = complexes.reduce_complex, simplicial.total_window
+
+    def counting_reduce(ranks, diffs):
+        reductions.append(ranks)
+        return real_reduce(ranks, diffs)
+
+    def counting_window(*args):
+        windows.append(args)
+        return real_window(*args)
+    monkeypatch.setattr(complexes, "reduce_complex", counting_reduce)
+    monkeypatch.setattr(linalg, "reduce_complex", counting_reduce)
+    monkeypatch.setattr(simplicial, "total_window", counting_window)
+    for act in _acceptance_actions():
+        for n in range(5):
+            reductions.clear()
+            windows.clear()
+            hexagon(act, n)
+            assert len(reductions) == len(windows), (act.name, n)
 
 
 def test_hexagon_negative_degree_rejected_before_any_work(monkeypatch):
