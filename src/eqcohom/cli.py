@@ -179,7 +179,10 @@ def _parse_degrees(spec):
         raise SchemaError("missing degrees")
     if isinstance(spec, str) and ".." in spec:
         lo, _, hi = spec.partition("..")
-        return list(range(_int(lo, "degrees"), _int(hi, "degrees") + 1))
+        lo, hi = _int(lo, "degrees"), _int(hi, "degrees")
+        if hi < lo:
+            raise SchemaError(f"empty degree range {spec!r}: {hi} < {lo}")
+        return list(range(lo, hi + 1))
     return [_int(spec, "degrees")]
 
 

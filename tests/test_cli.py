@@ -167,6 +167,10 @@ def test_integer_strings_are_accepted(tmp_path, capsys):
     {"command": "cohomology", "group": "cyclic:3", "space": "point",
      "action": "cosets:0,7", "degrees": 0},
     {"command": "chern", "poly": "foo:1"},
+    {"command": "verify", "suite": "hexagon", "group": "cyclic:2", "space": "point",
+     "degrees": "3..1"},
+    {"command": "cohomology", "group": "cyclic:2", "space": "point", "degrees": "3..1"},
+    {"command": "cartan", "degrees": "2..0"},
 ])
 def test_malformed_names_and_counts_are_schema_errors(tmp_path, capsys, job):
     path = tmp_path / "job.json"
@@ -182,10 +186,15 @@ def test_malformed_names_and_counts_are_schema_errors(tmp_path, capsys, job):
      "--degrees=-1..1"),
     ("chern", "--poly", "chern:-1"),
     ("cartan", "--degrees", "0", "--x-bound", "-1"),
+    ("verify", "--suite", "hexagon", "--group", "cyclic:2", "--space", "point",
+     "--degrees", "3..1"),
+    ("cohomology", "--group", "cyclic:2", "--space", "point", "--degrees", "3..1"),
+    ("cartan", "--degrees", "2..0"),
 ])
 def test_out_of_range_degrees_are_schema_errors(capsys, argv):
-    # a negative hexagon degree or polynomial degree and a negative x-bound
-    # are bad input, not internal errors or failed preconditions
+    # a negative hexagon degree or polynomial degree, a negative x-bound and
+    # an empty degree range are bad input, not internal errors, failed
+    # preconditions or a run that checks nothing
     code, _, err = invoke(capsys, *argv)
     assert code == EXIT_SCHEMA and "schema error" in err, err
 

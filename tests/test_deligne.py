@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from math import lcm
@@ -295,11 +296,13 @@ def _distinct_stabilizers(act):
 def test_one_bar_construction_per_hexagon(monkeypatch):
     # one BarLevels and one bar total complex for act, plus one of each
     # distinct stabilizer on a point (Shapiro), and none extra when M is a
-    # point; at n = 1 the left square reads act's complex too
+    # point; one Deligne cone, and no chain-level solve
     builds = []
     windows = []
+    cones = []
     real_init = BarLevels.__init__
     real_window = simplicial.total_window
+    real_cone = deligne.deligne_cone
 
     def counting_init(self, act, *args, **kwargs):
         builds.append(act)
@@ -309,8 +312,20 @@ def test_one_bar_construction_per_hexagon(monkeypatch):
         windows.append(args)
         return real_window(*args)
 
+    def counting_cone(*args):
+        cones.append(args)
+        return real_cone(*args)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the hexagon runs no chain-level solve")
+
     monkeypatch.setattr(BarLevels, "__init__", counting_init)
     monkeypatch.setattr(simplicial, "total_window", counting_window)
+    monkeypatch.setattr(deligne, "deligne_cone", counting_cone)
+    monkeypatch.setattr(deligne, "kernel_basis", forbidden)
+    monkeypatch.setattr(deligne, "solve_int", forbidden)
+    monkeypatch.setattr(MixedComplex, "is_cocycle", forbidden)
+    monkeypatch.setattr(MixedComplex, "is_coboundary", forbidden)
     s3 = FiniteGroup.symmetric(3)
     mixed = GAction.points_action(s3, 4, {g: GAction.coset_action(s3, (0, 1)).perms[g][0] + [3]
                                           for g in s3.elements()})
@@ -323,7 +338,9 @@ def test_one_bar_construction_per_hexagon(monkeypatch):
         for n in range(4):
             builds.clear()
             windows.clear()
+            cones.clear()
             hexagon(act, n)
+            assert len(cones) == 1, (act.name, n, len(cones))
             assert builds[0] is act, (act.name, n)
             if act.space.ncells(0) == 1:
                 assert len(builds) == 1, (act.name, n, len(builds))
@@ -509,11 +526,41 @@ def test_hexagon_cp_point_bottom_row(p):
             assert rep.evidence["image(-beta)"] == FgAbGroup(0, (p,))
 
 
+def _grown(**summands):
+    """A corner mutation: each named integral corner gains a summand."""
+    return lambda c: dataclasses.replace(
+        c, **{name: getattr(c, name).direct_sum(extra) for name, extra in summands.items()})
+
+
+@pytest.mark.parametrize("act, n, mutate, flipped", [
+    (cp_point(2), 2, lambda c: dataclasses.replace(c, beta_image=FgAbGroup(0)), {"bottom_row"}),
+    (cp_point(2), 2, lambda c: dataclasses.replace(c, iota_rank=c.iota_rank + 1), {"bottom_row"}),
+    (cp_point(3), 0, _grown(h_n=FgAbGroup(1)), {"top_row", "diagonal_b"}),
+    (GAction.swap_two_points(), 1, _grown(h_prev=FgAbGroup(1)), {"top_row"}),
+    (cp_point(3), 2, _grown(h_n=FgAbGroup(0, (2,)), beta_image=FgAbGroup(0, (2,))),
+     {"diagonal_a", "diagonal_b"}),
+    (cp_point(2), 3, _grown(h_prev=FgAbGroup(1)), {"diagonal_a"}),
+], ids=["beta-image-zero", "iota-rank-up", "free-h0-point", "free-h0-swap",
+        "z2-in-hn-and-image", "free-h2"])
+def test_each_computed_verdict_fails_under_a_corner_mutation(monkeypatch, act, n, mutate,
+                                                             flipped):
+    # a wrong integral corner must show: every computed verdict is flipped
+    # by one of these; the rest are named in the report's notes
+    assert hexagon(act, n).all_exact
+    real = deligne._integral_corners
+    monkeypatch.setattr(deligne, "_integral_corners",
+                        lambda *args: mutate(real(*args)))
+    rep = hexagon(act, n)
+    failed = {k for k, ok in rep.exactness.items() if not ok}
+    assert flipped <= failed, (failed, rep.exactness)
+
+
 def test_hexagon_text_rendering():
     rep = hexagon(GAction.swap_two_points(), 1)
     text = rep.render_text()
     assert "hexagon at degree n = 1" in text
     assert "-beta" in text
+    assert "squares.left (every n) and top_row (n >= 2) hold by construction" in text
     obj = rep.to_json_obj()
     assert obj["exactness"]["bottom_row"] is True
 
