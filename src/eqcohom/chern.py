@@ -18,6 +18,7 @@ from .cartan import (
     EquivariantForm,
     LinearAction,
     _compositions,
+    _parity,
     _sum_forms,
     _wedge_into,
     fiber_integrate_interval,
@@ -107,20 +108,11 @@ def _principal_minor_det(m, subset):
     terms = {}
     for sigma in permutations(range(k)):
         factors = [m[idx[i]][idx[sigma[i]]] for i in range(k)]
-        prod = factors[0].scale(_perm_sign(sigma))
+        prod = factors[0].scale(_parity(sigma))
         for factor in factors[1:-1]:
             prod = prod.wedge(factor)
         _wedge_into(terms, prod, factors[-1])
     return EquivariantForm._of(m[0][0].num_u, m[0][0].num_x, terms)
-
-
-def _perm_sign(sigma):
-    sign = 1
-    for i in range(len(sigma)):
-        for j in range(i + 1, len(sigma)):
-            if sigma[i] > sigma[j]:
-                sign = -sign
-    return sign
 
 
 def elementary_symmetric(m, k):

@@ -53,7 +53,11 @@ class IntCochainComplex:
     diffs[k] is d^{n_min+k}: degree n_min+k -> n_min+k+1; outside the stored
     range every module is zero.  d^2 = 0 is checked once, when it is built
     (unless check=False).  Cohomology is read off its reduction (reduced),
-    computed once and kept, so no degree read reduces anything again.
+    computed once and kept, so no degree read reduces anything again.  A
+    complex is the one owner of the factorizations of its differentials:
+    differential_rank(n) and smith(n) compute the rank over Q and the Smith
+    form of d^n at the first read and keep them, so no second read factors
+    anything.
     """
 
     def __init__(self, n_min, ranks, diffs, check=True):
@@ -62,6 +66,8 @@ class IntCochainComplex:
         self.diffs = list(diffs)
         self._reduced = None     # the reduction, once computed
         self._is_reduced = False
+        self._rank_q = {}        # degree -> rank over Q of d^n, once computed
+        self._smith = {}         # degree -> Smith form of d^n, once computed
         if len(self.diffs) != max(len(self.ranks) - 1, 0):
             raise ValueError("need one differential between consecutive degrees")
         for k, d in enumerate(self.diffs):
@@ -88,17 +94,29 @@ class IntCochainComplex:
             return self.diffs[k]
         return IntMatrix.zero(self.rank(n + 1), self.rank(n))
 
+    def differential_rank(self, n) -> int:
+        """The rank over Q of d^n, taken at the first read and kept."""
+        if n not in self._rank_q:
+            self._rank_q[n] = rank_q(self.differential(n))
+        return self._rank_q[n]
+
+    def smith(self, n):
+        """The Smith form of d^n, taken at the first read and kept."""
+        if n not in self._smith:
+            self._smith[n] = smith_normal_form(self.differential(n))
+        return self._smith[n]
+
     def cohomology(self, n) -> FgAbGroup:
-        """H^n off the reduced complex: the invariant factors of one Smith
+        """H^n off the reduced complex: the invariant factors of the Smith
         form of d^{n-1} (ker d^n is pure, so it holds all torsion of
         Z^k / im d^{n-1}) and the free rank rank(n) - rk d^n - rk d^{n-1}."""
         red = self.reduced()
-        diag = smith_normal_form(red.differential(n - 1)).s.diagonal()
-        return FgAbGroup.from_diagonal(diag, red.rank(n) - rank_q(red.differential(n)))
+        return FgAbGroup.from_diagonal(red.smith(n - 1).s.diagonal(),
+                                       red.rank(n) - red.differential_rank(n))
 
     def cohomology_q_dim(self, n) -> int:
         red = self.reduced()
-        return red.rank(n) - rank_q(red.differential(n)) - rank_q(red.differential(n - 1))
+        return red.rank(n) - red.differential_rank(n) - red.differential_rank(n - 1)
 
     def reduced(self):
         """Unit-pivot reduced complex with the same cohomology everywhere,
@@ -723,12 +741,12 @@ def bockstein_apply(cx: IntCochainComplex, n, rep):
 def qz_torsion_cocycles(cx: IntCochainComplex, n):
     """Generators of the finite part of H^{n-1}(., Q/Z) as rational cochains.
 
-    From the Smith form left @ d^{n-1} @ right = s: the cochains
-    right e_i / s_i (for diagonal entries s_i >= 2) are closed mod Z and
-    generate the torsion summand; -beta maps them to the classes of
+    From the Smith form left @ d^{n-1} @ right = s that cx keeps: the
+    cochains right e_i / s_i (for diagonal entries s_i >= 2) are closed mod
+    Z and generate the torsion summand; -beta maps them to the classes of
     -left^{-1} e_i.
     """
-    snf = smith_normal_form(cx.differential(n - 1))
+    snf = cx.smith(n - 1)
     out = []
     for i, si in enumerate(snf.s.diagonal()):
         if si >= 2:

@@ -21,6 +21,7 @@ from math import lcm
 
 from .complexes import (
     DoubleComplex,
+    IllFormedDoubleComplex,
     IntCochainComplex,
     bockstein_image,
     bockstein_image_matches_torsion,
@@ -32,7 +33,6 @@ from .linalg import (
     StructuredCoefGroup,
     coefficient_change,
     kernel_basis,
-    rank_q,
     solve_int,
 )
 from .simplicial import GAction, bar_complex, bar_levels
@@ -99,14 +99,17 @@ class MixedComplex:
 
         P = integral.differential(k): Z^{a_k} -> Z^{a_{k+1}}
         q_blocks[k]:                  Z^{a_k} -> Q^{b_{k+1}}
-        s_blocks[k]:                  Q^{b_k} -> Q^{b_{k+1}}
+        S = rational.differential(k): Q^{b_k} -> Q^{b_{k+1}}
 
-    The integral part is an IntCochainComplex, whose d^2 = 0 was checked
-    when it was built; validate checks the rest of the square, S S = 0 and
-    Q P + S Q = 0.  Every block is an IntMatrix: the cone differential has
-    integer entries even where it acts on rational cochains, so every rank
-    is taken in exact integer arithmetic.  Only the chain-level checks
-    (is_cocycle, is_coboundary) carry Fractions, in their vectors.
+    Three IntCochainComplexes hold the blocks: integral (P), rational (the
+    S blocks) and whole, the cone itself with differential [[P, 0], [Q, S]],
+    built by validate.  d^2 = 0 of whole, checked as one complex, holds
+    P P = 0, Q P + S Q = 0 and S S = 0 at once (a failed square raises
+    ValueError).  Each complex factors its own differentials, once: every
+    rank below is read through them.  Every block is an IntMatrix: the cone
+    differential has integer entries even where it acts on rational
+    cochains, so every rank is taken in exact integer arithmetic.  Only the
+    chain-level check (is_coboundary) carries Fractions, in its vectors.
 
     Nothing maps out of the rational part into the integral part, so the
     rational columns form a subcomplex with an integral quotient.
@@ -117,11 +120,11 @@ class MixedComplex:
             raise TypeError("the integral part of a MixedComplex must be an IntCochainComplex")
         self.integral = integral
         self.n_min = integral.n_min
-        self.rat_ranks = list(rat_ranks)
         self.q_blocks = list(q_blocks)
-        self.s_blocks = list(s_blocks)
-        if not all(isinstance(m, IntMatrix) for m in self.q_blocks + self.s_blocks):
+        if not all(isinstance(m, IntMatrix) for m in self.q_blocks + list(s_blocks)):
             raise TypeError("MixedComplex blocks must be IntMatrix")
+        # its d^2 = 0 is part of the whole cone's, checked in validate
+        self.rational = IntCochainComplex(self.n_min, rat_ranks, s_blocks, check=False)
         self.validate()
 
     @property
@@ -132,8 +135,7 @@ class MixedComplex:
         return self.integral.rank(k)
 
     def rat_rank(self, k):
-        i = k - self.n_min
-        return self.rat_ranks[i] if 0 <= i < len(self.rat_ranks) else 0
+        return self.rational.rank(k)
 
     def p_block(self, k):
         return self.integral.differential(k)
@@ -145,31 +147,26 @@ class MixedComplex:
         return IntMatrix.zero(self.rat_rank(k + 1), self.int_rank(k))
 
     def s_block(self, k):
-        i = k - self.n_min
-        if 0 <= i < len(self.s_blocks):
-            return self.s_blocks[i]
-        return IntMatrix.zero(self.rat_rank(k + 1), self.rat_rank(k))
+        return self.rational.differential(k)
 
     def validate(self):
-        for k in range(self.n_min, self.n_max):
-            # rational square: S S = 0 and Q P + S Q = 0
-            q1, s1, p0, q0 = (self.q_block(k + 1), self.s_block(k + 1),
-                              self.p_block(k), self.q_block(k))
-            if not s1.product_is_zero(self.s_block(k)):
-                raise ValueError(f"rational blocks fail d^2 = 0 at degree {k}")
-            # Q P + S Q = [Q | S] @ [P ; Q]
-            beside = IntMatrix.from_blocks(q1.rows, q1.cols + s1.cols,
-                                           [(0, 0, q1, 1), (0, q1.cols, s1, 1)])
-            stacked = IntMatrix.from_blocks(p0.rows + q0.rows, p0.cols,
-                                            [(0, 0, p0, 1), (p0.rows, 0, q0, 1)])
-            if not beside.product_is_zero(stacked):
-                raise ValueError(f"mixed blocks fail d^2 = 0 at degree {k}")
-
-    def int_complex(self) -> IntCochainComplex:
-        return self.integral
+        """Build the whole cone, whose d^2 = 0 check covers every square of
+        the blocks."""
+        degrees = range(self.n_min, self.n_max + 1)
+        ranks = [self.int_rank(k) + self.rat_rank(k) for k in degrees]
+        diffs = [IntMatrix.from_blocks(ranks[i + 1], ranks[i], [
+            (0, 0, self.p_block(k), 1),
+            (self.int_rank(k + 1), 0, self.q_block(k), 1),
+            (self.int_rank(k + 1), self.int_rank(k), self.s_block(k), 1),
+        ]) for i, k in enumerate(degrees[:-1])]
+        try:
+            self.whole = IntCochainComplex(self.n_min, ranks, diffs)
+        except IllFormedDoubleComplex as err:
+            raise ValueError(f"the mixed blocks fail d^2 = 0: {err}") from err
 
     def rat_cohomology_dim(self, k):
-        return self.rat_rank(k) - rank_q(self.s_block(k)) - rank_q(self.s_block(k - 1))
+        return (self.rat_rank(k) - self.rational.differential_rank(k)
+                - self.rational.differential_rank(k - 1))
 
     def connecting_rank(self, k):
         """Rank of the connecting map H^k(int) -> H^{k+1}(rat).
@@ -177,10 +174,8 @@ class MixedComplex:
         The kernel of [[P, 0], [Q, S]] is ker S + {x in ker P : Q x in im S},
         so its rank exceeds rank P + rank S by exactly the rank wanted.
         """
-        p, q, s = self.p_block(k), self.q_block(k), self.s_block(k)
-        whole = IntMatrix.from_blocks(p.rows + s.rows, p.cols + s.cols,
-                                      [(0, 0, p, 1), (p.rows, p.cols, s, 1), (p.rows, 0, q, 1)])
-        return rank_q(whole) - rank_q(p) - rank_q(s)
+        return (self.whole.differential_rank(k) - self.integral.differential_rank(k)
+                - self.rational.differential_rank(k))
 
     def cohomology(self, k) -> DiffCohGroup:
         """H^k via the long exact sequence of the rational subcomplex.
@@ -189,7 +184,7 @@ class MixedComplex:
         connecting map; the left side is divisible, hence injective, so the
         extension splits.
         """
-        h_int = self.int_complex().cohomology(k)
+        h_int = self.integral.cohomology(k)
         beta_k = self.rat_cohomology_dim(k)
         rho_prev = self.connecting_rank(k - 1)
         rho_here = self.connecting_rank(k)
@@ -201,13 +196,6 @@ class MixedComplex:
         )
 
     # -- chain level
-
-    def is_cocycle(self, k, x, v):
-        if any(self.p_block(k).apply(list(x))):
-            return False
-        qx = self.q_block(k).apply(list(x))
-        sv = self.s_block(k).apply(list(v))
-        return not any(a + b for a, b in zip(qx, sv))
 
     def is_coboundary(self, k, x, v):
         """Does (x, v) = d(y, w) have a solution with y integral, w rational?
@@ -440,8 +428,8 @@ class _IntegralCorners:
 
     @classmethod
     def of(cls, cx: IntCochainComplex, n):
-        """The corners of a complex; iota's rank is dim H^n(Q) from rank_q,
-        apart from the Smith form behind H^n(Z)."""
+        """The corners of a complex; iota's rank is dim H^n(Q).  All read
+        the ranks and Smith forms that cx keeps, so none is taken twice."""
         h_n = cx.cohomology(n)
         if n == 0:
             return cls(FgAbGroup(0), h_n, FgAbGroup(0), h_n.free_rank)
@@ -513,7 +501,7 @@ def _hexagon_zero_dim(act: GAction, n) -> HexagonReport:
 
     # the invariant functions on M: ker d^0 of the unreduced complex, whose
     # degree 0 is the functions on M's 0-cells with the signs G gives them
-    functions = bar.ranks[0] - rank_q(bar.differential(0)) if n <= 1 else 0
+    functions = bar.ranks[0] - bar.differential_rank(0) if n <= 1 else 0
     tl_dim = functions if n == 1 else 0   # invariant functions mod d(nothing)
     tr_dim = functions if n == 0 else 0   # closed invariant 0-forms
     corners = {
@@ -726,15 +714,12 @@ class FlatEquivariantLineBundle:
         return (self.transports[0] + self.phi(1, 0)) % 1
 
     def pairing_kills_coboundaries(self):
-        """The evaluation functional vanishes on coboundaries of vertex
-        cochains: (dc)(e_0) + (del c)(g, v_0) = (c_1 - c_0) + (c_0 - c_1)."""
-        for trial in range(self.p):
-            c = [Fraction(1, trial + 2) if v == trial else Fraction(0) for v in range(self.p)]
-            dc_edge0 = c[1 % self.p] - c[0]
-            del_part = c[0] - c[1 % self.p]  # c(v) - c(gv) at (generator, v_0)
-            if (dc_edge0 + del_part) % 1 != 0:
-                return False
-        return True
+        """The evaluation functional e_0 + e_p (edge 0 plus the bar 1-cell
+        (generator, v_0), cell p in degree 1) vanishes on d^0 of the bar
+        complex of the rotation circle, so it pairs with a cycle."""
+        d0 = bar_complex(bar_levels(GAction.cyclic_rotation_circle(self.p), 1), 1).differential(0)
+        edge0, closing = d0.row(0), d0.row(self.p)
+        return all(edge0.get(j, 0) + closing.get(j, 0) == 0 for j in range(d0.cols))
 
 
 def flat_equivariant_chern_class(p, q) -> Fraction:
