@@ -52,8 +52,9 @@ class IntCochainComplex:
 
     diffs[k] is d^{n_min+k}: degree n_min+k -> n_min+k+1; outside the stored
     range every module is zero.  d^2 = 0 is checked once, when it is built
-    (unless check=False).  Cohomology is read off its reduction (reduced),
-    computed once and kept, so no degree read reduces anything again.  A
+    (unless check=False), and checked records whether it was.  Cohomology
+    is read off its reduction (reduced), computed once and kept, so no
+    degree read reduces anything again.  A
     complex is the one owner of the factorizations of its differentials:
     differential_rank(n) and smith(n) compute the rank over Q and the Smith
     form of d^n at the first read and keep them, so no second read factors
@@ -68,6 +69,7 @@ class IntCochainComplex:
         self._is_reduced = False
         self._rank_q = {}        # degree -> rank over Q of d^n, once computed
         self._smith = {}         # degree -> Smith form of d^n, once computed
+        self.checked = check     # whether d^2 = 0 was checked on construction
         if len(self.diffs) != max(len(self.ranks) - 1, 0):
             raise ValueError("need one differential between consecutive degrees")
         for k, d in enumerate(self.diffs):

@@ -21,7 +21,6 @@ from math import lcm
 
 from .complexes import (
     DoubleComplex,
-    IllFormedDoubleComplex,
     IntCochainComplex,
     bockstein_image,
     bockstein_image_matches_torsion,
@@ -35,7 +34,7 @@ from .linalg import (
     kernel_basis,
     solve_int,
 )
-from .simplicial import GAction, bar_complex, bar_levels
+from .simplicial import GAction, bar_complex, bar_levels, total_window
 
 
 class PositiveDimensionalInput(Exception):
@@ -103,13 +102,16 @@ class MixedComplex:
 
     Three IntCochainComplexes hold the blocks: integral (P), rational (the
     S blocks) and whole, the cone itself with differential [[P, 0], [Q, S]],
-    built by validate.  d^2 = 0 of whole, checked as one complex, holds
-    P P = 0, Q P + S Q = 0 and S S = 0 at once (a failed square raises
-    ValueError).  Each complex factors its own differentials, once: every
-    rank below is read through them.  Every block is an IntMatrix: the cone
-    differential has integer entries even where it acts on rational
-    cochains, so every rank is taken in exact integer arithmetic.  Only the
-    chain-level check (is_coboundary) carries Fractions, in its vectors.
+    built by validate.  d^2 = 0 of whole holds P P = 0, Q P + S Q = 0 and
+    S S = 0 at once (a failed square raises ValueError); its P P rows are
+    checked once, by the integral complex if it checked itself.  Each
+    complex factors its own differentials, once: every rank below is read
+    through them, and an S block that is the integral complex's own
+    differential one degree down (as for n >= 1 in deligne_cone) has its
+    rank read there.  Every block is an IntMatrix: the cone differential
+    has integer entries even where it acts on rational cochains, so every
+    rank is taken in exact integer arithmetic.  Only the chain-level check
+    (is_coboundary) carries Fractions, in its vectors.
 
     Nothing maps out of the rational part into the integral part, so the
     rational columns form a subcomplex with an integral quotient.
@@ -150,8 +152,10 @@ class MixedComplex:
         return self.rational.differential(k)
 
     def validate(self):
-        """Build the whole cone, whose d^2 = 0 check covers every square of
-        the blocks."""
+        """Build the whole cone and check its d^2 = 0, which covers every
+        square of the blocks.  The rows of its integral block are P P: when
+        the integral complex checked its own d^2 = 0 (checked), only the
+        rows below them, Q P + S Q and S S, are checked here."""
         degrees = range(self.n_min, self.n_max + 1)
         ranks = [self.int_rank(k) + self.rat_rank(k) for k in degrees]
         diffs = [IntMatrix.from_blocks(ranks[i + 1], ranks[i], [
@@ -159,14 +163,23 @@ class MixedComplex:
             (self.int_rank(k + 1), 0, self.q_block(k), 1),
             (self.int_rank(k + 1), self.int_rank(k), self.s_block(k), 1),
         ]) for i, k in enumerate(degrees[:-1])]
-        try:
-            self.whole = IntCochainComplex(self.n_min, ranks, diffs)
-        except IllFormedDoubleComplex as err:
-            raise ValueError(f"the mixed blocks fail d^2 = 0: {err}") from err
+        self.whole = IntCochainComplex(self.n_min, ranks, diffs, check=False)
+        for i, k in enumerate(degrees[:-2]):
+            start = self.int_rank(k + 2) if self.integral.checked else 0
+            if not diffs[i + 1].product_is_zero(diffs[i], start):
+                raise ValueError(f"the mixed blocks fail d^2 = 0: d^{k + 1} composed "
+                                 f"with d^{k} is nonzero")
+
+    def s_rank(self, k):
+        """The rank of S_k, read from the integral complex when S_k is its
+        d^{k-1}, the same matrix object, and from the rational one otherwise."""
+        s = self.s_block(k)
+        if s is self.integral.differential(k - 1):
+            return self.integral.differential_rank(k - 1)
+        return self.rational.differential_rank(k)
 
     def rat_cohomology_dim(self, k):
-        return (self.rat_rank(k) - self.rational.differential_rank(k)
-                - self.rational.differential_rank(k - 1))
+        return self.rat_rank(k) - self.s_rank(k) - self.s_rank(k - 1)
 
     def connecting_rank(self, k):
         """Rank of the connecting map H^k(int) -> H^{k+1}(rat).
@@ -175,7 +188,7 @@ class MixedComplex:
         so its rank exceeds rank P + rank S by exactly the rank wanted.
         """
         return (self.whole.differential_rank(k) - self.integral.differential_rank(k)
-                - self.rational.differential_rank(k))
+                - self.s_rank(k))
 
     def cohomology(self, k) -> DiffCohGroup:
         """H^k via the long exact sequence of the rational subcomplex.
@@ -273,7 +286,10 @@ def deligne_cone(cx: IntCochainComplex, n) -> MixedComplex:
 
 def build_deligne_mixed(act: GAction, n) -> DeligneComplexData:
     """D(n) over the unreduced normalized bar complex of G^. x M for
-    0-dimensional M, degrees 0..n+2 (bar_complex of the levels up to n+2)."""
+    0-dimensional M, degrees 0..n+2 (bar_complex of the levels up to n+2).
+    Its degree n+2 holds the certified generator rows, or every row where
+    the certificate fails (bar_complex); H^n of the cone reads degrees
+    <= n+1 only, so it is the same either way."""
     if act.space.dim > 0:
         raise PositiveDimensionalInput(
             "the Deligne cone needs a 0-dimensional complex; "
@@ -293,7 +309,10 @@ def differential_cohomology_zero_dim(act: GAction, n) -> DiffCohGroup:
     equivalences over Z that stay ones after tensoring with Q.  They
     commute with Z -> Q and with the sigma^{>=n} slot, which over a
     0-dimensional space is all of C (x) Q for n = 0 and zero for n >= 1, so
-    the cones are quasi-isomorphic.
+    the cones are quasi-isomorphic.  Degree n+1 holds the certified
+    generator rows, or every row where the certificate fails (bar_complex):
+    its d^n has the kernel of the full one over Z, and the cone's H^n reads
+    d^n only through that kernel.
     """
     if act.space.dim > 0:
         raise PositiveDimensionalInput(
@@ -397,8 +416,10 @@ def hexagon(act, n, supplied: SuppliedCorners = None) -> HexagonReport:
     diagonal_b and top_row at n <= 1 are computed; the left square holds
     by construction, top_row at n >= 2 compares two zero corners, and the
     right square is constant at n = 0 and restates bottom_row above it
-    (the report's notes say so).  Each
-    bar construction builds and checks levels 0..n+1 only.
+    (the report's notes say so).  Each bar construction builds and checks
+    levels 0..n+1 only, and its degree n+1 holds the certified generator
+    rows or, where the certificate fails, every row (bar_complex): only
+    ker d^n enters the degrees read.
     Positive-dimensional actions must supply their double complex (the
     form corners then enter as labels with their cocycle data checked).  A
     negative degree raises ValueError.
@@ -471,9 +492,12 @@ def _hexagon_zero_dim(act: GAction, n) -> HexagonReport:
 
     Ĥ^n is read off the Deligne cone over the normalized bar total complex
     of act in degrees 0..n+1 (bar_complex of BarLevels 0..n+1, the only
-    levels built and checked), reduced once; it is the one cone built.  At
-    n <= 1 the form corners count the invariant functions on M, ker d^0 of
-    the same complex unreduced: |M_0| - rank d^0.  H^{n-1}(Z), H^n(Z), the
+    levels built and checked), reduced once; it is the one cone built.  Its
+    degree n+1 holds the certified generator rows, or every row where the
+    certificate fails (at n = 0 when M carries an invariant function), and
+    ker d^n is the full one.  At n <= 1 the form corners count the
+    invariant functions on M, ker d^0 of the same complex unreduced:
+    |M_0| - rank d^0.  H^{n-1}(Z), H^n(Z), the
     Bockstein image and the rank of iota come from the stabilizers of the
     orbits, one bar complex of each distinct stabilizer on a point
     (_integral_corners, Shapiro's lemma), so the diagonal verdicts compare
@@ -716,8 +740,10 @@ class FlatEquivariantLineBundle:
     def pairing_kills_coboundaries(self):
         """The evaluation functional e_0 + e_p (edge 0 plus the bar 1-cell
         (generator, v_0), cell p in degree 1) vanishes on d^0 of the bar
-        complex of the rotation circle, so it pairs with a cycle."""
-        d0 = bar_complex(bar_levels(GAction.cyclic_rotation_circle(self.p), 1), 1).differential(0)
+        complex of the rotation circle, so it pairs with a cycle.  d^0 is the
+        whole matrix from total_window: bar_complex would build only some of
+        the rows of its top degree."""
+        d0 = total_window(bar_levels(GAction.cyclic_rotation_circle(self.p), 1), 0, 1)[1][0]
         edge0, closing = d0.row(0), d0.row(self.p)
         return all(edge0.get(j, 0) + closing.get(j, 0) == 0 for j in range(d0.cols))
 

@@ -65,6 +65,7 @@ class FiniteGroup:
         self.bar_checked_level = 0
         self._subgroups = {}          # sorted element tuple -> FiniteGroup
         self._normalized_faces = {}   # bar level -> its faces on nondegenerate tuples
+        self._generators = None       # generators(), once chosen
 
     def _find_identity(self):
         for e in range(self.order):
@@ -211,6 +212,24 @@ class FiniteGroup:
             faces = _face_maps(p, len(rest), merge, rest)
             self._normalized_faces[p] = faces
         return faces
+
+    def generators(self):
+        """A generating set, chosen greedily in element order: each element
+        that the ones before it do not generate.  Chosen once and kept on the
+        group; the trivial group has none."""
+        if self._generators is None:
+            gens, reached = [], {self.identity}
+            for g in self.elements():
+                if g in reached:
+                    continue
+                gens.append(g)
+                frontier = list(reached)
+                while frontier:
+                    frontier = [h for h in {self.table[x][s] for x in frontier for s in gens}
+                                if h not in reached]
+                    reached.update(frontier)
+            self._generators = tuple(gens)
+        return self._generators
 
     def subgroups(self):
         """All subgroups, as sorted element tuples (fine for order <= 24)."""
@@ -825,19 +844,45 @@ class BarLevels:
             nonzero[i] = row
         return IntMatrix._of(rows, cols, nonzero)
 
-    def vertical_matrix(self, p, q):
+    def leading_tuples(self, p, firsts):
+        """The positions among the nondegenerate tuples of level p of those
+        whose first entry is in firsts, in increasing order: the rows that
+        vertical_matrix and horizontal_matrix keep at level p.  All of them
+        for firsts None, and at level 0, whose one tuple is empty."""
+        count = self.nondegenerate_counts[p]
+        if firsts is None or p == 0:
+            return range(count)
+        e = self.group.identity
+        width = count // (self.group.order - 1)
+        starts = sorted((g - (g > e)) * width for g in firsts)   # g's digit, times width
+        return list(chain.from_iterable(range(s, s + width) for s in starts))
+
+    def vertical_matrix(self, p, q, firsts=None):
         """Normalized dV: C^q(level p) -> C^q(level p+1), the alternating sum
-        of the face pullbacks on nondegenerate tuples."""
+        of the face pullbacks on nondegenerate tuples.  With firsts, only
+        the rows of the tuples of level p + 1 that start with an element of
+        firsts (leading_tuples), in their order."""
         if p + 1 > self.P:
             return IntMatrix.zero(0, self.normalized_cells(p, q))
-        return self._coface_sum(
-            q, [((-1) ** i, self.nondegenerate_face_table(p + 1, i)) for i in range(p + 2)],
-            self.normalized_cells(p + 1, q), self.normalized_cells(p, q))
+        faces = [((-1) ** i, self.nondegenerate_face_table(p + 1, i)) for i in range(p + 2)]
+        rows = self.leading_tuples(p + 1, firsts)
+        if firsts is not None:
+            faces = [(sign, ([codes[r] for r in rows], acts and [acts[r] for r in rows]))
+                     for sign, (codes, acts) in faces]
+        return self._coface_sum(q, faces, len(rows) * self.space.ncells(q),
+                                self.normalized_cells(p, q))
 
-    def horizontal_matrix(self, p, q):
+    def horizontal_matrix(self, p, q, firsts=None):
         """Normalized cellular cochain d: C^q(level p) -> C^{q+1}(level p),
-        blockwise over nondegenerate tuples."""
-        return _block_diagonal(self.space.coboundary(q), self.nondegenerate_counts[p])
+        blockwise over nondegenerate tuples.  With firsts, only the rows of
+        the tuples that start with an element of firsts (leading_tuples)."""
+        cob = self.space.coboundary(q)
+        if firsts is None:
+            return _block_diagonal(cob, self.nondegenerate_counts[p])
+        rows = self.leading_tuples(p, firsts)
+        return IntMatrix.from_blocks(len(rows) * cob.rows, self.nondegenerate_counts[p] * cob.cols,
+                                     [(k * cob.rows, r * cob.cols, cob, 1)
+                                      for k, r in enumerate(rows)])
 
     def full_vertical_matrix(self, p, q):
         """dV on the full cochains: the alternating sum of face_pullback(p, i, q)."""
@@ -894,12 +939,14 @@ def bar_homotopy_complex(bl: BarLevels):
 
 # The largest bar construction a query may build, counted by bar_size:
 # the cells of the normalized bar total complex plus the tuples of the full
-# tables that the simplicial-identity check tabulates.  The largest tier-1
-# and benchmark inputs need about 25 000.  Near the budget a query takes tens
-# of seconds and a quarter of a gigabyte: H^6 of symmetric:3 on a point needs
-# 433 579 (degrees 0..7) and took 20 s of process time and 245 MB max RSS in a
-# fresh process on a 2-core host (Python 3.11), of which bar_levels, the
-# identity check of levels 0..7, took 1.4 s and 128 MB.
+# tables that the simplicial-identity check tabulates.  It counts every row
+# of the top degree, which bar_complex builds when its certificate fails.
+# The largest tier-1 and benchmark inputs need about 25 000.  Near the budget
+# a query takes seconds and over a hundred megabytes: H^6 of symmetric:3 on a
+# point needs 433 579 (degrees 0..7) and took 5.6 s of process time and
+# 133 MB max RSS through the CLI in a fresh process on a 2-core host
+# (Python 3.11), of which bar_levels, the identity check of levels 0..7,
+# took 1.6 s and 128 MB.  With every top row built it took 19 s and 264 MB.
 # symmetric:4 on a point at degree 9 would need about 10^14.
 BAR_BUDGET = 500_000
 
@@ -969,17 +1016,57 @@ def total_window(bl: BarLevels, n_lo, n_hi):
 
 def bar_complex(bl: BarLevels, top) -> IntCochainComplex:
     """The normalized bar total complex of bl in degrees 0..top, checked for
-    d^2 = 0: degree n holds (|G|-1)^p |M_q| cells for each p + q = n, where
-    the full complex, cellular_double_complex's total, holds |G|^p |M_q|.
-    The two are chain homotopy equivalent over Z.
+    d^2 = 0: degree n < top holds (|G|-1)^p |M_q| cells for each p + q = n,
+    where the full complex, cellular_double_complex's total, holds
+    |G|^p |M_q|.  The two are chain homotopy equivalent over Z.
+
+    Degree top holds fewer rows when a certificate allows it: only those
+    whose bar tuple (Brown, Cohomology of Groups I.5) starts with one of the
+    group's generators(), and every level-0 row.  The projected d^{top-1}
+    kills all of ker d^{top-1}, so its kernel lies between im d^{top-2} and
+    ker d^{top-1}.  H^{top-1} = 0 over Q, read off the reduced complex,
+    squeezes it to ker d^{top-1} over Q and so over Z, and every H^k with
+    k < top is that of the full complex.  Where the certificate fails
+    (H^{top-1}(Q) != 0, as at top = 1 when M carries an invariant
+    function), degree top is built again with every row.  H^top of a
+    truncated complex never was the true H^top.
 
     It starts at degree 0 so that its reduction can pair every cell with a
     partner one degree down: a window cut off below keeps its bottom cells,
     and the fill they cause, in the reduced complex.
     """
-    ranks, diffs = total_window(bl, 0, top)
-    return IntCochainComplex(0, [ranks[k] for k in range(top + 1)],
-                             [diffs[k] for k in range(top)])
+    ranks, diffs = total_window(bl, 0, max(top - 1, 0))
+    if top == 0:
+        return IntCochainComplex(0, [ranks[0]], [])
+    ranks, diffs = [ranks[k] for k in range(top)], [diffs[k] for k in range(top - 1)]
+    gens = bl.group.generators()
+    if len(gens) < bl.group.order - 1:      # else every row leads with a generator
+        rank, d = _top_degree(bl, top, gens)
+        cx = IntCochainComplex(0, ranks + [rank], diffs + [d])
+        if cx.reduced().cohomology_q_dim(top - 1) == 0:
+            return cx
+    rank, d = _top_degree(bl, top, None)
+    return IntCochainComplex(0, ranks + [rank], diffs + [d])
+
+
+def _top_degree(bl: BarLevels, top, firsts):
+    """The rank of degree top >= 1 of the normalized bar total complex and
+    d^{top-1} into it, on the rows of the tuples that start with an element
+    of firsts (BarLevels.leading_tuples; all rows for None)."""
+    dim = bl.space.dim
+
+    def rank(p, q):
+        if not 0 <= q <= dim:
+            return 0
+        if p + q < top:
+            return bl.normalized_cells(p, q)
+        return len(bl.leading_tuples(p, firsts)) * bl.space.ncells(q)
+
+    ranks, diffs = totalize(
+        top - 1, top, bl.P, rank,
+        [(0, 1, lambda p, q: bl.horizontal_matrix(p, q, firsts), lambda p, q: 1),
+         (1, 0, lambda p, q: bl.vertical_matrix(p, q, firsts), lambda p, q: (-1) ** q)])
+    return ranks[top], diffs[top - 1]
 
 
 def equivariant_cohomology(act: GAction, n, coeff="Z"):
@@ -994,6 +1081,8 @@ def equivariant_cohomology(act: GAction, n, coeff="Z"):
     'QmodZ') and reduced once.  Its top degree is also its bar truncation:
     the levels built and checked against the simplicial identities are
     0..n+1 for 'Z' and 'Q' and 0..n+2 for 'QmodZ', the levels it reads.
+    The top degree holds the certified generator rows, or every row where
+    the certificate fails (bar_complex); every degree read lies below it.
     A query over BAR_BUDGET raises BarComplexTooLarge before any of them
     is built.
     """

@@ -6,9 +6,11 @@ its oracle: the two are chain homotopy equivalent over Z, so they agree on
 H^n over Z and Q below their common truncation degree.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from eqcohom.complexes import total_complex
+from eqcohom import simplicial
+from eqcohom.complexes import IntCochainComplex, total_complex
 from eqcohom.linalg import FgAbGroup, IntMatrix
 from eqcohom.simplicial import (
     CellComplex,
@@ -18,6 +20,7 @@ from eqcohom.simplicial import (
     bar_levels,
     cellular_double_complex,
     equivariant_cohomology,
+    total_window,
 )
 from test_acceptance import _acceptance_actions
 
@@ -73,6 +76,72 @@ def test_trivial_group_normalized_complex_is_the_space():
     cx = bar_complex(bar_levels(act, 3), 3)
     assert cx.ranks == [2, 2, 0, 0]
     assert cx.diffs[0] == CellComplex.circle(2).coboundary(0)
+
+
+# --- the certified top degree --------------------------------------------------------
+
+
+def full_bar_complex(bl, top):
+    """Every row of every degree 0..top, from total_window: the oracle for
+    bar_complex's top degree, built without its row selection."""
+    ranks, diffs = total_window(bl, 0, top)
+    return IntCochainComplex(0, [ranks[k] for k in range(top + 1)],
+                             [diffs[k] for k in range(top)])
+
+
+@pytest.mark.parametrize("top", range(1, 6))
+def test_certified_top_keeps_every_lower_degree(top):
+    # below its top degree, bar_complex has the full complex's H^k over Z and
+    # Q; at n = top - 1 >= 1 the top of each acceptance action holds the
+    # rows of the tuples that start with a generator, |S| of every |G| - 1,
+    # and where H^{top-1}(Q) != 0 (at top = 1 for each of these actions, and
+    # the lens sphere at top = 4) it holds every row
+    for act in _acceptance_actions() + [GAction.lens_sphere(3)]:
+        bl = bar_levels(act, top)
+        cx, full = bar_complex(bl, top), full_bar_complex(bl, top)
+        for k in range(top):
+            assert cx.cohomology(k) == full.cohomology(k), (act.name, top, k)
+            assert cx.cohomology_q_dim(k) == full.cohomology_q_dim(k), (act.name, top, k)
+        assert cx.ranks[:top] == full.ranks[:top]
+        if act.space.dim == 0 and top >= 2:
+            kept, rows = len(act.group.generators()), act.group.order - 1
+            assert cx.ranks[top] * rows == full.ranks[top] * kept, (act.name, top)
+        if full.cohomology_q_dim(top - 1):
+            assert cx.ranks[top] == full.ranks[top], (act.name, top)
+
+
+def test_failed_certificate_falls_back_to_every_row(monkeypatch):
+    # with a set that does not generate S3 the partial complex is wrong (on
+    # S3/<(1 2)> at top = 1 its H^0 is Z^2, though the quotient is a point)
+    # and its H^{top-1}(Q) is not 0: bar_complex builds the top again, with
+    # every row, and gives the full complex's answers
+    tops = []
+    real_top = simplicial._top_degree
+
+    def recording_top(bl, top, firsts):
+        tops.append(firsts)
+        return real_top(bl, top, firsts)
+    monkeypatch.setattr(FiniteGroup, "generators", lambda self: (1,))
+    monkeypatch.setattr(simplicial, "_top_degree", recording_top)
+    s3 = FiniteGroup.symmetric(3)
+    for act in (GAction.coset_action(s3, (0, 1)), GAction.trivial(s3, CellComplex.point())):
+        for top in range(1, 5):
+            tops.clear()
+            bl = bar_levels(act, top)
+            cx, full = bar_complex(bl, top), full_bar_complex(bl, top)
+            for k in range(top):
+                assert cx.cohomology(k) == full.cohomology(k), (act.name, top, k)
+            assert tops == [(1,), None], (act.name, top)
+            assert cx == full, (act.name, top)
+
+
+def test_generators_are_chosen_greedily():
+    assert FiniteGroup.cyclic(1).generators() == ()
+    assert FiniteGroup.cyclic(6).generators() == (1,)
+    s3 = FiniteGroup.symmetric(3)
+    assert s3.generators() == (1, 2)     # two transpositions
+    assert s3.generators() is s3.generators()
+    assert FiniteGroup.quaternion8().generators() == (1, 2, 4)   # -1, i, j
 
 
 # --- properties over random small actions ------------------------------------------
