@@ -18,9 +18,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import partial, reduce
+from itertools import combinations, product
 from math import lcm
-from operator import add
+from operator import or_
+from types import MappingProxyType
 
 from .linalg import IntMatrix, q_identity, q_inverse, q_mul, q_zeros, rank_q
 
@@ -74,18 +76,11 @@ class LieAlgebra:
                 for a in range(k):
                     if self.c(a, b, c) != -self.c(a, c, b):
                         raise ValueError("structure constants are not antisymmetric")
-        for a in range(k):
-            for b in range(k):
-                for c in range(k):
-                    # Jacobi: [[a,b],c] + [[b,c],a] + [[c,a],b] = 0
-                    for e in range(k):
-                        total = 0
-                        for d in range(k):
-                            total += self.c(d, a, b) * self.c(e, d, c)
-                            total += self.c(d, b, c) * self.c(e, d, a)
-                            total += self.c(d, c, a) * self.c(e, d, b)
-                        if total:
-                            raise ValueError("Jacobi identity fails")
+        # Jacobi: [[a,b],c] + [[b,c],a] + [[c,a],b] = 0, coefficient by coefficient
+        for a, b, c, e in product(range(k), repeat=4):
+            if sum(self.c(d, a, b) * self.c(e, d, c) + self.c(d, b, c) * self.c(e, d, a)
+                   + self.c(d, c, a) * self.c(e, d, b) for d in range(k)):
+                raise ValueError("Jacobi identity fails")
 
     @classmethod
     def abelian(cls, k):
@@ -171,23 +166,14 @@ class LinearAction:
     def extend_trivially(self, extra=1):
         """Same action on R^{m+extra}; the new coordinates are fixed (used
         for the interval factor in transgression computations)."""
-        k = self.lie_algebra.dim
-        rep = []
-        for a in range(k):
-            mat = [[self.rep[a][i][j] for j in range(self.m)] + [0] * extra
-                   for i in range(self.m)]
-            mat += [[0] * (self.m + extra) for _ in range(extra)]
-            rep.append(mat)
-        finite = []
-        for g, ad in self.finite_elements:
-            gmat = [[g[i][j] for j in range(self.m)] + [0] * extra
-                    for i in range(self.m)]
-            for r in range(extra):
-                row = [0] * (self.m + extra)
-                row[self.m + r] = 1
-                gmat.append(row)
-            finite.append((gmat, ad))
-        return LinearAction(self.lie_algebra, rep, finite)
+        m = self.m
+
+        def pad(mat, corner):
+            """mat in the top left corner, corner * identity in the bottom right."""
+            return ([list(row) + [0] * extra for row in mat]
+                    + [[0] * m + [corner * (r == c) for c in range(extra)] for r in range(extra)])
+        return LinearAction(self.lie_algebra, [pad(mat, 0) for mat in self.rep],
+                            [(pad(g, 1), ad) for g, ad in self.finite_elements])
 
     def to_json_obj(self):
         return {"lie_algebra": self.lie_algebra.to_json_obj(),
@@ -223,23 +209,61 @@ def _mat_scale(a, c):
 # equivariant forms
 
 
+class LaneOverflow(ValueError):
+    """An exponent does not fit in its lane of a packed key."""
+
+
+LANE_BITS = 8     # the width of an exponent's lane in a packed key, guard bit included
+MAX_EXPONENT = (1 << (LANE_BITS - 1)) - 1
+
+
+def _pack(num_x, u, x, dx):
+    return sum(e << (num_x + LANE_BITS * j) for j, e in enumerate((*u, *x))) + sum(1 << i for i in dx)
+
+
+def _unpack(num_u, num_x, key):
+    """The (u_exponents, x_exponents, dx_indices) tuples of a packed key."""
+    e = [key >> (num_x + LANE_BITS * j) & MAX_EXPONENT for j in range(num_u + num_x)]
+    return tuple(e[:num_u]), tuple(e[num_u:]), tuple(i for i in range(num_x) if key >> i & 1)
+
+
+def _unit(num_x, lane):
+    """The packed key of exponent 1 in one lane: u_a is lane a, x_i lane num_u + i."""
+    return 1 << (num_x + LANE_BITS * lane)
+
+
+def _check_lanes(num_u, num_x, terms):
+    """Raise LaneOverflow if a key of terms has a guard bit set."""
+    lanes = num_u + num_x
+    guards = ((1 << LANE_BITS * lanes) - 1) // ((1 << LANE_BITS) - 1) << (num_x + LANE_BITS - 1)
+    if reduce(or_, terms, 0) & guards:
+        raise LaneOverflow(f"an exponent grew past the lane limit {MAX_EXPONENT}")
+
+
 class EquivariantForm:
     """Finite sum of (u-monomial x x-polynomial x exterior monomial) terms.
 
-    Keys are (u_exponents, x_exponents, dx_indices): nonnegative int
-    exponents and a strictly increasing dx tuple of indices below num_x.
-    Values are nonzero exact rationals, an int when integral and a Fraction
-    otherwise (_exact).  The constructor validates every key of its input;
-    the results of the operations below are built by _of, which checks no
-    key because theirs are valid by construction.
+    packed maps each term's key, one int, to its coefficient.  The low
+    num_x bits of a key hold the dx set as a bitmask (bit i for dx_{i+1});
+    above them u_1..u_k, then x_1..x_m, each take a lane of LANE_BITS bits
+    whose top bit is a guard, so an exponent is at most MAX_EXPONENT.  Two
+    monomials with disjoint dx masks multiply by adding their keys; an
+    exponent that grows past the limit sets a guard bit, which the
+    operations that raise exponents check (LaneOverflow).  terms is the
+    read-only tuple view {(u_exponents, x_exponents, dx_indices): value},
+    built on each read.  Values are nonzero exact rationals, an int when
+    integral and a Fraction otherwise (_exact).  The constructor validates
+    tuple keys (an exponent above MAX_EXPONENT raises LaneOverflow); the
+    operations build their results by _of, which checks no key because
+    theirs are valid by construction.
     """
 
-    __slots__ = ("num_u", "num_x", "terms")
+    __slots__ = ("num_u", "num_x", "packed")
 
     def __init__(self, num_u, num_x, terms=None):
         self.num_u = num_u
         self.num_x = num_x
-        self.terms = {}
+        self.packed = {}
         for key, v in (terms or {}).items():
             v = _exact(v)
             if not v:
@@ -249,22 +273,29 @@ class EquivariantForm:
                 raise ValueError("exponent tuple lengths do not match the variable counts")
             if any(type(e) is not int or e < 0 for e in (*u, *x)):
                 raise ValueError(f"exponents must be nonnegative ints, got {key}")
+            if max((*u, *x), default=0) > MAX_EXPONENT:
+                raise LaneOverflow(f"exponent above the lane limit {MAX_EXPONENT} in {key}")
             if (any(type(i) is not int or not 0 <= i < num_x for i in dx)
                     or list(dx) != sorted(set(dx))):
                 raise ValueError(f"bad dx monomial {dx}")
-            self.terms[(tuple(u), tuple(x), tuple(dx))] = v
+            self.packed[_pack(num_x, u, x, dx)] = v
 
     @classmethod
-    def _of(cls, num_u, num_x, terms):
-        """Wrap a term dict whose keys are valid by construction: zero values
-        are dropped and values that are not int go through _exact, but no
-        key is checked."""
+    def _of(cls, num_u, num_x, packed):
+        """Wrap a packed term dict whose keys are valid by construction: zero
+        values are dropped and values that are not int go through _exact,
+        but no key is checked."""
         form = cls.__new__(cls)
         form.num_u = num_u
         form.num_x = num_x
-        form.terms = {k: v if type(v) is int else _exact(v)
-                      for k, v in terms.items() if v}
+        form.packed = {k: v if type(v) is int else _exact(v)
+                       for k, v in packed.items() if v}
         return form
+
+    @property
+    def terms(self):
+        num_u, num_x = self.num_u, self.num_x
+        return MappingProxyType({_unpack(num_u, num_x, k): v for k, v in self.packed.items()})
 
     # -- constructors
 
@@ -274,7 +305,7 @@ class EquivariantForm:
 
     @classmethod
     def constant(cls, num_u, num_x, value):
-        return cls(num_u, num_x, {((0,) * num_u, (0,) * num_x, ()): value})
+        return cls._of(num_u, num_x, {0: value})
 
     @classmethod
     def coordinate(cls, num_u, num_x, i):
@@ -282,22 +313,18 @@ class EquivariantForm:
         x[i] = 1
         return cls(num_u, num_x, {((0,) * num_u, tuple(x), ()): 1})
 
-    @classmethod
-    def dx(cls, num_u, num_x, i):
-        return cls(num_u, num_x, {((0,) * num_u, (0,) * num_x, (i,)): 1})
-
     # -- structure
 
     def is_zero(self):
-        return not self.terms
+        return not self.packed
 
     def __eq__(self, other):
         if not isinstance(other, EquivariantForm):
             return NotImplemented
-        return (self.num_u, self.num_x, self.terms) == (other.num_u, other.num_x, other.terms)
+        return (self.num_u, self.num_x, self.packed) == (other.num_u, other.num_x, other.packed)
 
     def __hash__(self):
-        return hash((self.num_u, self.num_x, frozenset(self.terms.items())))
+        return hash((self.num_u, self.num_x, frozenset(self.packed.items())))
 
     def cartan_degrees(self):
         """Set of Cartan degrees 2|u| + |dx| present among the terms."""
@@ -325,8 +352,8 @@ class EquivariantForm:
 
     def __add__(self, other):
         self._check_compatible(other)
-        terms = dict(self.terms)
-        for k, v in other.terms.items():
+        terms = dict(self.packed)
+        for k, v in other.packed.items():
             terms[k] = terms.get(k, 0) + v
         return EquivariantForm._of(self.num_u, self.num_x, terms)
 
@@ -336,7 +363,7 @@ class EquivariantForm:
     def scale(self, c):
         c = _exact(c)
         return EquivariantForm._of(self.num_u, self.num_x,
-                                   {k: c * v for k, v in self.terms.items()})
+                                   {k: c * v for k, v in self.packed.items()})
 
     def __neg__(self):
         return self.scale(-1)
@@ -348,86 +375,85 @@ class EquivariantForm:
 
     def d(self):
         """Exterior derivative in the x variables."""
+        num_x = self.num_x
+        shift = num_x + LANE_BITS * self.num_u
         out = {}
-        for (u, x, dx), v in self.terms.items():
-            for i in range(self.num_x):
-                if x[i] == 0:
+        for k, v in self.packed.items():
+            for i in range(num_x):
+                e = k >> (shift + LANE_BITS * i) & MAX_EXPONENT
+                if not e or k >> i & 1:
                     continue
-                sign, new_dx = _merge_dx((i,), dx)
-                if sign == 0:
-                    continue
-                new_x = list(x)
-                new_x[i] -= 1
-                key = (u, tuple(new_x), new_dx)
-                out[key] = out.get(key, 0) + sign * v * x[i]
-        return EquivariantForm._of(self.num_u, self.num_x, out)
+                key = k - (1 << (shift + LANE_BITS * i)) + (1 << i)
+                if (k & ((1 << i) - 1)).bit_count() & 1:
+                    e = -e
+                out[key] = out.get(key, 0) + e * v
+        return EquivariantForm._of(self.num_u, num_x, out)
 
     def contract_linear_field(self, field_matrix):
         """iota_V for the linear vector field V(x) = field_matrix @ x."""
+        num_u, num_x = self.num_u, self.num_x
+        images = [[(_unit(num_x, num_u + j), c) for j, c in enumerate(row) if c]
+                  for row in field_matrix]
         out = {}
-        for (u, x, dx), v in self.terms.items():
-            for pos, i in enumerate(dx):
-                rest = dx[:pos] + dx[pos + 1:]
-                sign = -1 if pos % 2 else 1
-                for j in range(self.num_x):
-                    coeff = field_matrix[i][j]
-                    if not coeff:
-                        continue
-                    new_x = list(x)
-                    new_x[j] += 1
-                    key = (u, tuple(new_x), rest)
-                    out[key] = out.get(key, 0) + sign * coeff * v
-        return EquivariantForm._of(self.num_u, self.num_x, out)
+        for k, v in self.packed.items():
+            mask = k & ((1 << num_x) - 1)
+            while mask:
+                bit = mask & -mask
+                for unit, c in images[bit.bit_length() - 1]:
+                    key = k - bit + unit
+                    out[key] = out.get(key, 0) + c * v
+                mask ^= bit
+                v = -v
+        _check_lanes(num_u, num_x, out)
+        return EquivariantForm._of(num_u, num_x, out)
 
     def u_times(self, a):
-        out = {}
-        for (u, x, dx), v in self.terms.items():
-            nu = list(u)
-            nu[a] += 1
-            out[(tuple(nu), x, dx)] = v
+        unit = _unit(self.num_x, a)
+        out = {k + unit: v for k, v in self.packed.items()}
+        _check_lanes(self.num_u, self.num_x, out)
         return EquivariantForm._of(self.num_u, self.num_x, out)
 
     def embed(self, num_x):
         """Extend by fresh fixed coordinates (exponent zero everywhere)."""
         if num_x < self.num_x:
             raise ValueError("cannot shrink the coordinate count")
-        pad = (0,) * (num_x - self.num_x)
-        return EquivariantForm._of(self.num_u, num_x,
-                                   {(u, x + pad, dx): v for (u, x, dx), v in self.terms.items()})
+        low = (1 << self.num_x) - 1
+        return EquivariantForm._of(self.num_u, num_x, {(k >> self.num_x) << num_x | k & low: v
+                                                       for k, v in self.packed.items()})
 
     def substitute_linear(self, a_matrix, u_matrix=None):
         """Pullback along x -> A x (so x_j -> sum_k A[j][k] x_k and dx_j
         likewise), with an optional linear substitution on the u variables."""
         num_u, num_x = self.num_u, self.num_x
-        zero_u = (0,) * num_u
-        x_polys = [{_unit_x(num_x, k): _exact(a_matrix[j][k])
-                    for k in range(num_x) if a_matrix[j][k]}
-                   for j in range(num_x)]
-        dx_images = [EquivariantForm._of(num_u, num_x,
-                                         {(zero_u, (0,) * num_x, (k,)): a_matrix[j][k]
-                                          for k in range(num_x)})
-                     for j in range(num_x)]
-        out = {}
-        for (u, x, dx), v in self.terms.items():
-            poly = {(0,) * num_x: v}
-            for j in range(num_x):
-                for _ in range(x[j]):
-                    poly = _poly_mul(poly, x_polys[j])
-            form = EquivariantForm._of(num_u, num_x,
-                                       {(zero_u, xe, ()): c for xe, c in poly.items()})
+        x_images = [EquivariantForm._of(num_u, num_x, {_unit(num_x, num_u + k): a for k, a
+                                                       in enumerate(row)}) for row in a_matrix]
+        dx_images = [EquivariantForm._of(num_u, num_x, {1 << k: a for k, a in enumerate(row)})
+                     for row in a_matrix]
+        u_lanes = _unit(num_x, num_u) - (1 << num_x)
+
+        def image(k, v):
+            u, x, dx = _unpack(num_u, num_x, k)
+            form = EquivariantForm._of(num_u, num_x, {k & u_lanes if u_matrix is None else 0: v})
+            for j, e in enumerate(x):
+                for _ in range(e):
+                    form = form.wedge(x_images[j])
             for j in dx:
                 form = form.wedge(dx_images[j])
-            if u_matrix is not None:
-                form = _substitute_u(form, u, u_matrix)
-            else:
-                form = EquivariantForm._of(num_u, num_x,
-                                           {(u, xk, dxk): c for (_u0, xk, dxk), c in form.terms.items()})
-            for k, c in form.terms.items():
-                out[k] = out.get(k, 0) + c
-        return EquivariantForm._of(num_u, num_x, out)
+            return form if u_matrix is None else _substitute_u(form, u, u_matrix)
+
+        return _sum_forms(num_u, num_x, (image(k, v) for k, v in self.packed.items()))
 
     # -- interval fiber operations: the LAST x variable is the interval
     # coordinate t, its differential dt = dx_{m-1}
+
+    def _split_t(self):
+        """(key without t, dt bit, t exponent, value) for each term."""
+        num_x = self.num_x
+        dt = 1 << (num_x - 1)
+        top = num_x + LANE_BITS * (self.num_u + num_x - 1)
+        below = (1 << (top - num_x)) - 1
+        for k, v in self.packed.items():
+            yield (k >> num_x & below) << (num_x - 1) | k & (dt - 1), k & dt, k >> top, v
 
     def fiber_integrate(self):
         """Integrate the dt component over [0, 1]; terms without dt die.
@@ -435,30 +461,21 @@ class EquivariantForm:
         Convention: the integral of dt ^ alpha is the t-integral of alpha,
         so a trailing dt is moved to the front with the sign (-1)^{|I|}.
         """
-        t_index = self.num_x - 1
+        low = (1 << (self.num_x - 1)) - 1
         out = {}
-        for (u, x, dx), v in self.terms.items():
-            if t_index not in dx:
-                continue
-            rest = tuple(i for i in dx if i != t_index)
-            sign = -1 if len(rest) % 2 else 1
-            e = x[t_index]
-            new_x = x[:-1]
-            key = (u, new_x, rest)
-            out[key] = out.get(key, 0) + Fraction(sign * v, e + 1)
+        for key, dt, e, v in self._split_t():
+            if dt:
+                sign = -1 if (key & low).bit_count() & 1 else 1
+                out[key] = out.get(key, 0) + Fraction(sign * v, e + 1)
         return EquivariantForm._of(self.num_u, self.num_x - 1, out)
 
     def restrict_t(self, value):
         """Pull back along the inclusion at t = value (drops dt terms)."""
-        t_index = self.num_x - 1
         value = _exact(value)
         out = {}
-        for (u, x, dx), v in self.terms.items():
-            if t_index in dx:
-                continue
-            coeff = v * value ** x[t_index] if x[t_index] else v
-            key = (u, x[:-1], dx)
-            out[key] = out.get(key, 0) + coeff
+        for key, dt, e, v in self._split_t():
+            if not dt:
+                out[key] = out.get(key, 0) + (v * value ** e if e else v)
         return EquivariantForm._of(self.num_u, self.num_x - 1, out)
 
     # -- printing / parsing
@@ -470,37 +487,44 @@ class EquivariantForm:
         return f"EquivariantForm({format_form(self)!r})"
 
 
-def _unit_x(n, k):
-    e = [0] * n
-    e[k] = 1
-    return tuple(e)
+def _degrees(num_u, num_x, key):
+    """(|u|, |x|, |dx|) of a packed key, read off its lanes and mask."""
+    lanes, u, x = key >> num_x, 0, 0
+    for _ in range(num_u):
+        u += lanes & MAX_EXPONENT
+        lanes >>= LANE_BITS
+    while lanes:
+        x += lanes & MAX_EXPONENT
+        lanes >>= LANE_BITS
+    return u, x, (key & ((1 << num_x) - 1)).bit_count()
 
 
-def _poly_mul(p1, p2):
-    out = {}
-    for e1, c1 in p1.items():
-        for e2, c2 in p2.items():
-            key = tuple(map(add, e1, e2))
-            out[key] = out.get(key, 0) + c1 * c2
-    return out
+def _inversions(m1, m2):
+    """Pairs i > j with i in the dx mask m1 and j in m2: the transpositions
+    that sort the dx of m1 followed by the dx of m2."""
+    return sum((m1 >> j + 1).bit_count() for j in range(m2.bit_length()) if m2 >> j & 1)
 
 
 def _wedge_into(out, f, g):
-    """Add the terms of f ^ g into the term dict out, a sum over the
-    variables of f and g that the caller wraps with EquivariantForm._of."""
+    """Add the terms of f ^ g into the packed term dict out, a sum that the
+    caller wraps with EquivariantForm._of.  Two monomials multiply by adding
+    their keys; the sign of each pair of dx masks is taken once per call."""
     f._check_compatible(g)
-    merged = {}  # (dx1, dx2) -> _merge_dx(dx1, dx2), for this call only
-    for (u1, x1, dx1), v1 in f.terms.items():
-        for (u2, x2, dx2), v2 in g.terms.items():
-            pair = (dx1, dx2)
-            merge = merged.get(pair)
-            if merge is None:
-                merge = merged[pair] = _merge_dx(dx1, dx2)
-            sign, dx = merge
-            if sign == 0:
+    low = (1 << f.num_x) - 1
+    signs = {}  # (mask1 << num_x | mask2) -> sign of the pair, for this call only
+    for k1, v1 in f.packed.items():
+        m1 = k1 & low
+        for k2, v2 in g.packed.items():
+            m2 = k2 & low
+            if m1 & m2:
                 continue
-            key = (tuple(map(add, u1, u2)), tuple(map(add, x1, x2)), dx)
+            pair = m1 << f.num_x | m2
+            sign = signs.get(pair)
+            if sign is None:
+                sign = signs[pair] = -1 if _inversions(m1, m2) & 1 else 1
+            key = k1 + k2
             out[key] = out.get(key, 0) + sign * v1 * v2
+    _check_lanes(f.num_u, f.num_x, out)
 
 
 def _sum_forms(num_u, num_x, forms):
@@ -510,26 +534,9 @@ def _sum_forms(num_u, num_x, forms):
     for form in forms:
         if (form.num_u, form.num_x) != (num_u, num_x):
             raise ValueError("forms live over different variable counts")
-        for k, v in form.terms.items():
+        for k, v in form.packed.items():
             out[k] = out.get(k, 0) + v
     return EquivariantForm._of(num_u, num_x, out)
-
-
-def _merge_dx(dx1, dx2):
-    """Concatenate exterior monomials; returns (sign, sorted tuple), or
-    (0, ()) when an index repeats."""
-    merged = list(dx1) + list(dx2)
-    if len(set(merged)) != len(merged):
-        return 0, ()
-    sign = 1
-    # insertion sort counting inversions
-    for i in range(1, len(merged)):
-        j = i
-        while j > 0 and merged[j - 1] > merged[j]:
-            merged[j - 1], merged[j] = merged[j], merged[j - 1]
-            sign = -sign
-            j -= 1
-    return sign, tuple(merged)
 
 
 def _substitute_u(form, u_exp, u_matrix):
@@ -575,22 +582,18 @@ def lie_derivative(act: LinearAction, a, omega: EquivariantForm) -> EquivariantF
 def total_lie(act: LinearAction, a, omega: EquivariantForm) -> EquivariantForm:
     """Equivariance derivative: manifold Lie derivative plus the induced
     derivation on the u variables (u_b -> sum_c c^b_{a c} u_c)."""
-    out = dict(lie_derivative(act, a, omega).terms)
-    k = act.lie_algebra.dim
-    for (u, x, dx), v in omega.terms.items():
+    out = dict(lie_derivative(act, a, omega).packed)
+    k, num_x = act.lie_algebra.dim, omega.num_x
+    for key, v in omega.packed.items():
         for b in range(k):
-            if u[b] == 0:
-                continue
+            e = key >> (num_x + LANE_BITS * b) & MAX_EXPONENT
             for c in range(k):
                 coeff = act.lie_algebra.c(b, a, c)
-                if not coeff:
-                    continue
-                nu = list(u)
-                nu[b] -= 1
-                nu[c] += 1
-                key = (tuple(nu), x, dx)
-                out[key] = out.get(key, 0) + v * coeff * u[b]
-    return EquivariantForm._of(omega.num_u, omega.num_x, out)
+                if e and coeff:
+                    moved = key - _unit(num_x, b) + _unit(num_x, c)
+                    out[moved] = out.get(moved, 0) + v * coeff * e
+    _check_lanes(omega.num_u, num_x, out)
+    return EquivariantForm._of(omega.num_u, num_x, out)
 
 
 def group_transform(act: LinearAction, omega: EquivariantForm, g, ad):
@@ -647,56 +650,54 @@ def _compositions(total, parts):
 
 
 def _operator_images(act, key):
-    """Term dicts of the images of one monomial: L first (total_lie per Lie
-    basis element, then g.w - w per finite element), cartan_d last."""
+    """Packed term dicts of the images of one monomial: L first (total_lie
+    per Lie basis element, then g.w - w per finite element), cartan_d last."""
     num_u, num_x = act.lie_algebra.dim, act.m
-    form = EquivariantForm(num_u, num_x, {key: 1})
+    form = EquivariantForm._of(num_u, num_x, {key: 1})
     images = [total_lie(act, a, form) for a in range(num_u)]
     images += [form.substitute_linear(g_inv, u_matrix=ad_inv) - form
                for g_inv, ad_inv in act.finite_inverses]
     images.append(cartan_d(act, form))
-    return [img.terms for img in images]
+    return [img.packed for img in images]
 
 
-def _graded_rank(columns, grade, rows_of):
+def _graded_rank(columns, grade, rows_of, memo, label):
     """Rank over Q of the operator whose column for the monomial key has
     the entries rows_of(key), a list of term dicts (row (i, term) holds
     rows_of(key)[i][term]).  The operator must preserve grade(key): the
     rank is the sum of rank_q over the graded blocks.  Each row is scaled
     by the lcm of its denominators, so rational actions take the same
-    integer path."""
+    integer path.
+
+    memo keeps each block's rank under (label(block), its columns), equal
+    labels on equal columns meaning equal rows, and under its matrix: in
+    one query no block is built twice, and no matrix ranked twice."""
     blocks = {}
     for key in columns:
         blocks.setdefault(grade(key), []).append(key)
     total = 0
     for block in blocks.values():
-        rows = {}
-        for j, key in enumerate(block):
-            for i, terms in enumerate(rows_of(key)):
-                for term, c in terms.items():
-                    rows.setdefault((i, term), {})[j] = c
-        entries = {}
-        for r, row in enumerate(rows.values()):
-            scale = lcm(*(c.denominator for c in row.values()))
-            for j, c in row.items():
-                entries[(r, j)] = c.numerator * (scale // c.denominator)
-        total += rank_q(IntMatrix(len(rows), len(block), entries))
+        name = (label(block), tuple(block))
+        if name not in memo:
+            rows = {}
+            for j, key in enumerate(block):
+                for i, terms in enumerate(rows_of(key)):
+                    for term, c in terms.items():
+                        rows.setdefault((i, term), {})[j] = c
+            entries = {}
+            for r, row in enumerate(rows.values()):
+                scale = lcm(*(c.denominator for c in row.values()))
+                for j, c in row.items():
+                    entries[(r, j)] = c.numerator * (scale // c.denominator)
+            matrix = (len(rows), len(block), frozenset(entries.items()))
+            if matrix not in memo:
+                memo[matrix] = rank_q(IntMatrix(len(rows), len(block), entries))
+            memo[name] = memo[matrix]
+        total += memo[name]
     return total
 
 
-def _form_grade(key):
-    """s = |x| + |dx|: d moves (|x|, |dx|) by (-1, +1), the contraction by
-    (+1, -1), and L preserves both."""
-    _u, x, dx = key
-    return sum(x) + len(dx)
-
-
-def _block(key):
-    u, x, dx = key
-    return sum(u), sum(x), len(dx)
-
-
-def _cartan_cohomology_dim(act, n, x_bound, images):
+def _cartan_cohomology_dim(act, n, x_bound, memo):
     """(dimension, saturated flag) at one truncation level, from ranks.
 
     L is the invariance operator, D = cartan_d, and pi keeps the target
@@ -705,38 +706,52 @@ def _cartan_cohomology_dim(act, n, x_bound, images):
     monomials of x-degree <= x_bound + 1 (D raises the x-degree by at most
     one, so these primitives can still bound a form inside the cap), the
     image inside the cap has dimension rank [L; D] - rank [L; pi D].  Both
-    stacks preserve s = |x| + |dx| and are ranked block by block.
+    stacks preserve s = |x| + |dx| (d moves (|x|, |dx|) by (-1, +1), the
+    contraction by (+1, -1)) and are ranked block by block.  A block of
+    [L; pi D] whose pi keeps no term of D has the rows of L, one whose pi
+    keeps every term those of [L; D], and is labeled so.
 
     saturated warns that invariant forms near the cap took part: some
     (|u|, |x|, |dx|) block with |x| >= x_bound - 1 has invariants.  L
     preserves that triple, so its kernel is spanned by vectors inside one
     block each.
 
-    images maps each monomial to _operator_images(act, key); it is filled
-    here as needed and shared by the bounds of one query, since every
-    image depends on the action and the monomial alone.
+    memo maps each monomial (a packed key) to _operator_images(act, key)
+    and each block (_graded_rank) to its rank, filled as needed and shared
+    by the bounds of one query: an image depends on the monomial alone.
     """
     num_u, num_x = act.lie_algebra.dim, act.m
-    top = _monomials_of_cartan_degree(num_u, num_x, n, x_bound)
-    prev = _monomials_of_cartan_degree(num_u, num_x, n - 1, x_bound + 1)
+    top, prev = ([_pack(num_x, *key) for key in _monomials_of_cartan_degree(num_u, num_x, m, b)]
+                 for m, b in ((n, x_bound), (n - 1, x_bound + 1)))
     for key in top + prev:
-        if key not in images:
-            images[key] = _operator_images(act, key)
+        if key not in memo:
+            memo[key] = _operator_images(act, key)
+
+    block = partial(_degrees, num_u, num_x)
+
+    def form_grade(key):
+        return sum(block(key)[1:])
 
     def projected(key):
-        *lie, d = images[key]
-        return lie + [{t: c for t, c in d.items() if sum(t[1]) > x_bound}]
+        *rows, d = memo[key]
+        return rows + [{t: c for t, c in d.items() if block(t)[1] > x_bound}]
 
-    dim_ker = len(top) - _graded_rank(top, _form_grade, images.__getitem__)
-    dim_img_in = (_graded_rank(prev, _form_grade, images.__getitem__)
-                  - _graded_rank(prev, _form_grade, projected))
+    def projected_label(keys):
+        degrees = {block(t)[1] for key in keys for t in memo[key][-1]}
+        kept = {e for e in degrees if e > x_bound}
+        return "full" if kept == degrees else ("pi", min(kept)) if kept else "lie"
+
+    dim_ker = len(top) - _graded_rank(top, form_grade, memo.__getitem__, memo, lambda _: "full")
+    dim_img_in = (_graded_rank(prev, form_grade, memo.__getitem__, memo, lambda _: "full")
+                  - _graded_rank(prev, form_grade, projected, memo, projected_label))
 
     near_cap = {}
     for key in top + prev:
-        if sum(key[1]) >= x_bound - 1:
-            near_cap.setdefault(_block(key), []).append(key)
-    saturated = any(len(block) > _graded_rank(block, _block, lambda key: images[key][:-1])
-                    for block in near_cap.values())
+        if block(key)[1] >= x_bound - 1:
+            near_cap.setdefault(block(key), []).append(key)
+    saturated = any(len(keys) > _graded_rank(keys, block, lambda key: memo[key][:-1], memo,
+                                             lambda _: "lie")
+                    for keys in near_cap.values())
     return dim_ker - dim_img_in, saturated
 
 
@@ -746,17 +761,25 @@ def cartan_cohomology_truncated(act: LinearAction, n, x_bound):
 
     Returns (dimension, saturated) where saturated warns that monomials
     near the cap participated.  The dimension is computed at x_bound,
-    x_bound + 1 and x_bound + 2 from one shared set of operator images;
-    unless all three agree, TruncationUnstable names the three bounds.
-    Comparing consecutive bounds catches an error that repeats with the
-    parity of the bound.  A negative x_bound raises ValueError.
+    x_bound + 1 and x_bound + 2 from one shared set of operator images and
+    block ranks; unless all three agree, TruncationUnstable names the three
+    bounds.  Comparing consecutive bounds catches an error that repeats
+    with the parity of the bound.  A negative x_bound raises ValueError;
+    one whose images would hold an exponent above MAX_EXPONENT (x-degree
+    up to x_bound + 4, u-degree up to n // 2 + 1) raises LaneOverflow
+    before any work.
     """
     if x_bound < 0:
         raise ValueError(f"x_bound must be nonnegative, got {x_bound}")
-    images = {}
-    dim, saturated = _cartan_cohomology_dim(act, n, x_bound, images)
+    need = max(x_bound + 4, n // 2 + 1)
+    if need > MAX_EXPONENT:
+        raise LaneOverflow(f"degree {n} at x_bound {x_bound} needs exponents up to {need}, "
+                           f"above the lane limit {MAX_EXPONENT}: x_bound <= {MAX_EXPONENT - 4}, "
+                           f"degree <= {2 * MAX_EXPONENT - 1}")
+    memo = {}
+    dim, saturated = _cartan_cohomology_dim(act, n, x_bound, memo)
     bounds = (x_bound, x_bound + 1, x_bound + 2)
-    dims = [dim] + [_cartan_cohomology_dim(act, n, b, images)[0] for b in bounds[1:]]
+    dims = [dim] + [_cartan_cohomology_dim(act, n, b, memo)[0] for b in bounds[1:]]
     if len(set(dims)) > 1:
         raise TruncationUnstable(
             f"degree {n}: dimensions {dims} at bounds {list(bounds)}")
@@ -900,40 +923,17 @@ def getzler_chain_map_check(bl, p, q):
 
 
 def format_form(omega: EquivariantForm) -> str:
-    if not omega.terms:
-        return "0"
     pieces = []
     for (u, x, dx), v in sorted(omega.terms.items()):
-        factors = []
-        for a, e in enumerate(u):
-            if e == 1:
-                factors.append(f"u{a + 1}")
-            elif e > 1:
-                factors.append(f"u{a + 1}^{e}")
-        for i, e in enumerate(x):
-            if e == 1:
-                factors.append(f"x{i + 1}")
-            elif e > 1:
-                factors.append(f"x{i + 1}^{e}")
+        factors = [f"{name}{i + 1}" + (f"^{e}" if e > 1 else "")
+                   for name, exps in (("u", u), ("x", x)) for i, e in enumerate(exps) if e]
         if dx:
             factors.append("^".join(f"dx{i + 1}" for i in dx))
-        coeff = str(v)
-        if factors and v == 1:
-            body = "*".join(factors)
-        elif factors and v == -1:
-            body = "-" + "*".join(factors)
-        elif factors:
-            body = coeff + "*" + "*".join(factors)
-        else:
-            body = coeff
-        pieces.append(body)
-    out = pieces[0]
-    for piece in pieces[1:]:
-        if piece.startswith("-"):
-            out += " - " + piece[1:]
-        else:
-            out += " + " + piece
-    return out
+        body = "*".join(factors)
+        pieces.append(str(v) if not factors else body if v == 1 else
+                      "-" + body if v == -1 else f"{v}*{body}")
+    # a piece starts with "-" only in its coefficient
+    return " + ".join(pieces).replace(" + -", " - ") or "0"
 
 
 _TOKEN = re.compile(r"^(u|x|dx)(\d+)(?:\^(\d+))?$")
@@ -997,9 +997,9 @@ def parse_form(text, num_u, num_x) -> EquivariantForm:
                 x[idx] += e
             else:
                 dx.append(idx)
-        sgn, dx_sorted = _merge_dx(dx, ())
-        if sgn == 0:
+        if len(set(dx)) < len(dx):
             continue
-        key = (tuple(u), tuple(x), dx_sorted)
-        terms[key] = terms.get(key, 0) + coeff * sgn
+        inversions = sum(a > b for a, b in combinations(dx, 2))
+        key = (tuple(u), tuple(x), tuple(sorted(dx)))
+        terms[key] = terms.get(key, 0) + coeff * (-1) ** inversions
     return EquivariantForm(num_u, num_x, terms)

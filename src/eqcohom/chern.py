@@ -20,6 +20,8 @@ from .cartan import (
     _compositions,
     _parity,
     _sum_forms,
+    _unit,
+    _unpack,
     _wedge_into,
     fiber_integrate_interval,
     lie_derivative,
@@ -151,8 +153,11 @@ class ConnectionMatrix:
             raise ValueError("connection matrix shape mismatch")
         for row in self.entries:
             for form in row:
-                for (u, _x, dx) in form.terms:
-                    if sum(u) != 0 or len(dx) != 1:
+                low = (1 << form.num_x) - 1       # the dx mask; the u lanes lie above it
+                u_lanes = _unit(form.num_x, form.num_u) - 1 - low
+                for key in form.packed:
+                    dx = key & low
+                    if key & u_lanes or not dx or dx & (dx - 1):
                         raise ValueError("connection entries must be plain one-forms")
 
     @property
@@ -492,13 +497,14 @@ def invariant_connection_space(act: LinearAction, rank, drho=None, x_bound=2):
         for idx in range(num_u):
             for i in range(rank):
                 for j in range(rank):
-                    keys.update(defect[idx][i][j].terms)
-    keys = sorted(keys)
+                    keys.update(defect[idx][i][j].packed)
+    # rows in (u, x, dx) order: the work of q_nullspace does not depend on the key packing
+    keys = sorted(keys, key=lambda k: _unpack(num_u, num_x, k))
     for idx in range(num_u):
         for i in range(rank):
             for j in range(rank):
                 for key in keys:
-                    rows.append([img[idx][i][j].terms.get(key, Fraction(0))
+                    rows.append([img[idx][i][j].packed.get(key, Fraction(0))
                                  for img in images])
     coords = q_nullspace(rows) if rows else [
         [Fraction(1) if i == j else Fraction(0) for j in range(len(slots))]

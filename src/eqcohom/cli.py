@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass
 
 from . import bundled
-from .cartan import LinearAction, TruncationUnstable, cartan_cohomology_truncated
+from .cartan import LaneOverflow, LinearAction, TruncationUnstable, cartan_cohomology_truncated
 from .chern import (
     ConnectionMatrix,
     InvariantPolynomial,
@@ -44,7 +44,7 @@ EXIT_PRECONDITION = 3
 EXIT_INTERNAL = 4
 
 _MATH_ERRORS = (PositiveDimensionalInput, InvalidAction, CoefficientNotDivisible,
-                NotACover, TruncationUnstable)
+                NotACover, TruncationUnstable, LaneOverflow)
 
 
 class SchemaError(Exception):
@@ -199,8 +199,9 @@ def _cartan_action(spec):
 
 def _largest_first(degrees, compute):
     """{n: compute(n)} in the order of degrees, computed from the largest
-    degree down: an input over the bar budget (BarComplexTooLarge) fails
-    before any smaller degree is computed."""
+    degree down: an input over the bar budget (BarComplexTooLarge) or the
+    lane limit of the form algebra (LaneOverflow) fails before any smaller
+    degree is computed."""
     values = {n: compute(n) for n in sorted(degrees, reverse=True)}
     return {n: values[n] for n in degrees}
 
@@ -240,8 +241,8 @@ def run(job: JobSpec):
             raise SchemaError(f"x_bound must be nonnegative, got {bound}")
         out = {}
         lines = []
-        for n in degrees:
-            dim, saturated = cartan_cohomology_truncated(act, n, bound)
+        values = _largest_first(degrees, lambda n: cartan_cohomology_truncated(act, n, bound))
+        for n, (dim, saturated) in values.items():
             out[str(n)] = {"dim": dim, "saturated": saturated}
             suffix = " (bound saturated)" if saturated else ""
             lines.append(f"dim H^{n}_Cartan = {dim}{suffix}")

@@ -1028,8 +1028,9 @@ def bar_complex(bl: BarLevels, top) -> IntCochainComplex:
     squeezes it to ker d^{top-1} over Q and so over Z, and every H^k with
     k < top is that of the full complex.  Where the certificate fails
     (H^{top-1}(Q) != 0, as at top = 1 when M carries an invariant
-    function), degree top is built again with every row.  H^top of a
-    truncated complex never was the true H^top.
+    function), degree top is built again with every row, and d^2 = 0 is
+    checked only at it: the rejected complex checked each relation below.
+    H^top of a truncated complex never was the true H^top.
 
     It starts at degree 0 so that its reduction can pair every cell with a
     partner one degree down: a window cut off below keeps its bottom cells,
@@ -1040,13 +1041,15 @@ def bar_complex(bl: BarLevels, top) -> IntCochainComplex:
         return IntCochainComplex(0, [ranks[0]], [])
     ranks, diffs = [ranks[k] for k in range(top)], [diffs[k] for k in range(top - 1)]
     gens = bl.group.generators()
+    checked_below = 0
     if len(gens) < bl.group.order - 1:      # else every row leads with a generator
         rank, d = _top_degree(bl, top, gens)
         cx = IntCochainComplex(0, ranks + [rank], diffs + [d])
         if cx.reduced().cohomology_q_dim(top - 1) == 0:
             return cx
+        checked_below = max(top - 2, 0)     # cx checked these relations of diffs
     rank, d = _top_degree(bl, top, None)
-    return IntCochainComplex(0, ranks + [rank], diffs + [d])
+    return IntCochainComplex(0, ranks + [rank], diffs + [d], checked_below=checked_below)
 
 
 def _top_degree(bl: BarLevels, top, firsts):

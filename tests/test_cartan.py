@@ -413,6 +413,34 @@ def test_ranks_match_dense_reference():
                     (act.rep, n, b)
 
 
+def test_no_block_matrix_is_ranked_twice_in_a_query(monkeypatch):
+    # the bounds b, b + 1 and b + 2 of one query share their equal blocks:
+    # each block matrix reaches rank_q once, its rank kept in the query's memo
+    ranked = []
+    real = cartan.rank_q
+
+    def record(m):
+        ranked.append((m.rows, m.cols, frozenset(m.entries.items())))
+        return real(m)
+    monkeypatch.setattr(cartan, "rank_q", record)
+    half = LinearAction.circle_rotation_r2(weight=Fraction(1, 2))
+    queries = [(ROT, n, 6) for n in range(6)] + [(SO3, n, b) for n in range(3) for b in range(3)]
+    queries += [(act, n, b) for act in (half, O2_DET, ROT.extend_trivially())
+                for n in range(4) for b in range(3)]
+    calls = 0
+    for act, n, b in queries:
+        ranked.clear()
+        try:
+            cartan_cohomology_truncated(act, n, b)
+        except TruncationUnstable:
+            pass
+        assert len(set(ranked)) == len(ranked), (act.rep, n, b)
+        calls += len(ranked) if act is ROT else 0
+    # the six rotation queries of the cartan_chern benchmark hold 192
+    # distinct block matrices over their three bounds each
+    assert calls == 192
+
+
 def test_zero_lie_algebra():
     # no symmetry on R^0: the Cartan complex is Q in degree 0
     act = LinearAction(LieAlgebra.abelian(0), [])

@@ -135,6 +135,34 @@ def test_failed_certificate_falls_back_to_every_row(monkeypatch):
             assert cx == full, (act.name, top)
 
 
+def test_failed_certificate_checks_each_relation_once(monkeypatch):
+    # the rejected partial complex checked d^{k+1} d^k = 0 for k < top - 2 on
+    # the very matrices the fallback reuses; the fallback checks only
+    # d^{top-1} d^{top-2}, with its full top
+    checked = []
+    real = IntMatrix.product_is_zero
+
+    def recording(self, other, *args):
+        checked.append((self, other))    # kept alive, so ids stay distinct
+        return real(self, other, *args)
+    monkeypatch.setattr(FiniteGroup, "generators", lambda self: (1,))
+    monkeypatch.setattr(IntMatrix, "product_is_zero", recording)
+    s3 = FiniteGroup.symmetric(3)
+    for act in (GAction.coset_action(s3, (0, 1)), GAction.trivial(s3, CellComplex.point())):
+        for top in range(1, 5):
+            bl = bar_levels(act, top)
+            checked.clear()
+            cx = bar_complex(bl, top)
+            pairs = [(id(a), id(b)) for a, b in checked]
+            assert len(set(pairs)) == len(pairs), (act.name, top)
+            top_checks = [(a, b) for a, b in checked if a is cx.diffs[-1]]
+            if top >= 2:
+                assert len(top_checks) == 1 and top_checks[0][1] is cx.diffs[-2]
+            for k in range(top - 1):       # every relation of cx was checked
+                assert any(a is cx.diffs[k + 1] and b is cx.diffs[k] for a, b in checked)
+            assert cx.checked and cx == full_bar_complex(bl, top)
+
+
 def test_generators_are_chosen_greedily():
     assert FiniteGroup.cyclic(1).generators() == ()
     assert FiniteGroup.cyclic(6).generators() == (1,)

@@ -1,0 +1,183 @@
+"""The packed form kernel against the tuple-keyed oracle, and its lane limit.
+
+EquivariantForm keeps each term under one int key (the dx bitmask in the
+low bits, one guarded lane per exponent above it).  form_oracle.py keeps
+the operations as they were written on (u, x, dx) tuples; every operation
+of the packed kernel must give the same term dict, read through the
+tuple view terms, on random forms with up to 3 u and 4 x variables and
+int and Fraction coefficients.  An exponent past MAX_EXPONENT must raise
+LaneOverflow wherever it comes from, never wrap into a neighbouring lane.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import form_oracle as oracle
+from eqcohom.cartan import (
+    MAX_EXPONENT,
+    EquivariantForm,
+    LaneOverflow,
+    LinearAction,
+    cartan_cohomology_truncated,
+    parse_form,
+    total_lie,
+)
+from eqcohom.chern import ConnectionMatrix, form_mat_wedge
+from eqcohom.cli import EXIT_PRECONDITION, main
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+COEFFICIENTS = st.one_of(st.integers(-3, 3),
+                         st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)))
+
+
+@st.composite
+def term_dicts(draw, num_u, num_x, form_degree=None):
+    """Up to four terms; with form_degree, every term has that many dx."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        u = tuple(draw(st.integers(0, 3)) for _ in range(num_u))
+        x = tuple(draw(st.integers(0, 3)) for _ in range(num_x))
+        r = draw(st.integers(0, num_x)) if form_degree is None else form_degree
+        dx = tuple(sorted(draw(st.sets(st.integers(0, num_x - 1), min_size=r, max_size=r))))
+        terms[(u, x, dx)] = draw(COEFFICIENTS)
+    return {k: v for k, v in terms.items() if v}
+
+
+@st.composite
+def shapes(draw):
+    return draw(st.integers(0, 3)), draw(st.integers(1, 4))
+
+
+def matrices(rows, cols):
+    return st.lists(st.lists(COEFFICIENTS, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+def terms_of(form):
+    return dict(form.terms)
+
+
+# --- every operation against the oracle ----------------------------------------------
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_packed_kernel_matches_the_tuple_oracle(data):
+    num_u, num_x = data.draw(shapes())
+    f_terms = data.draw(term_dicts(num_u, num_x))
+    g_terms = data.draw(term_dicts(num_u, num_x))
+    f, g = EquivariantForm(num_u, num_x, f_terms), EquivariantForm(num_u, num_x, g_terms)
+    assert terms_of(f) == f_terms
+    field = data.draw(matrices(num_x, num_x))
+    u_matrix = data.draw(matrices(num_u, num_u))
+    value = data.draw(COEFFICIENTS)
+    extra = data.draw(st.integers(0, 2))
+
+    assert terms_of(f.wedge(g)) == oracle.wedge(f_terms, g_terms)
+    assert terms_of(g.wedge(f)) == oracle.wedge(g_terms, f_terms)
+    assert terms_of(f.d()) == oracle.d(num_x, f_terms)
+    assert terms_of(f.contract_linear_field(field)) == \
+        oracle.contract_linear_field(num_x, f_terms, field)
+    for a in range(num_u):
+        assert terms_of(f.u_times(a)) == oracle.u_times(f_terms, a)
+    assert terms_of(f.embed(num_x + extra)) == oracle.embed(f_terms, extra)
+    assert terms_of(f.fiber_integrate()) == oracle.fiber_integrate(num_x, f_terms)
+    assert terms_of(f.restrict_t(value)) == oracle.restrict_t(num_x, f_terms, value)
+    assert terms_of(f.substitute_linear(field)) == \
+        oracle.substitute_linear(num_u, num_x, f_terms, field)
+    assert terms_of(f.substitute_linear(field, u_matrix)) == \
+        oracle.substitute_linear(num_u, num_x, f_terms, field, u_matrix)
+    # a matrix product accumulates several wedges into one packed dict
+    assert terms_of(form_mat_wedge([[f, g]], [[g], [f]])[0][0]) == \
+        oracle.add_terms(oracle.wedge(f_terms, g_terms), oracle.wedge(g_terms, f_terms))
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_d_is_a_graded_derivation(data):
+    # d(a ^ b) = da ^ b + (-1)^|a| a ^ db for a of form degree |a|
+    num_u, num_x = data.draw(shapes())
+    degree = data.draw(st.integers(0, num_x))
+    a = EquivariantForm(num_u, num_x, data.draw(term_dicts(num_u, num_x, degree)))
+    b = EquivariantForm(num_u, num_x, data.draw(term_dicts(num_u, num_x)))
+    sign = -1 if degree % 2 else 1
+    assert a.wedge(b).d() == a.d().wedge(b) + a.wedge(b.d()).scale(sign)
+    assert a.d().d().is_zero()
+
+
+@pytest.mark.parametrize("num_u", [0, 1, 3])
+def test_connection_entries_must_be_plain_one_forms(num_u):
+    # the check reads the u lanes and the dx mask of each packed key
+    u0 = (0,) * num_u
+    ok = {(u0, (2, 0, 1), (0,)): 1, (u0, (0, 0, 0), (2,)): Fraction(-1, 2)}
+    ConnectionMatrix(1, [[EquivariantForm(num_u, 3, ok)]])
+    bad = [(u0, (1, 0, 0), ()), (u0, (0, 0, 0), (0, 2)), (u0, (0, 0, 0), (0, 1, 2))]
+    if num_u:   # a one-form times u_k
+        bad.append(((0,) * (num_u - 1) + (1,), (0, 0, 0), (1,)))
+    for key in bad:
+        form = EquivariantForm(num_u, 3, {**ok, key: 1})
+        with pytest.raises(ValueError, match="plain one-forms"):
+            ConnectionMatrix(1, [[form]])
+
+
+def test_terms_is_a_read_only_tuple_view():
+    f = parse_form("2*u1*x1^3*dx2 - 1/2*x2*dx1^dx2", 1, 2)
+    assert terms_of(f) == {((1,), (3, 0), (1,)): 2, ((0,), (0, 1), (0, 1)): Fraction(-1, 2)}
+    with pytest.raises(TypeError):
+        f.terms[((0,), (0, 0), ())] = 1
+    assert all(type(k) is int for k in f.packed)
+
+
+# --- the lane limit -------------------------------------------------------------------
+
+
+def test_constructor_and_parser_reject_exponents_past_the_lane_limit():
+    at_limit = ((MAX_EXPONENT,), (0, MAX_EXPONENT), (0,))
+    assert terms_of(EquivariantForm(1, 2, {at_limit: 1})) == {at_limit: 1}
+    for key in [((MAX_EXPONENT + 1,), (0, 0), ()), ((0,), (0, MAX_EXPONENT + 1), ()),
+                ((0,), (10 ** 6, 0), (1,))]:
+        with pytest.raises(LaneOverflow, match=str(MAX_EXPONENT)):
+            EquivariantForm(1, 2, {key: 1})
+    assert parse_form(f"x2^{MAX_EXPONENT}", 1, 2) == EquivariantForm(1, 2, {((0,), (0, MAX_EXPONENT), ()): 1})
+    for text in [f"x2^{MAX_EXPONENT + 1}", f"u1^{MAX_EXPONENT}*u1", f"x1^{MAX_EXPONENT}*x1*dx1"]:
+        with pytest.raises(LaneOverflow, match=str(MAX_EXPONENT)):
+            parse_form(text, 1, 2)
+
+
+def test_exponents_that_grow_past_the_limit_raise_instead_of_wrapping():
+    half = MAX_EXPONENT // 2 + 1
+    high_x = parse_form(f"x1^{half}*dx2", 1, 2)
+    assert high_x.wedge(parse_form(f"x1^{half - 2}", 1, 2)) == parse_form(f"x1^{2 * half - 2}*dx2", 1, 2)
+    with pytest.raises(LaneOverflow):
+        high_x.wedge(parse_form(f"x1^{half}*x2", 1, 2))
+    # the top lane (x2 here) has no lane above it to spill into, and still raises
+    with pytest.raises(LaneOverflow):
+        parse_form(f"x2^{MAX_EXPONENT}", 1, 2).wedge(parse_form("x2", 1, 2))
+    with pytest.raises(LaneOverflow):
+        parse_form(f"u1^{MAX_EXPONENT}", 1, 2).u_times(0)
+    with pytest.raises(LaneOverflow):
+        parse_form(f"x2^{MAX_EXPONENT}*dx1", 1, 2).contract_linear_field([[0, 1], [0, 0]])
+    # a matrix product raises as well: its entries are accumulated in one dict
+    with pytest.raises(LaneOverflow):
+        form_mat_wedge([[high_x]], [[parse_form(f"x1^{half}", 1, 2)]])
+    rot = LinearAction.circle_rotation_r2()
+    assert total_lie(rot, 0, parse_form(f"x1^{MAX_EXPONENT}", 1, 2)) == \
+        parse_form(f"-{MAX_EXPONENT}*x1^{MAX_EXPONENT - 1}*x2", 1, 2)
+
+
+def test_truncated_cohomology_refuses_bounds_past_the_lane_limit():
+    rot = LinearAction.circle_rotation_r2()
+    with pytest.raises(LaneOverflow, match=f"lane limit {MAX_EXPONENT}"):
+        cartan_cohomology_truncated(rot, 0, MAX_EXPONENT - 3)
+    with pytest.raises(LaneOverflow, match=f"lane limit {MAX_EXPONENT}"):
+        cartan_cohomology_truncated(rot, 2 * MAX_EXPONENT, 0)
+
+
+def test_cli_x_bound_past_the_lane_limit_exits_3(capsys):
+    code = main(["cartan", "--degrees", "0..5", "--x-bound", str(MAX_EXPONENT - 3)])
+    err = capsys.readouterr().err
+    assert code == EXIT_PRECONDITION
+    assert f"lane limit {MAX_EXPONENT}" in err and f"x_bound <= {MAX_EXPONENT - 4}" in err
