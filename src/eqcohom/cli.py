@@ -170,7 +170,12 @@ def _build_action(inputs):
         sub = tuple(_int(x, "cosets element") for x in action_spec.split(":")[1].split(","))
         if not all(0 <= g < group.order for g in sub):
             raise SchemaError(f"cosets elements must lie in 0..{group.order - 1}, got {sub}")
-        return GAction.coset_action(group, sub)
+        act = GAction.coset_action(group, sub)
+        index = act.space.ncells(0)
+        if space.dim != 0 or space.ncells(0) != index:
+            raise SchemaError(f"cosets:{','.join(map(str, sub))} acts on {index} points, "
+                              f"not on {space.name or 'the given space'}")
+        return act
     raise SchemaError(f"unknown action {action_spec!r}")
 
 

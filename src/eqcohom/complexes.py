@@ -52,17 +52,15 @@ class IntCochainComplex:
 
     diffs[k] is d^{n_min+k}: degree n_min+k -> n_min+k+1; outside the stored
     range every module is zero.  d^2 = 0 is checked once, when it is built
-    (unless check=False, or for d^{k+1} d^k with k < checked_below, checked
-    elsewhere), and checked records whether it was.  Cohomology
+    (unless check=False), and checked records whether it was.  Cohomology
     is read off its reduction (reduced), computed once and kept, so no
-    degree read reduces anything again.  A
-    complex is the one owner of the factorizations of its differentials:
-    differential_rank(n) and smith(n) compute the rank over Q and the Smith
-    form of d^n at the first read and keep them, so no second read factors
-    anything.
+    degree read reduces anything again.  A complex is the one owner of the
+    factorizations of its differentials: differential_rank(n) and smith(n)
+    compute the rank over Q and the Smith form of d^n at the first read and
+    keep them, so no second read factors anything.
     """
 
-    def __init__(self, n_min, ranks, diffs, check=True, checked_below=0):
+    def __init__(self, n_min, ranks, diffs, check=True):
         self.n_min = n_min
         self.ranks = list(ranks)
         self.diffs = list(diffs)
@@ -78,7 +76,7 @@ class IntCochainComplex:
                 raise ValueError(f"differential {k} has shape {d.rows}x{d.cols}, "
                                  f"expected {self.ranks[k + 1]}x{self.ranks[k]}")
         if check:
-            for k in range(checked_below, len(self.diffs) - 1):
+            for k in range(len(self.diffs) - 1):
                 if not self.diffs[k + 1].product_is_zero(self.diffs[k]):
                     raise IllFormedDoubleComplex(
                         f"d^{self.n_min + k + 1} composed with d^{self.n_min + k} is nonzero")

@@ -287,9 +287,8 @@ def deligne_cone(cx: IntCochainComplex, n) -> MixedComplex:
 def build_deligne_mixed(act: GAction, n) -> DeligneComplexData:
     """D(n) over the unreduced normalized bar complex of G^. x M for
     0-dimensional M, degrees 0..n+2 (bar_complex of the levels up to n+2).
-    Its degree n+2 holds the certified generator rows, or every row where
-    the certificate fails (bar_complex); H^n of the cone reads degrees
-    <= n+1 only, so it is the same either way."""
+    Its degree n+2 holds only the generator rows (bar_complex); H^n of the
+    cone reads degrees <= n+1 only."""
     if act.space.dim > 0:
         raise PositiveDimensionalInput(
             "the Deligne cone needs a 0-dimensional complex; "
@@ -309,10 +308,9 @@ def differential_cohomology_zero_dim(act: GAction, n) -> DiffCohGroup:
     equivalences over Z that stay ones after tensoring with Q.  They
     commute with Z -> Q and with the sigma^{>=n} slot, which over a
     0-dimensional space is all of C (x) Q for n = 0 and zero for n >= 1, so
-    the cones are quasi-isomorphic.  Degree n+1 holds the certified
-    generator rows, or every row where the certificate fails (bar_complex):
-    its d^n has the kernel of the full one over Z, and the cone's H^n reads
-    d^n only through that kernel.
+    the cones are quasi-isomorphic.  Degree n+1 holds only the generator
+    rows (bar_complex): its d^n has the kernel of the full one over Z, and
+    the cone's H^n reads d^n only through that kernel.
     """
     if act.space.dim > 0:
         raise PositiveDimensionalInput(
@@ -417,9 +415,8 @@ def hexagon(act, n, supplied: SuppliedCorners = None) -> HexagonReport:
     by construction, top_row at n >= 2 compares two zero corners, and the
     right square is constant at n = 0 and restates bottom_row above it
     (the report's notes say so).  Each bar construction builds and checks
-    levels 0..n+1 only, and its degree n+1 holds the certified generator
-    rows or, where the certificate fails, every row (bar_complex): only
-    ker d^n enters the degrees read.
+    levels 0..n+1 only, and its degree n+1 holds only the generator rows
+    (bar_complex): only ker d^n enters the degrees read.
     Positive-dimensional actions must supply their double complex (the
     form corners then enter as labels with their cocycle data checked).  A
     negative degree raises ValueError.
@@ -493,9 +490,8 @@ def _hexagon_zero_dim(act: GAction, n) -> HexagonReport:
     Ĥ^n is read off the Deligne cone over the normalized bar total complex
     of act in degrees 0..n+1 (bar_complex of BarLevels 0..n+1, the only
     levels built and checked), reduced once; it is the one cone built.  Its
-    degree n+1 holds the certified generator rows, or every row where the
-    certificate fails (at n = 0 when M carries an invariant function), and
-    ker d^n is the full one.  At n <= 1 the form corners count the
+    degree n+1 holds only the generator rows (bar_complex), and ker d^n is
+    the full one.  At n <= 1 the form corners count the
     invariant functions on M, ker d^0 of the same complex unreduced:
     |M_0| - rank d^0.  H^{n-1}(Z), H^n(Z), the
     Bockstein image and the rank of iota come from the stabilizers of the

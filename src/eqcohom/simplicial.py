@@ -848,9 +848,10 @@ class BarLevels:
         """The positions among the nondegenerate tuples of level p of those
         whose first entry is in firsts, in increasing order: the rows that
         vertical_matrix and horizontal_matrix keep at level p.  All of them
-        for firsts None, and at level 0, whose one tuple is empty."""
+        for firsts None and at level 0, whose one tuple is empty; none above
+        level 0 for the trivial group, which has no nondegenerate tuple there."""
         count = self.nondegenerate_counts[p]
-        if firsts is None or p == 0:
+        if firsts is None or p == 0 or not count:
             return range(count)
         e = self.group.identity
         width = count // (self.group.order - 1)
@@ -940,7 +941,8 @@ def bar_homotopy_complex(bl: BarLevels):
 # The largest bar construction a query may build, counted by bar_size:
 # the cells of the normalized bar total complex plus the tuples of the full
 # tables that the simplicial-identity check tabulates.  It counts every row
-# of the top degree, which bar_complex builds when its certificate fails.
+# of the top degree, though bar_complex builds only its generator rows: a
+# deliberate overcount, kept so that the inputs it accepts stay the same.
 # The largest tier-1 and benchmark inputs need about 25 000.  Near the budget
 # a query takes seconds and over a hundred megabytes: H^6 of symmetric:3 on a
 # point needs 433 579 (degrees 0..7) and took 5.6 s of process time and
@@ -1020,17 +1022,19 @@ def bar_complex(bl: BarLevels, top) -> IntCochainComplex:
     where the full complex, cellular_double_complex's total, holds
     |G|^p |M_q|.  The two are chain homotopy equivalent over Z.
 
-    Degree top holds fewer rows when a certificate allows it: only those
-    whose bar tuple (Brown, Cohomology of Groups I.5) starts with one of the
-    group's generators(), and every level-0 row.  The projected d^{top-1}
-    kills all of ker d^{top-1}, so its kernel lies between im d^{top-2} and
-    ker d^{top-1}.  H^{top-1} = 0 over Q, read off the reduced complex,
-    squeezes it to ker d^{top-1} over Q and so over Z, and every H^k with
-    k < top is that of the full complex.  Where the certificate fails
-    (H^{top-1}(Q) != 0, as at top = 1 when M carries an invariant
-    function), degree top is built again with every row, and d^2 = 0 is
-    checked only at it: the rejected complex checked each relation below.
-    H^top of a truncated complex never was the true H^top.
+    Degree top holds only the rows of level 0 and of the bar tuples (Brown,
+    Cohomology of Groups I.5) that start with one of the group's
+    generators(), and the projected d^{top-1} has the kernel of the full
+    one over Z.  Let y = D x lie in degree top, and let s be a generator.
+    In the untruncated complex D y = 0, and its component at the row
+    (s, w, rest) reads y(w, rest) - y(sw, rest) + (terms on tuples that
+    start with s): d_0 drops s, d_1 merges s and w, the later faces keep s
+    in front, the horizontal term lies on (s, w, rest) itself, and a
+    degenerate face is 0.  So if y vanishes on level 0 and on the generator
+    rows, it vanishes on (sw, rest) wherever it does on (w, rest), and
+    induction on the word length of w gives y = 0.  Every H^k with k < top
+    is therefore that of the full complex; H^top of a truncated complex
+    never was the true H^top.
 
     It starts at degree 0 so that its reduction can pair every cell with a
     partner one degree down: a window cut off below keeps its bottom cells,
@@ -1039,24 +1043,16 @@ def bar_complex(bl: BarLevels, top) -> IntCochainComplex:
     ranks, diffs = total_window(bl, 0, max(top - 1, 0))
     if top == 0:
         return IntCochainComplex(0, [ranks[0]], [])
-    ranks, diffs = [ranks[k] for k in range(top)], [diffs[k] for k in range(top - 1)]
-    gens = bl.group.generators()
-    checked_below = 0
-    if len(gens) < bl.group.order - 1:      # else every row leads with a generator
-        rank, d = _top_degree(bl, top, gens)
-        cx = IntCochainComplex(0, ranks + [rank], diffs + [d])
-        if cx.reduced().cohomology_q_dim(top - 1) == 0:
-            return cx
-        checked_below = max(top - 2, 0)     # cx checked these relations of diffs
-    rank, d = _top_degree(bl, top, None)
-    return IntCochainComplex(0, ranks + [rank], diffs + [d], checked_below=checked_below)
+    rank, d = _top_degree(bl, top)
+    return IntCochainComplex(0, [ranks[k] for k in range(top)] + [rank],
+                             [diffs[k] for k in range(top - 1)] + [d])
 
 
-def _top_degree(bl: BarLevels, top, firsts):
+def _top_degree(bl: BarLevels, top):
     """The rank of degree top >= 1 of the normalized bar total complex and
-    d^{top-1} into it, on the rows of the tuples that start with an element
-    of firsts (BarLevels.leading_tuples; all rows for None)."""
-    dim = bl.space.dim
+    d^{top-1} into it, on the rows of level 0 and of the tuples that start
+    with one of the group's generators() (BarLevels.leading_tuples)."""
+    dim, firsts = bl.space.dim, bl.group.generators()
 
     def rank(p, q):
         if not 0 <= q <= dim:
@@ -1084,8 +1080,8 @@ def equivariant_cohomology(act: GAction, n, coeff="Z"):
     'QmodZ') and reduced once.  Its top degree is also its bar truncation:
     the levels built and checked against the simplicial identities are
     0..n+1 for 'Z' and 'Q' and 0..n+2 for 'QmodZ', the levels it reads.
-    The top degree holds the certified generator rows, or every row where
-    the certificate fails (bar_complex); every degree read lies below it.
+    The top degree holds only the generator rows (bar_complex); every
+    degree read lies below it.
     A query over BAR_BUDGET raises BarComplexTooLarge before any of them
     is built.
     """

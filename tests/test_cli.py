@@ -72,6 +72,26 @@ def test_precondition_exit_code(capsys):
     assert code == EXIT_PRECONDITION and "not a subgroup" in err
 
 
+def test_coset_action_must_match_the_space(capsys):
+    # cosets:0,2 of cyclic:4 acts on its 2 cosets: on circle:3 or points:3
+    # it is a schema error, not H of points:2 in place of the given space
+    for space in ("circle:3", "points:3", "point"):
+        code, out, err = invoke(capsys, "cohomology", "--group", "cyclic:4", "--space", space,
+                                "--action", "cosets:0,2", "--degrees", "0..1")
+        assert code == EXIT_SCHEMA and out == "" and "acts on 2 points" in err, (space, err)
+    for space in ("points:2", "two-points"):
+        code, out, _ = invoke(capsys, "cohomology", "--group", "cyclic:4", "--space", space,
+                              "--action", "cosets:0,2", "--degrees", "0..2")
+        assert code == EXIT_OK and "summary: ℤ, 0, ℤ/2" in out, space
+    # the element and subgroup checks come first and keep their exit codes
+    code, _, err = invoke(capsys, "cohomology", "--group", "cyclic:4", "--space", "circle:3",
+                          "--action", "cosets:0,7", "--degrees", "0")
+    assert code == EXIT_SCHEMA and "must lie in" in err
+    code, _, err = invoke(capsys, "cohomology", "--group", "cyclic:4", "--space", "circle:3",
+                          "--action", "cosets:0,1", "--degrees", "0")
+    assert code == EXIT_PRECONDITION and "not a subgroup" in err
+
+
 def test_query_over_the_bar_budget_exits_3_before_any_work(capsys, monkeypatch):
     def no_build(*args, **kwargs):
         raise AssertionError("a bar construction was started over the budget")

@@ -524,9 +524,8 @@ def test_hexagon_holds_when_an_element_reverses_a_zero_cell(act):
 
 def test_hexagon_reduces_each_bar_complex_it_builds_once(monkeypatch):
     # Ĥ^n and the integral corners read one reduction of each complex: no
-    # complex object is reduced twice.  A bar complex whose top-degree
-    # certificate fails leaves its partial complex behind, a separate object
-    # with its own reduction, so a bar construction may reduce two complexes.
+    # complex object is reduced twice, and each bar construction is reduced
+    # exactly once.
     reduced = []      # the differential lists handed to reduce_complex, kept alive
     windows = []
     real_reduce, real_window = complexes.reduce_complex, simplicial.total_window
@@ -547,7 +546,7 @@ def test_hexagon_reduces_each_bar_complex_it_builds_once(monkeypatch):
             windows.clear()
             hexagon(act, n)
             assert len({id(diffs) for diffs in reduced}) == len(reduced), (act.name, n)
-            assert len(windows) <= len(reduced) <= 2 * len(windows), (act.name, n)
+            assert len(reduced) == len(windows), (act.name, n)
 
 
 def test_hexagon_negative_degree_rejected_before_any_work(monkeypatch):
@@ -725,7 +724,7 @@ def test_lens_evaluation_functional_is_read_off_the_bar_complex(p):
     # e_0 + e_p (edge 0 closed up by (generator, v_0)) kills d^0 of the bar
     # complex of the rotation circle; closing it up by (generator, v_1),
     # cell p + 1, does not; d^0 is the whole matrix from total_window, since
-    # bar_complex may build only some rows of its top degree
+    # bar_complex builds only the generator rows of its top degree
     d0 = total_window(bar_levels(GAction.cyclic_rotation_circle(p), 1), 0, 1)[1][0]
 
     def kills_d0(closing):

@@ -706,8 +706,8 @@ def _sweep_reference(ranks, diffs):
 
 
 def _bar_complexes_for_reference():
-    # every row of every top degree (bar_complex keeps fewer where a
-    # certificate allows), so that the reduction orders are compared on the
+    # every row of every top degree (bar_complex keeps only the generator
+    # rows of its top), so that the reduction orders are compared on the
     # same complexes as before
     for act in _acceptance_actions():
         for n in range(4):

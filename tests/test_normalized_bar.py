@@ -9,7 +9,6 @@ H^n over Z and Q below their common truncation degree.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eqcohom import simplicial
 from eqcohom.complexes import IntCochainComplex, total_complex
 from eqcohom.linalg import FgAbGroup, IntMatrix
 from eqcohom.simplicial import (
@@ -78,7 +77,7 @@ def test_trivial_group_normalized_complex_is_the_space():
     assert cx.diffs[0] == CellComplex.circle(2).coboundary(0)
 
 
-# --- the certified top degree --------------------------------------------------------
+# --- the generator rows of the top degree ---------------------------------------------
 
 
 def full_bar_complex(bl, top):
@@ -92,10 +91,10 @@ def full_bar_complex(bl, top):
 @pytest.mark.parametrize("top", range(1, 6))
 def test_certified_top_keeps_every_lower_degree(top):
     # below its top degree, bar_complex has the full complex's H^k over Z and
-    # Q; at n = top - 1 >= 1 the top of each acceptance action holds the
-    # rows of the tuples that start with a generator, |S| of every |G| - 1,
-    # and where H^{top-1}(Q) != 0 (at top = 1 for each of these actions, and
-    # the lens sphere at top = 4) it holds every row
+    # Q, and its top holds every level-0 row and, above level 0, the rows of
+    # the tuples that start with a generator: |S| (|G|-1)^{p-1} of the
+    # (|G|-1)^p tuples of level p, also where H^{top-1}(Q) != 0 (at top = 1
+    # for each of these actions, and the lens sphere at top = 4)
     for act in _acceptance_actions() + [GAction.lens_sphere(3)]:
         bl = bar_levels(act, top)
         cx, full = bar_complex(bl, top), full_bar_complex(bl, top)
@@ -103,64 +102,42 @@ def test_certified_top_keeps_every_lower_degree(top):
             assert cx.cohomology(k) == full.cohomology(k), (act.name, top, k)
             assert cx.cohomology_q_dim(k) == full.cohomology_q_dim(k), (act.name, top, k)
         assert cx.ranks[:top] == full.ranks[:top]
-        if act.space.dim == 0 and top >= 2:
-            kept, rows = len(act.group.generators()), act.group.order - 1
-            assert cx.ranks[top] * rows == full.ranks[top] * kept, (act.name, top)
-        if full.cohomology_q_dim(top - 1):
-            assert cx.ranks[top] == full.ranks[top], (act.name, top)
+        kept, m = len(act.group.generators()), act.group.order
+        rows = sum(act.space.ncells(q) * (1 if q == top else kept * (m - 1) ** (top - q - 1))
+                   for q in range(min(top, act.space.dim) + 1))
+        assert cx.ranks[top] == rows, (act.name, top)
 
 
-def test_failed_certificate_falls_back_to_every_row(monkeypatch):
-    # with a set that does not generate S3 the partial complex is wrong (on
-    # S3/<(1 2)> at top = 1 its H^0 is Z^2, though the quotient is a point)
-    # and its H^{top-1}(Q) is not 0: bar_complex builds the top again, with
-    # every row, and gives the full complex's answers
-    tops = []
-    real_top = simplicial._top_degree
-
-    def recording_top(bl, top, firsts):
-        tops.append(firsts)
-        return real_top(bl, top, firsts)
+def test_non_generating_set_gives_a_wrong_h0(monkeypatch):
+    # the generator rows are exact only for a generating set: with (1,),
+    # which does not generate S3, the top of S3/<(1 2)> at top = 1 keeps too
+    # few rows, and H^0 comes out Z^2, though the quotient is a point
+    act = GAction.coset_action(FiniteGroup.symmetric(3), (0, 1))
+    assert bar_complex(bar_levels(act, 1), 1).cohomology(0) == FgAbGroup(1)
     monkeypatch.setattr(FiniteGroup, "generators", lambda self: (1,))
-    monkeypatch.setattr(simplicial, "_top_degree", recording_top)
-    s3 = FiniteGroup.symmetric(3)
-    for act in (GAction.coset_action(s3, (0, 1)), GAction.trivial(s3, CellComplex.point())):
-        for top in range(1, 5):
-            tops.clear()
-            bl = bar_levels(act, top)
-            cx, full = bar_complex(bl, top), full_bar_complex(bl, top)
-            for k in range(top):
-                assert cx.cohomology(k) == full.cohomology(k), (act.name, top, k)
-            assert tops == [(1,), None], (act.name, top)
-            assert cx == full, (act.name, top)
+    assert bar_complex(bar_levels(act, 1), 1).cohomology(0) == FgAbGroup(2)
 
 
-def test_failed_certificate_checks_each_relation_once(monkeypatch):
-    # the rejected partial complex checked d^{k+1} d^k = 0 for k < top - 2 on
-    # the very matrices the fallback reuses; the fallback checks only
-    # d^{top-1} d^{top-2}, with its full top
+def test_bar_complex_checks_each_relation_once(monkeypatch):
+    # one complex is built, and d^2 = 0 is checked on each of its relations
+    # d^{k+1} d^k exactly once, the top one with the generator rows
     checked = []
     real = IntMatrix.product_is_zero
 
     def recording(self, other, *args):
         checked.append((self, other))    # kept alive, so ids stay distinct
         return real(self, other, *args)
-    monkeypatch.setattr(FiniteGroup, "generators", lambda self: (1,))
     monkeypatch.setattr(IntMatrix, "product_is_zero", recording)
     s3 = FiniteGroup.symmetric(3)
-    for act in (GAction.coset_action(s3, (0, 1)), GAction.trivial(s3, CellComplex.point())):
+    for act in (GAction.coset_action(s3, (0, 1)), GAction.trivial(s3, CellComplex.point()),
+                GAction.lens_sphere(3)):
         for top in range(1, 5):
             bl = bar_levels(act, top)
             checked.clear()
             cx = bar_complex(bl, top)
-            pairs = [(id(a), id(b)) for a, b in checked]
-            assert len(set(pairs)) == len(pairs), (act.name, top)
-            top_checks = [(a, b) for a, b in checked if a is cx.diffs[-1]]
-            if top >= 2:
-                assert len(top_checks) == 1 and top_checks[0][1] is cx.diffs[-2]
-            for k in range(top - 1):       # every relation of cx was checked
-                assert any(a is cx.diffs[k + 1] and b is cx.diffs[k] for a, b in checked)
-            assert cx.checked and cx == full_bar_complex(bl, top)
+            assert [(id(a), id(b)) for a, b in checked] == \
+                [(id(cx.diffs[k + 1]), id(cx.diffs[k])) for k in range(top - 1)], (act.name, top)
+            assert cx.checked
 
 
 def test_generators_are_chosen_greedily():
@@ -170,6 +147,39 @@ def test_generators_are_chosen_greedily():
     assert s3.generators() == (1, 2)     # two transpositions
     assert s3.generators() is s3.generators()
     assert FiniteGroup.quaternion8().generators() == (1, 2, 4)   # -1, i, j
+
+
+def closure(group, elements):
+    """The elements reached from the identity by right multiplication with
+    the given elements: for a finite group, the subgroup they generate."""
+    reached, frontier = {group.identity}, [group.identity]
+    while frontier:
+        frontier = [h for h in {group.mul(x, s) for x in frontier for s in elements}
+                    if h not in reached]
+        reached.update(frontier)
+    return reached
+
+
+NAMED_GROUPS = [f"cyclic:{n}" for n in range(1, 7)] + ["symmetric:3", "symmetric:4"] + \
+    [f"dihedral:{n}" for n in range(2, 5)] + ["quaternion:8"]
+
+
+@pytest.mark.parametrize("name", NAMED_GROUPS)
+def test_generators_generate_the_group_and_each_subgroup(name):
+    # the top degree is exact because the first entries of its rows generate
+    # the group; bar_complex also runs on every subgroup (the stabilizers of
+    # Shapiro's lemma), so each subgroup's generators must generate it
+    group = FiniteGroup.named(name)
+    if group.order <= 8:
+        subgroups = group.subgroups()
+    else:       # every subgroup of S4 is generated by two elements
+        subgroups = {tuple(sorted(closure(group, (a, b))))
+                     for a in group.elements() for b in group.elements()}
+        assert len(subgroups) == 30
+    for sub in subgroups:
+        h = group.subgroup(sub)
+        assert closure(h, h.generators()) == set(h.elements()), (name, sub)
+    assert closure(group, group.generators()) == set(group.elements())
 
 
 # --- properties over random small actions ------------------------------------------
@@ -233,14 +243,18 @@ PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, d
 @PROPERTY_SETTINGS
 @given(orbit_actions())
 def test_property_normalized_matches_full(group_orbits):
+    # at each top 1..3, so that the generator rows are compared with every
+    # row also where the degree below carries rational cohomology
     group, orbits = group_orbits
-    assert_same_cohomology(disjoint_union(group, orbits), 2)
+    for top in range(1, 4):
+        assert_same_cohomology(disjoint_union(group, orbits), top - 1)
 
 
 @PROPERTY_SETTINGS
 @given(circle_actions())
 def test_property_normalized_matches_full_on_circles(act):
-    assert_same_cohomology(act, 2)
+    for top in range(1, 4):
+        assert_same_cohomology(act, top - 1)
 
 
 @PROPERTY_SETTINGS
