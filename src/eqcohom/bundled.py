@@ -135,8 +135,8 @@ def _run_s1_rotation_cartan():
     act = LinearAction.circle_rotation_r2()
     out = {}
     for n in range(6):
-        dim, saturated = cartan_cohomology_truncated(act, n, 6)
-        out[n] = {"dim": dim, "saturated": saturated}
+        dim, by_weight = cartan_cohomology_truncated(act, n, 6)
+        out[n] = {"dim": dim, "by_weight": by_weight}
     return out
 
 

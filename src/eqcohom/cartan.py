@@ -18,17 +18,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial, reduce
-from itertools import combinations, product
-from math import lcm
+from functools import reduce
+from itertools import combinations, combinations_with_replacement, product
+from math import comb, lcm
 from operator import or_
 from types import MappingProxyType
 
 from .linalg import IntMatrix, q_identity, q_inverse, q_mul, q_zeros, rank_q
-
-
-class TruncationUnstable(Exception):
-    pass
 
 
 def _exact(v):
@@ -341,9 +337,6 @@ class EquivariantForm:
     def form_degrees(self):
         return {len(dx) for (_u, _x, dx) in self.terms}
 
-    def x_degree_max(self):
-        return max((sum(x) for (_u, x, _dx) in self.terms), default=0)
-
     # -- algebra
 
     def _check_compatible(self, other):
@@ -487,18 +480,6 @@ class EquivariantForm:
         return f"EquivariantForm({format_form(self)!r})"
 
 
-def _degrees(num_u, num_x, key):
-    """(|u|, |x|, |dx|) of a packed key, read off its lanes and mask."""
-    lanes, u, x = key >> num_x, 0, 0
-    for _ in range(num_u):
-        u += lanes & MAX_EXPONENT
-        lanes >>= LANE_BITS
-    while lanes:
-        x += lanes & MAX_EXPONENT
-        lanes >>= LANE_BITS
-    return u, x, (key & ((1 << num_x) - 1)).bit_count()
-
-
 def _inversions(m1, m2):
     """Pairs i > j with i in the dx mask m1 and j in m2: the transpositions
     that sort the dx of m1 followed by the dx of m2."""
@@ -620,170 +601,144 @@ def is_invariant(act: LinearAction, omega: EquivariantForm) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# truncated Cartan cohomology
+# Cartan cohomology by scaling weight
+#
+# X_a^#(x) = rep(X_a) x is linear, so d moves (|x|, |dx|) by (-1, +1) and each
+# u_a iota(X_a^#) by (+1, -1): d_C preserves the weight w = |x| + |dx|, and so
+# do the invariance operators.  The invariant Cartan complex is the direct
+# sum of its blocks C_w, each finite in each degree.  The Euler field
+# E = sum_i x_i d/dx_i commutes with every linear field, and iota_E
+# anticommutes with each iota(X_a^#), so d_C iota_E + iota_E d_C = L_E = w on
+# C_w: every block with w > 0 is acyclic, and H(C_0) = S(g*)^G
+# (Berline-Getzler-Vergne ch. 7; Guillemin-Sternberg, Supersymmetry and
+# Equivariant de Rham Theory, ch. 4).
 
 
-def _monomials_of_cartan_degree(num_u, num_x, n, x_bound):
-    out = []
-    for du in range(n // 2 + 1):
-        r = n - 2 * du
-        if r < 0 or r > num_x:
-            continue
-        for u in _compositions(du, num_u):
-            for dx in combinations(range(num_x), r):
-                for dx_total in range(x_bound + 1):
-                    for x in _compositions(dx_total, num_x):
-                        out.append((u, x, dx))
-    return out
+class CartanComplexTooLarge(Exception):
+    """The blocks of a query hold more than CARTAN_BUDGET monomials."""
+
+
+class CartanCheckFailed(Exception):
+    """The homotopy identity failed on a monomial, or a block of weight
+    w > 0 has cohomology: an internal error, never an answer."""
+
+
+CARTAN_BUDGET = 20_000  # monomials over the blocks of one query
 
 
 def _compositions(total, parts):
-    if parts == 0:
-        return [()] if total == 0 else []
-    if parts == 1:
-        return [(total,)]
-    out = []
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            out.append((first,) + rest)
-    return out
+    """The tuples of parts nonnegative ints that sum to total."""
+    return [tuple(c.count(i) for i in range(parts))
+            for c in combinations_with_replacement(range(parts), total)]
 
 
-def _operator_images(act, key):
-    """Packed term dicts of the images of one monomial: L first (total_lie
-    per Lie basis element, then g.w - w per finite element), cartan_d last."""
+def _dx_counts(n, w, num_x):
+    """The |dx| of the monomials of Cartan degree n = 2|u| + |dx| and weight w."""
+    return [r for r in range(min(n, w, num_x) + 1) if (n - r) % 2 == 0]
+
+
+def cartan_size(act: LinearAction, degrees, x_bound):
+    """The number of monomials in the blocks C_w, w = 0..x_bound, in
+    degrees n and n - 1 for each n in degrees, in closed form: dx subsets
+    times the compositions of |x| = w - |dx| and of |u| = (n - |dx|) / 2."""
     num_u, num_x = act.lie_algebra.dim, act.m
-    form = EquivariantForm._of(num_u, num_x, {key: 1})
-    images = [total_lie(act, a, form) for a in range(num_u)]
-    images += [form.substitute_linear(g_inv, u_matrix=ad_inv) - form
-               for g_inv, ad_inv in act.finite_inverses]
-    images.append(cartan_d(act, form))
-    return [img.packed for img in images]
+
+    def count(total, parts):
+        return comb(total + parts - 1, parts - 1) if parts else int(total == 0)
+    return sum(comb(num_x, r) * count(w - r, num_x) * count((m - r) // 2, num_u)
+               for n in degrees for m in (n, n - 1) for w in range(x_bound + 1)
+               for r in _dx_counts(m, w, num_x))
 
 
-def _graded_rank(columns, grade, rows_of, memo, label):
-    """Rank over Q of the operator whose column for the monomial key has
-    the entries rows_of(key), a list of term dicts (row (i, term) holds
-    rows_of(key)[i][term]).  The operator must preserve grade(key): the
-    rank is the sum of rank_q over the graded blocks.  Each row is scaled
-    by the lcm of its denominators, so rational actions take the same
-    integer path.
-
-    memo keeps each block's rank under (label(block), its columns), equal
-    labels on equal columns meaning equal rows, and under its matrix: in
-    one query no block is built twice, and no matrix ranked twice."""
-    blocks = {}
-    for key in columns:
-        blocks.setdefault(grade(key), []).append(key)
-    total = 0
-    for block in blocks.values():
-        name = (label(block), tuple(block))
-        if name not in memo:
-            rows = {}
-            for j, key in enumerate(block):
-                for i, terms in enumerate(rows_of(key)):
-                    for term, c in terms.items():
-                        rows.setdefault((i, term), {})[j] = c
-            entries = {}
-            for r, row in enumerate(rows.values()):
-                scale = lcm(*(c.denominator for c in row.values()))
-                for j, c in row.items():
-                    entries[(r, j)] = c.numerator * (scale // c.denominator)
-            matrix = (len(rows), len(block), frozenset(entries.items()))
-            if matrix not in memo:
-                memo[matrix] = rank_q(IntMatrix(len(rows), len(block), entries))
-            memo[name] = memo[matrix]
-        total += memo[name]
-    return total
+def check_cartan_query(act: LinearAction, degrees, x_bound):
+    """Refuse a query before any work: a negative x_bound (ValueError), an
+    exponent past MAX_EXPONENT (LaneOverflow; blocks reach x-degree x_bound
+    and u-degree n // 2 + 1), or blocks over CARTAN_BUDGET monomials."""
+    if x_bound < 0:
+        raise ValueError(f"x_bound must be nonnegative, got {x_bound}")
+    n = max(degrees)
+    need = max(x_bound, n // 2 + 1)
+    if need > MAX_EXPONENT:
+        raise LaneOverflow(f"degree {n} at x_bound {x_bound} needs exponents up to {need}, "
+                           f"above the lane limit {MAX_EXPONENT}: x_bound <= {MAX_EXPONENT}, "
+                           f"degree <= {2 * MAX_EXPONENT - 1}")
+    size = cartan_size(act, degrees, x_bound)
+    if size > CARTAN_BUDGET:
+        raise CartanComplexTooLarge(f"degrees {min(degrees)}..{n} at x_bound {x_bound}: the "
+                                    f"blocks hold {size} monomials, over the budget of "
+                                    f"{CARTAN_BUDGET}")
 
 
-def _cartan_cohomology_dim(act, n, x_bound, memo):
-    """(dimension, saturated flag) at one truncation level, from ranks.
-
-    L is the invariance operator, D = cartan_d, and pi keeps the target
-    coordinates of x-degree > x_bound.  Over the degree-n monomials of
-    x-degree <= x_bound, dim ker = N - rank [L; D]; over the degree-(n-1)
-    monomials of x-degree <= x_bound + 1 (D raises the x-degree by at most
-    one, so these primitives can still bound a form inside the cap), the
-    image inside the cap has dimension rank [L; D] - rank [L; pi D].  Both
-    stacks preserve s = |x| + |dx| (d moves (|x|, |dx|) by (-1, +1), the
-    contraction by (+1, -1)) and are ranked block by block.  A block of
-    [L; pi D] whose pi keeps no term of D has the rows of L, one whose pi
-    keeps every term those of [L; D], and is labeled so.
-
-    saturated warns that invariant forms near the cap took part: some
-    (|u|, |x|, |dx|) block with |x| >= x_bound - 1 has invariants.  L
-    preserves that triple, so its kernel is spanned by vectors inside one
-    block each.
-
-    memo maps each monomial (a packed key) to _operator_images(act, key)
-    and each block (_graded_rank) to its rank, filled as needed and shared
-    by the bounds of one query: an image depends on the monomial alone.
-    """
+def _block_columns(act, n, w):
+    """The columns of L and of [L; D] on the monomials of C_w in degree n,
+    dicts from a row (operator, term) to its entry.  L is total_lie per Lie
+    basis element, then g.f - f per finite element; D = cartan_d.  Checks
+    d_C iota_E + iota_E d_C = w on each monomial."""
     num_u, num_x = act.lie_algebra.dim, act.m
-    top, prev = ([_pack(num_x, *key) for key in _monomials_of_cartan_degree(num_u, num_x, m, b)]
-                 for m, b in ((n, x_bound), (n - 1, x_bound + 1)))
-    for key in top + prev:
-        if key not in memo:
-            memo[key] = _operator_images(act, key)
+    euler = [[int(i == j) for j in range(num_x)] for i in range(num_x)]
+    lie, full = [], []
+    for r in _dx_counts(n, w, num_x):
+        for u, dx, x in product(_compositions((n - r) // 2, num_u),
+                                combinations(range(num_x), r), _compositions(w - r, num_x)):
+            f = EquivariantForm._of(num_u, num_x, {_pack(num_x, u, x, dx): 1})
+            images = [total_lie(act, a, f) for a in range(num_u)]
+            images += [f.substitute_linear(g_inv, u_matrix=ad_inv) - f
+                       for g_inv, ad_inv in act.finite_inverses]
+            df = cartan_d(act, f)
+            homotopy = (cartan_d(act, f.contract_linear_field(euler))
+                        + df.contract_linear_field(euler))
+            if homotopy != f.scale(w):
+                raise CartanCheckFailed(f"d_C iota_E + iota_E d_C is {homotopy} on {f}, "
+                                        f"not {w} times it")
+            column = {(i, t): c for i, img in enumerate(images) for t, c in img.packed.items()}
+            lie.append(column)
+            full.append({**column, **{(len(images), t): c for t, c in df.packed.items()}})
+    return lie, full
 
-    block = partial(_degrees, num_u, num_x)
 
-    def form_grade(key):
-        return sum(block(key)[1:])
-
-    def projected(key):
-        *rows, d = memo[key]
-        return rows + [{t: c for t, c in d.items() if block(t)[1] > x_bound}]
-
-    def projected_label(keys):
-        degrees = {block(t)[1] for key in keys for t in memo[key][-1]}
-        kept = {e for e in degrees if e > x_bound}
-        return "full" if kept == degrees else ("pi", min(kept)) if kept else "lie"
-
-    dim_ker = len(top) - _graded_rank(top, form_grade, memo.__getitem__, memo, lambda _: "full")
-    dim_img_in = (_graded_rank(prev, form_grade, memo.__getitem__, memo, lambda _: "full")
-                  - _graded_rank(prev, form_grade, projected, memo, projected_label))
-
-    near_cap = {}
-    for key in top + prev:
-        if block(key)[1] >= x_bound - 1:
-            near_cap.setdefault(block(key), []).append(key)
-    saturated = any(len(keys) > _graded_rank(keys, block, lambda key: memo[key][:-1], memo,
-                                             lambda _: "lie")
-                    for keys in near_cap.values())
-    return dim_ker - dim_img_in, saturated
+def _rank(columns):
+    """Rank over Q of the matrix with these columns (dicts from row to
+    entry), each row scaled by the lcm of its denominators."""
+    rows = {}
+    for j, column in enumerate(columns):
+        for row, c in column.items():
+            rows.setdefault(row, {})[j] = c
+    if not rows:
+        return 0
+    entries = {}
+    for i, row in enumerate(rows.values()):
+        scale = lcm(*(c.denominator for c in row.values()))
+        for j, c in row.items():
+            entries[(i, j)] = c.numerator * (scale // c.denominator)
+    return rank_q(IntMatrix(len(rows), len(columns), entries))
 
 
 def cartan_cohomology_truncated(act: LinearAction, n, x_bound):
-    """Dimension over Q of invariant Cartan cohomology in degree n, with
-    the x-polynomial degree capped at x_bound.
+    """Dimension over Q of invariant Cartan cohomology in degree n, read off
+    the blocks C_w with w = 0..x_bound.
 
-    Returns (dimension, saturated) where saturated warns that monomials
-    near the cap participated.  The dimension is computed at x_bound,
-    x_bound + 1 and x_bound + 2 from one shared set of operator images and
-    block ranks; unless all three agree, TruncationUnstable names the three
-    bounds.  Comparing consecutive bounds catches an error that repeats
-    with the parity of the bound.  A negative x_bound raises ValueError;
-    one whose images would hold an exponent above MAX_EXPONENT (x-degree
-    up to x_bound + 4, u-degree up to n // 2 + 1) raises LaneOverflow
+    Returns (dim, by_weight), by_weight[w] = dim H^n(C_w), dim =
+    sum(by_weight).  With N_n the monomials of C_w in degree n, L the
+    invariance operator and D = cartan_d, the invariant cocycles less the
+    images of the invariant (n-1)-cochains give
+
+        H^n(C_w) = (N_n - rank [L; D]_n) - (rank [L; D]_{n-1} - rank L_{n-1}).
+
+    The second computation is exact and uses no rank: the homotopy identity
+    on every monomial built.  A failed identity, or H^n(C_w) != 0 for some
+    w > 0, raises CartanCheckFailed; check_cartan_query refuses the query
     before any work.
     """
-    if x_bound < 0:
-        raise ValueError(f"x_bound must be nonnegative, got {x_bound}")
-    need = max(x_bound + 4, n // 2 + 1)
-    if need > MAX_EXPONENT:
-        raise LaneOverflow(f"degree {n} at x_bound {x_bound} needs exponents up to {need}, "
-                           f"above the lane limit {MAX_EXPONENT}: x_bound <= {MAX_EXPONENT - 4}, "
-                           f"degree <= {2 * MAX_EXPONENT - 1}")
-    memo = {}
-    dim, saturated = _cartan_cohomology_dim(act, n, x_bound, memo)
-    bounds = (x_bound, x_bound + 1, x_bound + 2)
-    dims = [dim] + [_cartan_cohomology_dim(act, n, b, memo)[0] for b in bounds[1:]]
-    if len(set(dims)) > 1:
-        raise TruncationUnstable(
-            f"degree {n}: dimensions {dims} at bounds {list(bounds)}")
-    return dim, saturated
+    check_cartan_query(act, [n], x_bound)
+    by_weight = []
+    for w in range(x_bound + 1):
+        lie_prev, full_prev = _block_columns(act, n - 1, w)
+        full = _block_columns(act, n, w)[1]
+        dim = (len(full) - _rank(full)) - (_rank(full_prev) - _rank(lie_prev))
+        if w and dim:
+            raise CartanCheckFailed(f"H^{n}(C_{w}) has dimension {dim}, but C_{w} is acyclic")
+        by_weight.append(dim)
+    return sum(by_weight), by_weight
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,13 @@ import sys
 from dataclasses import dataclass
 
 from . import bundled
-from .cartan import LaneOverflow, LinearAction, TruncationUnstable, cartan_cohomology_truncated
+from .cartan import (
+    CartanComplexTooLarge,
+    LaneOverflow,
+    LinearAction,
+    cartan_cohomology_truncated,
+    check_cartan_query,
+)
 from .chern import (
     ConnectionMatrix,
     InvariantPolynomial,
@@ -44,7 +50,7 @@ EXIT_PRECONDITION = 3
 EXIT_INTERNAL = 4
 
 _MATH_ERRORS = (PositiveDimensionalInput, InvalidAction, CoefficientNotDivisible,
-                NotACover, TruncationUnstable, LaneOverflow)
+                NotACover, CartanComplexTooLarge, LaneOverflow)
 
 
 class SchemaError(Exception):
@@ -204,9 +210,8 @@ def _cartan_action(spec):
 
 def _largest_first(degrees, compute):
     """{n: compute(n)} in the order of degrees, computed from the largest
-    degree down: an input over the bar budget (BarComplexTooLarge) or the
-    lane limit of the form algebra (LaneOverflow) fails before any smaller
-    degree is computed."""
+    degree down: an input over the bar budget (BarComplexTooLarge) fails
+    before any smaller degree is computed."""
     values = {n: compute(n) for n in sorted(degrees, reverse=True)}
     return {n: values[n] for n in degrees}
 
@@ -241,17 +246,16 @@ def run(job: JobSpec):
     if job.command == "cartan":
         act = _cartan_action(job.inputs.get("action"))
         degrees = _parse_degrees(job.inputs.get("degrees"))
+        if min(degrees) < 0:
+            raise SchemaError(f"Cartan degrees must be nonnegative, got {min(degrees)}")
         bound = _int(job.inputs.get("x_bound", 6), "x_bound")
         if bound < 0:
             raise SchemaError(f"x_bound must be nonnegative, got {bound}")
-        out = {}
-        lines = []
-        values = _largest_first(degrees, lambda n: cartan_cohomology_truncated(act, n, bound))
-        for n, (dim, saturated) in values.items():
-            out[str(n)] = {"dim": dim, "saturated": saturated}
-            suffix = " (bound saturated)" if saturated else ""
-            lines.append(f"dim H^{n}_Cartan = {dim}{suffix}")
-        return out, lines
+        check_cartan_query(act, degrees, bound)
+        values = {n: cartan_cohomology_truncated(act, n, bound) for n in degrees}
+        return ({str(n): {"dim": dim, "by_weight": by_weight}
+                 for n, (dim, by_weight) in values.items()},
+                [f"dim H^{n}_Cartan = {dim}" for n, (dim, _) in values.items()])
     if job.command == "chern":
         return _run_chern(job.inputs)
     if job.command == "verify":
@@ -360,10 +364,11 @@ def build_parser():
     p.add_argument("--space", required=True)
     p.add_argument("--action", default="auto")
     p.add_argument("--degree", type=int, required=True)
-    p = sub.add_parser("cartan", help="truncated Cartan-model cohomology")
+    p = sub.add_parser("cartan", help="Cartan-model cohomology by scaling weight")
     p.add_argument("--action", default="rotation")
     p.add_argument("--degrees", required=True)
-    p.add_argument("--x-bound", dest="x_bound", type=int, default=6)
+    p.add_argument("--x-bound", dest="x_bound", type=int, default=6,
+                   help="the largest block weight |x| + |dx|")
     p = sub.add_parser("chern", help="equivariant characteristic forms")
     p.add_argument("--preset", default="weight:1")
     p.add_argument("--poly", default="chern:1")

@@ -369,7 +369,7 @@ class DoubleComplexMap:
 
 
 def _coords_in_kernel(kernel_cols, vec):
-    """Coordinates of an integer vector in a saturated kernel basis."""
+    """Coordinates of an integer vector in a basis of a kernel lattice."""
     if not kernel_cols:
         if any(vec):
             raise ValueError("vector not in zero kernel")

@@ -469,7 +469,7 @@ def smith_normal_form(a: IntMatrix) -> SnfDecomposition:
 
 
 def kernel_basis(a: IntMatrix):
-    """Columns (as lists) generating ker(a) over Z; the kernel is saturated."""
+    """Columns (as lists) generating ker(a) over Z, a pure sublattice."""
     snf = smith_normal_form(a)
     diag = snf.s.diagonal()
     return [snf.right.column(j) for j in range(a.cols) if j >= len(diag) or diag[j] == 0]

@@ -1024,7 +1024,7 @@ def bar_complex(bl: BarLevels, top) -> IntCochainComplex:
 
     Degree top holds only the rows of level 0 and of the bar tuples (Brown,
     Cohomology of Groups I.5) that start with one of the group's
-    generators(), and the projected d^{top-1} has the kernel of the full
+    generators(), and d^{top-1} on those rows has the kernel of the full
     one over Z.  Let y = D x lie in degree top, and let s be a generator.
     In the untruncated complex D y = 0, and its component at the row
     (s, w, rest) reads y(w, rest) - y(sw, rest) + (terms on tuples that

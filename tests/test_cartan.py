@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
@@ -9,10 +10,9 @@ from eqcohom.cartan import (
     EquivariantForm,
     LieAlgebra,
     LinearAction,
+    CartanCheckFailed,
+    CartanComplexTooLarge,
     ShuffleIndex,
-    TruncationUnstable,
-    _cartan_cohomology_dim,
-    _monomials_of_cartan_degree,
     cartan_cohomology_truncated,
     cartan_d,
     fiber_integrate_interval,
@@ -24,10 +24,12 @@ from eqcohom.cartan import (
     group_transform,
     is_invariant,
     lie_derivative,
+    cartan_size,
     parse_form,
     shuffle_set,
     total_lie,
 )
+from eqcohom.cli import EXIT_INTERNAL, main
 from eqcohom.linalg import q_nullspace, q_rank
 from eqcohom.simplicial import GAction, bar_levels
 
@@ -210,7 +212,7 @@ def test_finite_elements_inverted_once_per_action(monkeypatch):
     act = LinearAction.circle_rotation_r2(finite_order=4)
     assert len(calls) == 2  # g and Ad(g), at construction
     table = [cartan_cohomology_truncated(act, n, 6) for n in range(6)]
-    assert table == [(1, True), (0, True)] * 3
+    assert table == [(1, [1, 0, 0, 0, 0, 0, 0]), (0, [0] * 7)] * 3
     cartan_cohomology_truncated(act, 2, 2)
     assert len(calls) == 2  # none per monomial, at bound 6 as at bound 2
 
@@ -283,7 +285,7 @@ def test_print_parse_roundtrip():
             assert back == omega, text
 
 
-# --- truncated cohomology -------------------------------------------------------------
+# --- cohomology by scaling weight -------------------------------------------------------
 
 
 def test_rotation_plane_cohomology_even():
@@ -300,8 +302,8 @@ def test_rotation_plane_cohomology_odd():
 
 
 def test_so3_odd_degree_vanishes():
-    # H^odd(BSO(3); Q) = 0: the cocycle |x|^2 (x . dx) has x-degree 3, inside
-    # the cap, but its primitive |x|^4 / 4 has x-degree 4, one above it
+    # H^odd(BSO(3); Q) = 0: C_0 holds u-polynomials only, all of even
+    # degree, and the blocks of weight 1..3 are acyclic
     dim, _ = cartan_cohomology_truncated(SO3, 1, 3)
     assert dim == 0
 
@@ -354,14 +356,25 @@ def test_o2_on_determinant_line_matches_chevalley_weil():
         assert cartan_cohomology_truncated(O2_DET, n, 4)[0] == quartic_table(n), n
 
 
+def block_basis(act, deg, w):
+    """The tuple keys of the monomials of Cartan degree deg and weight w,
+    by brute force over all exponents up to the degrees."""
+    num_u, num_x = act.lie_algebra.dim, act.m
+    return [(u, x, dx) for u in product(range(max(deg, 0) // 2 + 1), repeat=num_u)
+            for x in product(range(w + 1), repeat=num_x)
+            for r in range(num_x + 1) for dx in combinations(range(num_x), r)
+            if 2 * sum(u) + r == deg and sum(x) + r == w]
+
+
 def dense_reference(act, n, x_bound):
-    """The dense formula the rank computation replaced: bases of the
-    invariant forms from q_nullspace of the stacked invariance operator,
-    then the kernel and the in-cap image of d_C on those bases."""
+    """dim H^n(C_w) for w = 0..x_bound by dense linear algebra: bases of the
+    invariant forms of each block from q_nullspace of the stacked invariance
+    operator (group_transform inverting each finite element anew), then the
+    kernel and the image of d_C on those bases."""
     num_u, num_x = act.lie_algebra.dim, act.m
 
-    def invariant_forms(deg, bound):
-        basis = _monomials_of_cartan_degree(num_u, num_x, deg, bound)
+    def invariant_forms(deg, w):
+        basis = block_basis(act, deg, w)
         images = []
         for key in basis:
             f = EquivariantForm(num_u, num_x, {key: 1})
@@ -379,98 +392,120 @@ def dense_reference(act, n, x_bound):
                       for i in range(len(basis))]
         return [EquivariantForm(num_u, num_x, dict(zip(basis, vec))) for vec in coords]
 
-    def matrix(forms, basis):
-        return [[f.terms.get(key, Fraction(0)) for f in forms] for key in basis]
+    def rank_of_d(forms):
+        images = [cartan_d(act, f) for f in forms]
+        keys = sorted({k for img in images for k in img.terms})
+        return q_rank([[img.terms.get(k, Fraction(0)) for img in images] for k in keys]) \
+            if keys else 0
 
-    inv_n = invariant_forms(n, x_bound)
-    inv_prev = invariant_forms(n - 1, x_bound + 1)
-    target = _monomials_of_cartan_degree(num_u, num_x, n + 1, x_bound + 1)
-    dim_ker = len(inv_n) - q_rank(matrix([cartan_d(act, f) for f in inv_n], target))
-    mid = _monomials_of_cartan_degree(num_u, num_x, n, x_bound + 2)
-    over = [key for key in mid if sum(key[1]) > x_bound]
-    images = [cartan_d(act, f) for f in inv_prev]
-    dim_img_in = q_rank(matrix(images, mid)) - q_rank(matrix(images, over))
-    saturated = any(f.x_degree_max() >= x_bound - 1 for f in inv_n + inv_prev)
-    return dim_ker - dim_img_in, saturated
+    by_weight = []
+    for w in range(x_bound + 1):
+        inv_n = invariant_forms(n, w)
+        by_weight.append(len(inv_n) - rank_of_d(inv_n) - rank_of_d(invariant_forms(n - 1, w)))
+    return by_weight
+
+
+DENSE_CASES = [
+    (ROT, range(5), range(4)),
+    (LinearAction.circle_rotation_r2(weight=Fraction(1, 2)), range(5), range(4)),
+    (LinearAction.circle_rotation_r2(finite_order=4), range(5), range(4)),
+    (LinearAction(LieAlgebra.abelian(1), [[[0]]]), range(4), range(3)),
+    # scalings of the line: no invariant form but the constants
+    (LinearAction(LieAlgebra.abelian(1), [[[1]]]), range(4), range(4)),
+    (LinearAction(LieAlgebra.abelian(1), [[[Fraction(2, 3)]]]), range(4), range(4)),
+    (ROT.extend_trivially(), range(4), range(3)),
+    (O2_DET, range(5), range(4)),
+    (SO3, range(3), range(3)),
+]
 
 
 def test_ranks_match_dense_reference():
-    half = LinearAction.circle_rotation_r2(weight=Fraction(1, 2))
-    cases = [(ROT, range(5), range(4)), (half, range(5), range(4)),
-             (LinearAction.circle_rotation_r2(finite_order=4), range(5), range(4)),
-             (LinearAction(LieAlgebra.abelian(1), [[[0]]]), range(4), range(3)),
-             # scalings of the line: invariants only at x-degree 0, so the
-             # flag is False above bound 1
-             (LinearAction(LieAlgebra.abelian(1), [[[1]]]), range(4), range(4)),
-             (LinearAction(LieAlgebra.abelian(1), [[[Fraction(2, 3)]]]), range(4), range(4)),
-             (ROT.extend_trivially(), range(4), range(3)),
-             (O2_DET, range(5), range(4)),
-             (SO3, range(3), range(3))]
-    for act, degrees, bounds in cases:
+    for act, degrees, bounds in DENSE_CASES:
         for n in degrees:
             for b in bounds:
-                assert _cartan_cohomology_dim(act, n, b, {}) == dense_reference(act, n, b), \
+                want = dense_reference(act, n, b)
+                assert cartan_cohomology_truncated(act, n, b) == (sum(want), want), \
                     (act.rep, n, b)
 
 
-def test_no_block_matrix_is_ranked_twice_in_a_query(monkeypatch):
-    # the bounds b, b + 1 and b + 2 of one query share their equal blocks:
-    # each block matrix reaches rank_q once, its rank kept in the query's memo
-    ranked = []
-    real = cartan.rank_q
+def test_block_sizes_in_closed_form():
+    # the preflight count is the number of columns the blocks are built on
+    for act, degrees, bounds in DENSE_CASES:
+        for n in list(degrees) + [-1, 7]:
+            for b in bounds:
+                want = sum(len(block_basis(act, m, w)) for m in (n, n - 1) for w in range(b + 1))
+                assert cartan_size(act, [n], b) == want, (act.rep, n, b)
+                assert want == sum(len(cartan._block_columns(act, m, w)[0])
+                                   for m in (n, n - 1) for w in range(b + 1))
 
-    def record(m):
-        ranked.append((m.rows, m.cols, frozenset(m.entries.items())))
-        return real(m)
-    monkeypatch.setattr(cartan, "rank_q", record)
-    half = LinearAction.circle_rotation_r2(weight=Fraction(1, 2))
-    queries = [(ROT, n, 6) for n in range(6)] + [(SO3, n, b) for n in range(3) for b in range(3)]
-    queries += [(act, n, b) for act in (half, O2_DET, ROT.extend_trivially())
-                for n in range(4) for b in range(3)]
-    calls = 0
-    for act, n, b in queries:
-        ranked.clear()
-        try:
-            cartan_cohomology_truncated(act, n, b)
-        except TruncationUnstable:
-            pass
-        assert len(set(ranked)) == len(ranked), (act.rep, n, b)
-        calls += len(ranked) if act is ROT else 0
-    # the six rotation queries of the cartan_chern benchmark hold 192
-    # distinct block matrices over their three bounds each
-    assert calls == 192
+
+def test_rank_q_calls_of_the_bench_rotation_queries(monkeypatch):
+    # the six rotation queries of the cartan_chern benchmark rank [L; D] in
+    # degree n, and [L; D] and L in degree n - 1, once per block that has rows
+    calls = []
+    real = cartan.rank_q
+    monkeypatch.setattr(cartan, "rank_q", lambda m: calls.append(m) or real(m))
+    for n in range(6):
+        cartan_cohomology_truncated(ROT, n, 6)
+    assert len(calls) == 96
 
 
 def test_zero_lie_algebra():
     # no symmetry on R^0: the Cartan complex is Q in degree 0
     act = LinearAction(LieAlgebra.abelian(0), [])
-    assert cartan_cohomology_truncated(act, 0, 2) == (1, False)
-    assert cartan_cohomology_truncated(act, 0, 0) == (1, True)
+    assert cartan_cohomology_truncated(act, 0, 2) == (1, [1, 0, 0])
+    assert cartan_cohomology_truncated(act, 0, 0) == (1, [1])
     for n in range(1, 4):
         assert cartan_cohomology_truncated(act, n, 2)[0] == 0
 
 
-def test_stability_checked_at_consecutive_bounds(monkeypatch):
-    # an error that repeats with the parity of the bound agrees at b and b + 2
-    exact = cartan._cartan_cohomology_dim
+def _one_contraction_sign_flipped(act, omega):
+    """d_C with -u_1 iota(X_1^#) in place of +u_1 iota(X_1^#)."""
+    flip = omega.contract_linear_field(act.rep[0]).u_times(0).scale(2)
+    return REAL_CARTAN_D(act, omega) - flip
 
-    def parity_error(act, n, x_bound, images):
-        dim, saturated = exact(act, n, x_bound, images)
-        return dim + x_bound % 2, saturated
 
-    monkeypatch.setattr(cartan, "_cartan_cohomology_dim", parity_error)
-    with pytest.raises(TruncationUnstable, match=r"bounds \[6, 7, 8\]"):
-        cartan_cohomology_truncated(ROT, 2, 6)
+def _no_exterior_derivative(act, omega):
+    return REAL_CARTAN_D(act, omega) - omega.d()
+
+
+REAL_CARTAN_D = cartan.cartan_d
+
+
+@pytest.mark.parametrize("mutant, act, n, match", [
+    # the homotopy identity holds for any sign of u_a iota(X_a^#); for so3 the
+    # flip breaks d_C^2 = 0 on invariants, and a block of weight 1 has -1 classes
+    (_one_contraction_sign_flipped, SO3, 4, r"H\^4\(C_1\) has dimension -1"),
+    (_no_exterior_derivative, ROT, 0, r"iota_E d_C is 0 on x\d, not 1 times it"),
+], ids=["sign_flip_so3", "no_d_rotation"])
+def test_mutated_cartan_d_raises_instead_of_answering(monkeypatch, capsys, mutant, act, n, match):
+    monkeypatch.setattr(cartan, "cartan_d", mutant)
+    with pytest.raises(CartanCheckFailed, match=match):
+        cartan_cohomology_truncated(act, n, 2)
+    # an internal error in the CLI, not a failed precondition
+    action = "so3-vector" if act is SO3 else "rotation"
+    assert main(["cartan", "--action", action, "--degrees", str(n), "--x-bound", "2"]) \
+        == EXIT_INTERNAL
+    assert "CartanCheckFailed" in capsys.readouterr().err
+
+
+def _no_work(*args):
+    raise AssertionError("a block was built")
 
 
 def test_negative_x_bound_rejected_before_any_work(monkeypatch):
-    def no_work(*args):
-        raise AssertionError("a rank was computed")
-
-    monkeypatch.setattr(cartan, "_cartan_cohomology_dim", no_work)
+    monkeypatch.setattr(cartan, "_block_columns", _no_work)
     for bound in (-1, -3):
         with pytest.raises(ValueError, match=f"x_bound must be nonnegative, got {bound}"):
             cartan_cohomology_truncated(ROT, 0, bound)
+
+
+def test_blocks_over_the_budget_refused_before_any_work(monkeypatch):
+    monkeypatch.setattr(cartan, "_block_columns", _no_work)
+    assert cartan_size(SO3, [4], 16) <= cartan.CARTAN_BUDGET < cartan_size(SO3, [4], 17)
+    with pytest.raises(CartanComplexTooLarge,
+                       match=f"283186 monomials, over the budget of {cartan.CARTAN_BUDGET}"):
+        cartan_cohomology_truncated(SO3, 4, 40)
 
 
 # --- fiber integration ------------------------------------------------------------

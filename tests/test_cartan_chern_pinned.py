@@ -2,10 +2,11 @@
 
 cartan_chern_forms.json holds the printed forms of transgressions,
 characteristic forms and Whitney coefficients for fixed invariant
-connections on the rotation of R^2, and truncated Cartan cohomology of the
-rotation and of so3 in degrees 0..5.  It was written by pinned_outputs()
-before the form algebra built its results without re-validating their
-keys, so any change to the forms the algebra computes shows here.
+connections on the rotation of R^2, and the Cartan cohomology of the
+rotation and of so3 in degrees 0..5 as [dim, by_weight].  It was written by
+pinned_outputs() before the form algebra built its results without
+re-validating their keys, so any change to the forms the algebra computes
+shows here.
 """
 
 import json

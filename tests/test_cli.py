@@ -210,11 +210,12 @@ def test_malformed_names_and_counts_are_schema_errors(tmp_path, capsys, job):
      "--degrees", "3..1"),
     ("cohomology", "--group", "cyclic:2", "--space", "point", "--degrees", "3..1"),
     ("cartan", "--degrees", "2..0"),
+    ("cartan", "--degrees=-1..1"),
 ])
 def test_out_of_range_degrees_are_schema_errors(capsys, argv):
-    # a negative hexagon degree or polynomial degree, a negative x-bound and
-    # an empty degree range are bad input, not internal errors, failed
-    # preconditions or a run that checks nothing
+    # a negative hexagon or Cartan degree or polynomial degree, a negative
+    # x-bound and an empty degree range are bad input, not internal errors,
+    # failed preconditions or a run that checks nothing
     code, _, err = invoke(capsys, *argv)
     assert code == EXIT_SCHEMA and "schema error" in err, err
 

@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import eqcohom.cartan as cartan
 import form_oracle as oracle
 from eqcohom.cartan import (
     MAX_EXPONENT,
@@ -21,6 +22,8 @@ from eqcohom.cartan import (
     LaneOverflow,
     LinearAction,
     cartan_cohomology_truncated,
+    cartan_size,
+    check_cartan_query,
     parse_form,
     total_lie,
 )
@@ -168,16 +171,34 @@ def test_exponents_that_grow_past_the_limit_raise_instead_of_wrapping():
         parse_form(f"-{MAX_EXPONENT}*x1^{MAX_EXPONENT - 1}*x2", 1, 2)
 
 
-def test_truncated_cohomology_refuses_bounds_past_the_lane_limit():
+def _no_rank(matrix):
+    raise AssertionError("a rank was computed")
+
+
+def test_truncated_cohomology_refuses_bounds_past_the_lane_limit(monkeypatch):
+    # blocks reach x-degree x_bound and u-degree n // 2 + 1
+    monkeypatch.setattr(cartan, "rank_q", _no_rank)
     rot = LinearAction.circle_rotation_r2()
     with pytest.raises(LaneOverflow, match=f"lane limit {MAX_EXPONENT}"):
-        cartan_cohomology_truncated(rot, 0, MAX_EXPONENT - 3)
+        cartan_cohomology_truncated(rot, 0, MAX_EXPONENT + 1)
     with pytest.raises(LaneOverflow, match=f"lane limit {MAX_EXPONENT}"):
         cartan_cohomology_truncated(rot, 2 * MAX_EXPONENT, 0)
+    # the largest bound and degree within the limit pass the lane check
+    check_cartan_query(rot, [0], MAX_EXPONENT)
+    check_cartan_query(rot, [2 * MAX_EXPONENT - 1], 0)
 
 
-def test_cli_x_bound_past_the_lane_limit_exits_3(capsys):
-    code = main(["cartan", "--degrees", "0..5", "--x-bound", str(MAX_EXPONENT - 3)])
+def test_cli_x_bound_past_the_lane_limit_exits_3(monkeypatch, capsys):
+    # a rank computed first would exit 4, not 3
+    monkeypatch.setattr(cartan, "rank_q", _no_rank)
+    code = main(["cartan", "--degrees", "0..5", "--x-bound", str(MAX_EXPONENT + 1)])
     err = capsys.readouterr().err
     assert code == EXIT_PRECONDITION
-    assert f"lane limit {MAX_EXPONENT}" in err and f"x_bound <= {MAX_EXPONENT - 4}" in err
+    assert f"lane limit {MAX_EXPONENT}" in err and f"x_bound <= {MAX_EXPONENT}" in err
+    # blocks over the budget: every degree of the query counts
+    code = main(["cartan", "--action", "so3-vector", "--degrees", "4..4", "--x-bound", "40"])
+    assert code == EXIT_PRECONDITION
+    assert f"over the budget of {cartan.CARTAN_BUDGET}" in capsys.readouterr().err
+    assert cartan_size(LinearAction.so3_vector_r3(), [4], 16) <= cartan.CARTAN_BUDGET
+    assert main(["cartan", "--action", "so3-vector", "--degrees", "3..4", "--x-bound", "16"]) \
+        == EXIT_PRECONDITION
