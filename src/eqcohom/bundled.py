@@ -9,26 +9,11 @@ representation forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .cartan import LinearAction, cartan_cohomology_truncated
-from .chern import (
-    ConnectionMatrix,
-    InvariantPolynomial,
-    curvature,
-    equivariant_characteristic_form,
-    moment_map,
-)
 from .complexes import DoubleComplex
-from .deligne import (
-    SuppliedCorners,
-    corner_table,
-    differential_cohomology_zero_dim,
-    flat_equivariant_chern_class,
-    hexagon,
-)
+from .deligne import SuppliedCorners, corner_table, flat_equivariant_chern_class, hexagon
 from .linalg import IntMatrix
-from .simplicial import CellComplex, FiniteGroup, GAction, equivariant_cohomology
 
 
 def s3_conjugation_double_complex(p_max=6) -> DoubleComplex:
@@ -91,25 +76,10 @@ S3_TABLE = {0: "R", 1: "0", 2: "0", 3: "R", 4: "R"}
 
 @dataclass
 class BundledExample:
+    """A named job: examples --run runs it through the CLI's own dispatch."""
     name: str
     description: str
     job: dict
-    run: callable = field(repr=False)
-
-
-def _run_cp_point():
-    act = GAction.trivial(FiniteGroup.cyclic(3), CellComplex.point())
-    return [str(equivariant_cohomology(act, n)) for n in range(6)]
-
-
-def _run_cp_free_circle():
-    act = GAction.cyclic_rotation_circle(3)
-    return [str(equivariant_cohomology(act, n)) for n in range(4)]
-
-
-def _run_c2_two_points():
-    rep = hexagon(GAction.swap_two_points(), 1)
-    return {"exact": rep.exactness, "hhat": str(rep.corners["hhat"])}
 
 
 def _run_s3_conjugation():
@@ -131,75 +101,44 @@ def _run_lens_family():
             for p, q in [(2, 1), (3, 1), (5, 2), (7, 3)]}
 
 
-def _run_s1_rotation_cartan():
-    act = LinearAction.circle_rotation_r2()
-    out = {}
-    for n in range(6):
-        dim, by_weight = cartan_cohomology_truncated(act, n, 6)
-        out[n] = {"dim": dim, "by_weight": by_weight}
-    return out
-
-
-def _run_flat_representation():
-    act = LinearAction.so3_vector_r3()
-    a = ConnectionMatrix.zero(3, 3, 3)
-    mu = moment_map(a, act.rep, act)
-    form = equivariant_characteristic_form(InvariantPolynomial("trace_power", 2),
-                                           curvature(a), mu)
-    return {"trace_power_2": str(form)}
-
-
-def _run_cp_point_diffcoh():
-    act = GAction.trivial(FiniteGroup.cyclic(3), CellComplex.point())
-    return {n: str(differential_cohomology_zero_dim(act, n)) for n in range(4)}
-
-
 def bundled_examples():
     return [
         BundledExample(
             "cp-point",
             "group cohomology of the cyclic group of order 3 (action on a point)",
             {"command": "cohomology", "group": "cyclic:3", "space": "point",
-             "degrees": "0..5", "coeff": "z"},
-            _run_cp_point),
+             "degrees": "0..5", "coeff": "z"}),
         BundledExample(
             "cp-free-circle",
             "free rotation of the cyclic group of order 3 on the 3-gon circle",
             {"command": "cohomology", "group": "cyclic:3", "space": "circle:3",
-             "action": "rotation", "degrees": "0..3", "coeff": "z"},
-            _run_cp_free_circle),
+             "action": "rotation", "degrees": "0..3", "coeff": "z"}),
         BundledExample(
             "c2-two-points",
             "swap action on two points: degree-1 hexagon with all verdicts",
             {"command": "hexagon", "group": "cyclic:2", "space": "two-points",
-             "degree": 1},
-            _run_c2_two_points),
+             "degree": 1}),
         BundledExample(
             "s3-conjugation",
             "conjugation action of the 3-sphere on itself: cohomology table "
             "R, 0, 0, R, R from the two-cell bar double complex",
-            {"command": "verify", "suite": "s3-table"},
-            _run_s3_conjugation),
+            {"command": "verify", "suite": "s3-table"}),
         BundledExample(
             "lens-family",
             "flat weight bundles over the rotation circle: holonomy classes q/p",
-            {"command": "verify", "suite": "lens"},
-            _run_lens_family),
+            {"command": "verify", "suite": "lens"}),
         BundledExample(
             "s1-rotation-cartan",
             "Cartan model of the rotation action on the plane, degrees 0..5",
             {"command": "cartan", "action": "rotation", "degrees": "0..5",
-             "x_bound": 6},
-            _run_s1_rotation_cartan),
+             "x_bound": 6}),
         BundledExample(
             "flat-representation",
             "characteristic form of the flat vector-representation bundle",
-            {"command": "chern", "preset": "so3-vector", "poly": "trace_power:2"},
-            _run_flat_representation),
+            {"command": "chern", "preset": "so3-vector", "poly": "trace_power:2"}),
         BundledExample(
             "cp-point-diffcoh",
             "differential cohomology of the cyclic group of order 3 on a point",
             {"command": "diffcoh", "group": "cyclic:3", "space": "point",
-             "degree": 2},
-            _run_cp_point_diffcoh),
+             "degree": 2}),
     ]

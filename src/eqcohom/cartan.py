@@ -24,7 +24,7 @@ from math import comb, lcm
 from operator import or_
 from types import MappingProxyType
 
-from .linalg import IntMatrix, q_identity, q_inverse, q_mul, q_zeros, rank_q
+from .linalg import IntMatrix, q_inverse, rank_q
 
 
 def _exact(v):
@@ -107,8 +107,9 @@ class LinearAction:
     Entries are held through _exact, so an integral action keeps contractions
     and Lie derivatives on int arithmetic.
 
-    finite_inverses holds (g^{-1}, Ad^{-1}) for each finite element, inverted
-    once here; a singular g or Ad raises ValueError."""
+    A finite element is never inverted: a form is fixed by a map exactly when
+    it is fixed by the map's inverse.  A misshapen or singular g or Ad raises
+    ValueError."""
 
     def __init__(self, lie_algebra: LieAlgebra, rep, finite_elements=()):
         self.lie_algebra = lie_algebra
@@ -119,22 +120,25 @@ class LinearAction:
         for mat in self.rep:
             if len(mat) != self.m or any(len(r) != self.m for r in mat):
                 raise ValueError("representation matrices must be square of equal size")
+        k = lie_algebra.dim
         self.finite_elements = []
         for g, ad in finite_elements:
-            adq = _exact_matrix(ad if ad is not None else q_identity(lie_algebra.dim))
-            self.finite_elements.append((_exact_matrix(g), adq))
-        self.finite_inverses = [(q_inverse(g), q_inverse(ad)) for g, ad in self.finite_elements]
-        if any(g_inv is None or ad_inv is None for g_inv, ad_inv in self.finite_inverses):
-            raise ValueError("finite element matrices must be invertible")
+            g = _exact_matrix(g)
+            ad = _exact_matrix(ad if ad is not None else [[int(i == j) for j in range(k)]
+                                                          for i in range(k)])
+            if not (_invertible(g, self.m) and _invertible(ad, k)):
+                raise ValueError("finite element matrices must be invertible, g of size "
+                                 f"{self.m} and Ad of size {k}")
+            self.finite_elements.append((g, ad))
         self._validate()
 
     def _validate(self):
         k = self.lie_algebra.dim
         for b in range(k):
             for c in range(k):
-                comm = _mat_sub(q_mul(self.rep[b], self.rep[c]),
-                                q_mul(self.rep[c], self.rep[b]))
-                want = q_zeros(self.m, self.m)
+                comm = _mat_sub(_mat_mul(self.rep[b], self.rep[c]),
+                                _mat_mul(self.rep[c], self.rep[b]))
+                want = [[0] * self.m for _ in range(self.m)]
                 for a in range(k):
                     coeff = self.lie_algebra.c(a, b, c)
                     if coeff:
@@ -195,6 +199,17 @@ def _mat_add(a, b):
 
 def _mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def _mat_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _invertible(mat, n):
+    """Is mat an n x n matrix of rank n over Q?"""
+    return (len(mat) == n and all(len(row) == n for row in mat)
+            and _rank([{i: row[j] for i, row in enumerate(mat) if row[j]}
+                       for j in range(n)]) == n)
 
 
 def _mat_scale(a, c):
@@ -540,7 +555,7 @@ def _substitute_u(form, u_exp, u_matrix):
 def fundamental_vector_field(act: LinearAction, coeffs):
     """Matrix of the linear field X^#(x) = rep(X) x for X = sum coeffs X_a."""
     m = act.m
-    out = q_zeros(m, m)
+    out = [[0] * m for _ in range(m)]
     for a, c in enumerate(coeffs):
         if c:
             out = _mat_add(out, _mat_scale(act.rep[a], _exact(c)))
@@ -580,7 +595,8 @@ def total_lie(act: LinearAction, a, omega: EquivariantForm) -> EquivariantForm:
 def group_transform(act: LinearAction, omega: EquivariantForm, g, ad):
     """The action of a group element: pull the form back along x -> g^{-1} x
     and twist the u variables by Ad_{g^{-1}}.  g and ad are inverted on
-    every call; the finite elements of act use act.finite_inverses."""
+    every call; invariance under the finite elements of act needs no inverse
+    (is_invariant)."""
     g_inv = q_inverse(g)
     ad_inv = q_inverse(ad)
     if g_inv is None or ad_inv is None:
@@ -590,12 +606,14 @@ def group_transform(act: LinearAction, omega: EquivariantForm, g, ad):
 
 def is_invariant(act: LinearAction, omega: EquivariantForm) -> bool:
     """Infinitesimal criterion on the connected part, plus the supplied
-    finite subgroup elements when present."""
+    finite subgroup elements when present.  substitute_linear(g, Ad) is the
+    action of g^{-1}, and a form is fixed by g exactly when it is fixed by
+    g^{-1}, so no element is inverted."""
     for a in range(act.lie_algebra.dim):
         if not total_lie(act, a, omega).is_zero():
             return False
-    for g_inv, ad_inv in act.finite_inverses:
-        if omega.substitute_linear(g_inv, u_matrix=ad_inv) != omega:
+    for g, ad in act.finite_elements:
+        if omega.substitute_linear(g, u_matrix=ad) != omega:
             return False
     return True
 
@@ -651,12 +669,13 @@ def cartan_size(act: LinearAction, degrees, x_bound):
 
 
 def check_cartan_query(act: LinearAction, degrees, x_bound):
-    """Refuse a query before any work: a negative x_bound (ValueError), an
-    exponent past MAX_EXPONENT (LaneOverflow; blocks reach x-degree x_bound
-    and u-degree n // 2 + 1), or blocks over CARTAN_BUDGET monomials."""
+    """Refuse a query on the increasing degrees (a range or a list) before
+    any work: a negative x_bound (ValueError), an exponent past MAX_EXPONENT
+    (LaneOverflow; blocks reach x-degree x_bound and u-degree n // 2 + 1),
+    or blocks over CARTAN_BUDGET monomials."""
     if x_bound < 0:
         raise ValueError(f"x_bound must be nonnegative, got {x_bound}")
-    n = max(degrees)
+    n = degrees[-1]
     need = max(x_bound, n // 2 + 1)
     if need > MAX_EXPONENT:
         raise LaneOverflow(f"degree {n} at x_bound {x_bound} needs exponents up to {need}, "
@@ -664,7 +683,7 @@ def check_cartan_query(act: LinearAction, degrees, x_bound):
                            f"degree <= {2 * MAX_EXPONENT - 1}")
     size = cartan_size(act, degrees, x_bound)
     if size > CARTAN_BUDGET:
-        raise CartanComplexTooLarge(f"degrees {min(degrees)}..{n} at x_bound {x_bound}: the "
+        raise CartanComplexTooLarge(f"degrees {degrees[0]}..{n} at x_bound {x_bound}: the "
                                     f"blocks hold {size} monomials, over the budget of "
                                     f"{CARTAN_BUDGET}")
 
@@ -672,8 +691,11 @@ def check_cartan_query(act: LinearAction, degrees, x_bound):
 def _block_columns(act, n, w):
     """The columns of L and of [L; D] on the monomials of C_w in degree n,
     dicts from a row (operator, term) to its entry.  L is total_lie per Lie
-    basis element, then g.f - f per finite element; D = cartan_d.  Checks
-    d_C iota_E + iota_E d_C = w on each monomial."""
+    basis element, then S(g, Ad) f - f per finite element, with S the
+    pullback substitute_linear; D = cartan_d.  S(g, Ad) - 1 is
+    -S(g, Ad) (S(g^-1, Ad^-1) - 1), an invertible map of C_w times the
+    block of g.f - f, so every kernel and rank is that of the latter.
+    Checks d_C iota_E + iota_E d_C = w on each monomial."""
     num_u, num_x = act.lie_algebra.dim, act.m
     euler = [[int(i == j) for j in range(num_x)] for i in range(num_x)]
     lie, full = [], []
@@ -682,8 +704,8 @@ def _block_columns(act, n, w):
                                 combinations(range(num_x), r), _compositions(w - r, num_x)):
             f = EquivariantForm._of(num_u, num_x, {_pack(num_x, u, x, dx): 1})
             images = [total_lie(act, a, f) for a in range(num_u)]
-            images += [f.substitute_linear(g_inv, u_matrix=ad_inv) - f
-                       for g_inv, ad_inv in act.finite_inverses]
+            images += [f.substitute_linear(g, u_matrix=ad) - f
+                       for g, ad in act.finite_elements]
             df = cartan_d(act, f)
             homotopy = (cartan_d(act, f.contract_linear_field(euler))
                         + df.contract_linear_field(euler))

@@ -186,6 +186,8 @@ def _build_action(inputs):
 
 
 def _parse_degrees(spec):
+    """The degrees lo..hi, or the one degree n, as a range: nothing is
+    allocated per degree, and callers read its ends."""
     if spec is None:
         raise SchemaError("missing degrees")
     if isinstance(spec, str) and ".." in spec:
@@ -193,8 +195,9 @@ def _parse_degrees(spec):
         lo, hi = _int(lo, "degrees"), _int(hi, "degrees")
         if hi < lo:
             raise SchemaError(f"empty degree range {spec!r}: {hi} < {lo}")
-        return list(range(lo, hi + 1))
-    return [_int(spec, "degrees")]
+        return range(lo, hi + 1)
+    n = _int(spec, "degrees")
+    return range(n, n + 1)
 
 
 def _cartan_action(spec):
@@ -209,10 +212,10 @@ def _cartan_action(spec):
 
 
 def _largest_first(degrees, compute):
-    """{n: compute(n)} in the order of degrees, computed from the largest
-    degree down: an input over the bar budget (BarComplexTooLarge) fails
-    before any smaller degree is computed."""
-    values = {n: compute(n) for n in sorted(degrees, reverse=True)}
+    """{n: compute(n)} in the order of the range degrees, computed from the
+    largest degree down: an input over the bar budget (BarComplexTooLarge)
+    fails before any smaller degree is computed."""
+    values = {n: compute(n) for n in reversed(degrees)}
     return {n: values[n] for n in degrees}
 
 
@@ -246,8 +249,8 @@ def run(job: JobSpec):
     if job.command == "cartan":
         act = _cartan_action(job.inputs.get("action"))
         degrees = _parse_degrees(job.inputs.get("degrees"))
-        if min(degrees) < 0:
-            raise SchemaError(f"Cartan degrees must be nonnegative, got {min(degrees)}")
+        if degrees[0] < 0:
+            raise SchemaError(f"Cartan degrees must be nonnegative, got {degrees[0]}")
         bound = _int(job.inputs.get("x_bound", 6), "x_bound")
         if bound < 0:
             raise SchemaError(f"x_bound must be nonnegative, got {bound}")
@@ -294,8 +297,8 @@ def _run_verify(inputs):
     if suite == "hexagon":
         act = _build_action(inputs)
         degrees = _parse_degrees(inputs.get("degrees", "0..2"))
-        if any(n < 0 for n in degrees):
-            raise SchemaError(f"hexagon degrees must be nonnegative, got {min(degrees)}")
+        if degrees[0] < 0:
+            raise SchemaError(f"hexagon degrees must be nonnegative, got {degrees[0]}")
         reports = _largest_first(degrees, lambda n: hexagon(act, n))
         out = {}
         lines = []
@@ -326,8 +329,8 @@ def _run_examples(inputs):
         return out, lines
     for ex in examples:
         if ex.name == name:
-            result = ex.run()
-            return {"name": ex.name, "result": _enc(result)}, [f"{ex.name}: {result}"]
+            payload, lines = run(JobSpec.from_obj(ex.job))
+            return {"name": ex.name, "result": payload}, [f"{ex.name}:", *lines]
     raise SchemaError(f"no bundled example named {name!r}")
 
 

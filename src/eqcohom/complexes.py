@@ -19,7 +19,6 @@ from .linalg import (
     FgAbGroup,
     IntMatrix,
     kernel_basis,
-    q_solve,
     rank_q,
     reduce_complex,
     smith_normal_form,
@@ -221,14 +220,13 @@ class DoubleComplex:
     vertical[(p, q)]:   (p, q) -> (p+1, q)   (simplicial face alternating sum)
     """
 
-    def __init__(self, p_max, q_max, ranks, horizontal, vertical, check=True):
+    def __init__(self, p_max, q_max, ranks, horizontal, vertical):
         self.p_max = p_max
         self.q_max = q_max
         self.ranks = dict(ranks)
         self.horizontal = dict(horizontal)
         self.vertical = dict(vertical)
-        if check:
-            self.validate()
+        self.validate()
 
     def rank(self, p, q):
         if 0 <= p <= self.p_max and 0 <= q <= self.q_max:
@@ -369,21 +367,16 @@ class DoubleComplexMap:
 
 
 def _coords_in_kernel(kernel_cols, vec):
-    """Coordinates of an integer vector in a basis of a kernel lattice."""
-    if not kernel_cols:
-        if any(vec):
-            raise ValueError("vector not in zero kernel")
-        return []
-    m = [[Fraction(col[i]) for col in kernel_cols] for i in range(len(vec))]
-    sol = q_solve(m, vec)
+    """Coordinates of an integer vector in a basis of a kernel lattice.  The
+    basis (kernel_basis) spans a pure sublattice, so the vector has integral
+    coordinates exactly when it lies in the rational span, and they are
+    unique."""
+    m = IntMatrix.from_rows([[col[i] for col in kernel_cols] for i in range(len(vec))],
+                            cols=len(kernel_cols))
+    sol = solve_int(m, vec)
     if sol is None:
         raise ValueError("vector not in kernel span")
-    out = []
-    for v in sol:
-        if v.denominator != 1:
-            raise ValueError("non-integral kernel coordinates")
-        out.append(int(v))
-    return out
+    return sol
 
 
 def induced_map_data(d_in_s, d_out_s, d_in_t, d_out_t, f_mid, f_check=None):
@@ -527,7 +520,7 @@ class SimplicialHomotopyCochainComplex:
     satisfy s dV + dV s = -f^2, s f = f s, s^2 = 0.
     """
 
-    def __init__(self, p_max, grades, ranks, cofaces, codegens, f, s, check=True):
+    def __init__(self, p_max, grades, ranks, cofaces, codegens, f, s):
         self.p_max = p_max
         self.grades = sorted(grades)
         self.ranks = dict(ranks)
@@ -535,8 +528,7 @@ class SimplicialHomotopyCochainComplex:
         self.codegens = {k: dict(v) for k, v in codegens.items()}
         self.f = dict(f)
         self.s = {k: dict(v) for k, v in s.items()}
-        if check:
-            self.validate()
+        self.validate()
 
     def rank(self, p, q):
         if 0 <= p <= self.p_max:
@@ -638,10 +630,6 @@ class SimplicialHomotopyCochainComplex:
                 raise AxiomViolation(f"homotopy total differential fails d^2 = 0 at {n}")
         return IntCochainComplex(n_min, [ranks[n] for n in range(n_min, n_max + 1)],
                                  [diffs[n] for n in range(n_min, n_max)], check=False)
-
-
-def homotopy_total(shc: SimplicialHomotopyCochainComplex) -> IntCochainComplex:
-    return shc.total()
 
 
 @dataclass

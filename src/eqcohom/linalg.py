@@ -8,7 +8,6 @@ arbitrary-precision Python ints, rational ones carry fractions.Fraction.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -282,13 +281,6 @@ class IntMatrix:
         if m.rows != obj["rows"]:
             raise ValueError("row count mismatch in serialized matrix")
         return m
-
-    def to_json(self):
-        return json.dumps(self.to_json_obj())
-
-    @classmethod
-    def from_json(cls, s):
-        return cls.from_json_obj(json.loads(s))
 
 
 # ---------------------------------------------------------------------------
@@ -916,36 +908,14 @@ def coefficient_change(h_n: FgAbGroup, h_next: FgAbGroup, mode: str) -> Structur
 
 
 # ---------------------------------------------------------------------------
-# rational dense matrices (small symbolic work: Cartan model, chain-level checks)
-
-
-def q_zeros(r, c):
-    return [[Fraction(0)] * c for _ in range(r)]
-
-
-def q_identity(n):
-    m = q_zeros(n, n)
-    for i in range(n):
-        m[i][i] = Fraction(1)
-    return m
-
-
-def q_mul(a, b):
-    if a and b and len(a[0]) != len(b):
-        raise ValueError("shape mismatch")
-    inner = len(b)
-    cols = len(b[0]) if b else 0
-    out = q_zeros(len(a), cols)
-    for i, arow in enumerate(a):
-        for k in range(inner):
-            v = arow[k]
-            if v:
-                brow = b[k]
-                orow = out[i]
-                for j in range(cols):
-                    if brow[j]:
-                        orow[j] += v * brow[j]
-    return out
+# rational dense matrices
+#
+# No CLI command reaches this block: ranks go through rank_q, integral
+# solutions through solve_int, and finite symmetries act without inverses.
+# It serves group_transform (an arbitrary element, inverted per call),
+# chern's conjugation helpers and the invariant_connection_space sampler,
+# and it is the dense oracle of the tests.  bench/tracer.py times these five
+# names as linalg.dense_q.
 
 
 def q_rref(m):
@@ -1004,14 +974,6 @@ def q_solve(m, b):
     for r, pc in enumerate(pivots):
         x[pc] = rref[r][ncols]
     return x
-
-
-def q_in_span(vectors, target):
-    """Is target a rational combination of the given column vectors?"""
-    if not vectors:
-        return all(v == 0 for v in target)
-    m = [[vec[i] for vec in vectors] for i in range(len(target))]
-    return q_solve(m, target) is not None
 
 
 def q_inverse(m):

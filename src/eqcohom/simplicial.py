@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, permutations, repeat
+from itertools import accumulate, chain, permutations, repeat
 from operator import add
 
 from .complexes import DoubleComplex, IntCochainComplex, totalize
@@ -213,6 +213,15 @@ class FiniteGroup:
             self._normalized_faces[p] = faces
         return faces
 
+    def _closure(self, elements):
+        """The subgroup that elements generate, as a frozenset."""
+        reached, frontier = {self.identity}, [self.identity]
+        while frontier:
+            frontier = [h for h in {self.table[x][s] for x in frontier for s in elements}
+                        if h not in reached]
+            reached.update(frontier)
+        return frozenset(reached)
+
     def generators(self):
         """A generating set, chosen greedily in element order: each element
         that the ones before it do not generate.  Chosen once and kept on the
@@ -220,28 +229,24 @@ class FiniteGroup:
         if self._generators is None:
             gens, reached = [], {self.identity}
             for g in self.elements():
-                if g in reached:
-                    continue
-                gens.append(g)
-                frontier = list(reached)
-                while frontier:
-                    frontier = [h for h in {self.table[x][s] for x in frontier for s in gens}
-                                if h not in reached]
-                    reached.update(frontier)
+                if g not in reached:
+                    gens.append(g)
+                    reached = self._closure(gens)
             self._generators = tuple(gens)
         return self._generators
 
     def subgroups(self):
-        """All subgroups, as sorted element tuples (fine for order <= 24)."""
-        from itertools import combinations
-        found = set()
-        rest = [g for g in range(self.order) if g != self.identity]
-        for r in range(len(rest) + 1):
-            for extra in combinations(rest, r):
-                cand = {self.identity, *extra}
-                if all(self.table[a][b] in cand for a in cand for b in cand):
-                    found.add(tuple(sorted(cand)))
-        return sorted(found, key=lambda s: (len(s), s))
+        """All subgroups, as sorted element tuples ordered by (size,
+        elements).  A subgroup is the join of its cyclic subgroups, so
+        joining each subgroup found with each cyclic one until nothing new
+        appears reaches every subgroup."""
+        cyclic = {self._closure([g]) for g in self.elements()}
+        found, frontier = set(cyclic), cyclic
+        while frontier:
+            frontier = {self._closure(a | c) for a in frontier for c in cyclic
+                        if not c <= a} - found
+            found |= frontier
+        return sorted((tuple(sorted(h)) for h in found), key=lambda h: (len(h), h))
 
     def to_json_obj(self):
         if self.name:
@@ -961,17 +966,29 @@ class BarComplexTooLarge(InvalidAction):
 def bar_size(act: GAction, top):
     """(cells, tuples): the cells of the normalized bar total complex in
     degrees 0..top, sum over p + q <= top of (|G|-1)^p |M_q|, and the full
-    tuples of levels 0..top, sum of |G|^p, that the identity check reads."""
+    tuples of levels 0..top, sum of |G|^p, that the identity check reads;
+    top + 1 products and sums."""
     m = act.group.order
-    cells = sum((m - 1) ** p * act.space.ncells(q)
-                for p in range(top + 1) for q in range(top - p + 1))
-    return cells, sum(m ** p for p in range(top + 1))
+    upto = [0, *accumulate(act.space.cells)]  # upto[q + 1] = |M_0| + ... + |M_q|
+    cells, power = 0, 1
+    for p in range(top + 1):
+        cells += power * upto[min(top - p, act.space.dim) + 1]
+        power *= m - 1
+    return cells, (m ** (top + 1) - 1) // (m - 1) if m > 1 else top + 1
 
 
 def bar_levels(act: GAction, P) -> BarLevels:
     """The bar levels 0..P of act.  Before anything is built, raises
     BarComplexTooLarge when their bar complex in degrees 0..P and the
-    identity check's tables are over BAR_BUDGET together."""
+    identity check's tables are over BAR_BUDGET together.  The check reads
+    at least max(P + 1, |G|^P) tuples, so a P past BAR_BUDGET, or past its
+    bit length for |G| > 1, is refused without the exact count."""
+    m = act.group.order
+    if P >= BAR_BUDGET or (m > 1 and P > BAR_BUDGET.bit_length()):
+        raise BarComplexTooLarge(
+            f"{act.group.name or 'the group'} on {act.space.name or 'the space'} in degrees "
+            f"0..{P}: the identity check reads at least "
+            f"{f'{m}^{P}' if m > 1 else P + 1} tuples, over the budget of {BAR_BUDGET}")
     cells, tuples = bar_size(act, P)
     if cells + tuples > BAR_BUDGET:
         raise BarComplexTooLarge(

@@ -6,6 +6,7 @@ from itertools import combinations, product
 import pytest
 
 import eqcohom.cartan as cartan
+import eqcohom.linalg as linalg
 from eqcohom.cartan import (
     EquivariantForm,
     LieAlgebra,
@@ -96,9 +97,8 @@ def test_field_bracket_convention():
             vb = fundamental_vector_field(SO3, [1 if i == b else 0 for i in range(3)])
             vc = fundamental_vector_field(SO3, [1 if i == c else 0 for i in range(3)])
             # bracket of linear fields Ax, Bx is (BA - AB) x
-            from eqcohom.cartan import _mat_sub
-            from eqcohom.linalg import q_mul
-            bracket = _mat_sub(q_mul(vc, vb), q_mul(vb, vc))
+            from eqcohom.cartan import _mat_mul, _mat_sub
+            bracket = _mat_sub(_mat_mul(vc, vb), _mat_mul(vb, vc))
             want = fundamental_vector_field(SO3, [-v for v in g.bracket_coeffs(b, c)])
             assert bracket == want
 
@@ -205,16 +205,25 @@ def test_group_transform_is_action():
     assert twice == group_transform(act, omega, g2, [[1]])
 
 
-def test_finite_elements_inverted_once_per_action(monkeypatch):
-    calls = []
-    inverse = cartan.q_inverse
-    monkeypatch.setattr(cartan, "q_inverse", lambda m: calls.append(m) or inverse(m))
+def test_finite_elements_never_inverted(monkeypatch):
+    # a form is fixed by g exactly when it is fixed by g^-1: the constructor,
+    # is_invariant and the Cartan blocks pull back along (g, Ad) itself
+    def no_dense(*args):
+        raise AssertionError("the dense rational engine was used")
+
+    monkeypatch.setattr(cartan, "q_inverse", no_dense)
+    monkeypatch.setattr(linalg, "q_rref", no_dense)
     act = LinearAction.circle_rotation_r2(finite_order=4)
-    assert len(calls) == 2  # g and Ad(g), at construction
     table = [cartan_cohomology_truncated(act, n, 6) for n in range(6)]
     assert table == [(1, [1, 0, 0, 0, 0, 0, 0]), (0, [0] * 7)] * 3
-    cartan_cohomology_truncated(act, 2, 2)
-    assert len(calls) == 2  # none per monomial, at bound 6 as at bound 2
+    # O(2) on the plane: the reflection fixes x1, flips x2 and u, so the
+    # rotation-invariant u1 and x1 dx2 - x2 dx1 are not O(2)-invariant
+    o2 = LinearAction(LieAlgebra.abelian(1), [[[0, -1], [1, 0]]],
+                      [([[1, 0], [0, -1]], [[-1]])])
+    assert [cartan_cohomology_truncated(o2, n, 4)[0] for n in range(5)] == [1, 0, 0, 0, 1]
+    assert is_invariant(o2, parse_form("u1^2 + x1^2 + x2^2", 1, 2))
+    assert not is_invariant(o2, parse_form("u1", 1, 2))
+    assert not is_invariant(o2, parse_form("x1*dx2 - x2*dx1", 1, 2))
 
 
 def test_singular_finite_element_rejected_at_construction():

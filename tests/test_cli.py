@@ -2,12 +2,15 @@ import json
 
 import pytest
 
+from eqcohom import linalg
 from eqcohom.cli import (
     EXIT_OK,
     EXIT_PRECONDITION,
     EXIT_SCHEMA,
     JobSpec,
     SchemaError,
+    _largest_first,
+    _parse_degrees,
     main,
     run,
 )
@@ -232,3 +235,88 @@ def test_removed_truncation_flag_and_job_field_exit_2(tmp_path, capsys):
                                 "space": "point", "degrees": "0..2", "truncation": 3}))
     code, _, err = invoke(capsys, "--job", str(path))
     assert code == EXIT_SCHEMA and "unknown fields" in err and "truncation" in err, err
+
+
+O2_PLANE = {"lie_algebra": {"dim": 1, "structure": []}, "rep": [[["0", "-1"], ["1", "0"]]],
+            "finite_elements": [[[["1", "0"], ["0", "-1"]], [["-1"]]]]}
+ALL_OK = "bottom_row=ok, top_row=ok, diagonal_a=ok, diagonal_b=ok"
+
+
+@pytest.mark.parametrize("argv, want", [
+    (("cohomology", "--group", "symmetric:3", "--space", "point", "--degrees", "0..3"),
+     ["summary: ℤ, 0, ℤ/2, 0"]),
+    (("diffcoh", "--group", "cyclic:3", "--space", "point", "--degree", "2"), ["Ĥ^2 = ℤ/3"]),
+    (("hexagon", "--group", "cyclic:2", "--space", "two-points", "--degree", "1"),
+     [f"exactness: {ALL_OK}", "squares:   left=ok, right=ok"]),
+    (("verify", "--suite", "hexagon", "--group", "symmetric:3", "--space", "points:3",
+      "--action", "cosets:0,1", "--degrees", "0..2"),
+     [f"degree {n}: {ALL_OK}" for n in range(3)] + ["all exactness verdicts positive"]),
+    (("verify", "--suite", "lens"),
+     ["ĉ₁(2,1) = 1/2", "ĉ₁(3,1) = 1/3", "ĉ₁(5,2) = 2/5", "ĉ₁(7,3) = 3/7"]),
+    (("verify", "--suite", "s3-table"),
+     [f"H^{k}(conjugation; ℤ) = {v}" for k, v in enumerate("ℤ00ℤℤ")]
+     + ["bottom row exact: True"]),
+    (("chern", "--preset", "so3-vector", "--poly", "trace_power:2"),
+     ["trace_power:2(so3-vector) = -2*u3^2 - 2*u2^2 - 2*u1^2"]),
+    (("examples",), [f"{ex.name}: {ex.description}" for ex in bundled_examples()]),
+    (("examples", "--run", "c2-two-points"), [f"exactness: {ALL_OK}"]),
+    (("cartan", "--action", "rotation", "--degrees", "0..4", "--x-bound", "4"),
+     [f"dim H^{n}_Cartan = {d}" for n, d in enumerate([1, 0, 1, 0, 1])]),
+    (("cartan", "--action", "so3-vector", "--degrees", "0..4", "--x-bound", "2"),
+     [f"dim H^{n}_Cartan = {d}" for n, d in enumerate([1, 0, 0, 0, 1])]),
+    (("cartan", "--action", "O2_PLANE", "--degrees", "0..4", "--x-bound", "4"),
+     [f"dim H^{n}_Cartan = {d}" for n, d in enumerate([1, 0, 0, 0, 1])]),
+])
+def test_no_command_runs_the_dense_rational_engine(tmp_path, capsys, monkeypatch, argv, want):
+    # ranks go through rank_q, integral solutions through solve_int, and a
+    # finite symmetry acts without an inverse: every answer comes out with
+    # the dense Fraction elimination disabled
+    def no_dense(*args):
+        raise AssertionError("the dense rational engine was used")
+
+    monkeypatch.setattr(linalg, "q_rref", no_dense)
+    path = tmp_path / "o2.json"
+    path.write_text(json.dumps(O2_PLANE))
+    code, out, err = invoke(capsys, *[str(path) if a == "O2_PLANE" else a for a in argv])
+    assert code == EXIT_OK, err
+    lines = out.splitlines()
+    assert all(line in lines for line in want), out
+
+
+def test_every_bundled_example_runs_its_own_job(tmp_path, capsys):
+    for ex in bundled_examples():
+        path = tmp_path / f"{ex.name}.json"
+        path.write_text(json.dumps(ex.job))
+        code, job_out, err = invoke(capsys, "--job", str(path))
+        assert code == EXIT_OK, (ex.name, err)
+        code, out, err = invoke(capsys, "examples", "--run", ex.name)
+        assert code == EXIT_OK, (ex.name, err)
+        assert out == f"{ex.name}:\n{job_out}"
+    # the job asks for degree 2, and degree 2 is what runs
+    code, out, _ = invoke(capsys, "examples", "--run", "cp-point-diffcoh")
+    assert out.splitlines() == ["cp-point-diffcoh:", "Ĥ^2 = ℤ/3"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("cohomology", "--group", "cyclic:3", "--space", "point", "--degrees", "20000"),
+    ("cohomology", "--group", "cyclic:3", "--space", "point", "--degrees", "0..1000000000"),
+    ("cohomology", "--group", "cyclic:1", "--space", "point", "--degrees", "0..1000000000"),
+    ("hexagon", "--group", "cyclic:3", "--space", "point", "--degree", "20000"),
+    ("diffcoh", "--group", "cyclic:3", "--space", "point", "--degree", "20000"),
+    ("verify", "--suite", "hexagon", "--group", "cyclic:2", "--space", "two-points",
+     "--degrees", "0..1000000000"),
+    ("cartan", "--degrees", "0..1000000000"),
+])
+def test_huge_degrees_exit_3_before_any_work(capsys, monkeypatch, argv):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a bar construction was started for a huge degree")
+
+    monkeypatch.setattr(BarLevels, "__init__", no_build)
+    code, out, err = invoke(capsys, *argv)
+    assert code == EXIT_PRECONDITION and out == "" and "precondition failed" in err, err
+
+
+def test_degree_ranges_are_not_lists():
+    assert _parse_degrees("0..1000000000") == range(0, 1000000001)
+    assert _parse_degrees("7") == range(7, 8)
+    assert _largest_first(range(2, 5), lambda n: n * n) == {2: 4, 3: 9, 4: 16}

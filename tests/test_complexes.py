@@ -22,7 +22,6 @@ from eqcohom.complexes import (
     bockstein_image_matches_torsion,
     cone,
     cone_homotopy,
-    homotopy_total,
     quasi_iso_by_rows,
     qz_torsion_cocycles,
     total_complex,
@@ -354,14 +353,14 @@ def test_shc_axioms_and_total_square_zero():
         shc = sample_shc(rng)
         assert any(not shc.s_map(p, q).is_zero()
                    for p in range(shc.p_max + 1) for q in shc.grades)
-        tot = homotopy_total(shc)  # validates square-zero internally
+        tot = shc.total()  # validates square-zero internally
         assert tot.ranks[0] == 2
 
 
 def test_shc_conjugated_instances_stay_valid():
     rng = random.Random(77)
     shc = _conjugate_shc(sample_shc(rng), rng)
-    homotopy_total(shc)
+    shc.total()
 
 
 def test_shc_axiom_violation_reported():
@@ -381,7 +380,7 @@ def test_homotopy_total_matches_double_total_when_s_zero():
     w_ranks = {0: 2, 1: 2, 2: 2}
     nil = IntMatrix.from_rows([[0, 1], [0, 0]])
     shc = constant_shc(2, w_ranks, {0: nil, 1: nil}, {})
-    tot_h = homotopy_total(shc)
+    tot_h = shc.total()
     ranks = {(p, q): 2 for p in range(3) for q in range(3)}
     horiz = {(p, q): nil for p in range(3) for q in range(2)}
     vert = {}
@@ -419,7 +418,7 @@ def test_cone_of_shc_morphism_satisfies_invariants():
     w = SHCMorphism(shc, shc, comps)
     c = cone_homotopy(w)  # validates the homotopy-complex axioms on construction
     assert isinstance(c, SimplicialHomotopyCochainComplex)
-    homotopy_total(c)
+    c.total()
     assert cone(w).ranks  # dispatch through cone() also works
 
 

@@ -170,13 +170,7 @@ def test_generators_generate_the_group_and_each_subgroup(name):
     # the group; bar_complex also runs on every subgroup (the stabilizers of
     # Shapiro's lemma), so each subgroup's generators must generate it
     group = FiniteGroup.named(name)
-    if group.order <= 8:
-        subgroups = group.subgroups()
-    else:       # every subgroup of S4 is generated by two elements
-        subgroups = {tuple(sorted(closure(group, (a, b))))
-                     for a in group.elements() for b in group.elements()}
-        assert len(subgroups) == 30
-    for sub in subgroups:
+    for sub in group.subgroups():
         h = group.subgroup(sub)
         assert closure(h, h.generators()) == set(h.elements()), (name, sub)
     assert closure(group, group.generators()) == set(group.elements())

@@ -1,9 +1,12 @@
 import random
+import re
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from eqcohom.complexes import IntCochainComplex, homotopy_total, total_complex
+from eqcohom.complexes import IntCochainComplex, total_complex
 from eqcohom import simplicial
 from eqcohom.linalg import (
     FgAbGroup,
@@ -61,6 +64,35 @@ def test_subgroup_enumeration():
     assert len(subs) == 6  # 1, three C2, C3, S3
     assert tuple([s3.identity]) in subs
     assert tuple(sorted(s3.elements())) in subs
+
+
+def _brute_force_subgroups(group):
+    rest = [g for g in group.elements() if g != group.identity]
+    found = []
+    for r in range(len(rest) + 1):
+        for extra in combinations(rest, r):
+            cand = {group.identity, *extra}
+            if all(group.table[a][b] in cand for a in cand for b in cand):
+                found.append(tuple(sorted(cand)))
+    return sorted(found, key=lambda h: (len(h), h))
+
+
+@pytest.mark.parametrize("name", [f"cyclic:{n}" for n in range(1, 9)] + ["symmetric:3"]
+                         + [f"dihedral:{n}" for n in range(2, 5)] + ["quaternion:8"])
+def test_subgroups_by_closure_match_every_subset(name):
+    group = FiniteGroup.named(name)
+    assert group.subgroups() == _brute_force_subgroups(group)
+
+
+def test_symmetric_4_has_30_subgroups():
+    s4 = FiniteGroup.symmetric(4)
+    subs = s4.subgroups()
+    assert len(subs) == len(set(subs)) == 30
+    # the trivial group, 9 of order 2, 4 of order 3, 3 cyclic and 4 Klein
+    # four-groups, 4 copies of S3, 3 dihedral of order 8, A4 and S4
+    assert Counter(len(h) for h in subs) == {1: 1, 2: 9, 3: 4, 4: 7, 6: 4, 8: 3, 12: 1, 24: 1}
+    for h in subs:
+        assert all(s4.table[a][b] in h for a in h for b in h)
 
 
 def test_group_json_roundtrip():
@@ -291,6 +323,31 @@ def test_bar_levels_over_the_budget_fail_before_any_work(monkeypatch):
         with pytest.raises(BarComplexTooLarge) as err:
             call()
         assert isinstance(err.value, InvalidAction) and "1048595" in str(err.value)
+
+
+def test_absurd_tops_refused_without_their_exact_count(monkeypatch):
+    def no_count(*args):
+        raise AssertionError("counted the cells of an absurd top")
+
+    monkeypatch.setattr(simplicial, "bar_size", no_count)
+    monkeypatch.setattr(BarLevels, "__init__", no_count)
+    c3 = GAction.trivial(FiniteGroup.cyclic(3), CellComplex.point())
+    trivial = GAction.trivial(FiniteGroup.cyclic(1), CellComplex.point())
+    for act, top, least in [(c3, 20001, "3^20001"), (c3, 10 ** 9, f"3^{10 ** 9}"),
+                            (trivial, BAR_BUDGET, str(BAR_BUDGET + 1))]:
+        with pytest.raises(BarComplexTooLarge, match=re.escape(f"at least {least} tuples")):
+            bar_levels(act, top)
+
+
+def test_bar_size_sums_in_closed_form():
+    for name, space in [("cyclic:1", CellComplex.point()), ("cyclic:3", CellComplex.circle(3)),
+                        ("symmetric:3", CellComplex.points(0))]:
+        act = GAction.trivial(FiniteGroup.named(name), space)
+        m = act.group.order
+        for top in range(-1, 9):
+            cells = sum((m - 1) ** p * space.ncells(q)
+                        for p in range(top + 1) for q in range(top - p + 1))
+            assert bar_size(act, top) == (cells, sum(m ** p for p in range(top + 1)))
 
 
 def test_degenerate_inputs():
@@ -643,7 +700,7 @@ def test_bar_homotopy_complex_reduces_to_double_total():
     act = GAction.swap_two_points()
     bl = bar_levels(act, 2)
     shc = bar_homotopy_complex(bl)  # validates all cosimplicial identities
-    tot_h = homotopy_total(shc)
+    tot_h = shc.total()
     tot_d = total_complex(cellular_double_complex(bl))
     assert tot_h.ranks == tot_d.ranks
     for n in range(tot_h.n_max + 1):
