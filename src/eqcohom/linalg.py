@@ -297,75 +297,6 @@ class SnfDecomposition:
     right: IntMatrix
 
 
-class _Workspace:
-    """The Smith normal form's mutable copy of a matrix: its rows and a
-    column index."""
-
-    def __init__(self, m: IntMatrix):
-        self.rows = m.rows
-        self.cols = m.cols
-        self.row, self.col = _rows_and_columns(m)  # i -> {j: v}, j -> set of i
-
-    def get(self, i, j):
-        return self.row.get(i, {}).get(j, 0)
-
-    def set(self, i, j, v):
-        if v:
-            self.row.setdefault(i, {})[j] = v
-            self.col.setdefault(j, set()).add(i)
-        else:
-            r = self.row.get(i)
-            if r and j in r:
-                del r[j]
-                if not r:
-                    del self.row[i]
-                c = self.col[j]
-                c.discard(i)
-                if not c:
-                    del self.col[j]
-
-    def add_row(self, src, dst, c):
-        """row[dst] += c * row[src]"""
-        if not c:
-            return
-        for j, v in list(self.row.get(src, {}).items()):
-            self.set(dst, j, self.get(dst, j) + c * v)
-
-    def add_col(self, src, dst, c):
-        """col[dst] += c * col[src]"""
-        if not c:
-            return
-        for i in list(self.col.get(src, set())):
-            v = self.get(i, src)
-            self.set(i, dst, self.get(i, dst) + c * v)
-
-    def swap_rows(self, a, b):
-        if a == b:
-            return
-        ra, rb = self.row.get(a, {}), self.row.get(b, {})
-        for j in set(ra) | set(rb):
-            va, vb = ra.get(j, 0), rb.get(j, 0)
-            self.set(a, j, vb)
-            self.set(b, j, va)
-
-    def swap_cols(self, a, b):
-        if a == b:
-            return
-        ia = set(self.col.get(a, set()))
-        ib = set(self.col.get(b, set()))
-        for i in ia | ib:
-            va, vb = self.get(i, a), self.get(i, b)
-            self.set(i, a, vb)
-            self.set(i, b, va)
-
-    def scale_row(self, i, c):
-        for j, v in list(self.row.get(i, {}).items()):
-            self.set(i, j, c * v)
-
-    def to_matrix(self):
-        return IntMatrix._of(self.rows, self.cols, self.row)
-
-
 def _rows_and_columns(m: IntMatrix):
     """A mutable copy of the rows of m, i -> {j: v}, and its column index,
     j -> set of the rows i with a nonzero at (i, j)."""
@@ -381,83 +312,100 @@ def _rows_and_columns(m: IntMatrix):
     return row, col
 
 
-def _smallest_entry(w: _Workspace, t):
-    """Position of a nonzero of least absolute value in w[t:, t:], ties
-    broken row-major, the first unit taken at once; None if the block is 0."""
-    pivot = best = None
-    for i in sorted(w.row):
-        if i < t:
-            continue
-        r = w.row[i]
-        for j in sorted(r):
-            if j < t:
-                continue
-            x = abs(r[j])
-            if best is None or x < best:
-                if x == 1:
-                    return i, j
-                best, pivot = x, (i, j)
-    return pivot
+def _add_row(store, src, dst, c, col=None):
+    """store[dst] += c * store[src] in a row store i -> {j: v}, for c != 0;
+    a row left empty goes.  col, the store's column index, is kept in step
+    when given."""
+    r = store[dst]
+    for j, v in store[src].items():
+        x = r.get(j, 0) + c * v
+        if x:
+            if col is not None and j not in r:
+                col[j].add(dst)
+            r[j] = x
+        else:
+            del r[j]
+            if col is not None:
+                col[j].discard(dst)
+    if not r:
+        del store[dst]
+
+
+def _least_entry(row):
+    """(i, j) of a nonzero of least absolute value in a row store whose rows
+    are in index order: ties go to the least (i, j), and the first row that
+    holds a unit ends the scan."""
+    best = None
+    for i, r in row.items():
+        x, j = min((abs(v), j) for j, v in r.items())
+        if x == 1:
+            return i, j
+        if best is None or x < best[0]:
+            best = x, i, j
+    return best[1:]
 
 
 def smith_normal_form(a: IntMatrix) -> SnfDecomposition:
     """Smith normal form left @ a @ right == s with nonnegative divisor-chain diagonal.
 
-    left accumulates the row operations and right the column operations.
-    Pivot rule: smallest absolute value, ties broken row-major, stopping at
-    a unit; this makes the decomposition deterministic for golden tests.
+    Elimination runs in place on the row store of a copy of a, with its
+    column index; left is kept as a store of rows and right as a store of
+    columns, so that every step is a row operation on each.  Nothing is
+    swapped: each pivot is cleared where it stands, re-pivoting while
+    remainders are left and adding in the first row with an entry the
+    pivot does not divide, and then its row and column leave the store.
+    At the end left and right are permuted once so that pivot t sits at
+    (t, t), and the rows of left of negative pivots are negated.  Pivot
+    rule: smallest absolute value, ties broken by the original (row,
+    column) index, a unit taken at once; the decomposition is deterministic.
     """
-    w = _Workspace(a)
-    left = _Workspace(IntMatrix.identity(a.rows))
-    right = _Workspace(IntMatrix.identity(a.cols))
-
-    def row_add(src, dst, c):  # w[dst] += c*w[src]
-        w.add_row(src, dst, c)
-        left.add_row(src, dst, c)
-
-    def col_add(src, dst, c):  # wcol[dst] += c*wcol[src]
-        w.add_col(src, dst, c)
-        right.add_col(src, dst, c)
-
-    def move_to(t, pivot):
-        """Swap the pivot to (t, t) and make it positive."""
-        i, j = pivot
-        w.swap_rows(t, i)
-        left.swap_rows(t, i)
-        w.swap_cols(t, j)
-        right.swap_cols(t, j)
-        if w.get(t, t) < 0:
-            w.scale_row(t, -1)
-            left.scale_row(t, -1)
-
-    for t in range(min(a.rows, a.cols)):
-        pivot = _smallest_entry(w, t)
-        if pivot is None:
-            break
-        move_to(t, pivot)
+    row, col = _rows_and_columns(a)
+    row = dict(sorted(row.items()))  # rows only ever leave, so they stay in order
+    left = {i: {i: 1} for i in range(a.rows)}    # i -> row i of left
+    right = {j: {j: 1} for j in range(a.cols)}   # j -> column j of right
+    pivots = []
+    while row:
+        i0, j0 = _least_entry(row)
         while True:
-            p = w.get(t, t)
-            progressed = False
-            for i in [i for i in w.col.get(t, set()) if i > t]:
-                row_add(t, i, -(w.get(i, t) // p))
-                if w.get(i, t):
-                    progressed = True
-            for j in [j for j in w.row.get(t, {}) if j > t]:
-                col_add(t, j, -(w.get(t, j) // p))
-                if w.get(t, j):
-                    progressed = True
-            if progressed:
-                # leftover remainders are smaller than p; re-pivot on one
-                move_to(t, _smallest_entry(w, t))
+            p = row[i0][j0]
+            for i, c in [(i, -(row[i][j0] // p)) for i in col[j0] if i != i0]:
+                _add_row(row, i0, i, c, col)
+                _add_row(left, i0, i, c)
+            prow = row[i0]
+            for j, c in [(j, -(v // p)) for j, v in prow.items() if j != j0 and v // p]:
+                for i in col[j0]:  # column j += c * column j0
+                    r = row[i]
+                    x = r.get(j, 0) + c * r[j0]
+                    if x:
+                        if j not in r:
+                            col[j].add(i)
+                        r[j] = x
+                    else:
+                        del r[j]
+                        col[j].discard(i)
+                _add_row(right, j0, j, c)
+            if len(prow) > 1 or len(col[j0]) > 1:
+                i0, j0 = _least_entry(row)  # the remainders are smaller than p
                 continue
-            # row/col t cleared; enforce divisibility of the remaining block
-            bad = next((i for i in sorted(w.row) if i > t
-                        and any(j > t and v % p for j, v in w.row[i].items())), None)
+            bad = next((i for i, r in row.items() if any(v % p for v in r.values())), None)
             if bad is None:
                 break
-            row_add(bad, t, 1)  # drag the non-divisible entry into row t
+            _add_row(row, bad, i0, 1, col)  # bring an entry p does not divide into its row
+            _add_row(left, bad, i0, 1)
+        del row[i0], col[j0]
+        pivots.append((i0, j0, p))
 
-    return SnfDecomposition(left.to_matrix(), w.to_matrix(), right.to_matrix())
+    rows = [i for i, _, _ in pivots]
+    rows += sorted(set(range(a.rows)).difference(rows))
+    cols = [j for _, j, _ in pivots]
+    cols += sorted(set(range(a.cols)).difference(cols))
+    for i, _, p in pivots:
+        if p < 0:
+            left[i] = {k: -v for k, v in left[i].items()}
+    return SnfDecomposition(
+        IntMatrix._of(a.rows, a.rows, {t: left[i] for t, i in enumerate(rows)}),
+        IntMatrix._of(a.rows, a.cols, {t: {t: abs(p)} for t, (_, _, p) in enumerate(pivots)}),
+        IntMatrix._of(a.cols, a.cols, {t: right[j] for t, j in enumerate(cols)}).transpose())
 
 
 def kernel_basis(a: IntMatrix):

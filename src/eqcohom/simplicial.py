@@ -943,14 +943,15 @@ def bar_homotopy_complex(bl: BarLevels):
     return SimplicialHomotopyCochainComplex(bl.P, grades, ranks, cofaces, codegens, f, {})
 
 
-# The largest bar construction a query may build, counted by bar_size:
-# the cells of the normalized bar total complex plus the tuples of the full
-# tables that the simplicial-identity check tabulates.  It counts every row
-# of the top degree, though bar_complex builds only its generator rows: a
-# deliberate overcount, kept so that the inputs it accepts stay the same.
-# The largest tier-1 and benchmark inputs need about 25 000.  Near the budget
-# a query takes seconds and over a hundred megabytes: H^6 of symmetric:3 on a
-# point needs 433 579 (degrees 0..7) and took 5.6 s of process time and
+# The largest bar construction a query may build, counted by bar_size and
+# bar_levels: the cells of the normalized bar total complex, the tuples of
+# the full tables that the simplicial-identity check tabulates, and the
+# relations that it compares.  It counts every row of the top degree, though
+# bar_complex builds only its generator rows: a deliberate overcount, kept
+# so that the inputs it accepts stay the same.  The largest tier-1 and
+# benchmark inputs need about 25 000.  Near the budget a query takes seconds
+# and over a hundred megabytes: H^6 of symmetric:3 on a point needs 433 886
+# (degrees 0..7, 307 of them relations) and took 5.6 s of process time and
 # 133 MB max RSS through the CLI in a fresh process on a 2-core host
 # (Python 3.11), of which bar_levels, the identity check of levels 0..7,
 # took 1.6 s and 128 MB.  With every top row built it took 19 s and 264 MB.
@@ -979,10 +980,17 @@ def bar_size(act: GAction, top):
 
 def bar_levels(act: GAction, P) -> BarLevels:
     """The bar levels 0..P of act.  Before anything is built, raises
-    BarComplexTooLarge when their bar complex in degrees 0..P and the
-    identity check's tables are over BAR_BUDGET together.  The check reads
-    at least max(P + 1, |G|^P) tuples, so a P past BAR_BUDGET, or past its
-    bit length for |G| > 1, is refused without the exact count."""
+    BarComplexTooLarge when their bar complex in degrees 0..P, the identity
+    check's tables and the relations it compares are over BAR_BUDGET
+    together.  The check reads at least max(P + 1, |G|^P) tuples, so a P
+    past BAR_BUDGET, or past its bit length for |G| > 1, is refused without
+    the exact count.
+
+    Level p has p(p + 1) relations d_i s_j and, from level 2 on, p(p + 1)/2
+    relations d_i d_j and p(p - 1)/2 relations s_i s_j: 2 at level 1 and
+    2p^2 + p above, P(P + 1)(4P + 5)/6 - 1 over levels 1..P.  Each compares
+    two maps on all |G|^p tuples, so the count binds only where the tuples
+    are few: the trivial group, whose levels hold one tuple each."""
     m = act.group.order
     if P >= BAR_BUDGET or (m > 1 and P > BAR_BUDGET.bit_length()):
         raise BarComplexTooLarge(
@@ -990,12 +998,13 @@ def bar_levels(act: GAction, P) -> BarLevels:
             f"0..{P}: the identity check reads at least "
             f"{f'{m}^{P}' if m > 1 else P + 1} tuples, over the budget of {BAR_BUDGET}")
     cells, tuples = bar_size(act, P)
-    if cells + tuples > BAR_BUDGET:
+    relations = max(P * (P + 1) * (4 * P + 5) // 6 - 1, 0)
+    if cells + tuples + relations > BAR_BUDGET:
         raise BarComplexTooLarge(
             f"{act.group.name or 'the group'} on {act.space.name or 'the space'} in degrees "
             f"0..{P}: the normalized bar complex has {cells} cells and the identity check "
-            f"reads {tuples} tuples, {cells + tuples} together, over the budget of "
-            f"{BAR_BUDGET}")
+            f"reads {tuples} tuples and compares {relations} relations, "
+            f"{cells + tuples + relations} together, over the budget of {BAR_BUDGET}")
     return BarLevels(act, P)
 
 

@@ -110,6 +110,18 @@ def test_query_over_the_bar_budget_exits_3_before_any_work(capsys, monkeypatch):
     assert f"{cells} cells" in err and f"{tuples} tuples" in err and str(BAR_BUDGET) in err
 
 
+def test_trivial_group_at_degree_1000_exits_3_before_any_work(capsys, monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a bar construction was started over the budget")
+
+    monkeypatch.setattr(BarLevels, "__init__", no_build)
+    code, out, err = invoke(capsys, "cohomology", "--group", "cyclic:1",
+                            "--space", "point", "--degrees", "1000")
+    # one tuple per level, but 2p^2 + p relations at level p of 0..1001
+    assert code == EXIT_PRECONDITION and out == ""
+    assert "0..1001" in err and "compares 670172502 relations" in err
+
+
 def test_job_file(tmp_path, capsys):
     job = {"command": "verify", "suite": "lens", "format": "json"}
     path = tmp_path / "job.json"

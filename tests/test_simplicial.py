@@ -317,12 +317,48 @@ def test_bar_levels_over_the_budget_fail_before_any_work(monkeypatch):
 
     monkeypatch.setattr(BarLevels, "__init__", no_build)
     act = GAction.trivial(FiniteGroup.cyclic(2), CellComplex.point())
-    # 20 cells for C2, but 2^20 - 1 tuples for the identity check of levels 0..19
+    # 20 cells for C2, but 2^20 - 1 tuples for the identity check of levels
+    # 0..19, which also compares 5129 relations
     assert bar_size(act, 19) == (20, 2 ** 20 - 1)
     for call in (lambda: bar_levels(act, 19), lambda: equivariant_cohomology(act, 18)):
         with pytest.raises(BarComplexTooLarge) as err:
             call()
-        assert isinstance(err.value, InvalidAction) and "1048595" in str(err.value)
+        assert isinstance(err.value, InvalidAction) and "1053724" in str(err.value)
+
+
+def test_trivial_group_refused_by_its_relation_count(monkeypatch):
+    # the trivial group's levels hold one tuple each, but its identity check
+    # compares 2p^2 + p relations at level p: the count stops it past level 90
+    built = []
+    monkeypatch.setattr(BarLevels, "__init__", lambda self, act, P: built.append((act.name, P)))
+    trivial = GAction.trivial(FiniteGroup.cyclic(1), CellComplex.point())
+    for call, top in [(lambda: bar_levels(trivial, 1001), 1001),
+                      (lambda: equivariant_cohomology(trivial, 1000), 1001),
+                      (lambda: bar_levels(trivial, 91), 91)]:
+        with pytest.raises(BarComplexTooLarge) as err:
+            call()
+        relations = top * (top + 1) * (4 * top + 5) // 6 - 1
+        assert f"compares {relations} relations" in str(err.value)
+    assert built == []
+    # near the cut, and the largest inputs of the CLI's checks, stay accepted:
+    # H^6 of S3 on a point reads levels 0..7 and H^15 of C2 on circle:12
+    # levels 0..16
+    accepted = [(trivial, 90), (GAction.trivial(FiniteGroup.symmetric(3), CellComplex.point()), 7),
+                (GAction.trivial(FiniteGroup.cyclic(2), CellComplex.circle(12)), 16)]
+    for act, top in accepted:
+        bar_levels(act, top)
+    assert built == [(act.name, top) for act, top in accepted]
+
+
+def test_relation_count_is_what_the_identity_check_compares(monkeypatch):
+    compared = []
+    real_same_map = simplicial._same_map
+    monkeypatch.setattr(simplicial, "_same_map",
+                        lambda *args: compared.append(1) or real_same_map(*args))
+    for top in range(8):
+        compared.clear()
+        BarLevels(GAction.trivial(FiniteGroup.cyclic(1), CellComplex.point()), top)
+        assert len(compared) == max(top * (top + 1) * (4 * top + 5) // 6 - 1, 0)
 
 
 def test_absurd_tops_refused_without_their_exact_count(monkeypatch):
