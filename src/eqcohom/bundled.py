@@ -16,9 +16,9 @@ from .deligne import SuppliedCorners, corner_table, flat_equivariant_chern_class
 from .linalg import IntMatrix
 
 
-def s3_conjugation_double_complex(p_max=6) -> DoubleComplex:
+def s3_conjugation_double_complex() -> DoubleComplex:
     """Cellular bar double complex of the conjugation action of the 3-sphere
-    on itself, with one 0-cell and one 3-cell per factor.
+    on itself, with one 0-cell and one 3-cell per factor, at levels 0..6.
 
     Level p of the bar object is (S^3)^p x S^3; its 3-cells put the 3-cell
     in exactly one factor, giving p+1 of them, and there is a single 0-cell.
@@ -27,6 +27,7 @@ def s3_conjugation_double_complex(p_max=6) -> DoubleComplex:
     the fixed point.  The resulting boundaries reproduce the known values
     d^(0) = 0 and d^(1)(a, b) = (0, 0, b) on the 3-column.
     """
+    p_max = 6
     ranks = {}
     horiz = {}
     vert = {}
@@ -69,9 +70,6 @@ def s3_conjugation_double_complex(p_max=6) -> DoubleComplex:
                 entries[key] = entries.get(key, 0) + (-1) ** j
         vert[(p, 3)] = IntMatrix(p + 2, p + 1, {k: v for k, v in entries.items() if v})
     return DoubleComplex(p_max, 3, ranks, horiz, vert)
-
-
-S3_TABLE = {0: "R", 1: "0", 2: "0", 3: "R", 4: "R"}
 
 
 @dataclass

@@ -46,7 +46,7 @@ class LieAlgebra:
     """Structure constants [X_b, X_c] = sum_a c[a][b][c] X_a, all rational
     (held through _exact)."""
 
-    def __init__(self, dim, structure=None, basis_names=None):
+    def __init__(self, dim, structure=None):
         self.dim = dim
         if structure is None:
             structure = {}
@@ -55,7 +55,6 @@ class LieAlgebra:
             v = _exact(v)
             if v:
                 self.structure[(a, b, c)] = v
-        self.basis_names = basis_names or [f"X{i + 1}" for i in range(dim)]
         self._validate()
 
     def c(self, a, b, c):
@@ -89,11 +88,7 @@ class LieAlgebra:
         for (a, b, c) in [(2, 0, 1), (0, 1, 2), (1, 2, 0)]:
             structure[(a, b, c)] = 1
             structure[(a, c, b)] = -1
-        return cls(3, structure, basis_names=["X1", "X2", "X3"])
-
-    def to_json_obj(self):
-        return {"dim": self.dim,
-                "structure": [[a, b, c, str(v)] for (a, b, c), v in sorted(self.structure.items())]}
+        return cls(3, structure)
 
     @classmethod
     def from_json_obj(cls, obj):
@@ -174,14 +169,6 @@ class LinearAction:
                     + [[0] * m + [corner * (r == c) for c in range(extra)] for r in range(extra)])
         return LinearAction(self.lie_algebra, [pad(mat, 0) for mat in self.rep],
                             [(pad(g, 1), ad) for g, ad in self.finite_elements])
-
-    def to_json_obj(self):
-        return {"lie_algebra": self.lie_algebra.to_json_obj(),
-                "rep": [[[str(v) for v in row] for row in m] for m in self.rep],
-                "finite_elements": [
-                    ([[str(v) for v in row] for row in g],
-                     [[str(v) for v in row] for row in ad])
-                    for g, ad in self.finite_elements]}
 
     @classmethod
     def from_json_obj(cls, obj):
@@ -592,11 +579,11 @@ def total_lie(act: LinearAction, a, omega: EquivariantForm) -> EquivariantForm:
     return EquivariantForm._of(omega.num_u, num_x, out)
 
 
-def group_transform(act: LinearAction, omega: EquivariantForm, g, ad):
+def group_transform(omega: EquivariantForm, g, ad):
     """The action of a group element: pull the form back along x -> g^{-1} x
     and twist the u variables by Ad_{g^{-1}}.  g and ad are inverted on
-    every call; invariance under the finite elements of act needs no inverse
-    (is_invariant)."""
+    every call; invariance under a LinearAction's finite elements needs no
+    inverse (is_invariant)."""
     g_inv = q_inverse(g)
     ad_inv = q_inverse(ad)
     if g_inv is None or ad_inv is None:

@@ -137,15 +137,6 @@ class IntCochainComplex:
     def __repr__(self):
         return f"IntCochainComplex(n_min={self.n_min}, ranks={self.ranks})"
 
-    def to_json_obj(self):
-        return {"n_min": self.n_min, "ranks": self.ranks,
-                "diffs": [d.to_json_obj() for d in self.diffs]}
-
-    @classmethod
-    def from_json_obj(cls, obj):
-        return cls(obj["n_min"], obj["ranks"],
-                   [IntMatrix.from_json_obj(d) for d in obj["diffs"]])
-
 
 @dataclass
 class ComplexMap:
@@ -173,16 +164,6 @@ class ComplexMap:
         if (m.rows, m.cols) != (self.target.rank(n), self.source.rank(n)):
             raise ValueError(f"component {n} has wrong shape")
         return m
-
-    def to_json_obj(self):
-        return {"source": self.source.to_json_obj(), "target": self.target.to_json_obj(),
-                "components": {str(n): m.to_json_obj() for n, m in self.components.items()}}
-
-    @classmethod
-    def from_json_obj(cls, obj):
-        return cls(IntCochainComplex.from_json_obj(obj["source"]),
-                   IntCochainComplex.from_json_obj(obj["target"]),
-                   {int(n): IntMatrix.from_json_obj(m) for n, m in obj["components"].items()})
 
 
 def cone(w) -> IntCochainComplex:
@@ -259,21 +240,6 @@ class DoubleComplex:
     def block_layout(self, n):
         """Anti-diagonal p+q = n as a list of (p, q, offset, rank), p ascending."""
         return anti_diagonal(n, self.p_max, self.rank)
-
-    def to_json_obj(self):
-        return {
-            "p_max": self.p_max, "q_max": self.q_max,
-            "ranks": [[p, q, r] for (p, q), r in sorted(self.ranks.items())],
-            "horizontal": [[p, q, m.to_json_obj()] for (p, q), m in sorted(self.horizontal.items())],
-            "vertical": [[p, q, m.to_json_obj()] for (p, q), m in sorted(self.vertical.items())],
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj):
-        return cls(obj["p_max"], obj["q_max"],
-                   {(p, q): r for p, q, r in obj["ranks"]},
-                   {(p, q): IntMatrix.from_json_obj(m) for p, q, m in obj["horizontal"]},
-                   {(p, q): IntMatrix.from_json_obj(m) for p, q, m in obj["vertical"]})
 
 
 def anti_diagonal(n, p_max, rank):
@@ -379,7 +345,7 @@ def _coords_in_kernel(kernel_cols, vec):
     return sol
 
 
-def induced_map_data(d_in_s, d_out_s, d_in_t, d_out_t, f_mid, f_check=None):
+def induced_map_data(d_in_s, d_out_s, d_in_t, d_out_t, f_mid):
     """Present H(source), H(target) and the induced map in kernel coordinates.
 
     Returns (rel_s, rel_t, fbar) where H_s = Z^{k_s}/im(rel_s) etc. and fbar

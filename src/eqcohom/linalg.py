@@ -466,32 +466,16 @@ def rank_q(a: IntMatrix) -> int:
                     best, i0, j0 = key, i, j
             if best == (False, 0) or scanned == _PIVOT_SCAN_COLUMNS:
                 break
-        prow = row.pop(i0)
-        p = prow.pop(j0)
-        old_counts = {j: len(col[j]) for j in prow}
+        prow = row[i0]
+        p = prow[j0]
+        old_counts = {j: len(col[j]) for j in prow if j != j0}
         old_counts[j0] = count
-        others = col.pop(j0)
-        others.discard(i0)
         for j in prow:
             col[j].discard(i0)
-        for i in others:
-            r = row[i]
-            c = r.pop(j0)
-            f = c // p if c % p == 0 else Fraction(c, p)
-            for j, pv in prow.items():
-                v = r.get(j)
-                if v is None:
-                    r[j] = -f * pv
-                    col[j].add(i)
-                else:
-                    v -= f * pv
-                    if v:
-                        r[j] = v
-                    else:
-                        del r[j]
-                        col[j].discard(i)
-            if not r:
-                del row[i]
+        for i in list(col[j0]):
+            c = row[i][j0]
+            _add_row(row, i0, i, -(c // p if c % p == 0 else Fraction(c, p)), col)
+        del row[i0], col[j0]
         for j, n in old_counts.items():
             bucket = buckets[n]
             bucket.discard(j)
@@ -565,10 +549,6 @@ class FgAbGroup:
 
     def to_json_obj(self):
         return {"free_rank": self.free_rank, "torsion": list(self.torsion)}
-
-    @classmethod
-    def from_json_obj(cls, obj):
-        return cls(obj["free_rank"], tuple(obj["torsion"]))
 
 
 def _group_from_cyclic_orders(orders, free_rank):
@@ -652,11 +632,6 @@ class StructuredCoefGroup:
             "vector_rank": self.vector_rank,
             "finite_part": self.finite_part.to_json_obj(),
         }
-
-    @classmethod
-    def from_json_obj(cls, obj):
-        return cls(obj["divisible_circle_rank"], obj["vector_rank"],
-                   FgAbGroup.from_json_obj(obj["finite_part"]))
 
 
 # ---------------------------------------------------------------------------

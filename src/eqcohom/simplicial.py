@@ -319,15 +319,6 @@ class CellComplex:
             bd[(i, i)] = bd.get((i, i), 0) - 1
         return cls([k, k], [IntMatrix(k, k, bd)], name=f"circle:{k}")
 
-    @classmethod
-    def interval(cls, k):
-        """k edges, k+1 vertices: a subdivided [0, 1]."""
-        bd = {}
-        for i in range(k):
-            bd[(i + 1, i)] = 1
-            bd[(i, i)] = -1
-        return cls([k + 1, k], [IntMatrix(k + 1, k, bd)], name=f"interval:{k}")
-
     def to_json_obj(self):
         return {"cells": self.cells, "boundaries": [b.to_json_obj() for b in self.boundaries]}
 
@@ -439,33 +430,6 @@ class GAction:
         perms = {g: [list(range(space.ncells(d))) for d in range(space.dim + 1)]
                  for g in group.elements()}
         return cls(group, space, perms, name="trivial")
-
-    @classmethod
-    def from_generator_perms(cls, group, space, gen_perms, gen_signs=None):
-        """Close generator data over the whole group by BFS on words."""
-        dims = space.dim + 1
-        ident = [list(range(space.ncells(d))) for d in range(dims)]
-        ident_s = [[1] * space.ncells(d) for d in range(dims)]
-        perms = {group.identity: ident}
-        signs = {group.identity: ident_s}
-        frontier = [group.identity]
-        while frontier:
-            nxt = []
-            for g in frontier:
-                for gen, gp in gen_perms.items():
-                    gs = (gen_signs or {}).get(gen, [[1] * space.ncells(d) for d in range(dims)])
-                    h = group.mul(gen, g)
-                    if h in perms:
-                        continue
-                    perms[h] = [[gp[d][perms[g][d][c]] for c in range(space.ncells(d))]
-                                for d in range(dims)]
-                    signs[h] = [[signs[g][d][c] * gs[d][perms[g][d][c]]
-                                 for c in range(space.ncells(d))] for d in range(dims)]
-                    nxt.append(h)
-            frontier = nxt
-        if len(perms) != group.order:
-            raise InvalidAction("generators do not reach the whole group")
-        return cls(group, space, perms, signs)
 
     @classmethod
     def points_action(cls, group, k, elem_perms, name=None):
@@ -661,7 +625,6 @@ class BarLevels:
         self.nondegenerate_counts = [(m - 1) ** p for p in range(P + 1)]
         self._face_tables = {}            # level -> its faces on all tuples
         self._degeneracy_tables = {}      # level -> its degeneracies on all tuples
-        self._nondegenerate = [[0]]       # level p -> its nondegenerate tuples
         if P > self.group.bar_checked_level:
             self.verify_simplicial_identities()
 
@@ -683,14 +646,6 @@ class BarLevels:
             degeneracies = _degeneracy_maps(p, self.group.order, self.group.identity)
             self._degeneracy_tables[p] = degeneracies
         return degeneracies[i]
-
-    def nondegenerate_tuples(self, p):
-        """The tuples of level p with no identity entry, in increasing order."""
-        m, e = self.group.order, self.group.identity
-        levels = self._nondegenerate
-        while len(levels) <= p:
-            levels.append([t * m + g for t in levels[-1] for g in range(m) if g != e])
-        return levels[p]
 
     def nondegenerate_face_table(self, p, i):
         """Face i of the nondegenerate tuples of level p, a decorated map

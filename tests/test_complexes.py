@@ -49,11 +49,6 @@ def test_complex_validation():
     assert cx.cohomology(5) == FgAbGroup(0)
 
 
-def test_complex_json_roundtrip():
-    cx = IntCochainComplex(-1, [2, 1], [IntMatrix.from_rows([[3, 0]])])
-    assert IntCochainComplex.from_json_obj(cx.to_json_obj()) == cx
-
-
 # --- double complexes and totalization ---------------------------------------
 
 

@@ -22,6 +22,7 @@ from eqcohom.simplicial import (
     total_window,
 )
 from test_acceptance import _acceptance_actions
+from test_simplicial import _nondegenerate_tuples
 
 
 def assert_same_cohomology(act, n_max):
@@ -51,17 +52,15 @@ def test_normalized_cells_and_vertical_map_restrict_the_full_ones():
                 GAction.lens_sphere(3),
                 GAction.trivial(FiniteGroup.cyclic(4), CellComplex.circle(2))):
         bl = bar_levels(act, 3)
-        m, e = act.group.order, act.group.identity
+        m = act.group.order
         for p in range(4):
-            tuples = [t for t in range(m ** p)
-                      if all((t // m ** k) % m != e for k in range(p))]
-            assert bl.nondegenerate_tuples(p) == tuples
+            tuples = _nondegenerate_tuples(act.group, p)
             for q in range(act.space.dim + 1):
                 nq = act.space.ncells(q)
                 assert bl.normalized_cells(p, q) == (m - 1) ** p * nq
                 if p == 3:
                     continue
-                upper = bl.nondegenerate_tuples(p + 1)
+                upper = _nondegenerate_tuples(act.group, p + 1)
                 full = bl.full_vertical_matrix(p, q).to_rows()
                 keep_rows = [t * nq + c for t in upper for c in range(nq)]
                 keep_cols = [t * nq + c for t in tuples for c in range(nq)]

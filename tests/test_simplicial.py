@@ -135,10 +135,13 @@ def test_coset_action_needs_a_subgroup():
 
 
 def test_rotation_action_and_generator_closure():
+    # element g acts as the g-th power of the generator's shift
     act = GAction.cyclic_rotation_circle(5)
-    gen = {1: [[(c + 1) % 5 for c in range(5)], [(c + 1) % 5 for c in range(5)]]}
-    closed = GAction.from_generator_perms(act.group, act.space, gen)
-    assert closed.perms == act.perms
+    shift = [(c + 1) % 5 for c in range(5)]
+    power = list(range(5))
+    for g in range(5):
+        assert act.perms[g] == [power, power]
+        power = [shift[c] for c in power]
     assert act.orbit_count() == 1
 
 
@@ -231,6 +234,12 @@ def test_wrong_degeneracy_above_checked_levels_raises(monkeypatch):
 TABLE_GROUPS = [f"cyclic:{k}" for k in range(1, 7)] + ["symmetric:3", "dihedral:4", "quaternion:8"]
 
 
+def _nondegenerate_tuples(group, p):
+    """The tuples of level p with no identity entry, in increasing order."""
+    m, e = group.order, group.identity
+    return [t for t in range(m ** p) if all((t // m ** k) % m != e for k in range(p))]
+
+
 @pytest.mark.parametrize("name", TABLE_GROUPS)
 def test_tables_match_face_and_degeneracy_tuples(name):
     # the list-arithmetic tabulation against the per-tuple maps, levels <= 4
@@ -243,14 +252,14 @@ def test_tables_match_face_and_degeneracy_tuples(name):
             assert bl.degeneracy_table(p, i) == [bl.degeneracy_tuple(p, i, t) for t in tuples]
         if p == 0:
             continue
-        position = {t: r for r, t in enumerate(bl.nondegenerate_tuples(p - 1))}
+        position = {t: r for r, t in enumerate(_nondegenerate_tuples(group, p - 1))}
         for i in range(p + 1):
             codes, acts = bl.face_table(p, i)
             assert list(zip(codes, acts or [e] * len(codes))) == \
                 [bl.face_tuple(p, i, t) for t in tuples], (p, i)
             # over the nondegenerate tuples: positions, None where degenerate
             codes, acts = bl.nondegenerate_face_table(p, i)
-            want = [bl.face_tuple(p, i, t) for t in bl.nondegenerate_tuples(p)]
+            want = [bl.face_tuple(p, i, t) for t in _nondegenerate_tuples(group, p)]
             assert list(zip(codes, acts or [e] * len(codes))) == \
                 [(position.get(t2), g) for t2, g in want], (p, i)
 
