@@ -40,7 +40,6 @@ from .simplicial import (
     FiniteGroup,
     GAction,
     InvalidAction,
-    NotACover,
     equivariant_cohomology,
 )
 
@@ -50,7 +49,7 @@ EXIT_PRECONDITION = 3
 EXIT_INTERNAL = 4
 
 _MATH_ERRORS = (PositiveDimensionalInput, InvalidAction, CoefficientNotDivisible,
-                NotACover, CartanComplexTooLarge, LaneOverflow)
+                CartanComplexTooLarge, LaneOverflow)
 
 
 class SchemaError(Exception):

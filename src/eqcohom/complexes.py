@@ -1,13 +1,7 @@
-"""Cochain complexes, double complexes, cones and Bockstein machinery.
+"""Cochain complexes, double complexes and Bockstein machinery.
 
-Conventions fixed once and used everywhere:
-
-* double complexes store commuting squares (d dV == dV d); the sign
-  (-1)^q on the vertical map is inserted only at totalization;
-* the cone of w: A -> B lives on A^{n+1} (+) B^n with differential
-  (x, y) |-> (-d_A x, d_B y - w x);
-* simplicial homotopy cochain complexes totalize with dV + s + (-1)^p f,
-  where s lowers the level by one and raises the internal grade by two.
+Double complexes store commuting squares (d dV == dV d); the sign (-1)^q
+on the vertical map is inserted only at totalization (totalize).
 """
 
 from __future__ import annotations
@@ -22,19 +16,10 @@ from .linalg import (
     rank_q,
     reduce_complex,
     smith_normal_form,
-    solve_int,
 )
 
 
 class IllFormedDoubleComplex(Exception):
-    pass
-
-
-class NotChainMap(Exception):
-    pass
-
-
-class AxiomViolation(Exception):
     pass
 
 
@@ -138,58 +123,6 @@ class IntCochainComplex:
         return f"IntCochainComplex(n_min={self.n_min}, ranks={self.ranks})"
 
 
-@dataclass
-class ComplexMap:
-    """Degreewise map of cochain complexes, commuting with differentials."""
-
-    source: IntCochainComplex
-    target: IntCochainComplex
-    components: dict  # degree -> IntMatrix
-
-    def __post_init__(self):
-        lo = min(self.source.n_min, self.target.n_min)
-        hi = max(self.source.n_max, self.target.n_max)
-        for n in range(lo, hi + 1):
-            f_n = self.component(n)
-            f_next = self.component(n + 1)
-            lhs = self.target.differential(n) @ f_n
-            rhs = f_next @ self.source.differential(n)
-            if lhs != rhs:
-                raise NotChainMap(f"does not commute with d in degree {n}")
-
-    def component(self, n):
-        m = self.components.get(n)
-        if m is None:
-            return IntMatrix.zero(self.target.rank(n), self.source.rank(n))
-        if (m.rows, m.cols) != (self.target.rank(n), self.source.rank(n)):
-            raise ValueError(f"component {n} has wrong shape")
-        return m
-
-
-def cone(w) -> IntCochainComplex:
-    """Mapping cone of a chain map (or of a homotopy-complex morphism).
-
-    For w: A -> B the cone has degree-n module A^{n+1} (+) B^n and
-    differential (x, y) |-> (-d_A x, d_B y - w x); its square vanishes
-    because w is a chain map, which is re-verified here.
-    """
-    if isinstance(w, SHCMorphism):
-        return cone_homotopy(w).total()
-    a, b = w.source, w.target
-    n_min = min(a.n_min - 1, b.n_min)
-    n_max = max(a.n_max - 1, b.n_max)
-    ranks = [a.rank(n + 1) + b.rank(n) for n in range(n_min, n_max + 1)]
-    diffs = []
-    for n in range(n_min, n_max):
-        ra2, ra1 = a.rank(n + 2), a.rank(n + 1)
-        diffs.append(IntMatrix.from_blocks(ra2 + b.rank(n + 1), ra1 + b.rank(n), [
-            (0, 0, a.differential(n + 1), -1),
-            (ra2, ra1, b.differential(n), 1),
-            (ra2, 0, w.component(n + 1), -1),
-        ]))
-    return IntCochainComplex(n_min, ranks, diffs)
-
-
 # ---------------------------------------------------------------------------
 # double complexes
 
@@ -237,10 +170,6 @@ class DoubleComplex:
                 if self.vert(p, q + 1) @ d != self.horiz(p + 1, q) @ v:
                     raise IllFormedDoubleComplex(f"square at ({p},{q}) does not commute")
 
-    def block_layout(self, n):
-        """Anti-diagonal p+q = n as a list of (p, q, offset, rank), p ascending."""
-        return anti_diagonal(n, self.p_max, self.rank)
-
 
 def anti_diagonal(n, p_max, rank):
     """The bidegrees of total degree n = p + q, p = 0..p_max ascending, as
@@ -256,13 +185,12 @@ def anti_diagonal(n, p_max, rank):
     return out
 
 
-def totalize(n_lo, n_hi, p_max, rank, arrows):
+def totalize(n_lo, n_hi, p_max, rank, horiz, vert):
     """Ranks (a dict) of the total modules of degrees n_lo..n_hi of a
-    bigraded object, and its total differentials diffs[n], n_lo <= n < n_hi.
-
-    Each arrow (dp, dq, block, sign) maps bidegree (p, q) to
-    (p + dp, q + dq) by sign(p, q) * block(p, q).  A block is built only
-    where both of its ends have nonzero rank.
+    double complex, and its total differentials diffs[n], n_lo <= n < n_hi:
+    d + (-1)^q dV, with horiz(p, q): (p, q) -> (p, q + 1) and
+    vert(p, q): (p, q) -> (p + 1, q).  A block is built only where both of
+    its ends have nonzero rank.
     """
     layouts = {n: anti_diagonal(n, p_max, rank) for n in range(n_lo, n_hi + 1)}
     ranks = {n: sum(r for _, _, _, r in lay) for n, lay in layouts.items()}
@@ -271,10 +199,12 @@ def totalize(n_lo, n_hi, p_max, rank, arrows):
         t_off = {(p, q): off for p, q, off, _ in layouts[n + 1]}
         blocks = []
         for p, q, off, _ in layouts[n]:
-            for dp, dq, block, sign in arrows:
-                target = t_off.get((p + dp, q + dq))
-                if target is not None:
-                    blocks.append((target, off, block(p, q), sign(p, q)))
+            target = t_off.get((p, q + 1))
+            if target is not None:
+                blocks.append((target, off, horiz(p, q), 1))
+            target = t_off.get((p + 1, q))
+            if target is not None:
+                blocks.append((target, off, vert(p, q), (-1) ** q))
         diffs[n] = IntMatrix.from_blocks(ranks[n + 1], ranks[n], blocks)
     return ranks, diffs
 
@@ -284,390 +214,9 @@ def total_complex(dc: DoubleComplex) -> IntCochainComplex:
     if not isinstance(dc, DoubleComplex):
         raise IllFormedDoubleComplex("total_complex expects a DoubleComplex")
     n_max = dc.p_max + dc.q_max
-    ranks, diffs = totalize(0, n_max, dc.p_max, dc.rank,
-                            [(0, 1, dc.horiz, lambda p, q: 1),
-                             (1, 0, dc.vert, lambda p, q: (-1) ** q)])
+    ranks, diffs = totalize(0, n_max, dc.p_max, dc.rank, dc.horiz, dc.vert)
     return IntCochainComplex(0, [ranks[n] for n in range(n_max + 1)],
                              [diffs[n] for n in range(n_max)])
-
-
-@dataclass
-class DoubleComplexMap:
-    """Bidegreewise map of double complexes commuting with d and dV."""
-
-    source: DoubleComplex
-    target: DoubleComplex
-    components: dict  # (p, q) -> IntMatrix
-
-    def __post_init__(self):
-        pm = max(self.source.p_max, self.target.p_max)
-        qm = max(self.source.q_max, self.target.q_max)
-        for p in range(pm + 1):
-            for q in range(qm + 1):
-                f = self.component(p, q)
-                if self.target.horiz(p, q) @ f != self.component(p, q + 1) @ self.source.horiz(p, q):
-                    raise NotChainMap(f"horizontal square at ({p},{q})")
-                if self.target.vert(p, q) @ f != self.component(p + 1, q) @ self.source.vert(p, q):
-                    raise NotChainMap(f"vertical square at ({p},{q})")
-
-    def component(self, p, q):
-        m = self.components.get((p, q))
-        if m is None:
-            return IntMatrix.zero(self.target.rank(p, q), self.source.rank(p, q))
-        return m
-
-    def total_map(self) -> ComplexMap:
-        src = total_complex(self.source)
-        tgt = total_complex(self.target)
-        comps = {}
-        for n in range(max(src.n_max, tgt.n_max) + 1):
-            t_off = {(p, q): off for p, q, off, _ in self.target.block_layout(n)}
-            comps[n] = IntMatrix.from_blocks(tgt.rank(n), src.rank(n), [
-                (t_off[(p, q)], off, self.component(p, q), 1)
-                for p, q, off, _ in self.source.block_layout(n) if (p, q) in t_off])
-        return ComplexMap(src, tgt, comps)
-
-
-# ---------------------------------------------------------------------------
-# induced maps on cohomology and the two-pass quasi-isomorphism check
-
-
-def _coords_in_kernel(kernel_cols, vec):
-    """Coordinates of an integer vector in a basis of a kernel lattice.  The
-    basis (kernel_basis) spans a pure sublattice, so the vector has integral
-    coordinates exactly when it lies in the rational span, and they are
-    unique."""
-    m = IntMatrix.from_rows([[col[i] for col in kernel_cols] for i in range(len(vec))],
-                            cols=len(kernel_cols))
-    sol = solve_int(m, vec)
-    if sol is None:
-        raise ValueError("vector not in kernel span")
-    return sol
-
-
-def induced_map_data(d_in_s, d_out_s, d_in_t, d_out_t, f_mid):
-    """Present H(source), H(target) and the induced map in kernel coordinates.
-
-    Returns (rel_s, rel_t, fbar) where H_s = Z^{k_s}/im(rel_s) etc. and fbar
-    is the matrix of the induced map.
-    """
-    ker_s = kernel_basis(d_out_s)
-    ker_t = kernel_basis(d_out_t)
-    rel_s = _relations_in_kernel(ker_s, d_in_s)
-    rel_t = _relations_in_kernel(ker_t, d_in_t)
-    cols = []
-    for col in ker_s:
-        image = f_mid.apply(col)
-        cols.append(_coords_in_kernel(ker_t, image))
-    fbar = IntMatrix.from_rows(
-        [[cols[j][i] for j in range(len(cols))] for i in range(len(ker_t))],
-        cols=len(ker_s)) if ker_t else IntMatrix.zero(0, len(ker_s))
-    return rel_s, rel_t, fbar
-
-
-def _relations_in_kernel(kernel_cols, d_in):
-    cols = [_coords_in_kernel(kernel_cols, d_in.column(j)) for j in range(d_in.cols)]
-    if not kernel_cols:
-        return IntMatrix.zero(0, d_in.cols)
-    return IntMatrix.from_rows(
-        [[cols[j][i] for j in range(d_in.cols)] for i in range(len(kernel_cols))],
-        cols=d_in.cols)
-
-
-def is_iso_presented(rel_s: IntMatrix, rel_t: IntMatrix, fbar: IntMatrix) -> bool:
-    """Is Z^{k_s}/im(rel_s) -> Z^{k_t}/im(rel_t) via fbar an isomorphism?"""
-    k_s, k_t = fbar.cols, rel_t.rows
-
-    def beside(sign):  # [fbar | sign * rel_t]
-        return IntMatrix.from_blocks(k_t, k_s + rel_t.cols, [(0, 0, fbar, 1), (0, k_s, rel_t, sign)])
-
-    # surjective: [fbar | rel_t] has trivial cokernel
-    diag = smith_normal_form(beside(1)).s.diagonal()
-    if len([d for d in diag if d]) != k_t or any(d not in (0, 1) for d in diag):
-        return False
-    # injective: fbar x in im(rel_t) forces x in im(rel_s)
-    for col in kernel_basis(beside(-1)):
-        x = col[:k_s]
-        if solve_int(rel_s, x) is None:
-            return False
-    return True
-
-
-def is_iso_rational(d_in_s, d_out_s, d_in_t, d_out_t, f_mid) -> bool:
-    """Induced iso on cohomology over Q, by rank bookkeeping."""
-    dim_s = d_in_s.rows - rank_q(d_out_s) - rank_q(d_in_s)
-    dim_t = d_in_t.rows - rank_q(d_out_t) - rank_q(d_in_t)
-    if dim_s != dim_t:
-        return False
-    # dim of induced image = rank [f | d_in_t] - rank d_in_t, restricted to cycles
-    cycles = IntMatrix.from_rows(kernel_basis(d_out_s), cols=d_out_s.cols).transpose()
-    images = f_mid @ cycles
-    image_dim = rank_q(IntMatrix.from_blocks(d_in_t.rows, images.cols + d_in_t.cols, [
-        (0, 0, images, 1), (0, images.cols, d_in_t, 1)])) - rank_q(d_in_t)
-    return image_dim == dim_s
-
-
-@dataclass
-class QuasiIsoVerdict:
-    rowwise: bool
-    total: bool
-    rowwise_detail: dict
-    total_detail: dict
-
-
-def quasi_iso_by_rows(dmap: DoubleComplexMap, direction="vertical", field="Z",
-                      p_limit=None, n_limit=None) -> QuasiIsoVerdict:
-    """Executable instance of the two-pass spectral-sequence lemma.
-
-    First checks that the map is an isomorphism on cohomology taken in one
-    direction at every bidegree, then independently checks the induced map
-    of total complexes degreewise.  Both verdicts are reported; the lemma
-    says the first implies the second.
-
-    p_limit / n_limit restrict the checked bidegrees and total degrees: a
-    truncation of an unbounded object (a bar construction, say) has inflated
-    cohomology along its cut row, which is not evidence against the lemma.
-    """
-    src, tgt = dmap.source, dmap.target
-    pm = max(src.p_max, tgt.p_max)
-    qm = max(src.q_max, tgt.q_max)
-    if p_limit is not None:
-        pm = min(pm, p_limit)
-    rowwise_detail = {}
-    ok_rows = True
-    for p in range(pm + 1):
-        for q in range(qm + 1):
-            if direction == "vertical":
-                din_s, dout_s = src.vert(p - 1, q), src.vert(p, q)
-                din_t, dout_t = tgt.vert(p - 1, q), tgt.vert(p, q)
-            else:
-                din_s, dout_s = src.horiz(p, q - 1), src.horiz(p, q)
-                din_t, dout_t = tgt.horiz(p, q - 1), tgt.horiz(p, q)
-            f = dmap.component(p, q)
-            if field == "Q":
-                ok = is_iso_rational(din_s, dout_s, din_t, dout_t, f)
-            else:
-                ok = is_iso_presented(*induced_map_data(din_s, dout_s, din_t, dout_t, f))
-            rowwise_detail[(p, q)] = ok
-            ok_rows = ok_rows and ok
-    tmap = dmap.total_map()
-    total_detail = {}
-    ok_total = True
-    top = max(tmap.source.n_max, tmap.target.n_max)
-    if n_limit is not None:
-        top = min(top, n_limit)
-    for n in range(top + 1):
-        din_s, dout_s = tmap.source.differential(n - 1), tmap.source.differential(n)
-        din_t, dout_t = tmap.target.differential(n - 1), tmap.target.differential(n)
-        f = tmap.component(n)
-        if field == "Q":
-            ok = is_iso_rational(din_s, dout_s, din_t, dout_t, f)
-        else:
-            ok = is_iso_presented(*induced_map_data(din_s, dout_s, din_t, dout_t, f))
-        total_detail[n] = ok
-        ok_total = ok_total and ok
-    return QuasiIsoVerdict(ok_rows, ok_total, rowwise_detail, total_detail)
-
-
-# ---------------------------------------------------------------------------
-# simplicial homotopy cochain complexes
-
-
-class SimplicialHomotopyCochainComplex:
-    """Levels p = 0..P of graded modules with cofaces, codegeneracies, a
-    grade-raising map f and a homotopy s = (s_i) killing f^2.
-
-    Gradings: coface[(p, i)][q]: M^{p,q} -> M^{p+1,q} for i = 0..p+1,
-    codegeneracy[(p, i)][q]: M^{p+1,q} -> M^{p,q} for i = 0..p,
-    f[(p, q)]: M^{p,q} -> M^{p,q+1},
-    s[(p, i)][q]: M^{p,q} -> M^{p-1,q+2} for i = 0..p-1.
-
-    The aggregate maps dV = sum (-1)^i coface_i and s = sum (-1)^i s_i
-    satisfy s dV + dV s = -f^2, s f = f s, s^2 = 0.
-    """
-
-    def __init__(self, p_max, grades, ranks, cofaces, codegens, f, s):
-        self.p_max = p_max
-        self.grades = sorted(grades)
-        self.ranks = dict(ranks)
-        self.cofaces = {k: dict(v) for k, v in cofaces.items()}
-        self.codegens = {k: dict(v) for k, v in codegens.items()}
-        self.f = dict(f)
-        self.s = {k: dict(v) for k, v in s.items()}
-        self.validate()
-
-    def rank(self, p, q):
-        if 0 <= p <= self.p_max:
-            return self.ranks.get((p, q), 0)
-        return 0
-
-    def coface(self, p, i, q):
-        m = self.cofaces.get((p, i), {}).get(q)
-        return m if m is not None else IntMatrix.zero(self.rank(p + 1, q), self.rank(p, q))
-
-    def codegen(self, p, i, q):
-        m = self.codegens.get((p, i), {}).get(q)
-        return m if m is not None else IntMatrix.zero(self.rank(p, q), self.rank(p + 1, q))
-
-    def f_map(self, p, q):
-        m = self.f.get((p, q))
-        return m if m is not None else IntMatrix.zero(self.rank(p, q + 1), self.rank(p, q))
-
-    def s_single(self, p, i, q):
-        m = self.s.get((p, i), {}).get(q)
-        return m if m is not None else IntMatrix.zero(self.rank(p - 1, q + 2), self.rank(p, q))
-
-    def boundary(self, p, q):
-        """dV = sum of (-1)^i cofaces: M^{p,q} -> M^{p+1,q}."""
-        out = IntMatrix.zero(self.rank(p + 1, q), self.rank(p, q))
-        for i in range(p + 2):
-            m = self.coface(p, i, q)
-            out = out + (m if i % 2 == 0 else m.scale(-1))
-        return out
-
-    def s_map(self, p, q):
-        """s = sum of (-1)^i s_i: M^{p,q} -> M^{p-1,q+2}."""
-        out = IntMatrix.zero(self.rank(p - 1, q + 2), self.rank(p, q))
-        for i in range(p):
-            m = self.s_single(p, i, q)
-            out = out + (m if i % 2 == 0 else m.scale(-1))
-        return out
-
-    def validate(self):
-        qs = self.grades
-        for p in range(self.p_max - 1):
-            for q in qs:
-                for j in range(p + 3):
-                    for i in range(j):
-                        # coface relation D_j D_i = D_i D_{j-1}
-                        lhs = self.coface(p + 1, j, q) @ self.coface(p, i, q)
-                        rhs = self.coface(p + 1, i, q) @ self.coface(p, j - 1, q)
-                        if lhs != rhs:
-                            raise AxiomViolation(
-                                f"simplicial identities: cofaces ({i},{j}) at level {p}, grade {q}")
-        for p in range(self.p_max):
-            for q in qs:
-                for i in range(p + 2):
-                    for j in range(p + 1):
-                        lhs = self.codegen(p, j, q) @ self.coface(p, i, q)
-                        if i < j:
-                            rhs = self.coface(p - 1, i, q) @ self.codegen(p - 1, j - 1, q)
-                        elif i in (j, j + 1):
-                            rhs = IntMatrix.identity(self.rank(p, q))
-                        else:
-                            rhs = self.coface(p - 1, i - 1, q) @ self.codegen(p - 1, j, q)
-                        if lhs != rhs:
-                            raise AxiomViolation(
-                                f"simplicial identities: mixed ({i},{j}) at level {p}, grade {q}")
-        for p in range(self.p_max + 1):
-            for q in qs:
-                # s dV + dV s = -f^2 (at the top level the s dV term is empty)
-                lhs = (self.s_map(p + 1, q) @ self.boundary(p, q)
-                       + self.boundary(p - 1, q + 2) @ self.s_map(p, q))
-                rhs = (self.f_map(p, q + 1) @ self.f_map(p, q)).scale(-1)
-                if lhs != rhs:
-                    raise AxiomViolation(f"s dV + dV s = -f^2 at level {p}, grade {q}")
-                # s f = f s
-                if (self.s_map(p, q + 1) @ self.f_map(p, q)
-                        != self.f_map(p - 1, q + 2) @ self.s_map(p, q)):
-                    raise AxiomViolation(f"sf = fs at level {p}, grade {q}")
-                # s^2 = 0
-                if not self.s_map(p - 1, q + 2).product_is_zero(self.s_map(p, q)):
-                    raise AxiomViolation(f"s^2 = 0 at level {p}, grade {q}")
-                # f is a map of simplicial modules
-                if p < self.p_max:
-                    if (self.f_map(p + 1, q) @ self.boundary(p, q)
-                            != self.boundary(p, q + 1) @ self.f_map(p, q)):
-                        raise AxiomViolation(f"f dV = dV f at level {p}, grade {q}")
-
-    def total(self) -> IntCochainComplex:
-        """Total complex with boundary dV + s + (-1)^p f; square-zero verified."""
-        degrees = sorted({p + q for (p, q) in self.ranks})
-        if not degrees:
-            return IntCochainComplex(0, [0], [])
-        n_min, n_max = degrees[0], degrees[-1]
-        ranks, diffs = totalize(n_min, n_max, self.p_max, self.rank, [
-            (1, 0, self.boundary, lambda p, q: 1),
-            (-1, 2, self.s_map, lambda p, q: 1),
-            (0, 1, self.f_map, lambda p, q: (-1) ** p),
-        ])
-        for n in range(n_min, n_max - 1):
-            if not diffs[n + 1].product_is_zero(diffs[n]):
-                raise AxiomViolation(f"homotopy total differential fails d^2 = 0 at {n}")
-        return IntCochainComplex(n_min, [ranks[n] for n in range(n_min, n_max + 1)],
-                                 [diffs[n] for n in range(n_min, n_max)], check=False)
-
-
-@dataclass
-class SHCMorphism:
-    """Grading-preserving map of homotopy complexes commuting with the
-    simplicial structure, f and s."""
-
-    source: SimplicialHomotopyCochainComplex
-    target: SimplicialHomotopyCochainComplex
-    components: dict  # (p, q) -> IntMatrix
-
-    def __post_init__(self):
-        src, tgt = self.source, self.target
-        for p in range(src.p_max + 1):
-            for q in set(src.grades) | set(tgt.grades):
-                w = self.component(p, q)
-                if p < src.p_max:
-                    for i in range(p + 2):
-                        if tgt.coface(p, i, q) @ w != self.component(p + 1, q) @ src.coface(p, i, q):
-                            raise NotChainMap(f"coface {i} at ({p},{q})")
-                if tgt.f_map(p, q) @ w != self.component(p, q + 1) @ src.f_map(p, q):
-                    raise NotChainMap(f"f at ({p},{q})")
-                if tgt.s_map(p, q) @ w != self.component(p - 1, q + 2) @ src.s_map(p, q):
-                    raise NotChainMap(f"s at ({p},{q})")
-
-    def component(self, p, q):
-        m = self.components.get((p, q))
-        return m if m is not None else IntMatrix.zero(self.target.rank(p, q), self.source.rank(p, q))
-
-
-def cone_homotopy(w: SHCMorphism) -> SimplicialHomotopyCochainComplex:
-    """Cone of a morphism of homotopy complexes: grade k holds
-    F^{p,k+1} (+) F'^{p,k}, boundary blocks (-f, -w; 0, f'), homotopy diag(s, s')."""
-    a, b = w.source, w.target
-    p_max = min(a.p_max, b.p_max)
-    grades = sorted({q - 1 for q in a.grades} | set(b.grades))
-    ranks = {}
-    for p in range(p_max + 1):
-        for k in grades:
-            r = a.rank(p, k + 1) + b.rank(p, k)
-            if r:
-                ranks[(p, k)] = r
-
-    def diag(a_map, b_map, p, i):
-        """{k: diag(a_map(p, i, k + 1), b_map(p, i, k))} over the grades,
-        0 x 0 blocks left out."""
-        out = {}
-        for k in grades:
-            x, y = a_map(p, i, k + 1), b_map(p, i, k)
-            if x.rows + y.rows or x.cols + y.cols:
-                out[k] = IntMatrix.from_blocks(x.rows + y.rows, x.cols + y.cols,
-                                               [(0, 0, x, 1), (x.rows, x.cols, y, 1)])
-        return out
-
-    cofaces = {(p, i): diag(a.coface, b.coface, p, i)
-               for p in range(p_max) for i in range(p + 2)}
-    codegens = {(p, i): diag(a.codegen, b.codegen, p, i)
-                for p in range(p_max) for i in range(p + 1)}
-    s = {(p, i): diag(a.s_single, b.s_single, p, i)
-         for p in range(1, p_max + 1) for i in range(p)}
-    f = {}
-    for p in range(p_max + 1):
-        for k in grades:
-            ra1, ra0 = a.rank(p, k + 2), a.rank(p, k + 1)
-            rows, cols = ra1 + b.rank(p, k + 1), ra0 + b.rank(p, k)
-            if rows and cols:
-                f[(p, k)] = IntMatrix.from_blocks(rows, cols, [
-                    (0, 0, a.f_map(p, k + 1), -1),
-                    (ra1, ra0, b.f_map(p, k), 1),
-                    (ra1, 0, w.component(p, k + 1), -1),
-                ])
-    return SimplicialHomotopyCochainComplex(p_max, grades, ranks, cofaces, codegens, f, s)
 
 
 # ---------------------------------------------------------------------------

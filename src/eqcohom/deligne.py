@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 
 from .complexes import (
     DoubleComplex,
@@ -31,8 +30,6 @@ from .linalg import (
     IntMatrix,
     StructuredCoefGroup,
     coefficient_change,
-    kernel_basis,
-    solve_int,
 )
 from .simplicial import GAction, bar_complex, bar_levels, total_window
 
@@ -110,8 +107,7 @@ class MixedComplex:
     differential one degree down (as for n >= 1 in deligne_cone) has its
     rank read there.  Every block is an IntMatrix: the cone differential
     has integer entries even where it acts on rational cochains, so every
-    rank is taken in exact integer arithmetic.  Only the chain-level check
-    (is_coboundary) carries Fractions, in its vectors.
+    rank is taken in exact integer arithmetic.
 
     Nothing maps out of the rational part into the integral part, so the
     rational columns form a subcomplex with an integral quotient.
@@ -207,25 +203,6 @@ class MixedComplex:
             free_rank=h_int.free_rank - rho_here,
             torsion=h_int.torsion_part(),
         )
-
-    # -- chain level
-
-    def is_coboundary(self, k, x, v):
-        """Does (x, v) = d(y, w) have a solution with y integral, w rational?
-
-        With r the integral functionals killing im S (r S = 0), a rational w
-        with v - Q y = S w exists exactly when r (v - Q y) = 0.  So y must
-        solve [P; N r Q] y = [x; N r v] over Z, N clearing the denominators
-        of r v: one integer solve.
-        """
-        p, q = self.p_block(k - 1), self.q_block(k - 1)
-        r = kernel_basis(self.s_block(k - 1).transpose())
-        rv = [sum(ri * Fraction(vi) for ri, vi in zip(row, v)) for row in r]
-        scale = lcm(*(val.denominator for val in rv))
-        rq = (IntMatrix.from_rows(r, cols=q.rows) @ q).scale(scale)
-        stacked = IntMatrix.from_blocks(p.rows + rq.rows, p.cols,
-                                        [(0, 0, p, 1), (p.rows, 0, rq, 1)])   # [P; N r Q]
-        return solve_int(stacked, list(x) + [int(val * scale) for val in rv]) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -754,158 +731,3 @@ def flat_equivariant_chern_class(p, q) -> Fraction:
     if not bundle.pairing_kills_coboundaries():
         raise ValueError("evaluation cycle is not closed")
     return bundle.pairing_with_fundamental_cycle()
-
-
-# ---------------------------------------------------------------------------
-# homotopy formula on [0,1] x (points)
-
-
-@dataclass
-class IntervalModel:
-    """[0,1] x M for a 0-dimensional G-space M: per component (tuple, point)
-    a subdivided interval with K edges carrying piecewise polynomial data of
-    degree <= D.  Functions are continuous piecewise polynomials encoded as
-    (vertex values, bubble coefficients s^e - s per edge)."""
-
-    act: GAction
-    K: int
-    D: int
-
-    def fn_dim_per_component(self):
-        return (self.K + 1) + self.K * (self.D - 1)
-
-    # function basis per component: K+1 vertex hats, then (edge, e) bubbles
-    # with 2 <= e <= D; one-form basis: (edge, e) monomials s^e ds, 0 <= e < D
-
-
-def _fn_eval(model: IntervalModel, coeffs, t):
-    """Evaluate a single-component function at global t in [0, 1]."""
-    K, D = model.K, model.D
-    t = Fraction(t)
-    if t == 1:
-        edge, s = K - 1, Fraction(1)
-    else:
-        scaled = t * K
-        edge = int(scaled)
-        s = scaled - edge
-    val = coeffs[edge] * (1 - s) + coeffs[edge + 1] * s
-    base = K + 1
-    for e in range(2, D + 1):
-        val += coeffs[base + edge * (D - 1) + (e - 2)] * (s ** e - s)
-    return val
-
-
-def _fn_d(model: IntervalModel, coeffs):
-    """Derivative of a component function, in the per-edge basis s^e ds
-    (s the local edge coordinate, running over [0, 1] on each edge)."""
-    K, D = model.K, model.D
-    out = [Fraction(0)] * (K * D)
-    for edge in range(K):
-        out[edge * D + 0] += coeffs[edge + 1] - coeffs[edge]
-        base = K + 1
-        for e in range(2, D + 1):
-            c = coeffs[base + edge * (D - 1) + (e - 2)]
-            out[edge * D + (e - 1)] += c * e
-            out[edge * D + 0] += -c
-    return out
-
-
-def _one_form_integral(model: IntervalModel, form):
-    """Integral over the component: each edge contributes its s-integral."""
-    K, D = model.K, model.D
-    total = Fraction(0)
-    for edge in range(K):
-        for e in range(D):
-            total += form[edge * D + e] * Fraction(1, e + 1)
-    return total
-
-
-def homotopy_formula_check(act: GAction, cocycle=None, rng=None):
-    """Verify i_1^* x - i_0^* x = a(integral of R(x)) for a Deligne cocycle
-    of degree 1 on [0,1] x M with 0-dimensional M, the interval cut into 2
-    edges carrying polynomials of degree <= 3.
-
-    Degree 1 is the only interesting degree over an interval of points:
-    higher form degrees vanish on the 1-complex in the quotient direction
-    and the statement degenerates.  A cocycle is (omega, eta, z)
-    with omega the one-form slot, eta the function slot and z the integral
-    level-1 slot, subject to omega = d eta, del eta = -z and del z = 0.
-    Returns (holds, details).
-    """
-    if act.space.dim > 0:
-        raise PositiveDimensionalInput("the interval model extends a 0-dimensional space")
-    model = IntervalModel(act, 2, 3)
-    n0 = act.space.ncells(0)
-    fdim = model.fn_dim_per_component()
-    if cocycle is None:
-        cocycle = _random_interval_cocycle(model, rng)
-    eta, z = cocycle  # eta: per point-component function coeffs; z: per (g, m)
-    # cocycle conditions (omega := d eta is forced by the cone relation)
-    for g in act.group.elements():
-        for m in range(n0):
-            gm = act.perms[g][0][m]
-            # del eta (g, m) = eta(m) - eta(gm) must equal -z(g, m), constant
-            diff = [eta[m][i] - eta[gm][i] for i in range(fdim)]
-            const = diff[0]
-            for t in (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1)):
-                if _fn_eval(model, diff, t) != const:
-                    return False, "eta equivariance defect is not constant"
-            if const != -z[(g, m)]:
-                return False, "del eta != -z"
-    for g1 in act.group.elements():
-        for g2 in act.group.elements():
-            for m in range(n0):
-                g2m = act.perms[g2][0][m]
-                lhs = z[(g2, m)] - z[(act.group.mul(g1, g2), m)] + z[(g1, g2m)]
-                if lhs != 0:
-                    return False, "z is not a group cocycle"
-    # both sides as degree-1 cocycles over the points; their integral slots
-    # are 0 (the z-slots of i_1 and i_0 cancel), so only the real slots differ
-    v_diff = [_fn_eval(model, eta[m], 1) - _fn_eval(model, eta[m], 0) for m in range(n0)]
-    # a(integral of R): R(x) = omega = d eta, fiber integral per component
-    integral = [_one_form_integral(model, _fn_d(model, eta[m])) for m in range(n0)]
-    diff_v = [a - b for a, b in zip(v_diff, integral)]
-    ok = True
-    if any(diff_v):
-        # still allowed: equality as cohomology classes
-        mixed = build_deligne_mixed(act, 1).mixed
-        ok = mixed.is_coboundary(1, [0] * mixed.int_rank(1), diff_v)
-    return ok, {"i1_minus_i0": v_diff, "a_of_integral": integral}
-
-
-def _random_interval_cocycle(model: IntervalModel, rng):
-    import random as _random
-    rng = rng or _random.Random(0)
-    act = model.act
-    n0 = act.space.ncells(0)
-    fdim = model.fn_dim_per_component()
-    # integer offsets along orbits give the z-part; a base polynomial per orbit
-    base = {}
-    offset = {}
-    seen = set()
-    for m in range(n0):
-        if m in seen:
-            continue
-        poly = [Fraction(rng.randint(-3, 3)) for _ in range(fdim)]
-        orbit = []
-        for g in act.group.elements():
-            gm = act.perms[g][0][m]
-            if gm not in seen:
-                seen.add(gm)
-                orbit.append(gm)
-        for idx, gm in enumerate(sorted(orbit)):
-            base[gm] = poly
-            offset[gm] = rng.randint(-2, 2) if idx else 0
-    # shift every vertex value by the integer offset: eta(m) - eta(gm) is
-    # then the constant offset difference, an integer, as required
-    eta = {}
-    for m in range(n0):
-        eta[m] = list(base[m])
-        for i in range(model.K + 1):
-            eta[m][i] = eta[m][i] + offset[m]
-    z = {}
-    for g in act.group.elements():
-        for m in range(n0):
-            gm = act.perms[g][0][m]
-            z[(g, m)] = -(offset[m] - offset[gm])
-    return eta, z

@@ -12,12 +12,11 @@ I.5): level p of them has (|G|-1)^p copies of the cells of M, one per tuple
 over G \\ {e}.  Their inclusion into the full cochains is a chain homotopy
 equivalence over Z, in each column of the double complex, so the total
 complexes have the same cohomology with any coefficients.  The full double
-complex stays as the test oracle and for the cosimplicial helpers.
+complex stays as the test oracle and for the group-averaging helpers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, permutations, repeat
 from operator import add
@@ -36,10 +35,6 @@ class InvalidAction(Exception):
 
 
 class CoefficientNotDivisible(Exception):
-    pass
-
-
-class NotACover(Exception):
     pass
 
 
@@ -607,8 +602,8 @@ class BarLevels:
     order, and a q-cell (r, c) is flattened as r * ncells(q) + c with r the
     position of the tuple; their faces are the group's
     normalized_bar_faces, _face_maps over G \\ {e}.  The full cochains
-    (cells, face_pullback, full_vertical_matrix, full_horizontal_matrix)
-    serve the cosimplicial helpers and the tests.
+    (cells, full_vertical_matrix, full_horizontal_matrix) serve the
+    group-averaging helpers and the tests.
     """
 
     def __init__(self, act: GAction, P):
@@ -702,11 +697,6 @@ class BarLevels:
         low = t % (m ** low_count)
         high = t // (m ** low_count)
         return (high * m + self.group.identity) * (m ** low_count) + low
-
-    def face_cell(self, p, i, q, t, c):
-        t2, g = self.face_tuple(p, i, t)
-        c2, sign = self.act.act_cell(g, q, c)
-        return t2, c2, sign
 
     def verify_simplicial_identities(self):
         """Exhaustive check of all simplicial relations on decorated tuples.
@@ -846,7 +836,7 @@ class BarLevels:
                                       for k, r in enumerate(rows)])
 
     def full_vertical_matrix(self, p, q):
-        """dV on the full cochains: the alternating sum of face_pullback(p, i, q)."""
+        """dV on the full cochains: the alternating sum of the face pullbacks."""
         if p + 1 > self.P:
             return IntMatrix.zero(0, self.cells(p, q))
         return self._coface_sum(
@@ -857,45 +847,11 @@ class BarLevels:
         """Cellular cochain d on the full cochains, blockwise over all tuples."""
         return _block_diagonal(self.space.coboundary(q), self.tuple_counts[p])
 
-    def degeneracy_pullback(self, p, i, q):
-        """sigma_i^*: C^q(level p+1) -> C^q(level p)."""
-        nq = self.space.ncells(q)
-        return IntMatrix(self.cells(p, q), self.cells(p + 1, q),
-                         {(t * nq + c, t2 * nq + c): 1
-                          for t, t2 in enumerate(self.degeneracy_table(p, i))
-                          for c in range(nq)})
-
-    def face_pullback(self, p, i, q):
-        """d_i^*: C^q(level p) -> C^q(level p+1), a single face pullback."""
-        return self._coface_sum(q, [(1, self.face_table(p + 1, i))],
-                                self.cells(p + 1, q), self.cells(p, q))
-
 
 def _block_diagonal(m: IntMatrix, copies):
     """copies copies of m down the diagonal, one per bar tuple."""
     return IntMatrix.from_blocks(copies * m.rows, copies * m.cols,
                                  [(t * m.rows, t * m.cols, m, 1) for t in range(copies)])
-
-
-def bar_homotopy_complex(bl: BarLevels):
-    """The finite-group degeneration of the bar-type resolution: levels are
-    bar cochains, cofaces the face pullbacks, f the cellular coboundary and
-    the homotopy s = 0 (the Lie algebra is zero for a finite group)."""
-    from .complexes import SimplicialHomotopyCochainComplex
-
-    space = bl.space
-    grades = list(range(space.dim + 1))
-    ranks = {(p, q): bl.cells(p, q) for p in range(bl.P + 1) for q in grades}
-    cofaces = {}
-    codegens = {}
-    for p in range(bl.P):
-        for i in range(p + 2):
-            cofaces[(p, i)] = {q: bl.face_pullback(p, i, q) for q in grades}
-        for i in range(p + 1):
-            codegens[(p, i)] = {q: bl.degeneracy_pullback(p, i, q) for q in grades}
-    f = {(p, q): bl.full_horizontal_matrix(p, q)
-         for p in range(bl.P + 1) for q in range(space.dim)}
-    return SimplicialHomotopyCochainComplex(bl.P, grades, ranks, cofaces, codegens, f, {})
 
 
 # The largest bar construction a query may build, counted by bar_size and
@@ -993,8 +949,7 @@ def total_window(bl: BarLevels, n_lo, n_hi):
     dim = bl.space.dim
     return totalize(max(n_lo, 0), n_hi, bl.P,
                     lambda p, q: bl.normalized_cells(p, q) if 0 <= q <= dim else 0,
-                    [(0, 1, bl.horizontal_matrix, lambda p, q: 1),
-                     (1, 0, bl.vertical_matrix, lambda p, q: (-1) ** q)])
+                    bl.horizontal_matrix, bl.vertical_matrix)
 
 
 def bar_complex(bl: BarLevels, top) -> IntCochainComplex:
@@ -1042,10 +997,9 @@ def _top_degree(bl: BarLevels, top):
             return bl.normalized_cells(p, q)
         return len(bl.leading_tuples(p, firsts)) * bl.space.ncells(q)
 
-    ranks, diffs = totalize(
-        top - 1, top, bl.P, rank,
-        [(0, 1, lambda p, q: bl.horizontal_matrix(p, q, firsts), lambda p, q: 1),
-         (1, 0, lambda p, q: bl.vertical_matrix(p, q, firsts), lambda p, q: (-1) ** q)])
+    ranks, diffs = totalize(top - 1, top, bl.P, rank,
+                            lambda p, q: bl.horizontal_matrix(p, q, firsts),
+                            lambda p, q: bl.vertical_matrix(p, q, firsts))
     return ranks[top], diffs[top - 1]
 
 
@@ -1115,187 +1069,3 @@ def group_average(bl: BarLevels, p, q, cochain, over="Q"):
             else:
                 out.append(Fraction(total, m))
     return out
-
-
-# ---------------------------------------------------------------------------
-# simplicial covers
-
-
-@dataclass
-class SimplicialCover:
-    """Derived covers U^(p) indexed by A^{p+1}, refining the bar levels.
-
-    members[p][alpha] is the set of (q, t, c) cells of level p in the
-    derived cover set; alpha is a (p+1)-tuple of base indices.
-    """
-
-    bl: BarLevels
-    base: list           # list of subcomplexes: dict q -> frozenset of cell ids
-    members: dict        # p -> {alpha: frozenset((q, t, c))}
-
-    def index_face(self, alpha, i):
-        return alpha[:i] + alpha[i + 1:]
-
-    def index_degeneracy(self, alpha, i):
-        return alpha[:i + 1] + (alpha[i],) + alpha[i + 1:]
-
-
-def _subcomplex_closed(space: CellComplex, cells_by_dim):
-    for q in range(1, space.dim + 1):
-        faces = cells_by_dim.get(q - 1, frozenset())
-        boundary_rows = space.boundary(q).transpose()  # row c: the faces of cell c
-        for c in cells_by_dim.get(q, frozenset()):
-            if not boundary_rows.row(c).keys() <= faces:
-                return False
-    return True
-
-
-def simplicial_cover(bl: BarLevels, base_cover, P=None) -> SimplicialCover:
-    """Derived simplicial cover of G^. x M from a base cover by subcomplexes.
-
-    base_cover: list of dicts q -> iterable of cell indices.  The derived
-    sets are U^(p)_alpha = intersections of face preimages; the index sets
-    A^{p+1} with delete/double maps form a simplicial set.
-    """
-    if P is None:
-        P = bl.P
-    space = bl.space
-    base = [{q: frozenset(sub.get(q, ())) for q in range(space.dim + 1)} for sub in base_cover]
-    for sub in base:
-        if not _subcomplex_closed(space, sub):
-            raise NotACover("base cover set is not closed under the cellular boundary")
-    covered = {q: set() for q in range(space.dim + 1)}
-    for sub in base:
-        for q, cs in sub.items():
-            covered[q].update(cs)
-    for q in range(space.dim + 1):
-        if covered[q] != set(range(space.ncells(q))):
-            raise NotACover(f"base cover misses {q}-cells")
-
-    members = {0: {}}
-    for a, sub in enumerate(base):
-        cells = set()
-        for q, cs in sub.items():
-            for c in cs:
-                cells.add((q, 0, c))
-        members[0][(a,)] = frozenset(cells)
-
-    n_base = len(base)
-    for p in range(1, P + 1):
-        members[p] = {}
-        alphas = _tuples(n_base, p + 1)
-        for alpha in alphas:
-            cells = set()
-            for q in range(space.dim + 1):
-                for t in range(bl.tuple_counts[p]):
-                    for c in range(space.ncells(q)):
-                        ok = True
-                        for i in range(p + 1):
-                            t2, c2, _ = bl.face_cell(p, i, q, t, c)
-                            beta = alpha[:i] + alpha[i + 1:]
-                            if (q, t2, c2) not in members[p - 1][beta]:
-                                ok = False
-                                break
-                        if ok:
-                            cells.add((q, t, c))
-            members[p][alpha] = frozenset(cells)
-        union = set().union(*members[p].values()) if members[p] else set()
-        expect = {(q, t, c) for q in range(space.dim + 1)
-                  for t in range(bl.tuple_counts[p]) for c in range(space.ncells(q))}
-        if union != expect:
-            raise NotACover(f"derived cover misses cells at level {p}")
-    cover = SimplicialCover(bl, base, members)
-    _verify_cover_invariants(cover, P)
-    return cover
-
-
-def _tuples(n, length):
-    out = [()]
-    for _ in range(length):
-        out = [t + (a,) for t in out for a in range(n)]
-    return out
-
-
-def _verify_cover_invariants(cover: SimplicialCover, P):
-    bl = cover.bl
-    for p in range(1, P + 1):
-        for alpha, cells in cover.members[p].items():
-            for i in range(p + 1):
-                beta = cover.index_face(alpha, i)
-                target = cover.members[p - 1][beta]
-                for (q, t, c) in cells:
-                    t2, c2, _ = bl.face_cell(p, i, q, t, c)
-                    if (q, t2, c2) not in target:
-                        raise NotACover(f"face {i} leaves the derived cover at level {p}")
-    for p in range(P):
-        for alpha, cells in cover.members[p].items():
-            for i in range(p + 1):
-                gamma = cover.index_degeneracy(alpha, i)
-                target = cover.members[p + 1].get(gamma, frozenset())
-                for (q, t, c) in cells:
-                    t2 = bl.degeneracy_tuple(p, i, t)
-                    if (q, t2, c) not in target:
-                        raise NotACover(f"degeneracy {i} leaves the derived cover at level {p}")
-
-
-def is_refinement(cover_v: SimplicialCover, cover_u: SimplicialCover, r, P=None):
-    """Does V refine U via the index map r (V_b inside U_{r(b)}), compatibly
-    with all face maps on derived covers?"""
-    if P is None:
-        P = min(max(cover_v.members), max(cover_u.members))
-    for p in range(P + 1):
-        for alpha, cells in cover_v.members[p].items():
-            image = tuple(r[a] for a in alpha)
-            if image not in cover_u.members[p]:
-                return False
-            if not cells <= cover_u.members[p][image]:
-                return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# functoriality: equivariant cellular maps induce maps of double complexes
-
-
-@dataclass
-class EquivariantCellMap:
-    """Cellular map of G-spaces commuting with the action (same group)."""
-
-    source: GAction
-    target: GAction
-    cell_map: list  # per dimension, list of target cell indices
-    cell_sign: list = None
-
-    def __post_init__(self):
-        if self.cell_sign is None:
-            self.cell_sign = [[1] * self.source.space.ncells(d)
-                              for d in range(self.source.space.dim + 1)]
-        src, tgt = self.source, self.target
-        if src.group.table != tgt.group.table:
-            raise InvalidAction("equivariant maps need the same group")
-        for g in src.group.elements():
-            for d in range(src.space.dim + 1):
-                for c in range(src.space.ncells(d)):
-                    gc, s1 = src.act_cell(g, d, c)
-                    lhs = (self.cell_map[d][gc], s1 * self.cell_sign[d][gc])
-                    fc = self.cell_map[d][c]
-                    gfc, s2 = tgt.act_cell(g, d, fc)
-                    rhs = (gfc, self.cell_sign[d][c] * s2)
-                    if lhs != rhs:
-                        raise InvalidAction("cell map is not equivariant")
-        for d in range(1, src.space.dim + 1):
-            if (tgt.space.boundary(d) @ self.chain_matrix(d)
-                    != self.chain_matrix(d - 1) @ src.space.boundary(d)):
-                raise InvalidAction("cell map does not commute with the boundary")
-
-    def chain_matrix(self, d):
-        n_s = self.source.space.ncells(d)
-        n_t = self.target.space.ncells(d)
-        return IntMatrix(n_t, n_s,
-                         {(self.cell_map[d][c], c): self.cell_sign[d][c] for c in range(n_s)})
-
-    def bar_cochain_pullback(self, p, q):
-        """f^* on the normalized q-cochains of level p, from M' to M,
-        blockwise over the nondegenerate tuples."""
-        return _block_diagonal(self.chain_matrix(q).transpose(),
-                               (self.source.group.order - 1) ** p)

@@ -20,12 +20,9 @@ from eqcohom.simplicial import (
     BarLevels,
     CellComplex,
     CoefficientNotDivisible,
-    EquivariantCellMap,
     FiniteGroup,
     GAction,
     InvalidAction,
-    NotACover,
-    bar_homotopy_complex,
     BAR_BUDGET,
     BarComplexTooLarge,
     bar_levels,
@@ -33,8 +30,6 @@ from eqcohom.simplicial import (
     cellular_double_complex,
     equivariant_cohomology,
     group_average,
-    is_refinement,
-    simplicial_cover,
     total_window,
     vertical_apply,
 )
@@ -606,69 +601,7 @@ def test_group_average_integer_divisibility():
     assert group_average(bl, 1, 0, [2, 4, 6, 8], over="Z") == [4, 6]
 
 
-# --- simplicial covers -------------------------------------------------------------
-
-
-def test_cover_by_whole_space():
-    act = GAction.swap_two_points()
-    bl = bar_levels(act, 2)
-    cover = simplicial_cover(bl, [{0: [0, 1]}], P=2)
-    for p in range(3):
-        for alpha, cells in cover.members[p].items():
-            assert len(cells) == bl.cells(p, 0)
-
-
-def test_cover_two_singletons_level_one():
-    act = GAction.swap_two_points()
-    bl = bar_levels(act, 1)
-    cover = simplicial_cover(bl, [{0: [0]}, {0: [1]}], P=1)
-    # U^(1)_(a0, a1) = {(g, x): x in U_{a1}, g x in U_{a0}} (d0 projects, d1 acts)
-    # tuples: t = g; cells (q=0, t, c)
-    for (a0, a1), cells in cover.members[1].items():
-        for (q, t, c) in cells:
-            assert c == a1
-            gc = act.perms[t][0][c]
-            assert gc == a0
-        assert len(cells) == 1  # exactly one (g, x) per index pair
-
-
-def test_cover_missing_cell_rejected():
-    act = GAction.swap_two_points()
-    bl = bar_levels(act, 1)
-    with pytest.raises(NotACover):
-        simplicial_cover(bl, [{0: [0]}], P=1)
-
-
-def test_refinement_commutes_with_faces():
-    act = GAction.trivial(FiniteGroup.cyclic(2), CellComplex.points(2))
-    bl = bar_levels(act, 2)
-    coarse = simplicial_cover(bl, [{0: [0, 1]}], P=2)
-    fine = simplicial_cover(bl, [{0: [0]}, {0: [1]}], P=2)
-    assert is_refinement(fine, coarse, {0: 0, 1: 0})
-
-
-# --- functoriality ------------------------------------------------------------------
-
-
-def test_equivariant_inclusion_induces_chain_map():
-    group = FiniteGroup.cyclic(2)
-    tgt = GAction.points_action(group, 4, {0: [0, 1, 2, 3], 1: [1, 0, 3, 2]})
-    src = GAction.points_action(group, 2, {0: [0, 1], 1: [1, 0]})
-    f = EquivariantCellMap(src, tgt, [[0, 1]])
-    bl_s = bar_levels(src, 2)
-    bl_t = bar_levels(tgt, 2)
-    for p in range(2):
-        pull_p = f.bar_cochain_pullback(p, 0)
-        pull_p1 = f.bar_cochain_pullback(p + 1, 0)
-        assert pull_p1 @ bl_t.vertical_matrix(p, 0) == bl_s.vertical_matrix(p, 0) @ pull_p
-
-
-def test_non_equivariant_map_rejected():
-    group = FiniteGroup.cyclic(2)
-    tgt = GAction.points_action(group, 2, {0: [0, 1], 1: [1, 0]})
-    src = GAction.trivial(group, CellComplex.points(2))
-    with pytest.raises(InvalidAction):
-        EquivariantCellMap(src, tgt, [[0, 1]])
+# --- lens spaces ---------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -699,54 +632,3 @@ def test_lens_pattern_bockstein_is_iso_at_two():
     assert [order for _rep, order in gens] == [p]
     ok, image, torsion = bockstein_image_matches_torsion(cx, 2)
     assert ok and image == FgAbGroup(0, (p,)) == torsion
-
-
-# --- the invariant row is a rational quasi-isomorphism --------------------------------
-
-
-def test_invariant_row_inclusion_is_rational_quasi_iso():
-    # the inclusion of the invariant cochains of M as the p = 0 row of the
-    # bar double complex: the group-averaging contraction kills the higher
-    # vertical cohomology over Q, so both verdicts of the two-pass check are
-    # positive below the truncation row
-    from eqcohom.complexes import DoubleComplex, DoubleComplexMap, quasi_iso_by_rows
-
-    act = GAction.swap_two_points()
-    bl = bar_levels(act, 3)
-    target = cellular_double_complex(bl)
-    # invariant 0-cochains of two swapped points: the diagonal
-    src = DoubleComplex(3, 0, {(0, 0): 1}, {}, {})
-    incl = IntMatrix.from_rows([[1], [1]])
-    dmap = DoubleComplexMap(src, target, {(0, 0): incl})
-    verdict = quasi_iso_by_rows(dmap, direction="vertical", field="Q",
-                                p_limit=2, n_limit=2)
-    assert verdict.rowwise and verdict.total
-
-
-def test_quasi_iso_truncation_row_is_inflated_without_window():
-    # the same map fails at the cut row, which is the truncation artifact the
-    # window parameters exist for
-    from eqcohom.complexes import DoubleComplex, DoubleComplexMap, quasi_iso_by_rows
-
-    act = GAction.swap_two_points()
-    bl = bar_levels(act, 2)
-    target = cellular_double_complex(bl)
-    src = DoubleComplex(2, 0, {(0, 0): 1}, {}, {})
-    incl = IntMatrix.from_rows([[1], [1]])
-    dmap = DoubleComplexMap(src, target, {(0, 0): incl})
-    verdict = quasi_iso_by_rows(dmap, direction="vertical", field="Q")
-    assert not verdict.rowwise_detail[(2, 0)]
-
-
-# --- Getzler degeneration for finite groups ------------------------------------------
-
-
-def test_bar_homotopy_complex_reduces_to_double_total():
-    act = GAction.swap_two_points()
-    bl = bar_levels(act, 2)
-    shc = bar_homotopy_complex(bl)  # validates all cosimplicial identities
-    tot_h = shc.total()
-    tot_d = total_complex(cellular_double_complex(bl))
-    assert tot_h.ranks == tot_d.ranks
-    for n in range(tot_h.n_max + 1):
-        assert tot_h.cohomology(n) == tot_d.cohomology(n)
