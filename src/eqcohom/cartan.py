@@ -16,7 +16,6 @@ V_a(x) = rep(X_a) x.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, combinations_with_replacement, product
@@ -765,47 +764,17 @@ def fiber_integrate_interval(omega: EquivariantForm) -> EquivariantForm:
 
 
 # ---------------------------------------------------------------------------
-# shuffles and the finite-group comparison map
-
-
-@dataclass(frozen=True)
-class ShuffleIndex:
-    l: int
-    p: int
-    permutation: tuple  # pi(1..p) as a tuple, 1-based values
-    sign: int
-
-    def __post_init__(self):
-        pi = self.permutation
-        if sorted(pi) != list(range(1, self.p + 1)):
-            raise ValueError("not a permutation of 1..p")
-        if list(pi[:self.l]) != sorted(pi[:self.l]) or \
-                list(pi[self.l:]) != sorted(pi[self.l:]):
-            raise ValueError("monotonicity runs violated")
-        if self.sign != _parity(pi):
-            raise ValueError("stored sign is not the parity")
+# permutation signs and the finite-group comparison map
 
 
 def _parity(pi):
+    """The sign of a permutation, by counting its inversions."""
     sign = 1
     for i in range(len(pi)):
         for j in range(i + 1, len(pi)):
             if pi[i] > pi[j]:
                 sign = -sign
     return sign
-
-
-def shuffle_set(l, p):
-    """All (l, p-l) shuffles with their signs; the count is binomial(p, l)."""
-    if not 0 <= l <= p:
-        raise ValueError("need 0 <= l <= p")
-    out = []
-    values = list(range(1, p + 1))
-    for first in combinations(values, l):
-        rest = tuple(v for v in values if v not in first)
-        pi = first + rest
-        out.append(ShuffleIndex(l, p, pi, _parity(pi)))
-    return out
 
 
 def getzler_dbar_matrix(bl, p, q):
@@ -864,16 +833,6 @@ def getzler_dbar_matrix(bl, p, q):
             c2, s = bl.act.act_cell(gp, q, c)
             add(t * nq + c, col_t * nq + c2, sign * s)
     return IntMatrix(rows, cols, {k: v for k, v in entries.items() if v})
-
-
-def getzler_map_finite(bl, p, q, cochain):
-    """For a finite group the comparison map is the identity on the
-    coordinates of C^q(G^p x M) = C^p(G, C^q(M)): all contraction terms
-    vanish with the Lie algebra, and the only shuffle is the identity."""
-    expected = bl.cells(p, q)
-    if len(cochain) != expected:
-        raise ValueError("cochain length does not match the level")
-    return list(cochain)
 
 
 def getzler_chain_map_check(bl, p, q):

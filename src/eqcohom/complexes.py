@@ -40,8 +40,9 @@ class IntCochainComplex:
     is read off its reduction (reduced), computed once and kept, so no
     degree read reduces anything again.  A complex is the one owner of the
     factorizations of its differentials: differential_rank(n) and smith(n)
-    compute the rank over Q and the Smith form of d^n at the first read and
-    keep them, so no second read factors anything.
+    compute the rank over Q and the Smith form of a stored d^n at the first
+    read and keep them, shared with its views (upto), so no second read
+    factors anything.
     """
 
     def __init__(self, n_min, ranks, diffs, check=True):
@@ -79,17 +80,43 @@ class IntCochainComplex:
             return self.diffs[k]
         return IntMatrix.zero(self.rank(n + 1), self.rank(n))
 
+    def _stored(self, n):
+        """Whether d^n is one of the stored differentials."""
+        return 0 <= n - self.n_min < len(self.diffs)
+
     def differential_rank(self, n) -> int:
-        """The rank over Q of d^n, taken at the first read and kept."""
+        """The rank over Q of d^n, taken at the first read and kept.  Only
+        stored differentials are kept: outside them d^n is zero here, but a
+        complex this one is a view of (upto) may hold a nonzero d^n there."""
+        if not self._stored(n):
+            return rank_q(self.differential(n))
         if n not in self._rank_q:
             self._rank_q[n] = rank_q(self.differential(n))
         return self._rank_q[n]
 
     def smith(self, n):
-        """The Smith form of d^n, taken at the first read and kept."""
+        """The Smith form of d^n, taken at the first read and kept, for
+        stored differentials only (differential_rank)."""
+        if not self._stored(n):
+            return smith_normal_form(self.differential(n))
         if n not in self._smith:
             self._smith[n] = smith_normal_form(self.differential(n))
         return self._smith[n]
+
+    def upto(self, top):
+        """The view of degrees n_min..top: the same differential objects
+        below top, d^top zero, and the ranks and Smith forms kept here
+        shared, so that no matrix is factored twice between the two.  The
+        complex itself when top reaches n_max."""
+        if top >= self.n_max:
+            return self
+        k = max(top - self.n_min + 1, 0)
+        view = IntCochainComplex(self.n_min, self.ranks[:k], self.diffs[:max(k - 1, 0)],
+                                 check=False)
+        view.checked = self.checked
+        view._is_reduced = self._is_reduced
+        view._rank_q, view._smith = self._rank_q, self._smith
+        return view
 
     def cohomology(self, n) -> FgAbGroup:
         """H^n off the reduced complex: the invariant factors of the Smith

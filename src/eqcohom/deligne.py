@@ -276,25 +276,27 @@ def build_deligne_mixed(act: GAction, n) -> DeligneComplexData:
 def differential_cohomology_zero_dim(act: GAction, n) -> DiffCohGroup:
     """H^n of the Deligne cone D(n), split by divisibility.
 
-    The cone is built over the unit-pivot reduced normalized bar complex
-    (bar_complex) in degrees 0..n+1, from bar levels 0..n+1 (the levels it
-    reads, the only ones built and checked).  It gives the H^n of the cone
-    over the full bar complex: H^n reads only cone degrees n-1..n+1, which
-    hold cochains of degree <= n+1, and both the inclusion of the
-    normalized cochains and unit-pivot reduction are chain homotopy
-    equivalences over Z that stay ones after tensoring with Q.  They
-    commute with Z -> Q and with the sigma^{>=n} slot, which over a
-    0-dimensional space is all of C (x) Q for n = 0 and zero for n >= 1, so
-    the cones are quasi-isomorphic.  Degree n+1 holds only the generator
-    rows (bar_complex): its d^n has the kernel of the full one over Z, and
-    the cone's H^n reads d^n only through that kernel.
+    The cone is built over degrees 0..n+1 (IntCochainComplex.upto) of the
+    unit-pivot reduced normalized bar complex kept on the action
+    (GAction.reduced_bar), which is built from bar levels 0..n+1 only when
+    no kept complex reaches degree n+1.  It gives the H^n of the cone over
+    the full bar complex: H^n reads only cone degrees n-1..n+1, which hold
+    cochains of degree <= n+1, and both the inclusion of the normalized
+    cochains and unit-pivot reduction are chain homotopy equivalences over
+    Z that stay ones after tensoring with Q.  They commute with Z -> Q and
+    with the sigma^{>=n} slot, which over a 0-dimensional space is all of
+    C (x) Q for n = 0 and zero for n >= 1, so the cones are
+    quasi-isomorphic.  Degree n+1 holds the full degree of a kept complex
+    with a higher top, or only the generator rows (bar_complex): either
+    way d^n has the kernel of the full one over Z, and the cone's H^n reads
+    d^n only through that kernel.
     """
     if act.space.dim > 0:
         raise PositiveDimensionalInput(
             "positive-dimensional cells: use hexagon() with supplied form corners")
     if n < 0:
         return DiffCohGroup()
-    return deligne_cone(bar_complex(bar_levels(act, n + 1), n + 1).reduced(), n).cohomology(n)
+    return deligne_cone(act.reduced_bar(n + 1).upto(n + 1), n).cohomology(n)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +385,7 @@ def hexagon(act, n, supplied: SuppliedCorners = None) -> HexagonReport:
     both commuting squares, by rank computations.
 
     For 0-dimensional spaces (see _hexagon_zero_dim) Ĥ^n comes from the
-    bar construction of act, levels 0..n+1, and H^{n-1}(Z), H^n(Z) and the
+    bar construction of act, degrees 0..n+1, and H^{n-1}(Z), H^n(Z) and the
     Bockstein data from the stabilizers of its orbits on a point (Shapiro's
     lemma), each summed over the orbits; when M is a single point the two
     come from the same complex.  The form corners at n <= 1 count the
@@ -391,9 +393,9 @@ def hexagon(act, n, supplied: SuppliedCorners = None) -> HexagonReport:
     diagonal_b and top_row at n <= 1 are computed; the left square holds
     by construction, top_row at n >= 2 compares two zero corners, and the
     right square is constant at n = 0 and restates bottom_row above it
-    (the report's notes say so).  Each bar construction builds and checks
-    levels 0..n+1 only, and its degree n+1 holds only the generator rows
-    (bar_complex): only ker d^n enters the degrees read.
+    (the report's notes say so).  Each bar complex is the one kept on its
+    action (GAction.reduced_bar), built from levels 0..n+1 only when no
+    kept complex reaches degree n+1: only ker d^n enters the degrees read.
     Positive-dimensional actions must supply their double complex (the
     form corners then enter as labels with their cocycle data checked).  A
     negative degree raises ValueError.
@@ -443,10 +445,12 @@ def _integral_corners(act: GAction, n, cx: IntCochainComplex) -> _IntegralCorner
     over its orbits by Shapiro's lemma (GAction.orbit_stabilizers).
 
     Each distinct stabilizer H contributes the corners of the reduced
-    normalized bar complex of H on a point in degrees 0..n+1, built once.
-    When M is a single point, Shapiro is the identity and H is G itself:
-    the corners are then read from `cx`, the reduced bar complex of act in
-    degrees 0..n+1 that the caller already holds.
+    normalized bar complex of H on a point that the stabilizer's action
+    keeps (GAction.reduced_bar), reaching at least degree n+1; the
+    stabilizer actions are kept on act, so a later degree reuses their
+    complexes.  When M is a single point, Shapiro is the identity and H is
+    G itself: the corners are then read from `cx`, the reduced bar complex
+    of act reaching at least degree n+1 that the caller already holds.
     """
     if act.space.ncells(0) == 1:
         return _IntegralCorners.of(cx, n)
@@ -455,8 +459,7 @@ def _integral_corners(act: GAction, n, cx: IntCochainComplex) -> _IntegralCorner
     for stab in act.orbit_stabilizers():
         corners = per_stabilizer.get(stab)
         if corners is None:
-            cx = bar_complex(bar_levels(stab, n + 1), n + 1).reduced()
-            corners = per_stabilizer[stab] = _IntegralCorners.of(cx, n)
+            corners = per_stabilizer[stab] = _IntegralCorners.of(stab.reduced_bar(n + 1), n)
         total = total.direct_sum(corners)
     return total
 
@@ -464,11 +467,12 @@ def _integral_corners(act: GAction, n, cx: IntCochainComplex) -> _IntegralCorner
 def _hexagon_zero_dim(act: GAction, n) -> HexagonReport:
     """The hexagon of a 0-dimensional action.
 
-    Ĥ^n is read off the Deligne cone over the normalized bar total complex
-    of act in degrees 0..n+1 (bar_complex of BarLevels 0..n+1, the only
-    levels built and checked), reduced once; it is the one cone built.  Its
-    degree n+1 holds only the generator rows (bar_complex), and ker d^n is
-    the full one.  Only the reduced complex is kept.  At n <= 1 the form
+    Ĥ^n is read off the Deligne cone over degrees 0..n+1 (upto) of the
+    reduced normalized bar total complex kept on act (GAction.reduced_bar);
+    it is the one cone built.  The complex is built, from BarLevels 0..n+1,
+    and reduced only when no complex kept on act reaches degree n+1.  Its
+    degree n+1 is full, or holds only the generator rows (bar_complex);
+    either way ker d^n is the full one.  At n <= 1 the form
     corners count the invariant functions on M, ker d^0 = H^0 of the same
     complex, which the reduction keeps: its rank in degree 0 minus rank
     d^0.  H^{n-1}(Z), H^n(Z), the Bockstein image and the rank of iota
@@ -489,8 +493,8 @@ def _hexagon_zero_dim(act: GAction, n) -> HexagonReport:
     """
     orbits = act.orbit_count()
     name = f"{act.group.name or 'group'} on {act.space.name or 'space'}"
-    cx = bar_complex(bar_levels(act, n + 1), n + 1).reduced()
-    hhat = deligne_cone(cx, n).cohomology(n)
+    cx = act.reduced_bar(n + 1)
+    hhat = deligne_cone(cx.upto(n + 1), n).cohomology(n)
     integral = _integral_corners(act, n, cx)
     h_prev, h_n = integral.h_prev, integral.h_n
     dim_l = h_prev.free_rank      # H^{n-1}(M_G, C) has this C-dimension

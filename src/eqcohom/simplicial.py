@@ -343,6 +343,8 @@ class GAction:
                      for g in group.elements()}
         self.signs = {g: [list(s) for s in signs[g]] for g in group.elements()}
         self.name = name
+        self._bar = None           # reduced_bar(), of the largest top built so far
+        self._stabilizers = None   # orbit_stabilizers(), once built
         self._validate()
 
     def _validate(self):
@@ -403,7 +405,10 @@ class GAction:
         Shapiro's lemma (Brown, Cohomology of Groups III.5-6) gives
         H^*_G(0-cells of M) = the sum over orbits of H^*(H) with these
         coefficients.  Orbits with equal stabilizers and signs share one
-        action."""
+        action.  The list is built once and kept on the action, so each
+        stabilizer action keeps its own reduced_bar across queries."""
+        if self._stabilizers is not None:
+            return self._stabilizers
         shared = {}
         out = []
         for c in self._orbit_representatives():
@@ -416,7 +421,21 @@ class GAction:
                     sub, CellComplex.point(), {h: [[0]] for h in sub.elements()},
                     {h: [[s]] for h, s in zip(sub.elements(), signs)})
             out.append(act)
+        self._stabilizers = out
         return out
+
+    def reduced_bar(self, top):
+        """The reduced normalized bar complex of this action in degrees 0..T
+        for some T >= top, kept on the action: bar_complex of bar_levels(self,
+        top), reduced, is built only when top goes past the largest T built
+        so far, and then replaces it.  Its H^k is the true H^k for every
+        k < T (bar_complex), so it serves every query whose degrees read lie
+        below top.  A top over BAR_BUDGET is refused by bar_levels before
+        anything is built; a kept complex serves only tops at or below one
+        that already passed the budget."""
+        if self._bar is None or self._bar.n_max < top:
+            self._bar = bar_complex(bar_levels(self, top), top).reduced()
+        return self._bar
 
     # -- stock actions
 
@@ -1011,22 +1030,19 @@ def equivariant_cohomology(act: GAction, n, coeff="Z"):
     structured (C/Z)-coefficient group via the integral answer in degrees n
     and n+1.
 
-    The total complex is taken from degree 0 up to n + 1 (n + 2 for
-    'QmodZ') and reduced once.  Its top degree is also its bar truncation:
-    the levels built and checked against the simplicial identities are
-    0..n+1 for 'Z' and 'Q' and 0..n+2 for 'QmodZ', the levels it reads.
-    The top degree holds only the generator rows (bar_complex); every
-    degree read lies below it.
-    A query over BAR_BUDGET raises BarComplexTooLarge before any of them
-    is built.
+    The complex is the one kept on the action (GAction.reduced_bar),
+    reaching at least degree n + 1 (n + 2 for 'QmodZ'): it is built, from
+    the levels 0..n+1 (0..n+2) that it reads, and reduced once only when no
+    kept complex reaches that far.  Its top degree holds only the generator
+    rows (bar_complex); every degree read lies below it.  A query over
+    BAR_BUDGET raises BarComplexTooLarge before anything is built.
     """
     if coeff not in ("Z", "Q", "QmodZ"):
         raise ValueError(f"unknown coefficient mode {coeff!r}")
     if n < 0:
         return FgAbGroup(0) if coeff == "Z" else (
             0 if coeff == "Q" else StructuredCoefGroup())
-    top = n + 2 if coeff == "QmodZ" else n + 1
-    cx = bar_complex(bar_levels(act, top), top).reduced()
+    cx = act.reduced_bar(n + 2 if coeff == "QmodZ" else n + 1)
     if coeff == "QmodZ":
         return coefficient_change(cx.cohomology(n), cx.cohomology(n + 1), "CmodZ")
     if coeff == "Z":

@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -13,7 +12,6 @@ from eqcohom.cartan import (
     LinearAction,
     CartanCheckFailed,
     CartanComplexTooLarge,
-    ShuffleIndex,
     cartan_cohomology_truncated,
     cartan_d,
     fiber_integrate_interval,
@@ -21,13 +19,11 @@ from eqcohom.cartan import (
     fundamental_vector_field,
     getzler_chain_map_check,
     getzler_dbar_matrix,
-    getzler_map_finite,
     group_transform,
     is_invariant,
     lie_derivative,
     cartan_size,
     parse_form,
-    shuffle_set,
     total_lie,
 )
 from eqcohom.cli import EXIT_INTERNAL, main
@@ -566,35 +562,7 @@ def test_restriction_compatible_with_action():
     del act3
 
 
-# --- shuffles and the finite comparison map ---------------------------------------
-
-
-def _shuffle_oracle(l, p):
-    """Independent enumeration: filter all permutations by the two runs."""
-    from itertools import permutations as permute
-    out = []
-    for pi in permute(range(1, p + 1)):
-        if list(pi[:l]) == sorted(pi[:l]) and list(pi[l:]) == sorted(pi[l:]):
-            inv = sum(1 for i in range(p) for j in range(i + 1, p) if pi[i] > pi[j])
-            out.append((pi, (-1) ** inv))
-    return out
-
-
-def test_shuffle_counts_and_signs():
-    assert [s.permutation for s in shuffle_set(0, 3)] == [(1, 2, 3)]
-    assert shuffle_set(0, 3)[0].sign == 1
-    for l, p in [(1, 2), (1, 3), (2, 4), (2, 5), (3, 6)]:
-        got = shuffle_set(l, p)
-        oracle = dict(_shuffle_oracle(l, p))
-        assert len(got) == math.comb(p, l) == len(oracle)
-        for s in got:
-            assert oracle[s.permutation] == s.sign
-    # signed counts from the oracle: (1,2) cancels, (2,4) sums to 2
-    assert sum(sign for _, sign in _shuffle_oracle(1, 2)) == 0
-    s24 = shuffle_set(2, 4)
-    assert sum(s.sign for s in s24) == sum(sign for _, sign in _shuffle_oracle(2, 4)) == 2
-    with pytest.raises(ValueError):
-        ShuffleIndex(1, 2, (2, 1), 1)  # wrong sign stored
+# --- the finite comparison map ---------------------------------------------------
 
 
 def test_getzler_chain_map_c2_two_points():
@@ -615,8 +583,6 @@ def test_getzler_chain_map_rotation_circle():
 def test_getzler_map_is_identity_on_coordinates():
     act = GAction.swap_two_points()
     bl = bar_levels(act, 2)
-    coch = list(range(bl.cells(1, 0)))
-    assert getzler_map_finite(bl, 1, 0, coch) == coch
     # applying boundary then the map equals the map then the group-cochain
     # boundary, exhaustively over the basis
     dbar = getzler_dbar_matrix(bl, 1, 0)

@@ -332,3 +332,24 @@ def test_degree_ranges_are_not_lists():
     assert _parse_degrees("0..1000000000") == range(0, 1000000001)
     assert _parse_degrees("7") == range(7, 8)
     assert _largest_first(range(2, 5), lambda n: n * n) == {2: 4, 3: 9, 4: 16}
+
+
+def test_hexagon_degree_range_builds_each_bar_construction_once(monkeypatch):
+    # the range runs from its largest degree down, and each action keeps its
+    # reduced bar complex: the action and each distinct stabilizer build one
+    # BarLevels, at the top the largest degree reads, and every smaller
+    # degree is served by the kept complexes
+    builds = []
+    real_init = BarLevels.__init__
+
+    def counting_init(self, act, P):
+        builds.append((act.group.order, act.space.ncells(0), P))
+        real_init(self, act, P)
+
+    monkeypatch.setattr(BarLevels, "__init__", counting_init)
+    out, _ = run(JobSpec("verify", {"suite": "hexagon", "group": "symmetric:3",
+                                    "space": "points:3", "action": "cosets:0,1",
+                                    "degrees": "0..3"}))
+    assert list(out) == ["0", "1", "2", "3"]
+    # S3 on its 3 cosets of {0, 1}: one orbit, whose stabilizer has order 2
+    assert sorted(builds) == [(2, 1, 4), (6, 3, 4)]

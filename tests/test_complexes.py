@@ -104,6 +104,40 @@ def test_cohomology_of_a_reduced_complex_reduces_and_rechecks_nothing(monkeypatc
         [g.free_rank for g in want]
 
 
+def test_a_view_shares_the_factorizations_of_its_degrees(monkeypatch):
+    # upto(top) holds the same differential objects below top and shares
+    # the kept ranks and Smith forms; its d^top is zero, and reading it
+    # must not overwrite the complex's own rank or Smith form of d^top
+    factored = {"rank_q": [], "smith_normal_form": []}
+
+    def counting(name):
+        real = getattr(complexes, name)
+
+        def counted(m):
+            factored[name].append(m)
+            return real(m)
+        return counted
+
+    for name in factored:
+        monkeypatch.setattr(complexes, name, counting(name))
+    red = _s3_bar_complex().reduced()     # ranks 1, 1, 1, 1, ...; d^1 = (2)
+    top = 1
+    view = red.upto(top)
+    assert red.upto(red.n_max) is red and red.upto(red.n_max + 3) is red
+    assert (view.n_min, view.n_max, view.ranks) == (0, top, red.ranks[:top + 1])
+    assert all(a is b for a, b in zip(view.diffs, red.diffs))
+    assert view.reduced() is view and view.checked == red.checked
+    assert view.differential_rank(top) == 0 and not any(view.smith(top).s.diagonal())
+    assert red.differential_rank(top) == 1 and red.smith(top).s.diagonal() == [2]
+    assert view.cohomology(1) == FgAbGroup(1) and red.cohomology(1) == FgAbGroup(0)
+    assert [view.cohomology(0), view.cohomology_q_dim(0)] == \
+        [red.cohomology(0), red.cohomology_q_dim(0)]
+    # a stored differential reaches each factorization at most once
+    for name, matrices in factored.items():
+        stored = [m for m in matrices if any(m is d for d in red.diffs)]
+        assert stored and len({id(m) for m in stored}) == len(stored), name
+
+
 def test_total_of_single_row_is_the_row():
     d = IntMatrix.from_rows([[2]])
     dc = DoubleComplex(0, 1, {(0, 0): 1, (0, 1): 1}, {(0, 0): d}, {})

@@ -328,25 +328,25 @@ def test_hexagon_reads_no_window_datum_from_the_complex_on_m(monkeypatch, n):
     # iota's rank all come from complexes of stabilizers on a point: outside
     # the Deligne cone's own H^n, no cohomology, rational dimension or
     # Bockstein image is read from a complex built or reduced from act
-    origin = []       # (complex, the action whose bar complex it is or reduces)
+    origin = []       # (complex, the action whose kept bar complex it is)
     read_from = []
     in_cone = []
-    real_bar_complex, real_reduced = deligne.bar_complex, IntCochainComplex.reduced
+    real_keep, real_upto = GAction.reduced_bar, IntCochainComplex.upto
     real_cohomology, real_q_dim = IntCochainComplex.cohomology, IntCochainComplex.cohomology_q_dim
     real_bockstein, real_cone = deligne.bockstein_image, MixedComplex.cohomology
 
     def source(cx):
         return [act for made, act in origin if made is cx]
 
-    def bar_complex_of(bl, top):
-        cx = real_bar_complex(bl, top)
-        origin.append((cx, bl.act))
+    def kept_complex(self, top):
+        cx = real_keep(self, top)
+        origin.append((cx, self))
         return cx
 
-    def reduced(self):
-        red = real_reduced(self)
-        origin.extend((red, act) for act in source(self))
-        return red
+    def upto(self, top):
+        view = real_upto(self, top)
+        origin.extend((view, act) for act in source(self))
+        return view
 
     def reading(real):
         def read(cx, k):
@@ -362,8 +362,8 @@ def test_hexagon_reads_no_window_datum_from_the_complex_on_m(monkeypatch, n):
         finally:
             in_cone.pop()
 
-    monkeypatch.setattr(deligne, "bar_complex", bar_complex_of)
-    monkeypatch.setattr(IntCochainComplex, "reduced", reduced)
+    monkeypatch.setattr(GAction, "reduced_bar", kept_complex)
+    monkeypatch.setattr(IntCochainComplex, "upto", upto)
     monkeypatch.setattr(IntCochainComplex, "cohomology", reading(real_cohomology))
     monkeypatch.setattr(IntCochainComplex, "cohomology_q_dim", reading(real_q_dim))
     monkeypatch.setattr(deligne, "bockstein_image", reading(real_bockstein))
@@ -457,6 +457,35 @@ def test_hexagon_reduces_each_bar_complex_it_builds_once(monkeypatch):
             hexagon(act, n)
             assert len({id(diffs) for diffs in reduced}) == len(reduced), (act.name, n)
             assert len(reduced) == len(windows), (act.name, n)
+
+
+def _fresh_actions():
+    """The 20 criterion-5 actions and the lens sphere of order 3, built
+    anew: no complex is kept on any of them yet."""
+    return _acceptance_actions() + [GAction.lens_sphere(3)]
+
+
+def _answers_at(act, n):
+    """Everything asked of act at degree n: the hexagon report and Ĥ^n of a
+    0-dimensional action, and H^n over Z, Q and Q/Z of the lens sphere."""
+    if act.space.dim > 0:
+        return [equivariant_cohomology(act, n, coeff) for coeff in ("Z", "Q", "QmodZ")]
+    return [hexagon(act, n).to_json_obj(), differential_cohomology_zero_dim(act, n)]
+
+
+@pytest.mark.parametrize("index", range(len(_fresh_actions())))
+def test_no_answer_depends_on_the_order_degrees_are_asked(index):
+    # each action keeps the reduced bar complex of the largest top built on
+    # it: degrees asked ascending (each one builds past the last), descending
+    # (the first builds, the rest are served by the kept complex) and each
+    # on a fresh action must give the same answers
+    ascending, descending = _fresh_actions()[index], _fresh_actions()[index]
+    up = {n: _answers_at(ascending, n) for n in range(5)}
+    down = {n: _answers_at(descending, n) for n in reversed(range(5))}
+    for n in range(5):
+        fresh = _answers_at(_fresh_actions()[index], n)
+        assert up[n] == fresh, (ascending.name, n)
+        assert down[n] == fresh, (descending.name, n)
 
 
 def test_hexagon_negative_degree_rejected_before_any_work(monkeypatch):

@@ -545,11 +545,26 @@ def test_one_bar_construction_per_query(monkeypatch):
         real_init(self, *args, **kwargs)
 
     monkeypatch.setattr(BarLevels, "__init__", counting_init)
+    # the action keeps the reduced complex of the largest top built on it:
+    # a query builds one bar construction when its top goes past that one,
+    # and none when a kept complex already reaches it
     act = GAction.coset_action(FiniteGroup.symmetric(3), (0,))
+    kept = 0
+    for coeff in ("Z", "Q", "QmodZ"):
+        for n in range(3):
+            top = n + 2 if coeff == "QmodZ" else n + 1
+            builds.clear()
+            equivariant_cohomology(act, n, coeff)
+            assert len(builds) == (1 if top > kept else 0), (coeff, n, kept)
+            if top > kept:
+                assert builds[0][1] == top, (coeff, n)
+                kept = top
+    assert kept == 4
+    # a fresh action keeps nothing: its first query always builds once
     for coeff in ("Z", "Q", "QmodZ"):
         for n in range(3):
             builds.clear()
-            equivariant_cohomology(act, n, coeff)
+            equivariant_cohomology(GAction.coset_action(FiniteGroup.symmetric(3), (0,)), n, coeff)
             assert len(builds) == 1, (coeff, n)
 
 
