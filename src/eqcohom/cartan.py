@@ -642,23 +642,26 @@ def _dx_counts(n, w, num_x):
 
 
 def cartan_size(act: LinearAction, degrees, x_bound):
-    """The number of monomials in the blocks C_w, w = 0..x_bound, in
-    degrees n and n - 1 for each n in degrees, in closed form: dx subsets
-    times the compositions of |x| = w - |dx| and of |u| = (n - |dx|) / 2."""
+    """The number of monomials in the blocks C_w, w = 0..x_bound, of the
+    degrees lo - 1..hi, where lo and hi are the first and last of the
+    consecutive degrees: each block that cartan_cohomology_range builds,
+    counted once.  In closed form: dx subsets times the compositions of
+    |x| = w - |dx| and of |u| = (m - |dx|) / 2 in degree m."""
     num_u, num_x = act.lie_algebra.dim, act.m
 
     def count(total, parts):
         return comb(total + parts - 1, parts - 1) if parts else int(total == 0)
     return sum(comb(num_x, r) * count(w - r, num_x) * count((m - r) // 2, num_u)
-               for n in degrees for m in (n, n - 1) for w in range(x_bound + 1)
+               for m in range(degrees[0] - 1, degrees[-1] + 1) for w in range(x_bound + 1)
                for r in _dx_counts(m, w, num_x))
 
 
 def check_cartan_query(act: LinearAction, degrees, x_bound):
-    """Refuse a query on the increasing degrees (a range or a list) before
-    any work: a negative x_bound (ValueError), an exponent past MAX_EXPONENT
-    (LaneOverflow; blocks reach x-degree x_bound and u-degree n // 2 + 1),
-    or blocks over CARTAN_BUDGET monomials."""
+    """Refuse a query on the consecutive degrees (a range, or a list of
+    one) before any work: a negative x_bound (ValueError), an exponent past
+    MAX_EXPONENT (LaneOverflow; blocks reach x-degree x_bound and u-degree
+    n // 2 + 1 for the last degree n), or blocks over CARTAN_BUDGET
+    monomials, each distinct block counted once (cartan_size)."""
     if x_bound < 0:
         raise ValueError(f"x_bound must be nonnegative, got {x_bound}")
     n = degrees[-1]
@@ -732,21 +735,39 @@ def cartan_cohomology_truncated(act: LinearAction, n, x_bound):
 
         H^n(C_w) = (N_n - rank [L; D]_n) - (rank [L; D]_{n-1} - rank L_{n-1}).
 
+    It builds the blocks of degrees n - 1 and n and takes those three ranks
+    per weight: cartan_cohomology_range over the one degree n.
+    """
+    return cartan_cohomology_range(act, range(n, n + 1), x_bound)[n]
+
+
+def cartan_cohomology_range(act: LinearAction, degrees, x_bound):
+    """{n: (dim, by_weight)} of cartan_cohomology_truncated for each of the
+    consecutive degrees (a range), in one pass over each weight w: the
+    blocks of degrees lo - 1..hi are built once each, and the ranks of
+    [L; D] and L in degree n - 1, which the formula for H^n reads, are
+    those taken for degree n - 1 itself.
+
     The second computation is exact and uses no rank: the homotopy identity
     on every monomial built.  A failed identity, or H^n(C_w) != 0 for some
-    w > 0, raises CartanCheckFailed; check_cartan_query refuses the query
-    before any work.
+    w > 0, raises CartanCheckFailed; check_cartan_query refuses the query,
+    counting these blocks, before any work.
     """
-    check_cartan_query(act, [n], x_bound)
-    by_weight = []
+    check_cartan_query(act, degrees, x_bound)
+    by_weight = {n: [] for n in degrees}
     for w in range(x_bound + 1):
-        lie_prev, full_prev = _block_columns(act, n - 1, w)
-        full = _block_columns(act, n, w)[1]
-        dim = (len(full) - _rank(full)) - (_rank(full_prev) - _rank(lie_prev))
-        if w and dim:
-            raise CartanCheckFailed(f"H^{n}(C_{w}) has dimension {dim}, but C_{w} is acyclic")
-        by_weight.append(dim)
-    return sum(by_weight), by_weight
+        lie, full = _block_columns(act, degrees[0] - 1, w)
+        image = _rank(full) - _rank(lie)    # rank of D on the invariant cochains below
+        for n in degrees:
+            lie, full = _block_columns(act, n, w)
+            rank_full = _rank(full)
+            dim = (len(full) - rank_full) - image
+            if w and dim:
+                raise CartanCheckFailed(f"H^{n}(C_{w}) has dimension {dim}, but C_{w} is acyclic")
+            by_weight[n].append(dim)
+            if n != degrees[-1]:
+                image = rank_full - _rank(lie)
+    return {n: (sum(dims), dims) for n, dims in by_weight.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,7 @@ from .cartan import (
     CartanComplexTooLarge,
     LaneOverflow,
     LinearAction,
-    cartan_cohomology_truncated,
-    check_cartan_query,
+    cartan_cohomology_range,
 )
 from .chern import (
     ConnectionMatrix,
@@ -255,8 +254,7 @@ def run(job: JobSpec):
         bound = _int(job.inputs.get("x_bound", 6), "x_bound")
         if bound < 0:
             raise SchemaError(f"x_bound must be nonnegative, got {bound}")
-        check_cartan_query(act, degrees, bound)
-        values = {n: cartan_cohomology_truncated(act, n, bound) for n in degrees}
+        values = cartan_cohomology_range(act, degrees, bound)
         return ({str(n): {"dim": dim, "by_weight": by_weight}
                  for n, (dim, by_weight) in values.items()},
                 [f"dim H^{n}_Cartan = {dim}" for n, (dim, _) in values.items()])

@@ -22,14 +22,13 @@ from .complexes import (
     DoubleComplex,
     IntCochainComplex,
     bockstein_image,
-    bockstein_image_matches_torsion,
-    total_complex,
 )
 from .linalg import (
     FgAbGroup,
     IntMatrix,
     StructuredCoefGroup,
     coefficient_change,
+    render_summands,
 )
 from .simplicial import GAction, bar_complex, bar_levels, total_window
 
@@ -64,22 +63,8 @@ class DiffCohGroup:
             and self.torsion.is_trivial()
 
     def __str__(self):
-        parts = []
-        if self.circle_rank == 1:
-            parts.append("ℂ/ℤ")
-        elif self.circle_rank > 1:
-            parts.append(f"(ℂ/ℤ)^{self.circle_rank}")
-        if self.vector_rank == 1:
-            parts.append("ℂ")
-        elif self.vector_rank > 1:
-            parts.append(f"ℂ^{self.vector_rank}")
-        if self.free_rank == 1:
-            parts.append("ℤ")
-        elif self.free_rank > 1:
-            parts.append(f"ℤ^{self.free_rank}")
-        if not self.torsion.is_trivial():
-            parts.append(str(self.torsion))
-        return " ⊕ ".join(parts) if parts else "0"
+        return render_summands([("ℂ/ℤ", self.circle_rank), ("ℂ", self.vector_rank),
+                                ("ℤ", self.free_rank)], self.torsion.torsion)
 
     def to_json_obj(self):
         return {"circle_rank": self.circle_rank, "vector_rank": self.vector_rank,
@@ -267,9 +252,7 @@ def build_deligne_mixed(act: GAction, n) -> DeligneComplexData:
     Its degree n+2 holds only the generator rows (bar_complex); H^n of the
     cone reads degrees <= n+1 only."""
     if act.space.dim > 0:
-        raise PositiveDimensionalInput(
-            "the Deligne cone needs a 0-dimensional complex; "
-            "use hexagon() with supplied form corners instead")
+        raise PositiveDimensionalInput("the Deligne cone needs a 0-dimensional complex")
     return DeligneComplexData(deligne_cone(bar_complex(bar_levels(act, n + 2), n + 2), n))
 
 
@@ -293,7 +276,8 @@ def differential_cohomology_zero_dim(act: GAction, n) -> DiffCohGroup:
     """
     if act.space.dim > 0:
         raise PositiveDimensionalInput(
-            "positive-dimensional cells: use hexagon() with supplied form corners")
+            "positive-dimensional cells: differential cohomology is computed for "
+            "0-dimensional complexes only")
     if n < 0:
         return DiffCohGroup()
     return deligne_cone(act.reduced_bar(n + 1).upto(n + 1), n).cohomology(n)
@@ -355,60 +339,32 @@ class HexagonReport:
         return "\n".join(lines)
 
 
-@dataclass
-class SuppliedCorners:
-    """Finite presentation of the double complex for actions whose form
-    corners cannot be computed cellularly (positive-dimensional models)."""
-
-    double_complex: DoubleComplex
-    name: str = "supplied"
-    closed_form_cocycles: list = None   # optional vectors at bidegree (0, n)
-    form_degree: int = None
-
-    def validate_cocycles(self, n):
-        if self.closed_form_cocycles is None:
-            return
-        q = self.form_degree if self.form_degree is not None else n
-        dc = self.double_complex
-        for vec in self.closed_form_cocycles:
-            if len(vec) != dc.rank(0, q):
-                raise InconsistentCorners("cocycle vector has the wrong length")
-            if any(dc.vert(0, q).apply(list(vec))):
-                raise InconsistentCorners(
-                    "supplied form is not equivariant: d0* and d1* pullbacks differ")
-            if any(dc.horiz(0, q).apply(list(vec))):
-                raise InconsistentCorners("supplied form is not closed")
-
-
-def hexagon(act, n, supplied: SuppliedCorners = None) -> HexagonReport:
+def hexagon(act: GAction, n) -> HexagonReport:
     """Build the six corners and verify the four exactness statements and
-    both commuting squares, by rank computations.
+    both commuting squares, by rank computations, for an action on a
+    0-dimensional complex (_hexagon_zero_dim).
 
-    For 0-dimensional spaces (see _hexagon_zero_dim) Ĥ^n comes from the
-    bar construction of act, degrees 0..n+1, and H^{n-1}(Z), H^n(Z) and the
-    Bockstein data from the stabilizers of its orbits on a point (Shapiro's
-    lemma), each summed over the orbits; when M is a single point the two
-    come from the same complex.  The form corners at n <= 1 count the
-    invariant functions, |M_0| - rank d^0.  bottom_row, diagonal_a,
-    diagonal_b and top_row at n <= 1 are computed; the left square holds
-    by construction, top_row at n >= 2 compares two zero corners, and the
-    right square is constant at n = 0 and restates bottom_row above it
-    (the report's notes say so).  Each bar complex is the one kept on its
-    action (GAction.reduced_bar), built from levels 0..n+1 only when no
-    kept complex reaches degree n+1: only ker d^n enters the degrees read.
-    Positive-dimensional actions must supply their double complex (the
-    form corners then enter as labels with their cocycle data checked).  A
-    negative degree raises ValueError.
+    Ĥ^n comes from the bar construction of act, degrees 0..n+1, and
+    H^{n-1}(Z), H^n(Z) and the Bockstein data from the stabilizers of its
+    orbits on a point (Shapiro's lemma), each summed over the orbits; when
+    M is a single point the two come from the same complex.  The form
+    corners at n <= 1 count the invariant functions, |M_0| - rank d^0.
+    bottom_row, diagonal_a, diagonal_b and top_row at n <= 1 are computed;
+    the left square holds by construction, top_row at n >= 2 compares two
+    zero corners, and the right square is constant at n = 0 and restates
+    bottom_row above it (the report's notes say so).  Each bar complex is
+    the one kept on its action (GAction.reduced_bar), built from levels
+    0..n+1 only when no kept complex reaches degree n+1: only ker d^n
+    enters the degrees read.  A positive-dimensional action raises
+    PositiveDimensionalInput, whose form corners are not finite
+    dimensional; a negative degree raises ValueError.
     """
     if n < 0:
         raise ValueError(f"hexagon degree must be nonnegative, got {n}")
-    if supplied is not None:
-        return _hexagon_from_supplied(supplied, n)
-    if not isinstance(act, GAction):
-        raise TypeError("hexagon needs a GAction or supplied corners")
     if act.space.dim > 0:
         raise PositiveDimensionalInput(
-            "positive-dimensional cells: supply the double complex and form corners")
+            "positive-dimensional cells: the hexagon is computed for 0-dimensional "
+            "complexes only")
     return _hexagon_zero_dim(act, n)
 
 
@@ -499,7 +455,7 @@ def _hexagon_zero_dim(act: GAction, n) -> HexagonReport:
     h_prev, h_n = integral.h_prev, integral.h_n
     dim_l = h_prev.free_rank      # H^{n-1}(M_G, C) has this C-dimension
     dim_r = h_n.free_rank
-    bl_corner = coefficient_change(h_prev, h_n, "CmodZ") if n >= 1 else StructuredCoefGroup()
+    bl_corner = coefficient_change(h_prev, h_n) if n >= 1 else StructuredCoefGroup()
 
     # the invariant functions on M: ker d^0 on the functions on M's 0-cells
     # with the signs G gives them; reduction keeps ker d^0 up to isomorphism
@@ -597,44 +553,45 @@ def _hexagon_zero_dim(act: GAction, n) -> HexagonReport:
     return HexagonReport(name, n, corners, maps, exact, squares, evidence, notes)
 
 
-def _hexagon_from_supplied(supplied: SuppliedCorners, n) -> HexagonReport:
-    """Corner table for a supplied double complex: the integral corners and
-    the bottom row are computed; analytic form corners are reported as the
-    supplied labels (the smooth function spaces are not desk-scale objects)."""
-    supplied.validate_cocycles(n)
-    tot = total_complex(supplied.double_complex).reduced()
-    h_prev, h_n = tot.cohomology(n - 1), tot.cohomology(n)
-    bl_corner = coefficient_change(h_prev, h_n, "CmodZ")
-    beta_ok, beta_image, torsion = (bockstein_image_matches_torsion(tot, n)
-                                    if n >= 1 else (True, FgAbGroup(0), FgAbGroup(0)))
-    corners = {
-        "h_prev_C": f"ℂ^{h_prev.free_rank}" if h_prev.free_rank else "0",
-        "forms_mod_exact": "supplied (analytic)",
-        "closed_forms": "supplied (analytic)",
-        "h_n_C": f"ℂ^{h_n.free_rank}" if h_n.free_rank else "0",
-        "h_prev_CmodZ": bl_corner,
-        "h_n_Z": h_n,
-        "hhat": "not computed (analytic form corners)",
-    }
-    exact = {"bottom_row": beta_ok}
-    notes = ["form corners supplied as labels; top row and diagonals are not "
-             "computed for positive-dimensional models",
-             f"supplied closed-form cocycles verified: "
-             f"{len(supplied.closed_form_cocycles or [])}"]
-    return HexagonReport(supplied.name, n, corners, {},
-                         exact, {}, {"image(-beta)": beta_image, "torsion": torsion}, notes)
+# ---------------------------------------------------------------------------
+# supplied double complexes
 
 
-def corner_table(dc: DoubleComplex, degrees):
-    """H^k of the total complex of a supplied double complex with Z, Q and
-    Q/Z coefficients, one row per degree keyed "Z", "Q" and "QmodZ", all
-    read from one reduction of the total complex."""
-    tot = total_complex(dc).reduced()
+@dataclass
+class SuppliedCorners:
+    """A double complex given as data, for an action whose form corners
+    cannot be computed cellularly (a positive-dimensional model), with the
+    vectors at bidegree (0, n) that stand for its closed equivariant forms."""
+
+    double_complex: DoubleComplex
+    closed_form_cocycles: list
+
+    def validate_cocycles(self, n):
+        """Raise InconsistentCorners unless each supplied vector has the
+        rank of bidegree (0, n) and both differentials kill it."""
+        dc = self.double_complex
+        for vec in self.closed_form_cocycles:
+            if len(vec) != dc.rank(0, n):
+                raise InconsistentCorners("cocycle vector has the wrong length")
+            if any(dc.vert(0, n).apply(list(vec))):
+                raise InconsistentCorners(
+                    "supplied form is not equivariant: d0* and d1* pullbacks differ")
+            if any(dc.horiz(0, n).apply(list(vec))):
+                raise InconsistentCorners("supplied form is not closed")
+
+
+def corner_table(tot: IntCochainComplex, degrees):
+    """H^k of a complex with Z, Q and C/Z coefficients, one row per degree
+    keyed "Z", "Q" and "QmodZ", all read from the ranks and Smith forms the
+    complex keeps.  Pass the reduced total complex of a supplied double
+    complex (total_complex(dc).reduced()); its caller can then read further
+    verdicts, such as bockstein_image_matches_torsion, off the same
+    reduction."""
     out = {}
     for k in degrees:
         h_k = tot.cohomology(k)
         out[k] = {"Z": h_k, "Q": tot.cohomology_q_dim(k),
-                  "QmodZ": coefficient_change(h_k, tot.cohomology(k + 1), "CmodZ")}
+                  "QmodZ": coefficient_change(h_k, tot.cohomology(k + 1))}
     return out
 
 

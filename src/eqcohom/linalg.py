@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class CompositionNotZero(Exception):
@@ -531,60 +532,35 @@ class FgAbGroup:
         return n
 
     def direct_sum(self, other):
-        merged = sorted(list(self.torsion) + list(other.torsion))
-        # re-normalize to a divisor chain prime by prime
-        return _group_from_cyclic_orders(merged, self.free_rank + other.free_rank)
+        """The sum in divisor-chain form: each factor d of other goes into
+        the chain from its largest factor c down, by Z/c + Z/d = Z/lcm(c, d)
+        + Z/gcd(c, d), and what is left of d above 1 becomes the smallest."""
+        chain = list(self.torsion)
+        for d in other.torsion:
+            for i in range(len(chain) - 1, -1, -1):
+                chain[i], d = lcm(chain[i], d), gcd(chain[i], d)
+            if d > 1:
+                chain.insert(0, d)
+        return FgAbGroup(self.free_rank + other.free_rank, tuple(chain))
 
     def torsion_part(self):
         return FgAbGroup(0, self.torsion)
 
     def __str__(self):
-        parts = []
-        if self.free_rank == 1:
-            parts.append("ℤ")
-        elif self.free_rank > 1:
-            parts.append(f"ℤ^{self.free_rank}")
-        parts.extend(f"ℤ/{d}" for d in self.torsion)
-        return " ⊕ ".join(parts) if parts else "0"
+        return render_summands([("ℤ", self.free_rank)], self.torsion)
 
     def to_json_obj(self):
         return {"free_rank": self.free_rank, "torsion": list(self.torsion)}
 
 
-def _group_from_cyclic_orders(orders, free_rank):
-    """Normalize Z/n_1 + ... to invariant-factor form via prime powers."""
-    primary = {}
-    for n in orders:
-        n = abs(n)
-        if n in (0, 1):
-            if n == 0:
-                free_rank += 1
-            continue
-        f = _factorint(n)
-        for p, e in f.items():
-            primary.setdefault(p, []).append(e)
-    chain = []
-    for p, exps in primary.items():
-        exps.sort(reverse=True)
-        for slot, e in enumerate(exps):
-            if slot == len(chain):
-                chain.append(1)
-            chain[slot] *= p ** e
-    chain = [c for c in sorted(chain) if c >= 2]
-    return FgAbGroup(free_rank=free_rank, torsion=tuple(chain))
-
-
-def _factorint(n):
-    out = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+def render_summands(ranked, torsion):
+    """X^r for each (X, r) in ranked with r > 0 (X alone for r = 1, (X)^r
+    for a name longer than one symbol), then Z/d for each d in torsion,
+    joined by (+); "0" when there is none."""
+    parts = [x if r == 1 else f"{x}^{r}" if len(x) == 1 else f"({x})^{r}"
+             for x, r in ranked if r]
+    parts.extend(f"ℤ/{d}" for d in torsion)
+    return " ⊕ ".join(parts) if parts else "0"
 
 
 @dataclass(frozen=True)
@@ -611,20 +587,8 @@ class StructuredCoefGroup:
                 and self.finite_part.is_trivial())
 
     def __str__(self):
-        parts = []
-        c = self.divisible_circle_rank
-        if c == 1:
-            parts.append("ℂ/ℤ")
-        elif c > 1:
-            parts.append(f"(ℂ/ℤ)^{c}")
-        v = self.vector_rank
-        if v == 1:
-            parts.append("ℂ")
-        elif v > 1:
-            parts.append(f"ℂ^{v}")
-        if not self.finite_part.is_trivial():
-            parts.append(str(self.finite_part))
-        return " ⊕ ".join(parts) if parts else "0"
+        return render_summands([("ℂ/ℤ", self.divisible_circle_rank), ("ℂ", self.vector_rank)],
+                               self.finite_part.torsion)
 
     def to_json_obj(self):
         return {
@@ -813,21 +777,14 @@ def cohomology_at(d_in: IntMatrix, d_out: IntMatrix) -> FgAbGroup:
                              check=False).cohomology(1)
 
 
-def coefficient_change(h_n: FgAbGroup, h_next: FgAbGroup, mode: str) -> StructuredCoefGroup:
-    """Universal coefficients with a divisible group, C or C/Z.
-
-    mode 'C':     H^n( . x C)   = C^{free rank h_n}            (torsion dies)
-    mode 'CmodZ': H^n( . x C/Z) = (C/Z)^{free rank h_n} + torsion(h_next)
-                                  (Tor(Z/m, C/Z) = Z/m)
+def coefficient_change(h_n: FgAbGroup, h_next: FgAbGroup) -> StructuredCoefGroup:
+    """Universal coefficients with C/Z: H^n( . x C/Z) = (C/Z)^{free rank
+    h_n} + torsion(h_next), since C/Z is divisible and Tor(Z/m, C/Z) = Z/m.
     h_n and h_next are the integral cohomology in consecutive degrees n, n+1
     of a complex of free Z-modules.
     """
-    if mode == "C":
-        return StructuredCoefGroup(vector_rank=h_n.free_rank)
-    if mode == "CmodZ":
-        return StructuredCoefGroup(divisible_circle_rank=h_n.free_rank,
-                                   finite_part=h_next.torsion_part())
-    raise ValueError(f"unknown coefficient mode {mode!r}")
+    return StructuredCoefGroup(divisible_circle_rank=h_n.free_rank,
+                               finite_part=h_next.torsion_part())
 
 
 # ---------------------------------------------------------------------------

@@ -493,18 +493,9 @@ class GAction:
         p cells in every dimension, rotated by the generator.  The quotient
         is a lens space with H^2 of order p."""
         group = FiniteGroup.cyclic(p)
-        bd1 = {}
-        for i in range(p):
-            bd1[((i + 1) % p, i)] = bd1.get(((i + 1) % p, i), 0) + 1
-            bd1[(i, i)] = bd1.get((i, i), 0) - 1
-        bd2 = {(i, j): 1 for i in range(p) for j in range(p)}  # each disk wraps the circle
-        bd3 = {}
-        for i in range(p):
-            bd3[((i + 1) % p, i)] = bd3.get(((i + 1) % p, i), 0) + 1
-            bd3[(i, i)] = bd3.get((i, i), 0) - 1
-        space = CellComplex([p, p, p, p],
-                            [IntMatrix(p, p, bd1), IntMatrix(p, p, bd2), IntMatrix(p, p, bd3)],
-                            name=f"lens-sphere:{p}")
+        ring = CellComplex.circle(p).boundary(1)   # of the 1-cells, and of the 3-cells
+        disks = IntMatrix(p, p, {(i, j): 1 for i in range(p) for j in range(p)})  # each wraps
+        space = CellComplex([p, p, p, p], [ring, disks, ring], name=f"lens-sphere:{p}")
         perms = {g: [[(c + g) % p for c in range(p)] for _ in range(4)]
                  for g in range(p)}
         return cls(group, space, perms, name=f"lens:{p}")
@@ -847,8 +838,6 @@ class BarLevels:
         blockwise over nondegenerate tuples.  With firsts, only the rows of
         the tuples that start with an element of firsts (leading_tuples)."""
         cob = self.space.coboundary(q)
-        if firsts is None:
-            return _block_diagonal(cob, self.nondegenerate_counts[p])
         rows = self.leading_tuples(p, firsts)
         return IntMatrix.from_blocks(len(rows) * cob.rows, self.nondegenerate_counts[p] * cob.cols,
                                      [(k * cob.rows, r * cob.cols, cob, 1)
@@ -864,13 +853,9 @@ class BarLevels:
 
     def full_horizontal_matrix(self, p, q):
         """Cellular cochain d on the full cochains, blockwise over all tuples."""
-        return _block_diagonal(self.space.coboundary(q), self.tuple_counts[p])
-
-
-def _block_diagonal(m: IntMatrix, copies):
-    """copies copies of m down the diagonal, one per bar tuple."""
-    return IntMatrix.from_blocks(copies * m.rows, copies * m.cols,
-                                 [(t * m.rows, t * m.cols, m, 1) for t in range(copies)])
+        cob, copies = self.space.coboundary(q), self.tuple_counts[p]
+        return IntMatrix.from_blocks(copies * cob.rows, copies * cob.cols,
+                                     [(t * cob.rows, t * cob.cols, cob, 1) for t in range(copies)])
 
 
 # The largest bar construction a query may build, counted by bar_size and
@@ -1044,7 +1029,7 @@ def equivariant_cohomology(act: GAction, n, coeff="Z"):
             0 if coeff == "Q" else StructuredCoefGroup())
     cx = act.reduced_bar(n + 2 if coeff == "QmodZ" else n + 1)
     if coeff == "QmodZ":
-        return coefficient_change(cx.cohomology(n), cx.cohomology(n + 1), "CmodZ")
+        return coefficient_change(cx.cohomology(n), cx.cohomology(n + 1))
     if coeff == "Z":
         return cx.cohomology(n)
     return cx.cohomology_q_dim(n)

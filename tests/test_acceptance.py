@@ -81,7 +81,7 @@ def test_criterion_01_s3_conjugation_table():
         h = tot.cohomology(k)
         ok = ok and h == want
         ok = ok and tot.cohomology_q_dim(k) == want.free_rank
-        structured = coefficient_change(h, tot.cohomology(k + 1), "CmodZ")
+        structured = coefficient_change(h, tot.cohomology(k + 1))
         want_circle = StructuredCoefGroup(divisible_circle_rank=want.free_rank)
         ok = ok and structured == want_circle
     elapsed = time.monotonic() - t0

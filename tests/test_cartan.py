@@ -12,6 +12,7 @@ from eqcohom.cartan import (
     LinearAction,
     CartanCheckFailed,
     CartanComplexTooLarge,
+    cartan_cohomology_range,
     cartan_cohomology_truncated,
     cartan_d,
     fiber_integrate_interval,
@@ -23,6 +24,7 @@ from eqcohom.cartan import (
     is_invariant,
     lie_derivative,
     cartan_size,
+    check_cartan_query,
     parse_form,
     total_lie,
 )
@@ -453,6 +455,44 @@ def test_rank_q_calls_of_the_bench_rotation_queries(monkeypatch):
     for n in range(6):
         cartan_cohomology_truncated(ROT, n, 6)
     assert len(calls) == 96
+
+
+O2_PLANE = LinearAction(LieAlgebra.abelian(1), [[[0, -1], [1, 0]]],
+                        [([[1, 0], [0, -1]], [[-1]])])
+
+
+def test_a_degree_range_builds_each_block_once(monkeypatch, capsys):
+    # cartan --degrees 0..5 at the default bound 6 builds the blocks of
+    # degrees -1..5 once each: 7 x 7 = 49, where one call per degree builds
+    # degrees n - 1 and n, 84 in all
+    built = []
+    real = cartan._block_columns
+    monkeypatch.setattr(cartan, "_block_columns",
+                        lambda act, n, w: built.append((n, w)) or real(act, n, w))
+    assert main(["cartan", "--degrees", "0..5"]) == 0
+    assert "dim H^4_Cartan = 1" in capsys.readouterr().out
+    assert len(built) == len(set(built)) == 49
+
+
+@pytest.mark.parametrize("act, bound", [(ROT, 6), (SO3, 3), (O2_PLANE, 4)],
+                         ids=["rotation", "so3", "o2_plane"])
+def test_a_degree_range_answers_as_each_degree_alone(act, bound):
+    for lo, hi in [(0, 5), (2, 4), (3, 3)]:
+        want = {n: cartan_cohomology_truncated(act, n, bound) for n in range(lo, hi + 1)}
+        assert cartan_cohomology_range(act, range(lo, hi + 1), bound) == want, (lo, hi)
+
+
+def test_the_budget_counts_distinct_blocks(monkeypatch):
+    # so3 at bound 6 through degree 10 counted 25 979 monomials, one block
+    # pair per degree, where 14 659 are distinct; through degree 12 even the
+    # distinct blocks are over the budget, and nothing is built
+    check_cartan_query(SO3, range(0, 11), 6)
+    assert cartan_size(SO3, range(0, 11), 6) == 14659
+    assert cartan_size(SO3, range(0, 11), 6) \
+        == sum(cartan_size(SO3, [n], 6) for n in range(0, 11, 2))
+    monkeypatch.setattr(cartan, "_block_columns", _no_work)
+    with pytest.raises(CartanComplexTooLarge, match="23044 monomials"):
+        cartan_cohomology_range(SO3, range(0, 13), 6)
 
 
 def test_zero_lie_algebra():

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from eqcohom import linalg
+from eqcohom import complexes, linalg
 from eqcohom.cli import (
     EXIT_OK,
     EXIT_PRECONDITION,
@@ -353,3 +353,20 @@ def test_hexagon_degree_range_builds_each_bar_construction_once(monkeypatch):
     assert list(out) == ["0", "1", "2", "3"]
     # S3 on its 3 cosets of {0, 1}: one orbit, whose stabilizer has order 2
     assert sorted(builds) == [(2, 1, 4), (6, 3, 4)]
+
+
+def test_s3_table_reduces_its_total_complex_once(monkeypatch):
+    # the corner table and the bottom-row verdict read one reduction of the
+    # 35-cell total complex
+    reductions = []
+    real = complexes.reduce_complex
+
+    def counting(ranks, diffs):
+        reductions.append(sum(ranks))
+        return real(ranks, diffs)
+
+    monkeypatch.setattr(complexes, "reduce_complex", counting)
+    out, lines = run(JobSpec("verify", {"suite": "s3-table"}))
+    assert out["bottom_row_exact"] is True
+    assert lines[-1] == "bottom row exact: True"
+    assert reductions == [35]

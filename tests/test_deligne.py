@@ -19,7 +19,7 @@ from eqcohom.deligne import (
     hexagon,
 )
 from eqcohom.linalg import FgAbGroup, IntMatrix, kernel_basis, rank_q
-from eqcohom.complexes import DoubleComplex, IntCochainComplex
+from eqcohom.complexes import DoubleComplex, IntCochainComplex, total_complex
 from eqcohom.simplicial import (
     BarLevels,
     CellComplex,
@@ -598,7 +598,7 @@ def test_hexagon_property_small_suite():
                 assert rep.all_exact, (group.name, n, rep.exactness)
 
 
-# --- supplied-corner mode -----------------------------------------------------------
+# --- supplied double complexes ------------------------------------------------------
 
 
 def _toy_supplied():
@@ -611,20 +611,23 @@ def _toy_supplied():
 
 def test_supplied_corner_cocycle_validation():
     dc = _toy_supplied()
-    good = SuppliedCorners(dc, closed_form_cocycles=[[1]], form_degree=1)
-    hexagon(None, 1, supplied=good)
+    SuppliedCorners(dc, closed_form_cocycles=[[1]]).validate_cocycles(1)
     ranks = {(0, 0): 1, (0, 1): 1, (1, 1): 1}
     vert = {(0, 1): IntMatrix.identity(1)}
     horiz = {(0, 0): IntMatrix.zero(1, 1)}
-    dc_bad = DoubleComplex(1, 1, ranks, horiz, vert)
-    bad = SuppliedCorners(dc_bad, closed_form_cocycles=[[1]], form_degree=1)
-    with pytest.raises(InconsistentCorners):
-        hexagon(None, 1, supplied=bad)
+    not_equivariant = DoubleComplex(1, 1, ranks, horiz, vert)
+    not_closed = DoubleComplex(0, 2, {(0, 0): 1, (0, 1): 1, (0, 2): 1},
+                               {(0, 1): IntMatrix.identity(1)}, {})
+    for bad in (SuppliedCorners(not_equivariant, closed_form_cocycles=[[1]]),
+                SuppliedCorners(not_closed, closed_form_cocycles=[[1]]),
+                SuppliedCorners(dc, closed_form_cocycles=[[1, 0]])):
+        with pytest.raises(InconsistentCorners):
+            bad.validate_cocycles(1)
 
 
 def test_corner_table_runs():
     dc = _toy_supplied()
-    table = corner_table(dc, [0, 1])
+    table = corner_table(total_complex(dc).reduced(), [0, 1])
     assert all(set(row) == {"Z", "Q", "QmodZ"} for row in table.values())
     assert table[0]["Z"] == FgAbGroup(1)
     assert table[1]["Z"] == FgAbGroup(1)
