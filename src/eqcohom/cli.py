@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Subcommands: cohomology, diffcoh, hexagon, cartan, chern, verify, examples.
+Subcommands: cohomology, diffcoh, hexagon, cartan, chern, verify, examples,
+each declared once in _COMMANDS: its string flags (x_bound is --x-bound) and
+its --job fields are the same names, and run applies every default and parse.
 Inputs are named families (cyclic:5, symmetric:3, dihedral:4, quaternion:8),
-stock spaces (point, points:k, two-points, circle:k) or JSON files using the
-package serialization.  Exit codes: 0 ok, 2 schema error, 3 mathematical
+stock spaces (point, points:k, two-points, circle:k) or JSON files, each read
+by _read_json.  Exit codes: 0 ok, 2 schema error, 3 mathematical
 precondition failed, 4 internal error.
 """
 
@@ -55,16 +57,18 @@ class SchemaError(Exception):
     pass
 
 
-_COMMANDS = ("cohomology", "diffcoh", "hexagon", "cartan", "chern", "verify", "examples")
-
-_FIELDS = {
-    "cohomology": {"command", "group", "space", "action", "degrees", "coeff", "format"},
-    "diffcoh": {"command", "group", "space", "action", "degree", "format"},
-    "hexagon": {"command", "group", "space", "action", "degree", "format"},
-    "cartan": {"command", "action", "degrees", "x_bound", "format"},
-    "chern": {"command", "preset", "poly", "format"},
-    "verify": {"command", "suite", "group", "space", "action", "degrees", "format"},
-    "examples": {"command", "run", "format"},
+# command -> (help line, input fields); every command also takes format
+_COMMANDS = {
+    "cohomology": ("equivariant cohomology of a cellular action",
+                   ("group", "space", "action", "degrees", "coeff")),
+    "diffcoh": ("differential cohomology of a 0-dimensional action",
+                ("group", "space", "action", "degree")),
+    "hexagon": ("differential-cohomology hexagon with verdicts",
+                ("group", "space", "action", "degree")),
+    "cartan": ("Cartan-model cohomology by scaling weight", ("action", "degrees", "x_bound")),
+    "chern": ("equivariant characteristic forms", ("preset", "poly")),
+    "verify": ("run a verification suite", ("suite", "group", "space", "action", "degrees")),
+    "examples": ("list or run bundled examples", ("run",)),
 }
 
 
@@ -79,9 +83,9 @@ class JobSpec:
         if not isinstance(obj, dict):
             raise SchemaError("job must be a JSON object")
         command = obj.get("command")
-        if command not in _COMMANDS:
+        if not isinstance(command, str) or command not in _COMMANDS:
             raise SchemaError(f"unknown command {command!r}")
-        unknown = set(obj) - _FIELDS[command]
+        unknown = set(obj) - {"command", "format", *_COMMANDS[command][1]}
         if unknown:
             raise SchemaError(f"unknown fields for {command}: {sorted(unknown)}")
         fmt = obj.get("format", "text")
@@ -93,6 +97,8 @@ class JobSpec:
 
 def _int(value, what):
     """An integer input, given as a JSON int or a decimal string."""
+    if value is None:
+        raise SchemaError(f"missing {what}")
     if isinstance(value, (int, str)) and not isinstance(value, bool):
         try:
             return int(value)
@@ -110,11 +116,22 @@ def _str(value, what):
     return value
 
 
+def _read_json(path, reader):
+    """reader(the JSON in the file at path).  SchemaError when the file cannot
+    be read or decoded into an object; a failed precondition passes through."""
+    try:
+        with open(path) as fh:
+            return reader(json.load(fh))
+    except (SchemaError, *_MATH_ERRORS):
+        raise
+    except Exception as exc:
+        raise SchemaError(f"cannot read {path}: {type(exc).__name__}: {exc}") from exc
+
+
 def _load_group(spec):
     spec = _str(spec, "group")
     if spec.endswith(".json"):
-        with open(spec) as fh:
-            return FiniteGroup.from_json_obj(json.load(fh))
+        return _read_json(spec, FiniteGroup.from_json_obj)
     try:
         return FiniteGroup.named(spec)
     except ValueError as exc:
@@ -124,30 +141,24 @@ def _load_group(spec):
 def _load_space(spec):
     spec = _str(spec, "space")
     if spec.endswith(".json"):
-        with open(spec) as fh:
-            return CellComplex.from_json_obj(json.load(fh))
+        return _read_json(spec, CellComplex.from_json_obj)
     if spec == "point":
         return CellComplex.point()
     if spec == "two-points":
         return CellComplex.points(2)
-    if spec.startswith("points:"):
-        k = _int(spec.split(":")[1], "points:k")
-        if k < 0:
-            raise SchemaError(f"points:k needs k >= 0, got {k}")
-        return CellComplex.points(k)
-    if spec.startswith("circle:"):
-        k = _int(spec.split(":")[1], "circle:k")
-        if k < 1:
-            raise SchemaError(f"circle:k needs k >= 1, got {k}")
-        return CellComplex.circle(k)
+    kind, _, arg = spec.partition(":")
+    if kind in ("points", "circle"):
+        k, least = _int(arg, f"{kind}:k"), int(kind == "circle")
+        if k < least:
+            raise SchemaError(f"{kind}:k needs k >= {least}, got {k}")
+        return getattr(CellComplex, kind)(k)
     raise SchemaError(f"unknown space {spec!r}")
 
 
 def _build_action(inputs):
     action_spec = inputs.get("action", "auto")
     if isinstance(action_spec, str) and action_spec.endswith(".json"):
-        with open(action_spec) as fh:
-            return GAction.from_json_obj(json.load(fh))
+        return _read_json(action_spec, GAction.from_json_obj)
     group = _load_group(inputs.get("group"))
     space = _load_space(inputs.get("space"))
     if action_spec in ("auto", None):
@@ -204,8 +215,7 @@ def _cartan_action(spec):
     if spec == "so3-vector":
         return LinearAction.so3_vector_r3()
     if isinstance(spec, str) and spec.endswith(".json"):
-        with open(spec) as fh:
-            return LinearAction.from_json_obj(json.load(fh))
+        return _read_json(spec, LinearAction.from_json_obj)
     raise SchemaError(f"unknown linear action {spec!r}")
 
 
@@ -292,7 +302,7 @@ def _run_chern(inputs):
 
 
 def _run_verify(inputs):
-    suite = inputs.get("suite")
+    suite = _str(inputs.get("suite"), "suite")
     if suite == "hexagon":
         act = _build_action(inputs)
         degrees = _parse_degrees(inputs.get("degrees", "0..2"))
@@ -350,40 +360,10 @@ def build_parser():
                                      description="equivariant cohomology workbench")
     parser.add_argument("--job", help="run a JSON job file instead of flags")
     sub = parser.add_subparsers(dest="command")
-    p = sub.add_parser("cohomology", help="equivariant cohomology of a cellular action")
-    p.add_argument("--group", required=True)
-    p.add_argument("--space", required=True)
-    p.add_argument("--action", default="auto")
-    p.add_argument("--degrees", required=True)
-    p.add_argument("--coeff", default="z")
-    p = sub.add_parser("diffcoh", help="differential cohomology of a 0-dimensional action")
-    p.add_argument("--group", required=True)
-    p.add_argument("--space", required=True)
-    p.add_argument("--action", default="auto")
-    p.add_argument("--degree", type=int, required=True)
-    p = sub.add_parser("hexagon", help="differential-cohomology hexagon with verdicts")
-    p.add_argument("--group", required=True)
-    p.add_argument("--space", required=True)
-    p.add_argument("--action", default="auto")
-    p.add_argument("--degree", type=int, required=True)
-    p = sub.add_parser("cartan", help="Cartan-model cohomology by scaling weight")
-    p.add_argument("--action", default="rotation")
-    p.add_argument("--degrees", required=True)
-    p.add_argument("--x-bound", dest="x_bound", type=int, default=6,
-                   help="the largest block weight |x| + |dx|")
-    p = sub.add_parser("chern", help="equivariant characteristic forms")
-    p.add_argument("--preset", default="weight:1")
-    p.add_argument("--poly", default="chern:1")
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", required=True)
-    p.add_argument("--group")
-    p.add_argument("--space")
-    p.add_argument("--action", default="auto")
-    p.add_argument("--degrees")
-    p = sub.add_parser("examples", help="list or run bundled examples")
-    p.add_argument("--run")
-    for sp in sub.choices.values():
-        sp.add_argument("--format", choices=("text", "json"), default="text")
+    for command, (help_line, fields) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
+        for name in (*fields, "format"):
+            p.add_argument("--" + name.replace("_", "-"))
     return parser
 
 
@@ -392,16 +372,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         if args.job:
-            with open(args.job) as fh:
-                job = JobSpec.from_obj(json.load(fh))
+            job = _read_json(args.job, JobSpec.from_obj)
         else:
             if not args.command:
                 parser.print_help()
                 return EXIT_SCHEMA
-            obj = {k: v for k, v in vars(args).items()
-                   if k not in ("job",) and v is not None}
-            obj["format"] = getattr(args, "format", "text")
-            job = JobSpec.from_obj(obj)
+            job = JobSpec.from_obj({k: v for k, v in vars(args).items()
+                                    if k != "job" and v is not None})
         payload, lines = run(job)
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)

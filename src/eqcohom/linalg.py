@@ -266,14 +266,7 @@ class IntMatrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
 
-    # -- serialization (dense, decimal strings)
-
-    def to_json_obj(self):
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "entries": [[str(v) for v in row] for row in self.to_rows()],
-        }
+    # -- reading (dense; an entry is a JSON int or a decimal string)
 
     @classmethod
     def from_json_obj(cls, obj):

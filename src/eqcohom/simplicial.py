@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate, chain, permutations, repeat
+from math import factorial
 from operator import add
 
 from .complexes import DoubleComplex, IntCochainComplex, totalize
@@ -46,6 +47,7 @@ class FiniteGroup:
     """Multiplication table group; elements are indices 0..order-1."""
 
     def __init__(self, table, name=None):
+        _refuse_large_table(name, len(table))
         self.table = [list(row) for row in table]
         self.order = len(self.table)
         self.name = name
@@ -152,22 +154,24 @@ class FiniteGroup:
 
     @classmethod
     def named(cls, spec):
-        """Parse 'cyclic:5', 'symmetric:3', 'dihedral:4', 'quaternion:8'."""
+        """Parse 'cyclic:5', 'symmetric:3', 'dihedral:4', 'quaternion:8'.  The
+        order follows from the spec, so a table over BAR_BUDGET raises
+        BarComplexTooLarge before anything is built."""
         kind, _, arg = spec.partition(":")
         n = int(arg) if arg else None
-        if n is None and kind in ("cyclic", "symmetric", "dihedral"):
-            raise ValueError(f"{kind} needs an order, as in {kind}:3")
-        if kind == "cyclic":
-            return cls.cyclic(n)
-        if kind == "symmetric":
-            return cls.symmetric(n)
-        if kind == "dihedral":
-            return cls.dihedral(n)
         if kind == "quaternion":
             if n != 8:
                 raise ValueError("only quaternion:8 is available")
             return cls.quaternion8()
-        raise ValueError(f"unknown group family {spec!r}")
+        if kind not in ("cyclic", "symmetric", "dihedral"):
+            raise ValueError(f"unknown group family {spec!r}")
+        least = 0 if kind == "symmetric" else 1
+        if n is None or n < least:
+            raise ValueError(f"{kind}:n needs an order n >= {least}, as in {kind}:3")
+        # 7! is already over the budget: no larger factorial is formed
+        order = {"cyclic": n, "dihedral": 2 * n, "symmetric": factorial(min(n, 7))}[kind]
+        _refuse_large_table(spec, order)
+        return getattr(cls, kind)(n)
 
     def _subgroup_elements(self, elements):
         """The elements as a sorted tuple; InvalidAction unless they are a
@@ -243,11 +247,6 @@ class FiniteGroup:
             found |= frontier
         return sorted((tuple(sorted(h)) for h in found), key=lambda h: (len(h), h))
 
-    def to_json_obj(self):
-        if self.name:
-            return {"name": self.name}
-        return {"table": self.table}
-
     @classmethod
     def from_json_obj(cls, obj):
         if "name" in obj:
@@ -267,6 +266,8 @@ class CellComplex:
         self.cells = list(cells)
         self.boundaries = list(boundaries)  # boundaries[d]: C_{d+1} -> C_d shape
         self.name = name
+        if not all(isinstance(c, int) and c >= 0 for c in self.cells):
+            raise ValueError(f"cell counts must be nonnegative integers, got {self.cells}")
         if len(self.boundaries) != max(len(self.cells) - 1, 0):
             raise ValueError("need one boundary matrix between consecutive dimensions")
         for d, bd in enumerate(self.boundaries):
@@ -313,9 +314,6 @@ class CellComplex:
             bd[((i + 1) % k, i)] = bd.get(((i + 1) % k, i), 0) + 1
             bd[(i, i)] = bd.get((i, i), 0) - 1
         return cls([k, k], [IntMatrix(k, k, bd)], name=f"circle:{k}")
-
-    def to_json_obj(self):
-        return {"cells": self.cells, "boundaries": [b.to_json_obj() for b in self.boundaries]}
 
     @classmethod
     def from_json_obj(cls, obj):
@@ -499,14 +497,6 @@ class GAction:
         perms = {g: [[(c + g) % p for c in range(p)] for _ in range(4)]
                  for g in range(p)}
         return cls(group, space, perms, name=f"lens:{p}")
-
-    def to_json_obj(self):
-        return {
-            "group": self.group.to_json_obj(),
-            "space": self.space.to_json_obj(),
-            "perms": {str(g): self.perms[g] for g in self.group.elements()},
-            "signs": {str(g): self.signs[g] for g in self.group.elements()},
-        }
 
     @classmethod
     def from_json_obj(cls, obj):
@@ -877,6 +867,15 @@ BAR_BUDGET = 500_000
 class BarComplexTooLarge(InvalidAction):
     """The bar construction of a query is over BAR_BUDGET (a failed
     precondition, like every InvalidAction)."""
+
+
+def _refuse_large_table(name, order):
+    """BarComplexTooLarge when a group of at least this order has over
+    BAR_BUDGET table entries, as many as its bar level 2 has tuples."""
+    if order * order > BAR_BUDGET:
+        raise BarComplexTooLarge(
+            f"{name or 'the group'} has order at least {order}: its multiplication table "
+            f"has at least {order * order} entries, over the budget of {BAR_BUDGET}")
 
 
 def bar_size(act: GAction, top):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from eqcohom import complexes, linalg
+from eqcohom import complexes, linalg, simplicial
 from eqcohom.cli import (
     EXIT_OK,
     EXIT_PRECONDITION,
@@ -15,7 +15,7 @@ from eqcohom.cli import (
     run,
 )
 from eqcohom.bundled import bundled_examples
-from eqcohom.simplicial import BAR_BUDGET, BarLevels
+from eqcohom.simplicial import BAR_BUDGET, BarLevels, FiniteGroup
 
 
 def invoke(capsys, *argv):
@@ -206,6 +206,7 @@ def test_integer_strings_are_accepted(tmp_path, capsys):
      "degrees": "3..1"},
     {"command": "cohomology", "group": "cyclic:2", "space": "point", "degrees": "3..1"},
     {"command": "cartan", "degrees": "2..0"},
+    {"command": "cohomology", "group": "cyclic:2", "space": "points:3:4", "degrees": 0},
 ])
 def test_malformed_names_and_counts_are_schema_errors(tmp_path, capsys, job):
     path = tmp_path / "job.json"
@@ -326,6 +327,142 @@ def test_huge_degrees_exit_3_before_any_work(capsys, monkeypatch, argv):
     monkeypatch.setattr(BarLevels, "__init__", no_build)
     code, out, err = invoke(capsys, *argv)
     assert code == EXIT_PRECONDITION and out == "" and "precondition failed" in err, err
+
+
+def _job_of(argv):
+    """The --job object that argv's flags spell: --x-bound is x_bound."""
+    return {"command": argv[0], **{flag[2:].replace("-", "_"): value
+                                   for flag, value in zip(argv[1::2], argv[2::2])}}
+
+
+@pytest.mark.parametrize("argv", [
+    ("cohomology", "--group", "cyclic:2", "--space", "point", "--degrees", "0..2", "--coeff", "q"),
+    ("diffcoh", "--group", "cyclic:3", "--space", "point", "--degree", "2"),
+    ("hexagon", "--group", "cyclic:2", "--space", "two-points", "--degree", "1"),
+    ("cartan", "--action", "rotation", "--degrees", "0..2", "--x-bound", "4"),
+    ("chern", "--preset", "weight:3", "--poly", "chern:1"),
+    ("verify", "--suite", "hexagon", "--group", "cyclic:2", "--space", "two-points",
+     "--degrees", "0..1"),
+    ("examples", "--run", "c2-two-points"),
+    ("examples",),
+])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_flags_and_job_file_print_the_same(tmp_path, capsys, argv, fmt):
+    # one table declares each command's inputs, so its flags and the fields
+    # of its job file are read the same way
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({**_job_of(argv), "format": fmt}))
+    code, flag_out, err = invoke(capsys, *argv, "--format", fmt)
+    assert code == EXIT_OK, err
+    code, job_out, err = invoke(capsys, "--job", str(path))
+    assert code == EXIT_OK, err
+    assert job_out == flag_out
+
+
+@pytest.mark.parametrize("argv, missing", [
+    (("cohomology", "--space", "point", "--degrees", "0"), "group"),
+    (("diffcoh", "--group", "cyclic:2", "--space", "point"), "degree"),
+    (("verify",), "suite"),
+])
+def test_missing_inputs_are_schema_errors(capsys, argv, missing):
+    code, out, err = invoke(capsys, *argv)
+    assert code == EXIT_SCHEMA and out == "" and f"schema error: missing {missing}" in err, err
+
+
+def _argv_reading(kind, path):
+    return {"group": ("cohomology", "--group", path, "--space", "point", "--degrees", "0"),
+            "space": ("cohomology", "--group", "cyclic:2", "--space", path, "--degrees", "0"),
+            "action": ("verify", "--suite", "hexagon", "--action", path, "--degrees", "0"),
+            "lie": ("cartan", "--action", path, "--degrees", "0"),
+            "job": ("--job", path)}[kind]
+
+
+@pytest.mark.parametrize("kind, text", [
+    ("group", '{"table": "abc"}'),
+    ("group", '{"table": [[0, 1], [1, 0], [0, 1]]}'),
+    ("group", '{"nope": 1}'),
+    ("group", "[1, 2]"),
+    ("group", '{"name": "cyclic:0"}'),
+    ("space", '{"cells": [2], "boundaries": [[1]]}'),
+    ("space", '{"cells": "x", "boundaries": []}'),
+    ("action", '{"group": {"name": "cyclic:2"}, "space": {"cells": [1], "boundaries": []},'
+               ' "perms": {"0": [[0]]}}'),
+    ("lie", '{"lie_algebra": {"dim": 1, "structure": []}, "rep": "x"}'),
+    ("job", "{not json"),
+    ("job", '{"command": ["cohomology"]}'),
+    ("job", None),
+    ("group", None),
+])
+def test_unreadable_input_files_are_schema_errors(tmp_path, capsys, kind, text):
+    # a missing file, invalid JSON, a missing key, a wrong type or a bad
+    # entry: the file cannot be read into an object, which is bad input
+    path = tmp_path / "input.json"
+    if text is not None:
+        path.write_text(text)
+    code, out, err = invoke(capsys, *_argv_reading(kind, str(path)))
+    assert code == EXIT_SCHEMA and out == "" and "schema error" in err, err
+
+
+def test_an_action_file_that_is_not_a_homomorphism_exits_3(tmp_path, capsys):
+    path = tmp_path / "action.json"
+    path.write_text(json.dumps({"group": {"name": "cyclic:3"},
+                                "space": {"cells": [2], "boundaries": []},
+                                "perms": {"0": [[0, 1]], "1": [[1, 0]], "2": [[1, 0]]}}))
+    code, out, err = invoke(capsys, *_argv_reading("action", str(path)))
+    assert code == EXIT_PRECONDITION and "not a homomorphism" in err, err
+
+
+@pytest.mark.parametrize("group, entries", [
+    ("symmetric:6", 720 ** 2),
+    ("symmetric:7", 5040 ** 2),
+    ("symmetric:1000000", 5040 ** 2),
+    ("cyclic:708", 708 ** 2),
+    ("cyclic:2000", 2000 ** 2),
+    ("dihedral:354", 708 ** 2),
+])
+def test_groups_over_the_table_budget_exit_3_before_any_table(capsys, monkeypatch,
+                                                              group, entries):
+    def no_table(*args, **kwargs):
+        raise AssertionError("a group table was started over the budget")
+
+    monkeypatch.setattr(FiniteGroup, "__init__", no_table)
+    monkeypatch.setattr(simplicial, "permutations", no_table)
+    code, out, err = invoke(capsys, "cohomology", "--group", group, "--space", "point",
+                            "--degrees", "0")
+    assert code == EXIT_PRECONDITION and out == "", err
+    assert f"at least {entries} entries, over the budget of {BAR_BUDGET}" in err
+
+
+def test_a_table_file_over_the_budget_exits_3_before_its_checks(tmp_path, capsys):
+    # a table's order is its row count: 708 rows are refused before the
+    # table is copied or checked to be square
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"table": [[0]] * 708}))
+    code, out, err = invoke(capsys, "cohomology", "--group", str(path), "--space", "point",
+                            "--degrees", "0")
+    assert code == EXIT_PRECONDITION and out == "", err
+    assert f"at least {708 ** 2} entries" in err
+
+
+@pytest.mark.parametrize("spec", ["cyclic:707", "dihedral:353", "symmetric:5", "symmetric:0"])
+def test_groups_within_the_table_budget_are_built(monkeypatch, spec):
+    class Built(Exception):
+        pass
+
+    def building(*args, **kwargs):
+        raise Built
+
+    monkeypatch.setattr(FiniteGroup, "__init__", building)
+    with pytest.raises(Built):
+        FiniteGroup.named(spec)
+
+
+@pytest.mark.parametrize("spec, least", [("cyclic:0", 1), ("dihedral:0", 1), ("dihedral:-2", 1),
+                                         ("symmetric:-1", 0)])
+def test_named_groups_below_their_least_order_are_schema_errors(capsys, spec, least):
+    code, out, err = invoke(capsys, "cohomology", "--group", spec, "--space", "point",
+                            "--degrees", "0")
+    assert code == EXIT_SCHEMA and out == "" and f"needs an order n >= {least}" in err, err
 
 
 def test_degree_ranges_are_not_lists():

@@ -1,3 +1,4 @@
+import json
 import random
 import re
 from collections import Counter
@@ -91,10 +92,11 @@ def test_symmetric_4_has_30_subgroups():
 
 
 def test_group_json_roundtrip():
+    # a group file names a family or gives its table
     g = FiniteGroup.cyclic(4)
-    assert FiniteGroup.from_json_obj(g.to_json_obj()).table == g.table
-    raw = FiniteGroup(g.table)
-    assert FiniteGroup.from_json_obj(raw.to_json_obj()).table == g.table
+    assert FiniteGroup.from_json_obj({"name": "cyclic:4"}).table == g.table
+    table = json.loads("[[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]]")
+    assert FiniteGroup.from_json_obj({"table": table}).table == g.table
 
 
 # --- cell complexes and actions -------------------------------------------------
@@ -141,8 +143,16 @@ def test_rotation_action_and_generator_closure():
 
 
 def test_action_json_roundtrip():
+    # the rotation of circle:3 as an action file: its boundary is a dense
+    # matrix of decimal strings, and signs default to +1
     act = GAction.cyclic_rotation_circle(3)
-    back = GAction.from_json_obj(act.to_json_obj())
+    back = GAction.from_json_obj(json.loads("""{
+        "group": {"name": "cyclic:3"},
+        "space": {"cells": [3, 3], "boundaries": [
+            {"rows": 3, "cols": 3, "entries": [["-1", "0", "1"], ["1", "-1", "0"], ["0", "1", "-1"]]}]},
+        "perms": {"0": [[0, 1, 2], [0, 1, 2]], "1": [[1, 2, 0], [1, 2, 0]],
+                  "2": [[2, 0, 1], [2, 0, 1]]}}"""))
+    assert back.space.boundaries == act.space.boundaries
     assert back.perms == act.perms and back.signs == act.signs
 
 
