@@ -41,6 +41,10 @@ def _exact(v):
 # Lie algebras and linear actions
 
 
+class InvalidLieAction(ValueError):
+    """Lie data that fail antisymmetry, Jacobi, the bracket or invertibility."""
+
+
 class LieAlgebra:
     """Structure constants [X_b, X_c] = sum_a c[a][b][c] X_a, all rational
     (held through _exact)."""
@@ -69,12 +73,12 @@ class LieAlgebra:
             for c in range(k):
                 for a in range(k):
                     if self.c(a, b, c) != -self.c(a, c, b):
-                        raise ValueError("structure constants are not antisymmetric")
+                        raise InvalidLieAction("structure constants are not antisymmetric")
         # Jacobi: [[a,b],c] + [[b,c],a] + [[c,a],b] = 0, coefficient by coefficient
         for a, b, c, e in product(range(k), repeat=4):
             if sum(self.c(d, a, b) * self.c(e, d, c) + self.c(d, b, c) * self.c(e, d, a)
                    + self.c(d, c, a) * self.c(e, d, b) for d in range(k)):
-                raise ValueError("Jacobi identity fails")
+                raise InvalidLieAction("Jacobi identity fails")
 
     @classmethod
     def abelian(cls, k):
@@ -102,8 +106,8 @@ class LinearAction:
     and Lie derivatives on int arithmetic.
 
     A finite element is never inverted: a form is fixed by a map exactly when
-    it is fixed by the map's inverse.  A misshapen or singular g or Ad raises
-    ValueError."""
+    it is fixed by the map's inverse.  A misshapen g or Ad raises ValueError,
+    a singular one InvalidLieAction."""
 
     def __init__(self, lie_algebra: LieAlgebra, rep, finite_elements=()):
         self.lie_algebra = lie_algebra
@@ -111,18 +115,19 @@ class LinearAction:
         if len(self.rep) != lie_algebra.dim:
             raise ValueError("need one representation matrix per basis element")
         self.m = len(self.rep[0]) if self.rep else 0
-        for mat in self.rep:
-            if len(mat) != self.m or any(len(r) != self.m for r in mat):
-                raise ValueError("representation matrices must be square of equal size")
+        if not all(_is_square(mat, self.m) for mat in self.rep):
+            raise ValueError("representation matrices must be square of equal size")
         k = lie_algebra.dim
         self.finite_elements = []
         for g, ad in finite_elements:
             g = _exact_matrix(g)
             ad = _exact_matrix(ad if ad is not None else [[int(i == j) for j in range(k)]
                                                           for i in range(k)])
-            if not (_invertible(g, self.m) and _invertible(ad, k)):
-                raise ValueError("finite element matrices must be invertible, g of size "
+            if not (_is_square(g, self.m) and _is_square(ad, k)):
+                raise ValueError("finite element matrices must be square, g of size "
                                  f"{self.m} and Ad of size {k}")
+            if not (_invertible(g) and _invertible(ad)):
+                raise InvalidLieAction("finite element matrices must be invertible")
             self.finite_elements.append((g, ad))
         self._validate()
 
@@ -138,7 +143,7 @@ class LinearAction:
                     if coeff:
                         want = _mat_add(want, _mat_scale(self.rep[a], coeff))
                 if comm != want:
-                    raise ValueError("rep does not respect the bracket")
+                    raise InvalidLieAction("rep does not respect the bracket")
 
     @classmethod
     def circle_rotation_r2(cls, weight=1, finite_order=None):
@@ -191,11 +196,14 @@ def _mat_mul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
-def _invertible(mat, n):
-    """Is mat an n x n matrix of rank n over Q?"""
-    return (len(mat) == n and all(len(row) == n for row in mat)
-            and _rank([{i: row[j] for i, row in enumerate(mat) if row[j]}
-                       for j in range(n)]) == n)
+def _is_square(mat, n):
+    return len(mat) == n and all(len(row) == n for row in mat)
+
+
+def _invertible(mat):
+    """Is the square matrix mat of full rank over Q?"""
+    return _rank([{i: row[j] for i, row in enumerate(mat) if row[j]}
+                  for j in range(len(mat))]) == len(mat)
 
 
 def _mat_scale(a, c):

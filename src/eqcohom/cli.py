@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from . import bundled
 from .cartan import (
     CartanComplexTooLarge,
+    InvalidLieAction,
     LaneOverflow,
     LinearAction,
     cartan_cohomology_range,
@@ -50,7 +51,7 @@ EXIT_PRECONDITION = 3
 EXIT_INTERNAL = 4
 
 _MATH_ERRORS = (PositiveDimensionalInput, InvalidAction, CoefficientNotDivisible,
-                CartanComplexTooLarge, LaneOverflow)
+                CartanComplexTooLarge, LaneOverflow, InvalidLieAction)
 
 
 class SchemaError(Exception):
@@ -158,6 +159,9 @@ def _load_space(spec):
 def _build_action(inputs):
     action_spec = inputs.get("action", "auto")
     if isinstance(action_spec, str) and action_spec.endswith(".json"):
+        for name in ("group", "space"):
+            if name in inputs:
+                raise SchemaError(f"{name} is given beside {action_spec}, which names its own")
         return _read_json(action_spec, GAction.from_json_obj)
     group = _load_group(inputs.get("group"))
     space = _load_space(inputs.get("space"))

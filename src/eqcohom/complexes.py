@@ -19,8 +19,8 @@ from .linalg import (
 )
 
 
-class IllFormedDoubleComplex(Exception):
-    pass
+class IllFormedDoubleComplex(ValueError):
+    """A complex or double complex whose d^2 = 0 or shapes fail."""
 
 
 class NotACocycle(Exception):
@@ -35,17 +35,16 @@ class IntCochainComplex:
     """Finite complex of free Z-modules, degrees n_min .. n_min+len(ranks)-1.
 
     diffs[k] is d^{n_min+k}: degree n_min+k -> n_min+k+1; outside the stored
-    range every module is zero.  d^2 = 0 is checked once, when it is built
-    (unless check=False), and checked records whether it was.  Cohomology
-    is read off its reduction (reduced), computed once and kept, so no
-    degree read reduces anything again.  A complex is the one owner of the
-    factorizations of its differentials: differential_rank(n) and smith(n)
-    compute the rank over Q and the Smith form of a stored d^n at the first
-    read and keep them, shared with its views (upto), so no second read
-    factors anything.
+    range every module is zero.  Every complex checks its own d^2 = 0, on
+    every row, when it is built.  Cohomology is read off its reduction
+    (reduced), computed once and kept, so no degree read reduces anything
+    again.  A complex keeps the factorizations of its own differentials:
+    differential_rank(n) and smith(n) compute the rank over Q and the Smith
+    form of d^n at the first read and keep them, so no second read factors
+    anything.
     """
 
-    def __init__(self, n_min, ranks, diffs, check=True):
+    def __init__(self, n_min, ranks, diffs):
         self.n_min = n_min
         self.ranks = list(ranks)
         self.diffs = list(diffs)
@@ -53,18 +52,16 @@ class IntCochainComplex:
         self._is_reduced = False
         self._rank_q = {}        # degree -> rank over Q of d^n, once computed
         self._smith = {}         # degree -> Smith form of d^n, once computed
-        self.checked = check     # whether d^2 = 0 was checked on construction
         if len(self.diffs) != max(len(self.ranks) - 1, 0):
             raise ValueError("need one differential between consecutive degrees")
         for k, d in enumerate(self.diffs):
             if (d.rows, d.cols) != (self.ranks[k + 1], self.ranks[k]):
                 raise ValueError(f"differential {k} has shape {d.rows}x{d.cols}, "
                                  f"expected {self.ranks[k + 1]}x{self.ranks[k]}")
-        if check:
-            for k in range(len(self.diffs) - 1):
-                if not self.diffs[k + 1].product_is_zero(self.diffs[k]):
-                    raise IllFormedDoubleComplex(
-                        f"d^{self.n_min + k + 1} composed with d^{self.n_min + k} is nonzero")
+        for k in range(len(self.diffs) - 1):
+            if not self.diffs[k + 1].product_is_zero(self.diffs[k]):
+                raise IllFormedDoubleComplex(
+                    f"d^{self.n_min + k + 1} composed with d^{self.n_min + k} is nonzero")
 
     @property
     def n_max(self):
@@ -80,42 +77,28 @@ class IntCochainComplex:
             return self.diffs[k]
         return IntMatrix.zero(self.rank(n + 1), self.rank(n))
 
-    def _stored(self, n):
-        """Whether d^n is one of the stored differentials."""
-        return 0 <= n - self.n_min < len(self.diffs)
-
     def differential_rank(self, n) -> int:
-        """The rank over Q of d^n, taken at the first read and kept.  Only
-        stored differentials are kept: outside them d^n is zero here, but a
-        complex this one is a view of (upto) may hold a nonzero d^n there."""
-        if not self._stored(n):
-            return rank_q(self.differential(n))
+        """The rank over Q of d^n, taken at the first read and kept."""
         if n not in self._rank_q:
             self._rank_q[n] = rank_q(self.differential(n))
         return self._rank_q[n]
 
     def smith(self, n):
-        """The Smith form of d^n, taken at the first read and kept, for
-        stored differentials only (differential_rank)."""
-        if not self._stored(n):
-            return smith_normal_form(self.differential(n))
+        """The Smith form of d^n, taken at the first read and kept."""
         if n not in self._smith:
             self._smith[n] = smith_normal_form(self.differential(n))
         return self._smith[n]
 
     def upto(self, top):
-        """The view of degrees n_min..top: the same differential objects
-        below top, d^top zero, and the ranks and Smith forms kept here
-        shared, so that no matrix is factored twice between the two.  The
-        complex itself when top reaches n_max."""
+        """The complex of degrees n_min..top: the same differential objects
+        below top and d^top zero, checked when built like any complex, and
+        reduced when this one is.  It keeps its own ranks and Smith forms.
+        The complex itself when top reaches n_max."""
         if top >= self.n_max:
             return self
         k = max(top - self.n_min + 1, 0)
-        view = IntCochainComplex(self.n_min, self.ranks[:k], self.diffs[:max(k - 1, 0)],
-                                 check=False)
-        view.checked = self.checked
+        view = IntCochainComplex(self.n_min, self.ranks[:k], self.diffs[:max(k - 1, 0)])
         view._is_reduced = self._is_reduced
-        view._rank_q, view._smith = self._rank_q, self._smith
         return view
 
     def cohomology(self, n) -> FgAbGroup:

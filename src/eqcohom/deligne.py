@@ -84,15 +84,13 @@ class MixedComplex:
 
     Three IntCochainComplexes hold the blocks: integral (P), rational (the
     S blocks) and whole, the cone itself with differential [[P, 0], [Q, S]],
-    built by validate.  d^2 = 0 of whole holds P P = 0, Q P + S Q = 0 and
-    S S = 0 at once (a failed square raises ValueError); its P P rows are
-    checked once, by the integral complex if it checked itself.  Each
-    complex factors its own differentials, once: every rank below is read
-    through them, and an S block that is the integral complex's own
-    differential one degree down (as for n >= 1 in deligne_cone) has its
-    rank read there.  Every block is an IntMatrix: the cone differential
-    has integer entries even where it acts on rational cochains, so every
-    rank is taken in exact integer arithmetic.
+    built by validate.  Each checks its own d^2 = 0 when it is built; that
+    of whole holds P P = 0, Q P + S Q = 0 and S S = 0 at once, and a failure
+    raises IllFormedDoubleComplex, a ValueError.  Each complex factors its
+    own differentials, once, and every rank below is read through them.
+    Every block is an IntMatrix: the cone differential has integer entries
+    even where it acts on rational cochains, so every rank is taken in
+    exact integer arithmetic.
 
     Nothing maps out of the rational part into the integral part, so the
     rational columns form a subcomplex with an integral quotient.
@@ -106,8 +104,7 @@ class MixedComplex:
         self.q_blocks = list(q_blocks)
         if not all(isinstance(m, IntMatrix) for m in self.q_blocks + list(s_blocks)):
             raise TypeError("MixedComplex blocks must be IntMatrix")
-        # its d^2 = 0 is part of the whole cone's, checked in validate
-        self.rational = IntCochainComplex(self.n_min, rat_ranks, s_blocks, check=False)
+        self.rational = IntCochainComplex(self.n_min, rat_ranks, s_blocks)
         self.validate()
 
     @property
@@ -133,34 +130,20 @@ class MixedComplex:
         return self.rational.differential(k)
 
     def validate(self):
-        """Build the whole cone and check its d^2 = 0, which covers every
-        square of the blocks.  The rows of its integral block are P P: when
-        the integral complex checked its own d^2 = 0 (checked), only the
-        rows below them, Q P + S Q and S S, are checked here."""
+        """Build the whole cone, which checks its d^2 = 0 on every row and so
+        covers every square of the blocks."""
         degrees = range(self.n_min, self.n_max + 1)
         ranks = [self.int_rank(k) + self.rat_rank(k) for k in degrees]
-        diffs = [IntMatrix.from_blocks(ranks[i + 1], ranks[i], [
-            (0, 0, self.p_block(k), 1),
-            (self.int_rank(k + 1), 0, self.q_block(k), 1),
-            (self.int_rank(k + 1), self.int_rank(k), self.s_block(k), 1),
-        ]) for i, k in enumerate(degrees[:-1])]
-        self.whole = IntCochainComplex(self.n_min, ranks, diffs, check=False)
-        for i, k in enumerate(degrees[:-2]):
-            start = self.int_rank(k + 2) if self.integral.checked else 0
-            if not diffs[i + 1].product_is_zero(diffs[i], start):
-                raise ValueError(f"the mixed blocks fail d^2 = 0: d^{k + 1} composed "
-                                 f"with d^{k} is nonzero")
-
-    def s_rank(self, k):
-        """The rank of S_k, read from the integral complex when S_k is its
-        d^{k-1}, the same matrix object, and from the rational one otherwise."""
-        s = self.s_block(k)
-        if s is self.integral.differential(k - 1):
-            return self.integral.differential_rank(k - 1)
-        return self.rational.differential_rank(k)
+        self.whole = IntCochainComplex(self.n_min, ranks, [
+            IntMatrix.from_blocks(ranks[i + 1], ranks[i], [
+                (0, 0, self.p_block(k), 1),
+                (self.int_rank(k + 1), 0, self.q_block(k), 1),
+                (self.int_rank(k + 1), self.int_rank(k), self.s_block(k), 1),
+            ]) for i, k in enumerate(degrees[:-1])])
 
     def rat_cohomology_dim(self, k):
-        return self.rat_rank(k) - self.s_rank(k) - self.s_rank(k - 1)
+        return (self.rat_rank(k) - self.rational.differential_rank(k)
+                - self.rational.differential_rank(k - 1))
 
     def connecting_rank(self, k):
         """Rank of the connecting map H^k(int) -> H^{k+1}(rat).
@@ -169,7 +152,7 @@ class MixedComplex:
         so its rank exceeds rank P + rank S by exactly the rank wanted.
         """
         return (self.whole.differential_rank(k) - self.integral.differential_rank(k)
-                - self.s_rank(k))
+                - self.rational.differential_rank(k))
 
     def cohomology(self, k) -> DiffCohGroup:
         """H^k via the long exact sequence of the rational subcomplex.

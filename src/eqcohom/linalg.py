@@ -215,15 +215,13 @@ class IntMatrix:
         return IntMatrix._of(self.rows, self.cols,
                              {i: {j: c * v for j, v in r.items()} for i, r in self._store.items()})
 
-    def _product_rows(self, other, start=0):
-        """(i, {j: sum}) for each stored row i >= start of self @ other,
-        summed one row at a time; a sum may be 0 and a row may be empty."""
+    def _product_rows(self, other):
+        """(i, {j: sum}) for each stored row i of self @ other, summed one
+        row at a time; a sum may be 0 and a row may be empty."""
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         right = other._store
         for i, r in self._store.items():
-            if i < start:
-                continue
             acc = {}
             for k, v in r.items():
                 rk = right.get(k)
@@ -236,11 +234,11 @@ class IntMatrix:
         store = {i: acc for i, acc in self._product_rows(other) if acc}
         return IntMatrix._of(self.rows, other.cols, _pruned(store))
 
-    def product_is_zero(self, other, start=0):
-        """Whether rows start.. of self @ other are zero (all rows by default),
-        without building it: only one row's sums are kept, and the first row
-        with a nonzero entry ends the check."""
-        return not any(any(acc.values()) for _, acc in self._product_rows(other, start))
+    def product_is_zero(self, other):
+        """Whether self @ other is zero, checked on every row without
+        building it: only one row's sums are kept, and the first row with a
+        nonzero entry ends the check."""
+        return not any(any(acc.values()) for _, acc in self._product_rows(other))
 
     def transpose(self):
         store = {}
@@ -766,8 +764,7 @@ def cohomology_at(d_in: IntMatrix, d_out: IntMatrix) -> FgAbGroup:
         raise ValueError(f"middle rank mismatch: d_out cols {d_out.cols}, d_in rows {d_in.rows}")
     if not d_out.product_is_zero(d_in):
         raise CompositionNotZero("d_out @ d_in != 0: not a complex at this spot")
-    return IntCochainComplex(0, [d_in.cols, d_in.rows, d_out.rows], [d_in, d_out],
-                             check=False).cohomology(1)
+    return IntCochainComplex(0, [d_in.cols, d_in.rows, d_out.rows], [d_in, d_out]).cohomology(1)
 
 
 def coefficient_change(h_n: FgAbGroup, h_next: FgAbGroup) -> StructuredCoefGroup:

@@ -388,6 +388,13 @@ def _argv_reading(kind, path):
     ("action", '{"group": {"name": "cyclic:2"}, "space": {"cells": [1], "boundaries": []},'
                ' "perms": {"0": [[0]]}}'),
     ("lie", '{"lie_algebra": {"dim": 1, "structure": []}, "rep": "x"}'),
+    # a finite element g that is 3x2 on R^2, an Ad that is 1x2, an entry that is no number
+    ("lie", '{"lie_algebra": {"dim": 1, "structure": []}, "rep": [[[0, -1], [1, 0]]],'
+            ' "finite_elements": [[[[1, 0], [0, 1], [0, 0]], [[1]]]]}'),
+    ("lie", '{"lie_algebra": {"dim": 1, "structure": []}, "rep": [[[0, -1], [1, 0]]],'
+            ' "finite_elements": [[[[1, 0], [0, 1]], [[1, 0]]]]}'),
+    ("lie", '{"lie_algebra": {"dim": 1, "structure": []}, "rep": [[[0, -1], [1, 0]]],'
+            ' "finite_elements": [[[[1, 0], [0, "x"]], [[1]]]]}'),
     ("job", "{not json"),
     ("job", '{"command": ["cohomology"]}'),
     ("job", None),
@@ -410,6 +417,55 @@ def test_an_action_file_that_is_not_a_homomorphism_exits_3(tmp_path, capsys):
                                 "perms": {"0": [[0, 1]], "1": [[1, 0]], "2": [[1, 0]]}}))
     code, out, err = invoke(capsys, *_argv_reading("action", str(path)))
     assert code == EXIT_PRECONDITION and "not a homomorphism" in err, err
+
+
+SIGN_ON_A_POINT = {"group": {"name": "cyclic:2"}, "space": {"cells": [1], "boundaries": []},
+                   "perms": {"0": [[0]], "1": [[0]]}, "signs": {"0": [[1]], "1": [[-1]]}}
+
+
+@pytest.mark.parametrize("given", [("group",), ("space",), ("group", "space")])
+@pytest.mark.parametrize("by_job", [False, True])
+def test_group_or_space_beside_an_action_file_is_a_schema_error(tmp_path, capsys, given, by_job):
+    # the action file names its own group and space: a second one beside it
+    # is refused, not silently overridden
+    path = tmp_path / "action.json"
+    path.write_text(json.dumps(SIGN_ON_A_POINT))
+    flags = {"group": "symmetric:3", "space": "circle:4"}
+    argv = ("cohomology", "--action", str(path), "--degrees", "0..2",
+            *(x for name in given for x in ("--" + name, flags[name])))
+    if by_job:
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps(_job_of(argv)))
+        argv = ("--job", str(job))
+    code, out, err = invoke(capsys, *argv)
+    assert code == EXIT_SCHEMA and out == "", err
+    assert f"schema error: {given[0]} is given beside {path}, which names its own" in err, err
+    code, out, err = invoke(capsys, "cohomology", "--action", str(path), "--degrees", "0..2")
+    assert code == EXIT_OK and "H^1(cyclic:2 ⋉ M; ℤ) = ℤ/2" in out, err
+
+
+@pytest.mark.parametrize("lie, message", [
+    # a 3-dimensional so(3) whose 1x1 rep commutes where [X1, X2] = X3
+    ({"lie_algebra": {"dim": 3, "structure": [[2, 0, 1, 1], [2, 1, 0, -1], [0, 1, 2, 1],
+                                              [0, 2, 1, -1], [1, 2, 0, 1], [1, 0, 2, -1]]},
+      "rep": [[[1]], [[1]], [[1]]]}, "rep does not respect the bracket"),
+    ({"lie_algebra": {"dim": 2, "structure": [[0, 0, 1, 1]]}, "rep": [[[0]], [[0]]]},
+     "not antisymmetric"),
+    # [X1, X2] = X1 and [X1, X3] = X2: [[X1, X2], X3] + [[X2, X3], X1] + [[X3, X1], X2] = X2
+    ({"lie_algebra": {"dim": 3, "structure": [[0, 0, 1, 1], [0, 1, 0, -1], [1, 0, 2, 1],
+                                              [1, 2, 0, -1]]},
+      "rep": [[[0]], [[0]], [[0]]]}, "Jacobi identity fails"),
+    ({"lie_algebra": {"dim": 1, "structure": []}, "rep": [[[0, -1], [1, 0]]],
+      "finite_elements": [[[["1", "0"], ["0", "0"]], [["1"]]]]}, "must be invertible"),
+], ids=["bracket", "antisymmetry", "jacobi", "singular"])
+def test_a_lie_action_that_fails_its_algebra_exits_3(tmp_path, capsys, lie, message):
+    # like a cellular action that is not a homomorphism: well-formed data
+    # that fail a mathematical precondition
+    path = tmp_path / "lie.json"
+    path.write_text(json.dumps(lie))
+    code, out, err = invoke(capsys, *_argv_reading("lie", str(path)))
+    assert code == EXIT_PRECONDITION and out == "", err
+    assert err.startswith("precondition failed: ") and message in err, err
 
 
 @pytest.mark.parametrize("group, entries", [

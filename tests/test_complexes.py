@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from eqcohom import complexes, linalg
+from eqcohom import complexes, deligne, linalg
 from eqcohom.linalg import FgAbGroup, IntMatrix
 from eqcohom.complexes import (
     DoubleComplex,
@@ -104,38 +104,71 @@ def test_cohomology_of_a_reduced_complex_reduces_and_rechecks_nothing(monkeypatc
         [g.free_rank for g in want]
 
 
-def test_a_view_shares_the_factorizations_of_its_degrees(monkeypatch):
-    # upto(top) holds the same differential objects below top and shares
-    # the kept ranks and Smith forms; its d^top is zero, and reading it
-    # must not overwrite the complex's own rank or Smith form of d^top
-    factored = {"rank_q": [], "smith_normal_form": []}
-
-    def counting(name):
-        real = getattr(complexes, name)
-
-        def counted(m):
-            factored[name].append(m)
-            return real(m)
-        return counted
-
-    for name in factored:
-        monkeypatch.setattr(complexes, name, counting(name))
+def test_a_view_keeps_the_differentials_of_its_degrees():
+    # upto(top) holds the same differential objects below top and its d^top
+    # is zero; it keeps its own ranks and Smith forms, so reading its d^top
+    # leaves the complex's own rank and Smith form of d^top as they are
     red = _s3_bar_complex().reduced()     # ranks 1, 1, 1, 1, ...; d^1 = (2)
     top = 1
     view = red.upto(top)
     assert red.upto(red.n_max) is red and red.upto(red.n_max + 3) is red
     assert (view.n_min, view.n_max, view.ranks) == (0, top, red.ranks[:top + 1])
     assert all(a is b for a, b in zip(view.diffs, red.diffs))
-    assert view.reduced() is view and view.checked == red.checked
+    assert view.reduced() is view
     assert view.differential_rank(top) == 0 and not any(view.smith(top).s.diagonal())
     assert red.differential_rank(top) == 1 and red.smith(top).s.diagonal() == [2]
     assert view.cohomology(1) == FgAbGroup(1) and red.cohomology(1) == FgAbGroup(0)
     assert [view.cohomology(0), view.cohomology_q_dim(0)] == \
         [red.cohomology(0), red.cohomology_q_dim(0)]
-    # a stored differential reaches each factorization at most once
-    for name, matrices in factored.items():
-        stored = [m for m in matrices if any(m is d for d in red.diffs)]
-        assert stored and len({id(m) for m in stored}) == len(stored), name
+
+
+ONE, ZERO = IntMatrix.from_rows([[1]]), IntMatrix.from_rows([[0]])
+
+
+def _view_of_a_planted_square(monkeypatch):
+    # a checked complex whose d^1 d^0 is then made nonzero: its view of
+    # degrees 0..2 holds that pair and checks it, its one product
+    cx = IntCochainComplex(0, [1, 1, 1, 1], [ZERO, ZERO, ZERO])
+    cx.diffs[:2] = [ONE, ONE]
+    calls = []
+    real = IntMatrix.product_is_zero
+
+    def counting(self, other):
+        calls.append((self, other))
+        return real(self, other)
+    monkeypatch.setattr(IntMatrix, "product_is_zero", counting)
+    try:
+        cx.upto(2)
+    finally:
+        assert calls == [(ONE, ONE)]
+
+
+def _reduction_with_a_planted_square(monkeypatch):
+    def planted(ranks, diffs):
+        return linalg.ReducedComplex([1, 1, 1], [ONE, ONE])
+    monkeypatch.setattr(complexes, "reduce_complex", planted)
+    IntCochainComplex(0, [1, 1, 1], [ZERO, ZERO]).reduced()
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda mp: IntCochainComplex(0, [1, 1, 1], [ONE, ONE]), IllFormedDoubleComplex),
+    (_view_of_a_planted_square, IllFormedDoubleComplex),
+    (lambda mp: linalg.cohomology_at(ONE, ONE), linalg.CompositionNotZero),
+    # S S != 0 in the rational part
+    (lambda mp: deligne.MixedComplex(IntCochainComplex(0, [0, 0, 0], [IntMatrix.zero(0, 0)] * 2),
+                                     [1, 1, 1], [IntMatrix.zero(1, 0)] * 2, [ONE, ONE]),
+     IllFormedDoubleComplex),
+    # Q1 P0 + S1 Q0 = 2 + 0 in the whole cone, though P P = 0 and S S = 0
+    (lambda mp: deligne.MixedComplex(IntCochainComplex(0, [1, 1, 0],
+                                                       [IntMatrix.from_rows([[2]]),
+                                                        IntMatrix.zero(0, 1)]),
+                                     [1, 1, 1], [ONE, ONE], [ZERO, ZERO]),
+     IllFormedDoubleComplex),
+    (_reduction_with_a_planted_square, IllFormedDoubleComplex),
+], ids=["constructor", "upto", "cohomology_at", "mixed-S-S", "mixed-Q-P-plus-S-Q", "reduced"])
+def test_no_path_builds_a_complex_with_nonzero_d_squared(monkeypatch, build, error):
+    with pytest.raises(error):
+        build(monkeypatch)
 
 
 def test_total_of_single_row_is_the_row():

@@ -56,31 +56,24 @@ def test_mixed_complex_validation():
     assert ok.integral.cohomology(1) == FgAbGroup(0, (2,))
 
 
-def test_mixed_validation_checks_p_p_once(monkeypatch):
-    # P P = 0 rows are checked by the integral complex when it checks itself;
-    # validate then checks only the rows below them, and every row otherwise
-    starts = []
-    real = IntMatrix.product_is_zero
+def test_mixed_validation_checks_every_row(monkeypatch):
+    # an integral part with P P != 0 cannot be built, and validate checks
+    # every row of the whole cone, the P P rows among them
+    one, zero = IntMatrix.from_rows([[1]]), IntMatrix.from_rows([[0]])
+    with pytest.raises(complexes.IllFormedDoubleComplex):
+        IntCochainComplex(0, [1, 1, 1], [one, one])
+    rows = []
+    real = IntMatrix._product_rows
 
-    def recording(self, other, start=0):
-        starts.append(start)
-        return real(self, other, start)
-    monkeypatch.setattr(IntMatrix, "product_is_zero", recording)
-    one = IntMatrix.from_rows([[1]])
-    q_blocks = [IntMatrix.from_rows([[-1]]), IntMatrix.from_rows([[-1]])]
-    s_blocks = [IntMatrix.from_rows([[0]]), IntMatrix.from_rows([[-1]])]
-    checked = IntCochainComplex(0, [1, 1, 1], [one, IntMatrix.zero(1, 1)])
-    assert checked.checked and starts == [0]
-    starts.clear()
-    MixedComplex(checked, [1, 1, 1], q_blocks, s_blocks)
-    assert starts == [1]                 # the rational row of degree 2
-    # P1 P0 = 1 in a complex that did not check itself: validate finds it
-    unchecked = IntCochainComplex(0, [1, 1, 1], [one, one], check=False)
-    assert not unchecked.checked
-    starts.clear()
-    with pytest.raises(ValueError):
-        MixedComplex(unchecked, [1, 1, 1], q_blocks, s_blocks)
-    assert starts == [0]
+    def recording(self, other):
+        for i, acc in real(self, other):
+            rows.append((self, i))
+            yield i, acc
+    monkeypatch.setattr(IntMatrix, "_product_rows", recording)
+    integral = IntCochainComplex(0, [1, 1, 1], [IntMatrix.zero(1, 1), one])
+    mixed = MixedComplex(integral, [1, 1, 1], [one.scale(-1), one.scale(-1)], [zero, zero])
+    top = mixed.whole.diffs[1]            # [[P1, 0], [Q1, S1]] = [[1, 0], [-1, 0]]
+    assert [i for m, i in rows if m is top] == [0, 1]
 
 
 def test_mixed_cocycle_and_coboundary():
@@ -227,7 +220,7 @@ def test_connecting_rank_matches_kernel_formula():
 
 def test_a_second_read_factors_nothing(monkeypatch):
     # each complex keeps the rank and Smith form of its differentials, so no
-    # matrix reaches rank_q or smith_normal_form twice
+    # matrix of cx reaches rank_q or smith_normal_form twice
     received = {"rank_q": [], "smith_normal_form": []}
 
     def recording(name):
@@ -248,12 +241,10 @@ def test_a_second_read_factors_nothing(monkeypatch):
         complexes.bockstein_image(cx, n)
     for name, matrices in received.items():
         assert len({id(m) for m in matrices}) == len(matrices), name
+    # the cone's three complexes keep their own factorizations: a second
+    # read of the cone factors nothing
     cone = deligne_cone(cx, 2)
     first = cone.cohomology(2)
-    # the cone's S blocks are cx's own differentials one degree down: their
-    # ranks are the ones cx keeps, not taken again
-    for name, matrices in received.items():
-        assert len({id(m) for m in matrices}) == len(matrices), name
     for matrices in received.values():
         matrices.clear()
     assert cone.cohomology(2) == first

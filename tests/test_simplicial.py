@@ -650,8 +650,7 @@ def test_lens_pattern_bockstein_is_iso_at_two():
     act = GAction.lens_sphere(p)
     bl = bar_levels(act, 4)
     ranks, diffs = total_window(bl, 0, 3)
-    cx = IntCochainComplex(0, [ranks[k] for k in range(4)],
-                           [diffs[k] for k in range(3)], check=False).reduced()
+    cx = IntCochainComplex(0, [ranks[k] for k in range(4)], [diffs[k] for k in range(3)]).reduced()
     assert cx.cohomology(2) == FgAbGroup(0, (p,))
     gens = qz_torsion_cocycles(cx, 2)
     assert [order for _rep, order in gens] == [p]
