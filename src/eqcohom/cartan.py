@@ -458,7 +458,13 @@ class EquivariantForm:
             yield (k >> num_x & below) << (num_x - 1) | k & (dt - 1), k & dt, k >> top, v
 
     def fiber_integrate(self):
-        """Integrate the dt component over [0, 1]; terms without dt die.
+        """Fiber integral over [0, 1], the last coordinate t: integrate the
+        dt component; terms without dt die.  Together with the restrictions
+        i_0, i_1 (restrict_t) it satisfies the homotopy identity
+
+            d_C (integral w) + integral (d_C w) = i_1^* w - i_0^* w
+
+        exactly, for any polynomial form (the group acting trivially on t).
 
         Convention: the integral of dt ^ alpha is the t-integral of alpha,
         so a trailing dt is moved to the front with the sign (-1)^{|I|}.
@@ -598,18 +604,21 @@ def group_transform(omega: EquivariantForm, g, ad):
     return omega.substitute_linear(g_inv, u_matrix=ad_inv)
 
 
+def _invariance_images(act: LinearAction, omega: EquivariantForm):
+    """The invariance operator L on omega: total_lie per Lie basis element,
+    then S(g, Ad) omega - omega per finite element, with S the pullback
+    substitute_linear.  S(g, Ad) is the action of g^{-1}, and a form is
+    fixed by g exactly when it is fixed by g^{-1}, so no element is
+    inverted."""
+    return [total_lie(act, a, omega) for a in range(act.lie_algebra.dim)] + [
+        omega.substitute_linear(g, u_matrix=ad) - omega for g, ad in act.finite_elements]
+
+
 def is_invariant(act: LinearAction, omega: EquivariantForm) -> bool:
     """Infinitesimal criterion on the connected part, plus the supplied
-    finite subgroup elements when present.  substitute_linear(g, Ad) is the
-    action of g^{-1}, and a form is fixed by g exactly when it is fixed by
-    g^{-1}, so no element is inverted."""
-    for a in range(act.lie_algebra.dim):
-        if not total_lie(act, a, omega).is_zero():
-            return False
-    for g, ad in act.finite_elements:
-        if omega.substitute_linear(g, u_matrix=ad) != omega:
-            return False
-    return True
+    finite subgroup elements when present: every image of the invariance
+    operator (_invariance_images) is zero."""
+    return all(image.is_zero() for image in _invariance_images(act, omega))
 
 
 # ---------------------------------------------------------------------------
@@ -687,9 +696,9 @@ def check_cartan_query(act: LinearAction, degrees, x_bound):
 
 def _block_columns(act, n, w):
     """The columns of L and of [L; D] on the monomials of C_w in degree n,
-    dicts from a row (operator, term) to its entry.  L is total_lie per Lie
-    basis element, then S(g, Ad) f - f per finite element, with S the
-    pullback substitute_linear; D = cartan_d.  S(g, Ad) - 1 is
+    dicts from a row (operator, term) to its entry.  L is the invariance
+    operator of is_invariant (_invariance_images); D = cartan_d.  With S
+    the pullback substitute_linear, S(g, Ad) - 1 is
     -S(g, Ad) (S(g^-1, Ad^-1) - 1), an invertible map of C_w times the
     block of g.f - f, so every kernel and rank is that of the latter.
     Checks d_C iota_E + iota_E d_C = w on each monomial."""
@@ -700,9 +709,7 @@ def _block_columns(act, n, w):
         for u, dx, x in product(_compositions((n - r) // 2, num_u),
                                 combinations(range(num_x), r), _compositions(w - r, num_x)):
             f = EquivariantForm._of(num_u, num_x, {_pack(num_x, u, x, dx): 1})
-            images = [total_lie(act, a, f) for a in range(num_u)]
-            images += [f.substitute_linear(g, u_matrix=ad) - f
-                       for g, ad in act.finite_elements]
+            images = _invariance_images(act, f)
             df = cartan_d(act, f)
             homotopy = (cartan_d(act, f.contract_linear_field(euler))
                         + df.contract_linear_field(euler))
@@ -776,20 +783,6 @@ def cartan_cohomology_range(act: LinearAction, degrees, x_bound):
             if n != degrees[-1]:
                 image = rank_full - _rank(lie)
     return {n: (sum(dims), dims) for n, dims in by_weight.items()}
-
-
-# ---------------------------------------------------------------------------
-# interval fiber integration
-
-
-def fiber_integrate_interval(omega: EquivariantForm) -> EquivariantForm:
-    """Fiber integral over [0,1] (the last coordinate); together with the
-    restrictions i_0, i_1 it satisfies
-
-        d_C (integral w) + integral (d_C w) = i_1^* w - i_0^* w
-
-    exactly, for any polynomial form (the group acting trivially on t)."""
-    return omega.fiber_integrate()
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from .cartan import (
     _unit,
     _unpack,
     _wedge_into,
-    fiber_integrate_interval,
     lie_derivative,
 )
 from .linalg import q_nullspace
@@ -209,38 +208,36 @@ class MomentMap:
 
 
 def bundle_action_matrices(drho, rank, num_u, num_x):
-    """Constant endomorphisms drho_E(X_a) as matrices of 0-forms."""
-    out = []
-    for mat in drho:
-        rows = []
-        for i in range(rank):
-            rows.append([EquivariantForm.constant(num_u, num_x, mat[i][j])
-                         for j in range(rank)])
-        out.append(rows)
-    return out
+    """The constant endomorphisms drho_E(X_a), one per Lie basis element, as
+    r x r matrices of 0-forms.  drho None is the trivial bundle action: num_u
+    zero matrices.  Every entry point that takes drho turns it into forms
+    here, so None means the same everywhere."""
+    if drho is None:
+        return [form_zero_matrix(rank, num_u, num_x) for _ in range(num_u)]
+    return [[[EquivariantForm.constant(num_u, num_x, mat[i][j]) for j in range(rank)]
+             for i in range(rank)] for mat in drho]
 
 
 def connection_is_invariant(act: LinearAction, a: ConnectionMatrix, drho=None):
     """Infinitesimal invariance: L_{X_a^#} A = [drho(X_a), A] for every basis
-    element (drho = 0 when the bundle action is trivial)."""
-    return _is_invariant(act, a, None if drho is None else
-                         bundle_action_matrices(drho, a.rank, a.num_u, a.num_x))
+    element (drho None is the trivial bundle action)."""
+    return _is_invariant(act, a, bundle_action_matrices(drho, a.rank, a.num_u, a.num_x))
+
+
+def _invariance_sides(act: LinearAction, entries, drho_mats, idx):
+    """The two sides of the invariance criterion for the basis element idx:
+    L_{X_idx^#} A and [drho(X_idx), A], drho given by bundle_action_matrices."""
+    lied = [[lie_derivative(act, idx, entry) for entry in row] for row in entries]
+    return lied, form_mat_sub(form_mat_wedge(drho_mats[idx], entries),
+                              form_mat_wedge(entries, drho_mats[idx]))
 
 
 def _is_invariant(act: LinearAction, a: ConnectionMatrix, drho_mats):
-    """connection_is_invariant with drho given by bundle_action_matrices,
-    or None for drho = 0."""
-    num_u, num_x = a.num_u, a.num_x
-    for idx in range(act.lie_algebra.dim):
-        lied = [[lie_derivative(act, idx, entry) for entry in row] for row in a.entries]
-        if drho_mats is None:
-            want = form_zero_matrix(a.rank, num_u, num_x)
-        else:
-            want = form_mat_sub(form_mat_wedge(drho_mats[idx], a.entries),
-                                form_mat_wedge(a.entries, drho_mats[idx]))
-        if lied != want:
-            return False
-    return True
+    """connection_is_invariant with drho given by bundle_action_matrices.
+    The sides are compared, not subtracted, and the first basis element
+    whose sides differ ends the test."""
+    return all(lied == want for lied, want in (_invariance_sides(act, a.entries, drho_mats, idx)
+                                               for idx in range(act.lie_algebra.dim)))
 
 
 def _moment_components(a: ConnectionMatrix, drho_mats, act: LinearAction):
@@ -254,9 +251,10 @@ def moment_map(a: ConnectionMatrix, drho, act: LinearAction) -> MomentMap:
     """mu(X_a) = iota(X_a^#) A + drho_E(X_a), for an invariant connection.
 
     drho: per basis element a rational r x r matrix (the derivative of the
-    bundle action in the trivialization).  Raises ConnectionNotInvariant if
-    the combined invariance criterion fails.  drho is turned into matrices
-    of 0-forms once, for the criterion and the components alike.
+    bundle action in the trivialization), or None for the trivial bundle
+    action.  Raises ConnectionNotInvariant if the combined invariance
+    criterion fails.  drho is turned into matrices of 0-forms once, by
+    bundle_action_matrices, for the criterion and the components alike.
     """
     drho_mats = bundle_action_matrices(drho, a.rank, a.num_u, a.num_x)
     if not _is_invariant(act, a, drho_mats):
@@ -267,26 +265,17 @@ def moment_map(a: ConnectionMatrix, drho, act: LinearAction) -> MomentMap:
 def moment_defining_equation_check(act, a: ConnectionMatrix, drho, mu: MomentMap, phi):
     """Check nabla_{X^#} phi + L^E_X phi == mu(X) phi on a section phi
     (a list of polynomial 0-forms), for every basis element."""
-    num_u, num_x = a.num_u, a.num_x
-    drho_mats = bundle_action_matrices(drho, a.rank, num_u, num_x)
+    col = [[f] for f in phi]
+    d_phi = form_mat_d(col)
+    nabla = form_mat_add(d_phi, form_mat_wedge(a.entries, col))
+    drho_mats = bundle_action_matrices(drho, a.rank, a.num_u, a.num_x)
     for idx in range(act.lie_algebra.dim):
         field = act.rep[idx]
-        for i in range(a.rank):
-            nabla_i = phi[i].d()
-            for j in range(a.rank):
-                nabla_i = nabla_i + a.entries[i][j].wedge(phi[j])
-            lhs = nabla_i.contract_linear_field(field)
-            # L^E phi = drho phi - directional derivative along X^#
-            lie_part = EquivariantForm.zero(num_u, num_x)
-            for j in range(a.rank):
-                lie_part = lie_part + drho_mats[idx][i][j].wedge(phi[j])
-            lie_part = lie_part - phi[i].d().contract_linear_field(field)
-            lhs = lhs + lie_part
-            rhs = EquivariantForm.zero(num_u, num_x)
-            for j in range(a.rank):
-                rhs = rhs + mu.components[idx][i][j].wedge(phi[j])
-            if lhs != rhs:
-                return False
+        # L^E phi = drho phi - directional derivative along X^#
+        lie_e = form_mat_sub(form_mat_wedge(drho_mats[idx], col), form_mat_contract(d_phi, field))
+        lhs = form_mat_add(form_mat_contract(nabla, field), lie_e)
+        if lhs != form_mat_wedge(mu.components[idx], col):
+            return False
     return True
 
 
@@ -376,14 +365,11 @@ def _connection_on_interval(a0: ConnectionMatrix, a1: ConnectionMatrix, s):
 def _path_transgression(act, a0, a1, poly, drho, path):
     """Fiber integral of P over the connections (1 - s) A0 + s A1, where
     path(t) gives s as a polynomial in the interval coordinate t."""
-    rank = a0.rank
-    if drho is None:
-        drho = [[[0] * rank for _ in range(rank)] for _ in range(act.lie_algebra.dim)]
     t = EquivariantForm.coordinate(a0.num_u, a0.num_x + 1, a0.num_x)
     a_s = _connection_on_interval(a0, a1, path(t))
     mu_s = moment_map(a_s, drho, act.extend_trivially())
     omega_s = equivariant_characteristic_form(poly, curvature(a_s), mu_s)
-    return fiber_integrate_interval(omega_s)
+    return omega_s.fiber_integrate()
 
 
 def transgression(act: LinearAction, a0: ConnectionMatrix, a1: ConnectionMatrix,
@@ -418,30 +404,14 @@ def whitney_check(act: LinearAction, a: ConnectionMatrix, a2: ConnectionMatrix,
     """Total-Chern multiplicativity for the block sum, coefficientwise in
     the formal variable t: det(I + t(M (+) M')) = det(I+tM) det(I+tM')."""
     r1, r2 = a.rank, a2.rank
-    k = act.lie_algebra.dim
-    if drho is None:
-        drho = [[[0] * r1 for _ in range(r1)] for _ in range(k)]
-    if drho2 is None:
-        drho2 = [[[0] * r2 for _ in range(r2)] for _ in range(k)]
+    num_u, num_x = a.num_u, a.num_x
     # the determinant identity holds whether or not the connections are
     # invariant, so the moment formula is applied without the precondition
-    num_u, num_x = a.num_u, a.num_x
-    m1 = equivariant_curvature(curvature(a), MomentMap(r1, _moment_components(
-        a, bundle_action_matrices(drho, r1, num_u, num_x), act)))
-    m2 = equivariant_curvature(curvature(a2), MomentMap(r2, _moment_components(
-        a2, bundle_action_matrices(drho2, r2, a2.num_u, a2.num_x), act)))
+    m1, m2 = (equivariant_curvature(curvature(c), MomentMap(c.rank, _moment_components(
+        c, bundle_action_matrices(d, c.rank, c.num_u, c.num_x), act)))
+        for c, d in ((a, drho), (a2, drho2)))
     zero = EquivariantForm.zero(num_u, num_x)
-    block = []
-    for i in range(r1 + r2):
-        row = []
-        for j in range(r1 + r2):
-            if i < r1 and j < r1:
-                row.append(m1[i][j])
-            elif i >= r1 and j >= r1:
-                row.append(m2[i - r1][j - r1])
-            else:
-                row.append(zero)
-        block.append(row)
+    block = [row + [zero] * r2 for row in m1] + [[zero] * r1 + row for row in m2]
     lhs = [elementary_symmetric(block, n) for n in range(r1 + r2 + 1)]
     c1 = [elementary_symmetric(m1, n) for n in range(r1 + 1)]
     c2 = [elementary_symmetric(m2, n) for n in range(r2 + 1)]
@@ -463,58 +433,35 @@ def invariant_connection_space(act: LinearAction, rank, drho=None, x_bound=2):
     """Basis of connections solving the invariance criterion with entries of
     polynomial degree <= x_bound."""
     num_u, num_x = act.lie_algebra.dim, act.m
-    monos = []
-    for i in range(num_x):
-        for total in range(x_bound + 1):
-            for exps in _compositions(total, num_x):
-                monos.append((exps, i))
-    slots = [(r_i, c_j, mono) for r_i in range(rank) for c_j in range(rank)
-             for mono in monos]
-    if drho is None:
-        drho = [[[0] * rank for _ in range(rank)] for _ in range(num_u)]
+    monos = [(exps, i) for i in range(num_x) for total in range(x_bound + 1)
+             for exps in _compositions(total, num_x)]
     drho_mats = bundle_action_matrices(drho, rank, num_u, num_x)
 
-    def basis_connection(slot):
-        (r_i, c_j, (exps, dx_i)) = slot
+    def basis_connection(r_i, c_j, exps, dx_i):
         entries = form_zero_matrix(rank, num_u, num_x)
         entries[r_i][c_j] = EquivariantForm(
             num_u, num_x, {((0,) * num_u, exps, (dx_i,)): 1})
         return entries
 
-    rows = []
-    images = []
-    for slot in slots:
-        entries = basis_connection(slot)
-        defect = []
-        for idx in range(num_u):
-            lied = [[lie_derivative(act, idx, e) for e in row] for row in entries]
-            want = form_mat_sub(form_mat_wedge(drho_mats[idx], entries),
-                                form_mat_wedge(entries, drho_mats[idx]))
-            defect.append(form_mat_sub(lied, want))
-        images.append(defect)
-    keys = set()
-    for defect in images:
-        for idx in range(num_u):
-            for i in range(rank):
-                for j in range(rank):
-                    keys.update(defect[idx][i][j].packed)
+    basis = [basis_connection(r_i, c_j, exps, dx_i) for r_i in range(rank)
+             for c_j in range(rank) for exps, dx_i in monos]
+    # per basis connection, L_{X^#} A - [drho(X), A] for each Lie basis element X
+    images = [[form_mat_sub(*_invariance_sides(act, entries, drho_mats, idx))
+               for idx in range(num_u)] for entries in basis]
+    keys = {key for defect in images for mat in defect for row in mat for f in row
+            for key in f.packed}
     # rows in (u, x, dx) order: the work of q_nullspace does not depend on the key packing
     keys = sorted(keys, key=lambda k: _unpack(num_u, num_x, k))
-    for idx in range(num_u):
-        for i in range(rank):
-            for j in range(rank):
-                for key in keys:
-                    rows.append([img[idx][i][j].packed.get(key, Fraction(0))
-                                 for img in images])
+    rows = [[img[idx][i][j].packed.get(key, Fraction(0)) for img in images]
+            for idx in range(num_u) for i in range(rank) for j in range(rank) for key in keys]
     coords = q_nullspace(rows) if rows else [
-        [Fraction(1) if i == j else Fraction(0) for j in range(len(slots))]
-        for i in range(len(slots))]
+        [Fraction(1) if i == j else Fraction(0) for j in range(len(basis))]
+        for i in range(len(basis))]
     out = []
     for vec in coords:
         entries = form_zero_matrix(rank, num_u, num_x)
-        for c, slot in zip(vec, slots):
+        for c, add in zip(vec, basis):
             if c:
-                add = basis_connection(slot)
                 entries = form_mat_add(entries, form_mat_scale(add, c))
         out.append(ConnectionMatrix(rank, entries))
     return out

@@ -756,15 +756,19 @@ def cohomology_at(d_in: IntMatrix, d_out: IntMatrix) -> FgAbGroup:
     == rows(d_in) == n.  Raises CompositionNotZero when d_out @ d_in != 0.
 
     The entry point for raw matrices: read as the complex Z^a -> Z^n ->
-    Z^b, through IntCochainComplex.cohomology at its middle degree.
+    Z^b, through IntCochainComplex.cohomology at its middle degree.  The
+    complex checks d_out @ d_in = 0 when it is built, and its
+    IllFormedDoubleComplex is raised here as CompositionNotZero.
     """
-    from .complexes import IntCochainComplex
+    from .complexes import IllFormedDoubleComplex, IntCochainComplex
 
     if d_out.cols != d_in.rows:
         raise ValueError(f"middle rank mismatch: d_out cols {d_out.cols}, d_in rows {d_in.rows}")
-    if not d_out.product_is_zero(d_in):
-        raise CompositionNotZero("d_out @ d_in != 0: not a complex at this spot")
-    return IntCochainComplex(0, [d_in.cols, d_in.rows, d_out.rows], [d_in, d_out]).cohomology(1)
+    try:
+        cx = IntCochainComplex(0, [d_in.cols, d_in.rows, d_out.rows], [d_in, d_out])
+    except IllFormedDoubleComplex as err:
+        raise CompositionNotZero("d_out @ d_in != 0: not a complex at this spot") from err
+    return cx.cohomology(1)
 
 
 def coefficient_change(h_n: FgAbGroup, h_next: FgAbGroup) -> StructuredCoefGroup:

@@ -9,7 +9,6 @@ from eqcohom.cartan import (
     LieAlgebra,
     LinearAction,
     cartan_d,
-    fiber_integrate_interval,
     is_invariant,
     parse_form,
 )
@@ -18,6 +17,8 @@ from eqcohom.chern import (
     ConnectionNotInvariant,
     CurvatureMatrix,
     InvariantPolynomial,
+    MomentMap,
+    bundle_action_matrices,
     conjugation_invariance_check,
     connection_is_invariant,
     curvature,
@@ -155,6 +156,45 @@ def test_moment_defining_equation_on_sections():
             phi = [parse_form(f"{rng.randint(-3, 3)} + {rng.randint(-2, 2)}*x1*x2", 1, 2)
                    for _ in range(rank)]
             assert moment_defining_equation_check(ROT, a, drho, mu, phi)
+        # the check can fail: move one moment entry by a constant
+        moved = [[[f for f in row] for row in comp] for comp in mu.components]
+        moved[0][0][0] = moved[0][0][0] + EquivariantForm.constant(1, 2, 1)
+        phi = [EquivariantForm.constant(1, 2, 1)] * rank
+        assert moment_defining_equation_check(ROT, a, drho, mu, phi)
+        assert not moment_defining_equation_check(ROT, a, drho, MomentMap(rank, moved), phi)
+
+
+@pytest.mark.parametrize("act", [ROT, LinearAction.so3_vector_r3()], ids=["rotation", "so3"])
+def test_no_bundle_action_is_the_zero_action_at_every_entry_point(act):
+    # drho=None turns into forms in bundle_action_matrices alone, as k zero
+    # r x r matrices, so every entry point answers as for an explicit zero drho
+    rng = random.Random(13)
+    k, m = act.lie_algebra.dim, act.m
+    poly = InvariantPolynomial("chern", 1)
+    for rank in (1, 2):
+        zero = [[[0] * rank for _ in range(rank)] for _ in range(k)]
+        assert bundle_action_matrices(None, rank, k, m) == [form_zero_matrix(rank, k, m)] * k
+        assert bundle_action_matrices(zero, rank, k, m) == [form_zero_matrix(rank, k, m)] * k
+        assert [c.entries for c in invariant_connection_space(act, rank, x_bound=1)] == \
+            [c.entries for c in invariant_connection_space(act, rank, drho=zero, x_bound=1)]
+        a0 = random_invariant_connection(act, rank, rng, x_bound=1)
+        a1 = random_invariant_connection(act, rank, rng, x_bound=1)
+        bad = ConnectionMatrix(rank, form_mat_add(
+            a0.entries, [[parse_form("x1*dx1" if i == j == 0 else "0", k, m)
+                          for j in range(rank)] for i in range(rank)]))
+        assert not connection_is_invariant(act, bad)
+        for c in (a0, a1, bad):
+            assert connection_is_invariant(act, c) == connection_is_invariant(act, c, zero)
+        mu = moment_map(a0, None, act)
+        assert mu == moment_map(a0, zero, act)
+        phi = [parse_form(f"{i + 1} + x1*x2", k, m) for i in range(rank)]
+        moved = MomentMap(rank, [form_mat_add(comp, [[EquivariantForm.constant(k, m, 1)] * rank]
+                                              * rank) for comp in mu.components])
+        for got in (mu, moved):
+            assert moment_defining_equation_check(act, a0, None, got, phi) == \
+                moment_defining_equation_check(act, a0, zero, got, phi) == (got is mu)
+        assert transgression(act, a0, a1, poly) == transgression(act, a0, a1, poly, zero)
+        assert whitney_check(act, a0, a1) == whitney_check(act, a0, a1, zero, zero)
 
 
 # --- invariant polynomials --------------------------------------------------------
@@ -321,7 +361,7 @@ def test_reparametrized_transgression_differs_by_exact_form():
         omega = equivariant_characteristic_form(poly, curvature(square),
                                                 moment_map(square, drho, act2))
         assert cartan_d(act2, omega).is_zero()
-        eta = fiber_integrate_interval(fiber_integrate_interval(omega))
+        eta = omega.fiber_integrate().fiber_integrate()
         assert bent - straight == -cartan_d(ROT, eta)
 
 

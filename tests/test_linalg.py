@@ -563,6 +563,21 @@ def test_cohomology_rejects_non_complex():
         cohomology_at(IntMatrix.from_rows([[1]]), IntMatrix.from_rows([[1]]))
 
 
+def test_cohomology_at_checks_each_complex_once(monkeypatch):
+    # the complex it builds checks d_out @ d_in once, and so does the
+    # reduced complex it reads: no third check before either
+    calls = []
+    real = IntMatrix.product_is_zero
+
+    def counting(self, other):
+        calls.append((self, other))
+        return real(self, other)
+    monkeypatch.setattr(IntMatrix, "product_is_zero", counting)
+    assert cohomology_at(IntMatrix.from_rows([[2]]), IntMatrix.from_rows([[0]])) == \
+        FgAbGroup(0, (2,))
+    assert len(calls) == 2
+
+
 def _random_complex_pair(rng, a, n, b):
     """Build d_in, d_out with d_out @ d_in == 0 via a factored middle map."""
     d_in = random_matrix(rng, n, a, -3, 3)
