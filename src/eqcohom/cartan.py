@@ -69,11 +69,8 @@ class LieAlgebra:
 
     def _validate(self):
         k = self.dim
-        for b in range(k):
-            for c in range(k):
-                for a in range(k):
-                    if self.c(a, b, c) != -self.c(a, c, b):
-                        raise InvalidLieAction("structure constants are not antisymmetric")
+        if any(self.c(a, b, c) != -self.c(a, c, b) for a, b, c in product(range(k), repeat=3)):
+            raise InvalidLieAction("structure constants are not antisymmetric")
         # Jacobi: [[a,b],c] + [[b,c],a] + [[c,a],b] = 0, coefficient by coefficient
         for a, b, c, e in product(range(k), repeat=4):
             if sum(self.c(d, a, b) * self.c(e, d, c) + self.c(d, b, c) * self.c(e, d, a)
@@ -107,7 +104,13 @@ class LinearAction:
 
     A finite element is never inverted: a form is fixed by a map exactly when
     it is fixed by the map's inverse.  A misshapen g or Ad raises ValueError,
-    a singular one InvalidLieAction."""
+    a singular one InvalidLieAction.
+
+    An action keeps the generator tables of its derivations (tables, see
+    _tabulate) and, in cartan_blocks, three ints per block C_w in degree n
+    that a Cartan query has built: {(n, w): (monomials, rank [L; D],
+    rank L)}.  The homotopy check runs once per block built; the budget
+    (check_cartan_query) counts every block of a query, kept or not."""
 
     def __init__(self, lie_algebra: LieAlgebra, rep, finite_elements=()):
         self.lie_algebra = lie_algebra
@@ -130,20 +133,37 @@ class LinearAction:
                 raise InvalidLieAction("finite element matrices must be invertible")
             self.finite_elements.append((g, ad))
         self._validate()
+        self.tables = self._tabulate()
+        self.cartan_blocks = {}
 
     def _validate(self):
+        """[rep(X_b), rep(X_c)] = rep([X_b, X_c]) for every pair."""
         k = self.lie_algebra.dim
-        for b in range(k):
-            for c in range(k):
-                comm = _mat_sub(_mat_mul(self.rep[b], self.rep[c]),
-                                _mat_mul(self.rep[c], self.rep[b]))
-                want = [[0] * self.m for _ in range(self.m)]
-                for a in range(k):
-                    coeff = self.lie_algebra.c(a, b, c)
-                    if coeff:
-                        want = _mat_add(want, _mat_scale(self.rep[a], coeff))
-                if comm != want:
-                    raise InvalidLieAction("rep does not respect the bracket")
+        for b, c in product(range(k), repeat=2):
+            comm = _mat_sub(_mat_mul(self.rep[b], self.rep[c]), _mat_mul(self.rep[c], self.rep[b]))
+            if comm != fundamental_vector_field(self, self.lie_algebra.bracket_coeffs(b, c)):
+                raise InvalidLieAction("rep does not respect the bracket")
+
+    def _tabulate(self):
+        """The generator tables (_table) of d_C and iota_E, and per basis
+        element X_a those of iota(X_a^#) and of the manifold and total Lie
+        derivatives; the u-derivation of X_a is u_b -> sum_c c^b_{a c} u_c."""
+        k, m, c = self.lie_algebra.dim, self.m, self.lie_algebra.c
+        us, xs = [_unit(m, a) for a in range(k)], [_unit(m, k + j) for j in range(m)]
+        dxs, u_lie = [1 << i for i in range(m)], [[[c(b, a, e) for e in range(k)] for b in range(k)]
+                                                  for a in range(k)]
+        d_c = {i: {} for i in range(m)}
+        for a, mat in enumerate(self.rep):
+            for i, image in _images(mat, [us[a] + x for x in xs]).items():
+                d_c[i].update(image)
+        lie = [({k + i: image for i, image in _images(mat, xs).items()}, _images(mat, dxs))
+               for mat in self.rep]
+        return {"cartan_d": _table(k, m, {k + i: {bit: 1} for i, bit in enumerate(dxs)}, d_c),
+                "euler": _table(k, m, {}, dict(enumerate({x: 1} for x in xs))),
+                "iota": [_table(k, m, {}, _images(mat, xs)) for mat in self.rep],
+                "lie": [_table(k, m, *images) for images in lie],
+                "total_lie": [_table(k, m, {**_images(u_lie[a], us), **x_images}, dx_images)
+                              for a, (x_images, dx_images) in enumerate(lie)]}
 
     @classmethod
     def circle_rotation_r2(cls, weight=1, finite_order=None):
@@ -184,10 +204,6 @@ def _exact_matrix(m):
     return [[_exact(v) for v in row] for row in m]
 
 
-def _mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def _mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
@@ -204,10 +220,6 @@ def _invertible(mat):
     """Is the square matrix mat of full rank over Q?"""
     return _rank([{i: row[j] for i, row in enumerate(mat) if row[j]}
                   for j in range(len(mat))]) == len(mat)
-
-
-def _mat_scale(a, c):
-    return [[c * x for x in row] for row in a]
 
 
 # ---------------------------------------------------------------------------
@@ -377,37 +389,18 @@ class EquivariantForm:
 
     def d(self):
         """Exterior derivative in the x variables."""
-        num_x = self.num_x
-        shift = num_x + LANE_BITS * self.num_u
-        out = {}
-        for k, v in self.packed.items():
-            for i in range(num_x):
-                e = k >> (shift + LANE_BITS * i) & MAX_EXPONENT
-                if not e or k >> i & 1:
-                    continue
-                key = k - (1 << (shift + LANE_BITS * i)) + (1 << i)
-                if (k & ((1 << i) - 1)).bit_count() & 1:
-                    e = -e
-                out[key] = out.get(key, 0) + e * v
-        return EquivariantForm._of(self.num_u, num_x, out)
+        return self.derive(_d_table(self.num_u, self.num_x))
 
     def contract_linear_field(self, field_matrix):
         """iota_V for the linear vector field V(x) = field_matrix @ x."""
-        num_u, num_x = self.num_u, self.num_x
-        images = [[(_unit(num_x, num_u + j), c) for j, c in enumerate(row) if c]
-                  for row in field_matrix]
-        out = {}
-        for k, v in self.packed.items():
-            mask = k & ((1 << num_x) - 1)
-            while mask:
-                bit = mask & -mask
-                for unit, c in images[bit.bit_length() - 1]:
-                    key = k - bit + unit
-                    out[key] = out.get(key, 0) + c * v
-                mask ^= bit
-                v = -v
-        _check_lanes(num_u, num_x, out)
-        return EquivariantForm._of(num_u, num_x, out)
+        xs = [_unit(self.num_x, self.num_u + j) for j in range(self.num_x)]
+        return self.derive(_table(self.num_u, self.num_x, {}, _images(field_matrix, xs)))
+
+    def derive(self, table):
+        """The image under the (anti)derivation of a generator table (_table)."""
+        if table[:2] != (self.num_u, self.num_x):
+            raise ValueError("the form and the derivation live over different variable counts")
+        return EquivariantForm._of(self.num_u, self.num_x, _derive(table, self.packed))
 
     def u_times(self, a):
         unit = _unit(self.num_x, a)
@@ -549,47 +542,93 @@ def _substitute_u(form, u_exp, u_matrix):
 
 
 # ---------------------------------------------------------------------------
+# (anti)derivations from generator tables
+#
+# d, the contractions, the Lie derivatives and d_C are (anti)derivations of
+# the free graded-commutative algebra on u, x and dx, each fixed by its values
+# on the generators.  A monomial is s * g * rest for each factor g, s = -1 for
+# a dx behind an odd number of dx and 1 otherwise; whatever the parity of D,
+# D(monomial) is the sum over the factors of exponent * s * D(g) ^ rest.
+
+
+def _images(matrix, gens):
+    """{i: sum_j matrix[i][j] gens[j]} as {packed key: coefficient}, for the nonzero rows."""
+    images = ({g: c for g, c in zip(gens, row) if c} for row in matrix)
+    return {i: image for i, image in enumerate(images) if image}
+
+
+def _table(num_u, num_x, lanes, dxs):
+    """The generator table of a derivation from the images {lane: image} of
+    u_1..u_k, x_1..x_m (lanes 0..k + m - 1) and {i: image} of dx_{i+1}, each
+    image {packed key: coefficient} with at most one dx; the others go to 0.
+    An image term is kept as (the generator's shift or bit, image key - its
+    key, the image's dx bit, the bits below that bit, coefficient)."""
+    low = (1 << num_x) - 1
+    return (num_u, num_x,
+            [(num_x + LANE_BITS * lane, key - _unit(num_x, lane), key & low, max((key & low) - 1, 0),
+              c) for lane, image in lanes.items() for key, c in image.items()],
+            [(1 << i, key - (1 << i), key & low, max((key & low) - 1, 0), c)
+             for i, image in dxs.items() for key, c in image.items()])
+
+
+def _d_table(num_u, num_x):
+    """The table of d, x_i -> dx_i, as _table builds it but with less work."""
+    shifts = [num_x + LANE_BITS * (num_u + i) for i in range(num_x)]
+    return (num_u, num_x, [(shift, (1 << i) - (1 << shift), 1 << i, (1 << i) - 1, 1)
+                           for i, shift in enumerate(shifts)], [])
+
+
+def _derive(table, packed):
+    """The image of a packed term dict under the derivation of table, a term
+    dict that may hold zeros; raises LaneOverflow past the lane limit.  The
+    sign of an image term is that of moving its dx, and the dx taken out, in."""
+    num_u, num_x, lanes, dxs = table
+    low = (1 << num_x) - 1
+    out = {}
+    get = out.get
+    for k, v in packed.items():
+        k_dx = k & low
+        for shift, delta, dx, below, c in lanes:
+            e = k >> shift & MAX_EXPONENT
+            if e and not dx & k_dx:
+                key = k + delta
+                out[key] = get(key, 0) + (-c if (k_dx & below).bit_count() & 1 else c) * e * v
+        for bit, delta, dx, below, c in dxs:
+            rest = k_dx ^ bit
+            if k & bit and not dx & rest:
+                key = k + delta
+                sign = ((k_dx & (bit - 1)).bit_count() + (rest & below).bit_count()) & 1
+                out[key] = get(key, 0) + (-c if sign else c) * v
+    _check_lanes(num_u, num_x, out)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Cartan differential and invariance
 
 
 def fundamental_vector_field(act: LinearAction, coeffs):
     """Matrix of the linear field X^#(x) = rep(X) x for X = sum coeffs X_a."""
-    m = act.m
-    out = [[0] * m for _ in range(m)]
-    for a, c in enumerate(coeffs):
-        if c:
-            out = _mat_add(out, _mat_scale(act.rep[a], _exact(c)))
-    return out
+    terms = [(_exact(c), mat) for c, mat in zip(coeffs, act.rep) if c]
+    return [[sum(c * mat[i][j] for c, mat in terms) for j in range(act.m)] for i in range(act.m)]
 
 
 def cartan_d(act: LinearAction, omega: EquivariantForm) -> EquivariantForm:
-    """d_C = d + sum_a u_a iota(X_a^#); raises the Cartan degree by one."""
-    images = [omega.contract_linear_field(act.rep[a]).u_times(a)
-              for a in range(act.lie_algebra.dim)]
-    return _sum_forms(omega.num_u, omega.num_x, [omega.d(), *images])
+    """d_C = d + sum_a u_a iota(X_a^#); raises the Cartan degree by one.
+    Without a Lie algebra d_C is d, over any number of x variables."""
+    return omega.derive(act.tables["cartan_d"]) if act.lie_algebra.dim else omega.d()
 
 
 def lie_derivative(act: LinearAction, a, omega: EquivariantForm) -> EquivariantForm:
-    """Manifold Lie derivative along X_a^#, via Cartan's magic formula."""
-    ia = omega.contract_linear_field(act.rep[a])
-    return ia.d() + omega.d().contract_linear_field(act.rep[a])
+    """Manifold Lie derivative along X_a^#, d iota + iota d by Cartan's magic
+    formula: x -> rep(X_a) x and dx -> rep(X_a) dx on the generators."""
+    return omega.derive(act.tables["lie"][a])
 
 
 def total_lie(act: LinearAction, a, omega: EquivariantForm) -> EquivariantForm:
     """Equivariance derivative: manifold Lie derivative plus the induced
     derivation on the u variables (u_b -> sum_c c^b_{a c} u_c)."""
-    out = dict(lie_derivative(act, a, omega).packed)
-    k, num_x = act.lie_algebra.dim, omega.num_x
-    for key, v in omega.packed.items():
-        for b in range(k):
-            e = key >> (num_x + LANE_BITS * b) & MAX_EXPONENT
-            for c in range(k):
-                coeff = act.lie_algebra.c(b, a, c)
-                if e and coeff:
-                    moved = key - _unit(num_x, b) + _unit(num_x, c)
-                    out[moved] = out.get(moved, 0) + v * coeff * e
-    _check_lanes(omega.num_u, num_x, out)
-    return EquivariantForm._of(omega.num_u, num_x, out)
+    return omega.derive(act.tables["total_lie"][a])
 
 
 def group_transform(omega: EquivariantForm, g, ad):
@@ -703,7 +742,7 @@ def _block_columns(act, n, w):
     block of g.f - f, so every kernel and rank is that of the latter.
     Checks d_C iota_E + iota_E d_C = w on each monomial."""
     num_u, num_x = act.lie_algebra.dim, act.m
-    euler = [[int(i == j) for j in range(num_x)] for i in range(num_x)]
+    euler = act.tables["euler"]
     lie, full = [], []
     for r in _dx_counts(n, w, num_x):
         for u, dx, x in product(_compositions((n - r) // 2, num_u),
@@ -711,8 +750,7 @@ def _block_columns(act, n, w):
             f = EquivariantForm._of(num_u, num_x, {_pack(num_x, u, x, dx): 1})
             images = _invariance_images(act, f)
             df = cartan_d(act, f)
-            homotopy = (cartan_d(act, f.contract_linear_field(euler))
-                        + df.contract_linear_field(euler))
+            homotopy = cartan_d(act, f.derive(euler)) + df.derive(euler)
             if homotopy != f.scale(w):
                 raise CartanCheckFailed(f"d_C iota_E + iota_E d_C is {homotopy} on {f}, "
                                         f"not {w} times it")
@@ -720,6 +758,15 @@ def _block_columns(act, n, w):
             lie.append(column)
             full.append({**column, **{(len(images), t): c for t, c in df.packed.items()}})
     return lie, full
+
+
+def _block_ranks(act, n, w):
+    """(monomial count, rank [L; D], rank L) of C_w in degree n, kept on act:
+    the block is built, and its homotopy identity checked, on first need."""
+    if (n, w) not in act.cartan_blocks:
+        lie, full = _block_columns(act, n, w)
+        act.cartan_blocks[(n, w)] = (len(full), _rank(full), _rank(lie))
+    return act.cartan_blocks[(n, w)]
 
 
 def _rank(columns):
@@ -750,38 +797,36 @@ def cartan_cohomology_truncated(act: LinearAction, n, x_bound):
 
         H^n(C_w) = (N_n - rank [L; D]_n) - (rank [L; D]_{n-1} - rank L_{n-1}).
 
-    It builds the blocks of degrees n - 1 and n and takes those three ranks
-    per weight: cartan_cohomology_range over the one degree n.
+    It reads those three ints per weight from the blocks of degrees n - 1
+    and n kept on act: cartan_cohomology_range over the one degree n.
     """
     return cartan_cohomology_range(act, range(n, n + 1), x_bound)[n]
 
 
 def cartan_cohomology_range(act: LinearAction, degrees, x_bound):
     """{n: (dim, by_weight)} of cartan_cohomology_truncated for each of the
-    consecutive degrees (a range), in one pass over each weight w: the
-    blocks of degrees lo - 1..hi are built once each, and the ranks of
-    [L; D] and L in degree n - 1, which the formula for H^n reads, are
-    those taken for degree n - 1 itself.
+    consecutive degrees (a range).  The formula reads, per weight w, the
+    monomial count and the ranks of [L; D] and L of the blocks of degrees
+    lo - 1..hi, which act keeps (LinearAction.cartan_blocks): a block is
+    built, and its ranks taken, only when no earlier query on act built it.
 
     The second computation is exact and uses no rank: the homotopy identity
-    on every monomial built.  A failed identity, or H^n(C_w) != 0 for some
-    w > 0, raises CartanCheckFailed; check_cartan_query refuses the query,
-    counting these blocks, before any work.
+    on every monomial of every block built.  A failed identity, or
+    H^n(C_w) != 0 for some w > 0 in any answer, raises CartanCheckFailed;
+    check_cartan_query refuses the query, counting all its blocks, kept or
+    not, before any work.
     """
     check_cartan_query(act, degrees, x_bound)
     by_weight = {n: [] for n in degrees}
     for w in range(x_bound + 1):
-        lie, full = _block_columns(act, degrees[0] - 1, w)
-        image = _rank(full) - _rank(lie)    # rank of D on the invariant cochains below
+        _, rank_full, rank_lie = _block_ranks(act, degrees[0] - 1, w)
         for n in degrees:
-            lie, full = _block_columns(act, n, w)
-            rank_full = _rank(full)
-            dim = (len(full) - rank_full) - image
+            image = rank_full - rank_lie    # rank of D on the invariant cochains below
+            count, rank_full, rank_lie = _block_ranks(act, n, w)
+            dim = (count - rank_full) - image
             if w and dim:
                 raise CartanCheckFailed(f"H^{n}(C_{w}) has dimension {dim}, but C_{w} is acyclic")
             by_weight[n].append(dim)
-            if n != degrees[-1]:
-                image = rank_full - _rank(lie)
     return {n: (sum(dims), dims) for n, dims in by_weight.items()}
 
 
@@ -791,12 +836,7 @@ def cartan_cohomology_range(act: LinearAction, degrees, x_bound):
 
 def _parity(pi):
     """The sign of a permutation, by counting its inversions."""
-    sign = 1
-    for i in range(len(pi)):
-        for j in range(i + 1, len(pi)):
-            if pi[i] > pi[j]:
-                sign = -sign
-    return sign
+    return -1 if sum(pi[i] > pi[j] for i, j in combinations(range(len(pi)), 2)) % 2 else 1
 
 
 def getzler_dbar_matrix(bl, p, q):
@@ -821,13 +861,7 @@ def getzler_dbar_matrix(bl, p, q):
         entries[(row, col)] = entries.get((row, col), 0) + val
 
     for t in range(m ** (p + 1)):
-        # decode (g_0, ..., g_p), g_0 most significant
-        g = []
-        rest = t
-        for pos in range(p + 1):
-            power = m ** (p - pos)
-            g.append(rest // power)
-            rest %= power
+        g = [t // m ** (p - pos) % m for pos in range(p + 1)]  # (g_0, ..., g_p), g_0 first
         # term 0: drop g_0
         col_t = 0
         for pos in range(1, p + 1):

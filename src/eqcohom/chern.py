@@ -18,6 +18,7 @@ from .cartan import (
     EquivariantForm,
     LinearAction,
     _compositions,
+    _d_table,
     _parity,
     _sum_forms,
     _unit,
@@ -25,7 +26,7 @@ from .cartan import (
     _wedge_into,
     lie_derivative,
 )
-from .linalg import q_nullspace
+from .linalg import q_inverse, q_nullspace
 
 
 class ConnectionNotInvariant(Exception):
@@ -61,18 +62,20 @@ def form_mat_wedge(a, b):
         for j in range(len(b[0])):
             terms = {}
             for a_ik, row_b in zip(row_a, b):
-                _wedge_into(terms, a_ik, row_b[j])
+                if a_ik.packed and row_b[j].packed:
+                    _wedge_into(terms, a_ik, row_b[j])
             row.append(EquivariantForm._of(num_u, num_x, terms))
         out.append(row)
     return out
 
 
+def form_mat_derive(a, table):
+    """Each entry's image under the derivation of a generator table."""
+    return [[x.derive(table) for x in row] for row in a]
+
+
 def form_mat_d(a):
-    return [[x.d() for x in row] for row in a]
-
-
-def form_mat_contract(a, field):
-    return [[x.contract_linear_field(field) for x in row] for row in a]
+    return form_mat_derive(a, _d_table(a[0][0].num_u, a[0][0].num_x))
 
 
 def form_mat_u_times(a, idx):
@@ -85,7 +88,6 @@ def form_trace(a):
 
 def form_mat_scalar_conjugate(a, g):
     """g a g^{-1} for a rational invertible scalar matrix g."""
-    from .linalg import q_inverse
     g_inv = q_inverse(g)
     r = len(a)
     num_u, num_x = a[0][0].num_u, a[0][0].num_x
@@ -109,6 +111,8 @@ def _principal_minor_det(m, subset):
     terms = {}
     for sigma in permutations(range(k)):
         factors = [m[idx[i]][idx[sigma[i]]] for i in range(k)]
+        if not all(factor.packed for factor in factors):
+            continue
         prod = factors[0].scale(_parity(sigma))
         for factor in factors[1:-1]:
             prod = prod.wedge(factor)
@@ -243,7 +247,7 @@ def _is_invariant(act: LinearAction, a: ConnectionMatrix, drho_mats):
 def _moment_components(a: ConnectionMatrix, drho_mats, act: LinearAction):
     """iota(X_a^#) A + drho_E(X_a) per basis element, drho given by
     bundle_action_matrices."""
-    return [form_mat_add(form_mat_contract(a.entries, act.rep[idx]), drho_mats[idx])
+    return [form_mat_add(form_mat_derive(a.entries, act.tables["iota"][idx]), drho_mats[idx])
             for idx in range(act.lie_algebra.dim)]
 
 
@@ -270,10 +274,10 @@ def moment_defining_equation_check(act, a: ConnectionMatrix, drho, mu: MomentMap
     nabla = form_mat_add(d_phi, form_mat_wedge(a.entries, col))
     drho_mats = bundle_action_matrices(drho, a.rank, a.num_u, a.num_x)
     for idx in range(act.lie_algebra.dim):
-        field = act.rep[idx]
+        iota = act.tables["iota"][idx]
         # L^E phi = drho phi - directional derivative along X^#
-        lie_e = form_mat_sub(form_mat_wedge(drho_mats[idx], col), form_mat_contract(d_phi, field))
-        lhs = form_mat_add(form_mat_contract(nabla, field), lie_e)
+        lie_e = form_mat_sub(form_mat_wedge(drho_mats[idx], col), form_mat_derive(d_phi, iota))
+        lhs = form_mat_add(form_mat_derive(nabla, iota), lie_e)
         if lhs != form_mat_wedge(mu.components[idx], col):
             return False
     return True
@@ -317,7 +321,6 @@ class InvariantPolynomial:
 
 def conjugation_invariance_check(poly: InvariantPolynomial, rank, rng, trials=10):
     """P(g B g^{-1}) == P(B) on random rational matrices."""
-    from .linalg import q_inverse
     for _ in range(trials):
         b = [[EquivariantForm.constant(0, 1, Fraction(rng.randint(-4, 4)))
               for _ in range(rank)] for _ in range(rank)]

@@ -446,14 +446,18 @@ def test_block_sizes_in_closed_form():
 
 
 def test_rank_q_calls_of_the_bench_rotation_queries(monkeypatch):
-    # the six rotation queries of the cartan_chern benchmark rank [L; D] in
-    # degree n, and [L; D] and L in degree n - 1, once per block that has rows
+    # the six rotation queries of the cartan_chern benchmark build the blocks
+    # of degrees -1..5 and weights 0..6 once each on a fresh action, and rank
+    # [L; D] and L on each block that has rows: degree -1 has no monomial,
+    # and on w = 0 the monomials are the u^k, which L and D send to 0, so 6
+    # degrees x 6 weights x 2 ranks
     calls = []
     real = cartan.rank_q
     monkeypatch.setattr(cartan, "rank_q", lambda m: calls.append(m) or real(m))
+    rot = LinearAction.circle_rotation_r2()
     for n in range(6):
-        cartan_cohomology_truncated(ROT, n, 6)
-    assert len(calls) == 96
+        cartan_cohomology_truncated(rot, n, 6)
+    assert len(calls) == 72
 
 
 O2_PLANE = LinearAction(LieAlgebra.abelian(1), [[[0, -1], [1, 0]]],
@@ -479,6 +483,54 @@ def test_a_degree_range_answers_as_each_degree_alone(act, bound):
     for lo, hi in [(0, 5), (2, 4), (3, 3)]:
         want = {n: cartan_cohomology_truncated(act, n, bound) for n in range(lo, hi + 1)}
         assert cartan_cohomology_range(act, range(lo, hi + 1), bound) == want, (lo, hi)
+
+
+def _fresh(act):
+    """A copy of act that keeps no block."""
+    return LinearAction(act.lie_algebra, act.rep, act.finite_elements)
+
+
+@pytest.mark.parametrize("act, bound", [(ROT, 6), (SO3, 3), (O2_PLANE, 4)],
+                         ids=["rotation", "so3", "o2_plane"])
+def test_kept_blocks_answer_as_a_fresh_action(monkeypatch, act, bound):
+    # after degrees 0..5 at bound b, every block of degrees -1..5 and weights
+    # 0..b is kept: a second range, and each degree alone, at any bound up
+    # to b builds no block and answers as an action that keeps none
+    act = _fresh(act)
+    cartan_cohomology_range(act, range(0, 6), bound)
+    assert len(act.cartan_blocks) == 7 * (bound + 1)
+    queries = [(range(lo, hi + 1), b) for b in range(bound + 1)
+               for lo, hi in [(0, 5), (2, 4)] + [(n, n) for n in range(6)]]
+    want = [cartan_cohomology_range(_fresh(act), degrees, b) for degrees, b in queries]
+    monkeypatch.setattr(cartan, "_block_columns", _no_work)
+    for order in (range(len(queries)), reversed(range(len(queries)))):
+        for i in order:
+            assert cartan_cohomology_range(act, *queries[i]) == want[i], queries[i]
+    assert len(act.cartan_blocks) == 7 * (bound + 1)
+
+
+def test_a_kept_block_keeps_three_ints():
+    # (monomials, rank [L; D], rank L) per (degree, weight): C_1 is spanned
+    # by x1, x2 in degree 0 and by dx1, dx2 in degree 1, which the rotation
+    # moves, so L has rank 2 on both; C_0 is 1 in degree 0 and empty in 1
+    act = _fresh(ROT)
+    cartan_cohomology_truncated(act, 1, 1)
+    assert act.cartan_blocks == {(0, 0): (1, 0, 0), (0, 1): (2, 2, 2),
+                                 (1, 0): (0, 0, 0), (1, 1): (2, 2, 2)}
+
+
+def test_over_budget_query_on_kept_blocks_refused_before_any_work(monkeypatch):
+    # degrees 0..3 and 3..5 at bound 4 keep every block of degrees 0..5, 76
+    # and 82 monomials; degrees 0..5 together count 117, over a budget of 100,
+    # and are refused though no block would be built
+    act = _fresh(ROT)
+    monkeypatch.setattr(cartan, "CARTAN_BUDGET", 100)
+    cartan_cohomology_range(act, range(0, 4), 4)
+    cartan_cohomology_range(act, range(3, 6), 4)
+    monkeypatch.setattr(cartan, "_block_columns", _no_work)
+    monkeypatch.setattr(cartan, "rank_q", _no_work)
+    with pytest.raises(CartanComplexTooLarge, match="117 monomials, over the budget of 100"):
+        cartan_cohomology_range(act, range(0, 6), 4)
 
 
 def test_the_budget_counts_distinct_blocks(monkeypatch):
@@ -516,18 +568,22 @@ def _no_exterior_derivative(act, omega):
 REAL_CARTAN_D = cartan.cartan_d
 
 
-@pytest.mark.parametrize("mutant, act, n, match", [
+@pytest.mark.parametrize("mutant, action, n, match", [
     # the homotopy identity holds for any sign of u_a iota(X_a^#); for so3 the
     # flip breaks d_C^2 = 0 on invariants, and a block of weight 1 has -1 classes
-    (_one_contraction_sign_flipped, SO3, 4, r"H\^4\(C_1\) has dimension -1"),
-    (_no_exterior_derivative, ROT, 0, r"iota_E d_C is 0 on x\d, not 1 times it"),
+    (_one_contraction_sign_flipped, "so3-vector", 4, r"H\^4\(C_1\) has dimension -1"),
+    (_no_exterior_derivative, "rotation", 0, r"iota_E d_C is 0 on x\d, not 1 times it"),
 ], ids=["sign_flip_so3", "no_d_rotation"])
-def test_mutated_cartan_d_raises_instead_of_answering(monkeypatch, capsys, mutant, act, n, match):
+def test_mutated_cartan_d_raises_instead_of_answering(monkeypatch, capsys, mutant, action, n,
+                                                      match):
+    # a fresh action: ROT and SO3 keep the blocks that earlier tests built,
+    # and a kept block is not built again under the mutant
+    act = LinearAction.so3_vector_r3() if action == "so3-vector" \
+        else LinearAction.circle_rotation_r2()
     monkeypatch.setattr(cartan, "cartan_d", mutant)
     with pytest.raises(CartanCheckFailed, match=match):
         cartan_cohomology_truncated(act, n, 2)
     # an internal error in the CLI, not a failed precondition
-    action = "so3-vector" if act is SO3 else "rotation"
     assert main(["cartan", "--action", action, "--degrees", str(n), "--x-bound", "2"]) \
         == EXIT_INTERNAL
     assert "CartanCheckFailed" in capsys.readouterr().err

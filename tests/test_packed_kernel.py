@@ -9,6 +9,7 @@ int and Fraction coefficients.  An exponent past MAX_EXPONENT must raise
 LaneOverflow wherever it comes from, never wrap into a neighbouring lane.
 """
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -19,11 +20,15 @@ import form_oracle as oracle
 from eqcohom.cartan import (
     MAX_EXPONENT,
     EquivariantForm,
+    CartanCheckFailed,
     LaneOverflow,
+    LieAlgebra,
     LinearAction,
     cartan_cohomology_truncated,
+    cartan_d,
     cartan_size,
     check_cartan_query,
+    lie_derivative,
     parse_form,
     total_lie,
 )
@@ -111,6 +116,73 @@ def test_d_is_a_graded_derivation(data):
     assert a.d().d().is_zero()
 
 
+# --- the generator tables of an action against the oracle ----------------------------
+
+TABLE_ACTIONS = {
+    "rotation": LinearAction.circle_rotation_r2(),
+    "so3": LinearAction.so3_vector_r3(),
+    "o2_plane": LinearAction(LieAlgebra.abelian(1), [[[0, -1], [1, 0]]],
+                             [([[1, 0], [0, -1]], [[-1]])]),
+    # rational entries, and a finite element of order 4
+    "half_rotation_c4": LinearAction.circle_rotation_r2(weight=Fraction(1, 2), finite_order=4),
+}
+
+
+def oracle_u_derivation(act, a, terms):
+    """u_b -> sum_c c^b_{a c} u_c on the u variables, on tuple keys."""
+    out = {}
+    k = act.lie_algebra.dim
+    for (u, x, dx), v in terms.items():
+        for b in range(k):
+            for c in range(k):
+                coeff = act.lie_algebra.c(b, a, c)
+                if u[b] and coeff:
+                    moved = list(u)
+                    moved[b] -= 1
+                    moved[c] += 1
+                    key = (tuple(moved), x, dx)
+                    out[key] = out.get(key, 0) + u[b] * coeff * v
+    return oracle.add_terms(out)
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+@pytest.mark.parametrize("name", sorted(TABLE_ACTIONS))
+def test_every_table_driven_derivation_matches_the_oracle(name, data):
+    # d_C, iota_E, iota(X_a^#), the manifold Lie derivative by Cartan's magic
+    # formula d iota + iota d, and total_lie as that plus the u-derivation
+    act = TABLE_ACTIONS[name]
+    num_u, num_x = act.lie_algebra.dim, act.m
+    terms = data.draw(term_dicts(num_u, num_x))
+    f = EquivariantForm(num_u, num_x, terms)
+    identity = [[int(i == j) for j in range(num_x)] for i in range(num_x)]
+    assert terms_of(f.d()) == oracle.d(num_x, terms)
+    assert terms_of(f.derive(act.tables["euler"])) == \
+        oracle.contract_linear_field(num_x, terms, identity)
+    contractions = [oracle.contract_linear_field(num_x, terms, mat) for mat in act.rep]
+    assert terms_of(cartan_d(act, f)) == oracle.add_terms(
+        oracle.d(num_x, terms), *(oracle.u_times(t, a) for a, t in enumerate(contractions)))
+    for a, mat in enumerate(act.rep):
+        assert terms_of(f.contract_linear_field(mat)) == contractions[a]
+        assert terms_of(f.derive(act.tables["iota"][a])) == contractions[a]
+        magic = oracle.add_terms(oracle.d(num_x, contractions[a]), oracle.contract_linear_field(
+            num_x, oracle.d(num_x, terms), mat))
+        assert terms_of(lie_derivative(act, a, f)) == magic
+        assert terms_of(total_lie(act, a, f)) == \
+            oracle.add_terms(magic, oracle_u_derivation(act, a, terms))
+
+
+def test_the_table_of_d_is_the_one_table_builds():
+    for num_u, num_x in [(0, 1), (1, 2), (3, 3), (2, 4)]:
+        assert cartan._d_table(num_u, num_x) == cartan._table(
+            num_u, num_x, {num_u + i: {1 << i: 1} for i in range(num_x)}, {})
+
+
+def test_a_derivation_refuses_a_form_over_other_variable_counts():
+    with pytest.raises(ValueError, match="different variable counts"):
+        total_lie(TABLE_ACTIONS["so3"], 0, parse_form("x1*dx2", 1, 2))
+
+
 @pytest.mark.parametrize("num_u", [0, 1, 3])
 def test_connection_entries_must_be_plain_one_forms(num_u):
     # the check reads the u lanes and the dx mask of each packed key
@@ -169,6 +241,32 @@ def test_exponents_that_grow_past_the_limit_raise_instead_of_wrapping():
     rot = LinearAction.circle_rotation_r2()
     assert total_lie(rot, 0, parse_form(f"x1^{MAX_EXPONENT}", 1, 2)) == \
         parse_form(f"-{MAX_EXPONENT}*x1^{MAX_EXPONENT - 1}*x2", 1, 2)
+
+
+def test_every_derivation_that_raises_an_exponent_checks_the_lanes():
+    rot, so3 = TABLE_ACTIONS["rotation"], TABLE_ACTIONS["so3"]
+    top = MAX_EXPONENT
+    # d_C sends dx1 to -u1 x2, the Euler contraction dx1 to x1, the rotation
+    # x1 to x2, and the u-derivation of X_1 in so3 u3 to u2
+    for result in [lambda: cartan_d(rot, parse_form(f"x2^{top}*dx1", 1, 2)),
+                   lambda: parse_form(f"x1^{top}*dx1", 1, 2).derive(rot.tables["euler"]),
+                   lambda: total_lie(rot, 0, parse_form(f"x1*x2^{top}", 1, 2)),
+                   lambda: lie_derivative(rot, 0, parse_form(f"x1*x2^{top}", 1, 2)),
+                   lambda: total_lie(so3, 0, parse_form(f"u2^{top}*u3", 3, 3))]:
+        with pytest.raises(LaneOverflow):
+            result()
+    # d only lowers exponents
+    assert parse_form(f"x1^{top}*x2^{top}", 1, 2).d() == parse_form(
+        f"{top}*x1^{top - 1}*x2^{top}*dx1 + {top}*x1^{top}*x2^{top - 1}*dx2", 1, 2)
+
+
+def test_the_homotopy_check_names_the_identity_the_form_and_the_weight(monkeypatch):
+    # d_C + d doubles dx1 in d_C x1, so the identity gives 2 x1 on x1 in C_1
+    real = cartan.cartan_d
+    monkeypatch.setattr(cartan, "cartan_d", lambda act, omega: real(act, omega) + omega.d())
+    with pytest.raises(CartanCheckFailed, match=re.escape(
+            "d_C iota_E + iota_E d_C is 2*x1 on x1, not 1 times it")):
+        cartan_cohomology_truncated(LinearAction.circle_rotation_r2(), 0, 1)
 
 
 def _no_rank(matrix):
