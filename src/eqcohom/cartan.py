@@ -69,8 +69,11 @@ class LieAlgebra:
 
     def _validate(self):
         k = self.dim
-        if any(self.c(a, b, c) != -self.c(a, c, b) for a, b, c in product(range(k), repeat=3)):
-            raise InvalidLieAction("structure constants are not antisymmetric")
+        for b in range(k):
+            for c in range(k):
+                for a in range(k):
+                    if self.c(a, b, c) != -self.c(a, c, b):
+                        raise InvalidLieAction("structure constants are not antisymmetric")
         # Jacobi: [[a,b],c] + [[b,c],a] + [[c,a],b] = 0, coefficient by coefficient
         for a, b, c, e in product(range(k), repeat=4):
             if sum(self.c(d, a, b) * self.c(e, d, c) + self.c(d, b, c) * self.c(e, d, a)
