@@ -110,9 +110,10 @@ class LinearAction:
     a singular one InvalidLieAction.
 
     An action keeps the generator tables of its derivations (tables, see
-    _tabulate) and, in cartan_blocks, three ints per block C_w in degree n
-    that a Cartan query has built: {(n, w): (monomials, rank [L; D],
-    rank L)}.  The homotopy check runs once per block built; the budget
+    _tabulate), its trivial extensions (extensions, see extend_trivially)
+    and, in cartan_blocks, three ints per block C_w in degree n that a
+    Cartan query has built: {(n, w): (monomials, rank [L; D], rank L)}.
+    The homotopy check runs once per block built; the budget
     (check_cartan_query) counts every block of a query, kept or not."""
 
     def __init__(self, lie_algebra: LieAlgebra, rep, finite_elements=()):
@@ -138,35 +139,45 @@ class LinearAction:
         self._validate()
         self.tables = self._tabulate()
         self.cartan_blocks = {}
+        self.extensions = {}
 
     def _validate(self):
-        """[rep(X_b), rep(X_c)] = rep([X_b, X_c]) for every pair."""
         k = self.lie_algebra.dim
-        for b, c in product(range(k), repeat=2):
-            comm = _mat_sub(_mat_mul(self.rep[b], self.rep[c]), _mat_mul(self.rep[c], self.rep[b]))
-            if comm != fundamental_vector_field(self, self.lie_algebra.bracket_coeffs(b, c)):
-                raise InvalidLieAction("rep does not respect the bracket")
+        for b in range(k):
+            for c in range(k):
+                comm = _mat_sub(_mat_mul(self.rep[b], self.rep[c]),
+                                _mat_mul(self.rep[c], self.rep[b]))
+                want = [[0] * self.m for _ in range(self.m)]
+                for a in range(k):
+                    coeff = self.lie_algebra.c(a, b, c)
+                    if coeff:
+                        want = _mat_add(want, _mat_scale(self.rep[a], coeff))
+                if comm != want:
+                    raise InvalidLieAction("rep does not respect the bracket")
 
     def _tabulate(self):
         """The generator tables (_table) of d_C and iota_E, and per basis
         element X_a those of iota(X_a^#) and of the manifold and total Lie
         derivatives; the u-derivation of X_a is u_b -> sum_c c^b_{a c} u_c."""
-        k, m, c = self.lie_algebra.dim, self.m, self.lie_algebra.c
-        us, xs = [_unit(m, a) for a in range(k)], [_unit(m, k + j) for j in range(m)]
-        dxs, u_lie = [1 << i for i in range(m)], [[[c(b, a, e) for e in range(k)] for b in range(k)]
-                                                  for a in range(k)]
+        k, m = self.lie_algebra.dim, self.m
+        us = [_unit(m, a) for a in range(k)]
+        xs = [_unit(m, k + j) for j in range(m)]
+        dxs = [1 << i for i in range(m)]
         d_c = {i: {} for i in range(m)}
+        tables = {"iota": [], "lie": [], "total_lie": []}
         for a, mat in enumerate(self.rep):
             for i, image in _images(mat, [us[a] + x for x in xs]).items():
                 d_c[i].update(image)
-        lie = [({k + i: image for i, image in _images(mat, xs).items()}, _images(mat, dxs))
-               for mat in self.rep]
-        return {"cartan_d": _table(k, m, {k + i: {bit: 1} for i, bit in enumerate(dxs)}, d_c),
-                "euler": _table(k, m, {}, dict(enumerate({x: 1} for x in xs))),
-                "iota": [_table(k, m, {}, _images(mat, xs)) for mat in self.rep],
-                "lie": [_table(k, m, *images) for images in lie],
-                "total_lie": [_table(k, m, {**_images(u_lie[a], us), **x_images}, dx_images)
-                              for a, (x_images, dx_images) in enumerate(lie)]}
+            x_images = {k + i: image for i, image in _images(mat, xs).items()}
+            dx_images = _images(mat, dxs)
+            u_matrix = [[self.lie_algebra.c(b, a, e) for e in range(k)] for b in range(k)]
+            tables["iota"].append(_table(k, m, {}, _images(mat, xs)))
+            tables["lie"].append(_table(k, m, x_images, dx_images))
+            tables["total_lie"].append(_table(k, m, {**_images(u_matrix, us), **x_images},
+                                              dx_images))
+        tables["cartan_d"] = _table(k, m, {k + i: {bit: 1} for i, bit in enumerate(dxs)}, d_c)
+        tables["euler"] = _table(k, m, {}, {i: {x: 1} for i, x in enumerate(xs)})
+        return tables
 
     @classmethod
     def circle_rotation_r2(cls, weight=1, finite_order=None):
@@ -187,15 +198,19 @@ class LinearAction:
 
     def extend_trivially(self, extra=1):
         """Same action on R^{m+extra}; the new coordinates are fixed (used
-        for the interval factor in transgression computations)."""
+        for the interval factor in transgression computations).  Built once
+        per extra and kept in extensions."""
         m = self.m
 
         def pad(mat, corner):
             """mat in the top left corner, corner * identity in the bottom right."""
             return ([list(row) + [0] * extra for row in mat]
                     + [[0] * m + [corner * (r == c) for c in range(extra)] for r in range(extra)])
-        return LinearAction(self.lie_algebra, [pad(mat, 0) for mat in self.rep],
-                            [(pad(g, 1), ad) for g, ad in self.finite_elements])
+        if extra not in self.extensions:
+            self.extensions[extra] = LinearAction(
+                self.lie_algebra, [pad(mat, 0) for mat in self.rep],
+                [(pad(g, 1), ad) for g, ad in self.finite_elements])
+        return self.extensions[extra]
 
     @classmethod
     def from_json_obj(cls, obj):
@@ -205,6 +220,10 @@ class LinearAction:
 
 def _exact_matrix(m):
     return [[_exact(v) for v in row] for row in m]
+
+
+def _mat_add(a, b):
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def _mat_sub(a, b):
@@ -221,8 +240,12 @@ def _is_square(mat, n):
 
 def _invertible(mat):
     """Is the square matrix mat of full rank over Q?"""
-    return _rank([{i: row[j] for i, row in enumerate(mat) if row[j]}
-                  for j in range(len(mat))]) == len(mat)
+    return _ranks([{i: row[j] for i, row in enumerate(mat) if row[j]}
+                   for j in range(len(mat))], ())[1] == len(mat)
+
+
+def _mat_scale(a, c):
+    return [[c * x for x in row] for row in a]
 
 
 # ---------------------------------------------------------------------------
@@ -575,10 +598,8 @@ def _table(num_u, num_x, lanes, dxs):
 
 
 def _d_table(num_u, num_x):
-    """The table of d, x_i -> dx_i, as _table builds it but with less work."""
-    shifts = [num_x + LANE_BITS * (num_u + i) for i in range(num_x)]
-    return (num_u, num_x, [(shift, (1 << i) - (1 << shift), 1 << i, (1 << i) - 1, 1)
-                           for i, shift in enumerate(shifts)], [])
+    """The table of d: x_i -> dx_i."""
+    return _table(num_u, num_x, {num_u + i: {1 << i: 1} for i in range(num_x)}, {})
 
 
 def _derive(table, packed):
@@ -612,8 +633,12 @@ def _derive(table, packed):
 
 def fundamental_vector_field(act: LinearAction, coeffs):
     """Matrix of the linear field X^#(x) = rep(X) x for X = sum coeffs X_a."""
-    terms = [(_exact(c), mat) for c, mat in zip(coeffs, act.rep) if c]
-    return [[sum(c * mat[i][j] for c, mat in terms) for j in range(act.m)] for i in range(act.m)]
+    m = act.m
+    out = [[0] * m for _ in range(m)]
+    for a, c in enumerate(coeffs):
+        if c:
+            out = _mat_add(out, _mat_scale(act.rep[a], _exact(c)))
+    return out
 
 
 def cartan_d(act: LinearAction, omega: EquivariantForm) -> EquivariantForm:
@@ -737,8 +762,8 @@ def check_cartan_query(act: LinearAction, degrees, x_bound):
 
 
 def _block_columns(act, n, w):
-    """The columns of L and of [L; D] on the monomials of C_w in degree n,
-    dicts from a row (operator, term) to its entry.  L is the invariance
+    """The columns of [L; D] on the monomials of C_w in degree n, dicts from
+    a row (operator, term) to its entry, and the set of the rows of L.  L is the invariance
     operator of is_invariant (_invariance_images); D = cartan_d.  With S
     the pullback substitute_linear, S(g, Ad) - 1 is
     -S(g, Ad) (S(g^-1, Ad^-1) - 1), an invertible map of C_w times the
@@ -746,7 +771,7 @@ def _block_columns(act, n, w):
     Checks d_C iota_E + iota_E d_C = w on each monomial."""
     num_u, num_x = act.lie_algebra.dim, act.m
     euler = act.tables["euler"]
-    lie, full = [], []
+    columns, lie_rows = [], set()
     for r in _dx_counts(n, w, num_x):
         for u, dx, x in product(_compositions((n - r) // 2, num_u),
                                 combinations(range(num_x), r), _compositions(w - r, num_x)):
@@ -758,35 +783,40 @@ def _block_columns(act, n, w):
                 raise CartanCheckFailed(f"d_C iota_E + iota_E d_C is {homotopy} on {f}, "
                                         f"not {w} times it")
             column = {(i, t): c for i, img in enumerate(images) for t, c in img.packed.items()}
-            lie.append(column)
-            full.append({**column, **{(len(images), t): c for t, c in df.packed.items()}})
-    return lie, full
+            lie_rows.update(column)
+            column.update(((len(images), t), c) for t, c in df.packed.items())
+            columns.append(column)
+    return columns, lie_rows
 
 
 def _block_ranks(act, n, w):
     """(monomial count, rank [L; D], rank L) of C_w in degree n, kept on act:
     the block is built, and its homotopy identity checked, on first need."""
     if (n, w) not in act.cartan_blocks:
-        lie, full = _block_columns(act, n, w)
-        act.cartan_blocks[(n, w)] = (len(full), _rank(full), _rank(lie))
+        columns, lie_rows = _block_columns(act, n, w)
+        rank_lie, rank_full = _ranks(columns, lie_rows)
+        act.cartan_blocks[(n, w)] = (len(columns), rank_full, rank_lie)
     return act.cartan_blocks[(n, w)]
 
 
-def _rank(columns):
-    """Rank over Q of the matrix with these columns (dicts from row to
-    entry), each row scaled by the lcm of its denominators."""
+def _ranks(columns, lead):
+    """(rank of the rows in lead, rank) over Q of the matrix with these
+    columns (dicts from row to entry), each row scaled by the lcm of its
+    denominators: one elimination (rank_q) of the transpose, the rows in
+    lead eliminated first."""
     rows = {}
     for j, column in enumerate(columns):
         for row, c in column.items():
             rows.setdefault(row, {})[j] = c
     if not rows:
-        return 0
+        return 0, 0
     entries = {}
     for i, row in enumerate(rows.values()):
         scale = lcm(*(c.denominator for c in row.values()))
         for j, c in row.items():
-            entries[(i, j)] = c.numerator * (scale // c.denominator)
-    return rank_q(IntMatrix(len(rows), len(columns), entries))
+            entries[(j, i)] = c.numerator * (scale // c.denominator)
+    return rank_q(IntMatrix(len(columns), len(rows), entries),
+                  {i for i, row in enumerate(rows) if row in lead})
 
 
 def cartan_cohomology_truncated(act: LinearAction, n, x_bound):
@@ -839,7 +869,12 @@ def cartan_cohomology_range(act: LinearAction, degrees, x_bound):
 
 def _parity(pi):
     """The sign of a permutation, by counting its inversions."""
-    return -1 if sum(pi[i] > pi[j] for i, j in combinations(range(len(pi)), 2)) % 2 else 1
+    sign = 1
+    for i in range(len(pi)):
+        for j in range(i + 1, len(pi)):
+            if pi[i] > pi[j]:
+                sign = -sign
+    return sign
 
 
 def getzler_dbar_matrix(bl, p, q):
@@ -864,7 +899,13 @@ def getzler_dbar_matrix(bl, p, q):
         entries[(row, col)] = entries.get((row, col), 0) + val
 
     for t in range(m ** (p + 1)):
-        g = [t // m ** (p - pos) % m for pos in range(p + 1)]  # (g_0, ..., g_p), g_0 first
+        # decode (g_0, ..., g_p), g_0 most significant
+        g = []
+        rest = t
+        for pos in range(p + 1):
+            power = m ** (p - pos)
+            g.append(rest // power)
+            rest %= power
         # term 0: drop g_0
         col_t = 0
         for pos in range(1, p + 1):

@@ -26,7 +26,7 @@ from .cartan import (
     _wedge_into,
     lie_derivative,
 )
-from .linalg import q_inverse, q_nullspace
+from .linalg import q_nullspace
 
 
 class ConnectionNotInvariant(Exception):
@@ -88,6 +88,7 @@ def form_trace(a):
 
 def form_mat_scalar_conjugate(a, g):
     """g a g^{-1} for a rational invertible scalar matrix g."""
+    from .linalg import q_inverse
     g_inv = q_inverse(g)
     r = len(a)
     num_u, num_x = a[0][0].num_u, a[0][0].num_x
@@ -321,6 +322,7 @@ class InvariantPolynomial:
 
 def conjugation_invariance_check(poly: InvariantPolynomial, rank, rng, trials=10):
     """P(g B g^{-1}) == P(B) on random rational matrices."""
+    from .linalg import q_inverse
     for _ in range(trials):
         b = [[EquivariantForm.constant(0, 1, Fraction(rng.randint(-4, 4)))
               for _ in range(rank)] for _ in range(rank)]

@@ -430,7 +430,7 @@ _PIVOT_SCAN_COLUMNS = 8
 _FILL_CAP = 128
 
 
-def rank_q(a: IntMatrix) -> int:
+def rank_q(a: IntMatrix, lead=None):
     """Rank over Q by sparse elimination (exact fractions when pivots aren't units).
 
     Pivot rule: the columns are kept in buckets by their count of nonzeros,
@@ -440,18 +440,25 @@ def rank_q(a: IntMatrix) -> int:
     (column count - 1)), stopping early at a unit of cost 0.  A step thus
     costs the entries it touches, not a scan of the whole matrix.
     Elimination is exact: c // p when p divides c, Fraction(c, p) otherwise.
+
+    With lead, a set of columns, the pivots are taken in lead columns while
+    one has an entry left, and the pair (rank of the lead columns, rank of
+    a) is returned: row operations keep the rank of every set of columns,
+    so the pivots taken before the lead columns run empty number theirs.
     """
-    if a.rows > a.cols:
+    if lead is None and a.rows > a.cols:
         a = a.transpose()  # rows along the short axis: faster on bar-complex windows
     row, col = _rows_and_columns(a)
-    buckets = {}  # column count -> set of columns with that many nonzeros
+    first = lead or ()
+    buckets, lead_buckets = {}, {}  # column count -> set of columns with that many nonzeros
     for j, rows_j in col.items():
-        buckets.setdefault(len(rows_j), set()).add(j)
-    rank = 0
-    while buckets:
-        count = min(buckets)
+        (lead_buckets if j in first else buckets).setdefault(len(rows_j), set()).add(j)
+    rank = lead_rank = 0
+    while lead_buckets or buckets:
+        pool = lead_buckets or buckets
+        count = min(pool)
         best = None
-        for scanned, j in enumerate(buckets[count], 1):
+        for scanned, j in enumerate(pool[count], 1):
             for i in col[j]:
                 key = (abs(row[i][j]) != 1, (len(row[i]) - 1) * (count - 1))
                 if best is None or key < best:
@@ -469,18 +476,20 @@ def rank_q(a: IntMatrix) -> int:
             _add_row(row, i0, i, -(c // p if c % p == 0 else Fraction(c, p)), col)
         del row[i0], col[j0]
         for j, n in old_counts.items():
-            bucket = buckets[n]
+            home = lead_buckets if j in first else buckets
+            bucket = home[n]
             bucket.discard(j)
             if not bucket:
-                del buckets[n]
+                del home[n]
             if j != j0:
                 m = len(col[j])
                 if m:
-                    buckets.setdefault(m, set()).add(j)
+                    home.setdefault(m, set()).add(j)
                 else:
                     del col[j]
         rank += 1
-    return rank
+        lead_rank += pool is lead_buckets
+    return rank if lead is None else (lead_rank, rank)
 
 
 # ---------------------------------------------------------------------------

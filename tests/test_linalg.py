@@ -342,6 +342,19 @@ def test_rank_q_matches_dense_oracle():
         assert rank_q(m) == rank_oracle(m), (m.rows, m.cols, k)
 
 
+def test_rank_q_with_lead_columns_gives_their_rank_and_the_rank():
+    # wide and tall, a few columns or most of them, and no column at all
+    rng = random.Random(13)
+    for k in range(60):
+        rows, cols = rng.randint(1, 30), rng.randint(1, 30)
+        m = sparse_matrix(rng, rows, cols, rng.choice([0.1, 0.2, 0.4]))
+        lead = set(rng.sample(range(cols), rng.randint(0, cols)))
+        dense = m.to_rows()
+        sub = IntMatrix.from_rows([[row[j] for j in sorted(lead)] for row in dense],
+                                  cols=len(lead))
+        assert rank_q(m, lead) == (rank_oracle(sub), rank_oracle(m)), (rows, cols, k)
+
+
 # --- matrices ----------------------------------------------------------------
 
 

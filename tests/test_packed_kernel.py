@@ -172,12 +172,6 @@ def test_every_table_driven_derivation_matches_the_oracle(name, data):
             oracle.add_terms(magic, oracle_u_derivation(act, a, terms))
 
 
-def test_the_table_of_d_is_the_one_table_builds():
-    for num_u, num_x in [(0, 1), (1, 2), (3, 3), (2, 4)]:
-        assert cartan._d_table(num_u, num_x) == cartan._table(
-            num_u, num_x, {num_u + i: {1 << i: 1} for i in range(num_x)}, {})
-
-
 def test_a_derivation_refuses_a_form_over_other_variable_counts():
     with pytest.raises(ValueError, match="different variable counts"):
         total_lie(TABLE_ACTIONS["so3"], 0, parse_form("x1*dx2", 1, 2))
