@@ -590,11 +590,14 @@ def _table(num_u, num_x, lanes, dxs):
     An image term is kept as (the generator's shift or bit, image key - its
     key, the image's dx bit, the bits below that bit, coefficient)."""
     low = (1 << num_x) - 1
+
+    def term(generator, key, c):
+        dx = key & low
+        return key - generator, dx, max(dx - 1, 0), c
     return (num_u, num_x,
-            [(num_x + LANE_BITS * lane, key - _unit(num_x, lane), key & low, max((key & low) - 1, 0),
-              c) for lane, image in lanes.items() for key, c in image.items()],
-            [(1 << i, key - (1 << i), key & low, max((key & low) - 1, 0), c)
-             for i, image in dxs.items() for key, c in image.items()])
+            [(num_x + LANE_BITS * lane, *term(_unit(num_x, lane), key, c))
+             for lane, image in lanes.items() for key, c in image.items()],
+            [(1 << i, *term(1 << i, key, c)) for i, image in dxs.items() for key, c in image.items()])
 
 
 def _d_table(num_u, num_x):
@@ -763,9 +766,9 @@ def check_cartan_query(act: LinearAction, degrees, x_bound):
 
 def _block_columns(act, n, w):
     """The columns of [L; D] on the monomials of C_w in degree n, dicts from
-    a row (operator, term) to its entry, and the set of the rows of L.  L is the invariance
-    operator of is_invariant (_invariance_images); D = cartan_d.  With S
-    the pullback substitute_linear, S(g, Ad) - 1 is
+    a row (operator, term) to its entry, and the set of the rows of L.  L
+    is the invariance operator of is_invariant (_invariance_images);
+    D = cartan_d.  With S the pullback substitute_linear, S(g, Ad) - 1 is
     -S(g, Ad) (S(g^-1, Ad^-1) - 1), an invertible map of C_w times the
     block of g.f - f, so every kernel and rank is that of the latter.
     Checks d_C iota_E + iota_E d_C = w on each monomial."""
