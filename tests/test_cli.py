@@ -548,6 +548,18 @@ def test_hexagon_degree_range_builds_each_bar_construction_once(monkeypatch):
     assert sorted(builds) == [(2, 1, 4), (6, 3, 4)]
 
 
+def test_s3_table_payload():
+    # H^0..H^4 of the conjugation action of the 3-sphere on itself over Z, Q
+    # and C/Z, and the bottom row at degree 3, as the suite returns them
+    out, _ = run(JobSpec("verify", {"suite": "s3-table"}))
+    assert out == {
+        "integral": {0: "ℤ", 1: "0", 2: "0", 3: "ℤ", 4: "ℤ"},
+        "rational_dims": {0: 1, 1: 0, 2: 0, 3: 1, 4: 1},
+        "circle_coeff": {0: "ℂ/ℤ", 1: "0", 2: "0", 3: "ℂ/ℤ", 4: "ℂ/ℤ"},
+        "bottom_row_exact": True,
+    }
+
+
 def test_s3_table_reduces_its_total_complex_once(monkeypatch):
     # the corner table and the bottom-row verdict read one reduction of the
     # 35-cell total complex
