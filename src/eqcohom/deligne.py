@@ -18,11 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .complexes import (
-    DoubleComplex,
-    IntCochainComplex,
-    bockstein_image,
-)
+from .complexes import IntCochainComplex, bockstein_image
 from .linalg import (
     FgAbGroup,
     IntMatrix,
@@ -34,10 +30,6 @@ from .simplicial import GAction, bar_complex, bar_levels, total_window
 
 
 class PositiveDimensionalInput(Exception):
-    pass
-
-
-class InconsistentCorners(Exception):
     pass
 
 
@@ -322,35 +314,6 @@ class HexagonReport:
         return "\n".join(lines)
 
 
-def hexagon(act: GAction, n) -> HexagonReport:
-    """Build the six corners and verify the four exactness statements and
-    both commuting squares, by rank computations, for an action on a
-    0-dimensional complex (_hexagon_zero_dim).
-
-    Ĥ^n comes from the bar construction of act, degrees 0..n+1, and
-    H^{n-1}(Z), H^n(Z) and the Bockstein data from the stabilizers of its
-    orbits on a point (Shapiro's lemma), each summed over the orbits; when
-    M is a single point the two come from the same complex.  The form
-    corners at n <= 1 count the invariant functions, |M_0| - rank d^0.
-    bottom_row, diagonal_a, diagonal_b and top_row at n <= 1 are computed;
-    the left square holds by construction, top_row at n >= 2 compares two
-    zero corners, and the right square is constant at n = 0 and restates
-    bottom_row above it (the report's notes say so).  Each bar complex is
-    the one kept on its action (GAction.reduced_bar), built from levels
-    0..n+1 only when no kept complex reaches degree n+1: only ker d^n
-    enters the degrees read.  A positive-dimensional action raises
-    PositiveDimensionalInput, whose form corners are not finite
-    dimensional; a negative degree raises ValueError.
-    """
-    if n < 0:
-        raise ValueError(f"hexagon degree must be nonnegative, got {n}")
-    if act.space.dim > 0:
-        raise PositiveDimensionalInput(
-            "positive-dimensional cells: the hexagon is computed for 0-dimensional "
-            "complexes only")
-    return _hexagon_zero_dim(act, n)
-
-
 @dataclass(frozen=True)
 class _IntegralCorners:
     """The integral data of the hexagon at degree n: H^{n-1}(Z), H^n(Z), the
@@ -403,24 +366,27 @@ def _integral_corners(act: GAction, n, cx: IntCochainComplex) -> _IntegralCorner
     return total
 
 
-def _hexagon_zero_dim(act: GAction, n) -> HexagonReport:
-    """The hexagon of a 0-dimensional action.
+def hexagon(act: GAction, n) -> HexagonReport:
+    """Build the six corners and verify the four exactness statements and
+    both commuting squares, by rank computations, for an action on a
+    0-dimensional complex.
 
-    Ĥ^n is read off the Deligne cone over degrees 0..n+1 (upto) of the
-    reduced normalized bar total complex kept on act (GAction.reduced_bar);
-    it is the one cone built.  The complex is built, from BarLevels 0..n+1,
-    and reduced only when no complex kept on act reaches degree n+1.  Its
-    degree n+1 is full, or holds only the generator rows (bar_complex);
-    either way ker d^n is the full one.  At n <= 1 the form
-    corners count the invariant functions on M, ker d^0 = H^0 of the same
-    complex, which the reduction keeps: its rank in degree 0 minus rank
-    d^0.  H^{n-1}(Z), H^n(Z), the Bockstein image and the rank of iota
-    come from the stabilizers of the orbits, one bar complex of each
-    distinct stabilizer on a point (_integral_corners, Shapiro's lemma),
-    so the diagonal verdicts compare complexes of different groups.  The
-    one case left without an independent check is M a single point: there
-    Shapiro is the identity, and the integral corners are read from the
-    cone's own reduced complex.
+    Ĥ^n is differential_cohomology_zero_dim(act, n): the Deligne cone over
+    degrees 0..n+1 of the reduced normalized bar total complex kept on act
+    (GAction.reduced_bar), the one cone built.  The complex is built, from
+    BarLevels 0..n+1, and reduced only when no complex kept on act reaches
+    degree n+1; the corners below read that same kept complex.  Its degree
+    n+1 is full, or holds only the generator rows (bar_complex); either way
+    ker d^n is the full one.  At n <= 1 the form corners count the
+    invariant functions on M, ker d^0 = H^0 of the same complex, which the
+    reduction keeps: its rank in degree 0 minus rank d^0.  H^{n-1}(Z),
+    H^n(Z), the Bockstein image and the rank of iota come from the
+    stabilizers of the orbits, one bar complex of each distinct stabilizer
+    on a point (_integral_corners, Shapiro's lemma), each summed over the
+    orbits, so the diagonal verdicts compare complexes of different groups.
+    The one case left without an independent check is M a single point:
+    there Shapiro is the identity, and the integral corners are read from
+    the cone's own reduced complex.
 
     Computed: bottom_row, diagonal_a and diagonal_b at every n, and top_row
     at n <= 1, where it compares the function count with H^n(C) or
@@ -428,12 +394,21 @@ def _hexagon_zero_dim(act: GAction, n) -> HexagonReport:
     at n = 1 a(f) and the inclusion of f mod Z are the same cone cochain
     (0, f) when d^0 f = 0, and at n != 1 one path runs through a zero
     corner; top_row at n >= 2 compares two zero corners; the right square
-    is True at n = 0 and copies bottom_row at n >= 1.
+    is True at n = 0 and copies bottom_row at n >= 1 (the report's notes
+    say so).  A positive-dimensional action raises
+    PositiveDimensionalInput, whose form corners are not finite
+    dimensional; a negative degree raises ValueError.
     """
+    if n < 0:
+        raise ValueError(f"hexagon degree must be nonnegative, got {n}")
+    if act.space.dim > 0:
+        raise PositiveDimensionalInput(
+            "positive-dimensional cells: the hexagon is computed for 0-dimensional "
+            "complexes only")
+    hhat = differential_cohomology_zero_dim(act, n)
+    cx = act.reduced_bar(n + 1)
     orbits = act.orbit_count()
     name = f"{act.group.name or 'group'} on {act.space.name or 'space'}"
-    cx = act.reduced_bar(n + 1)
-    hhat = deligne_cone(cx.upto(n + 1), n).cohomology(n)
     integral = _integral_corners(act, n, cx)
     h_prev, h_n = integral.h_prev, integral.h_n
     dim_l = h_prev.free_rank      # H^{n-1}(M_G, C) has this C-dimension
@@ -534,48 +509,6 @@ def _hexagon_zero_dim(act: GAction, n) -> HexagonReport:
                  "hold by construction; squares.right is constant at n = 0 and copies "
                  "bottom_row at n >= 1")
     return HexagonReport(name, n, corners, maps, exact, squares, evidence, notes)
-
-
-# ---------------------------------------------------------------------------
-# supplied double complexes
-
-
-@dataclass
-class SuppliedCorners:
-    """A double complex given as data, for an action whose form corners
-    cannot be computed cellularly (a positive-dimensional model), with the
-    vectors at bidegree (0, n) that stand for its closed equivariant forms."""
-
-    double_complex: DoubleComplex
-    closed_form_cocycles: list
-
-    def validate_cocycles(self, n):
-        """Raise InconsistentCorners unless each supplied vector has the
-        rank of bidegree (0, n) and both differentials kill it."""
-        dc = self.double_complex
-        for vec in self.closed_form_cocycles:
-            if len(vec) != dc.rank(0, n):
-                raise InconsistentCorners("cocycle vector has the wrong length")
-            if any(dc.vert(0, n).apply(list(vec))):
-                raise InconsistentCorners(
-                    "supplied form is not equivariant: d0* and d1* pullbacks differ")
-            if any(dc.horiz(0, n).apply(list(vec))):
-                raise InconsistentCorners("supplied form is not closed")
-
-
-def corner_table(tot: IntCochainComplex, degrees):
-    """H^k of a complex with Z, Q and C/Z coefficients, one row per degree
-    keyed "Z", "Q" and "QmodZ", all read from the ranks and Smith forms the
-    complex keeps.  Pass the reduced total complex of a supplied double
-    complex (total_complex(dc).reduced()); its caller can then read further
-    verdicts, such as bockstein_image_matches_torsion, off the same
-    reduction."""
-    out = {}
-    for k in degrees:
-        h_k = tot.cohomology(k)
-        out[k] = {"Z": h_k, "Q": tot.cohomology_q_dim(k),
-                  "QmodZ": coefficient_change(h_k, tot.cohomology(k + 1))}
-    return out
 
 
 # ---------------------------------------------------------------------------

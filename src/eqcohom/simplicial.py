@@ -957,15 +957,18 @@ def total_window(bl: BarLevels, n_lo, n_hi):
 
 def bar_complex(bl: BarLevels, top) -> IntCochainComplex:
     """The normalized bar total complex of bl in degrees 0..top, checked for
-    d^2 = 0: degree n < top holds (|G|-1)^p |M_q| cells for each p + q = n,
-    where the full complex, cellular_double_complex's total, holds
-    |G|^p |M_q|.  The two are chain homotopy equivalent over Z.
+    d^2 = 0, from one totalize call: degree n < top holds
+    (|G|-1)^p |M_q| cells for each p + q = n, where the full complex,
+    cellular_double_complex's total, holds |G|^p |M_q|.  The two are chain
+    homotopy equivalent over Z.
 
     Degree top holds only the rows of level 0 and of the bar tuples (Brown,
     Cohomology of Groups I.5) that start with one of the group's
-    generators(), and d^{top-1} on those rows has the kernel of the full
-    one over Z.  Let y = D x lie in degree top, and let s be a generator.
-    In the untruncated complex D y = 0, and its component at the row
+    generators() (BarLevels.leading_tuples): the rank rule keeps those rows
+    of each bidegree in degree top, and the blocks that land there build
+    only them.  d^{top-1} on those rows has the kernel of the full one over
+    Z.  Let y = D x lie in degree top, and let s be a generator.  In the
+    untruncated complex D y = 0, and its component at the row
     (s, w, rest) reads y(w, rest) - y(sw, rest) + (terms on tuples that
     start with s): d_0 drops s, d_1 merges s and w, the later faces keep s
     in front, the horizontal term lies on (s, w, rest) itself, and a
@@ -977,20 +980,9 @@ def bar_complex(bl: BarLevels, top) -> IntCochainComplex:
 
     It starts at degree 0 so that its reduction can pair every cell with a
     partner one degree down: a window cut off below keeps its bottom cells,
-    and the fill they cause, in the reduced complex.
+    and the fill they cause, in the reduced complex.  total_window builds
+    every row of every degree.
     """
-    ranks, diffs = total_window(bl, 0, max(top - 1, 0))
-    if top == 0:
-        return IntCochainComplex(0, [ranks[0]], [])
-    rank, d = _top_degree(bl, top)
-    return IntCochainComplex(0, [ranks[k] for k in range(top)] + [rank],
-                             [diffs[k] for k in range(top - 1)] + [d])
-
-
-def _top_degree(bl: BarLevels, top):
-    """The rank of degree top >= 1 of the normalized bar total complex and
-    d^{top-1} into it, on the rows of level 0 and of the tuples that start
-    with one of the group's generators() (BarLevels.leading_tuples)."""
     dim, firsts = bl.space.dim, bl.group.generators()
 
     def rank(p, q):
@@ -1000,10 +992,14 @@ def _top_degree(bl: BarLevels, top):
             return bl.normalized_cells(p, q)
         return len(bl.leading_tuples(p, firsts)) * bl.space.ncells(q)
 
-    ranks, diffs = totalize(top - 1, top, bl.P, rank,
-                            lambda p, q: bl.horizontal_matrix(p, q, firsts),
-                            lambda p, q: bl.vertical_matrix(p, q, firsts))
-    return ranks[top], diffs[top - 1]
+    def rows(p, q):  # a block from bidegree (p, q) lands in degree p + q + 1
+        return firsts if p + q + 1 == top else None
+
+    ranks, diffs = totalize(0, top, bl.P, rank,
+                            lambda p, q: bl.horizontal_matrix(p, q, rows(p, q)),
+                            lambda p, q: bl.vertical_matrix(p, q, rows(p, q)))
+    return IntCochainComplex(0, [ranks[k] for k in range(top + 1)],
+                             [diffs[k] for k in range(top)])
 
 
 def equivariant_cohomology(act: GAction, n, coeff="Z"):

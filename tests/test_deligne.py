@@ -9,17 +9,14 @@ from eqcohom.deligne import (
     FlatEquivariantLineBundle,
     MixedComplex,
     PositiveDimensionalInput,
-    SuppliedCorners,
-    InconsistentCorners,
     build_deligne_mixed,
-    corner_table,
     deligne_cone,
     differential_cohomology_zero_dim,
     flat_equivariant_chern_class,
     hexagon,
 )
 from eqcohom.linalg import FgAbGroup, IntMatrix, kernel_basis, rank_q
-from eqcohom.complexes import DoubleComplex, IntCochainComplex, total_complex
+from eqcohom.complexes import IntCochainComplex
 from eqcohom.simplicial import (
     BarLevels,
     CellComplex,
@@ -267,26 +264,26 @@ def test_one_bar_construction_per_hexagon(monkeypatch):
     # distinct stabilizer on a point (Shapiro), and none extra when M is a
     # point; one Deligne cone
     builds = []
-    windows = []
+    totals = []
     cones = []
     real_init = BarLevels.__init__
-    real_window = simplicial.total_window
+    real_bar = simplicial.bar_complex
     real_cone = deligne.deligne_cone
 
     def counting_init(self, act, *args, **kwargs):
         builds.append(act)
         real_init(self, act, *args, **kwargs)
 
-    def counting_window(*args):
-        windows.append(args)
-        return real_window(*args)
+    def counting_bar(*args):
+        totals.append(args)
+        return real_bar(*args)
 
     def counting_cone(*args):
         cones.append(args)
         return real_cone(*args)
 
     monkeypatch.setattr(BarLevels, "__init__", counting_init)
-    monkeypatch.setattr(simplicial, "total_window", counting_window)
+    monkeypatch.setattr(simplicial, "bar_complex", counting_bar)
     monkeypatch.setattr(deligne, "deligne_cone", counting_cone)
     s3 = FiniteGroup.symmetric(3)
     mixed = GAction.points_action(s3, 4, {g: GAction.coset_action(s3, (0, 1)).perms[g][0] + [3]
@@ -299,7 +296,7 @@ def test_one_bar_construction_per_hexagon(monkeypatch):
         subgroups = {id(act.group.subgroup(stab)) for stab in stabilizers}
         for n in range(4):
             builds.clear()
-            windows.clear()
+            totals.clear()
             cones.clear()
             hexagon(act, n)
             assert len(cones) == 1, (act.name, n, len(cones))
@@ -310,7 +307,7 @@ def test_one_bar_construction_per_hexagon(monkeypatch):
                 assert len(builds) == 1 + len(stabilizers), (act.name, n, len(builds))
                 assert all(b.space.ncells(0) == 1 for b in builds[1:])
                 assert {id(b.group) for b in builds[1:]} == subgroups, (act.name, n)
-            assert len(windows) == len(builds), (act.name, n, len(windows))
+            assert len(totals) == len(builds), (act.name, n, len(totals))
 
 
 @pytest.mark.parametrize("n", range(5))
@@ -428,26 +425,26 @@ def test_hexagon_reduces_each_bar_complex_it_builds_once(monkeypatch):
     # complex object is reduced twice, and each bar construction is reduced
     # exactly once.
     reduced = []      # the differential lists handed to reduce_complex, kept alive
-    windows = []
-    real_reduce, real_window = complexes.reduce_complex, simplicial.total_window
+    totals = []
+    real_reduce, real_bar = complexes.reduce_complex, simplicial.bar_complex
 
     def counting_reduce(ranks, diffs):
         reduced.append(diffs)
         return real_reduce(ranks, diffs)
 
-    def counting_window(*args):
-        windows.append(args)
-        return real_window(*args)
+    def counting_bar(*args):
+        totals.append(args)
+        return real_bar(*args)
     monkeypatch.setattr(complexes, "reduce_complex", counting_reduce)
     monkeypatch.setattr(linalg, "reduce_complex", counting_reduce)
-    monkeypatch.setattr(simplicial, "total_window", counting_window)
+    monkeypatch.setattr(simplicial, "bar_complex", counting_bar)
     for act in _acceptance_actions():
         for n in range(5):
             reduced.clear()
-            windows.clear()
+            totals.clear()
             hexagon(act, n)
             assert len({id(diffs) for diffs in reduced}) == len(reduced), (act.name, n)
-            assert len(reduced) == len(windows), (act.name, n)
+            assert len(reduced) == len(totals), (act.name, n)
 
 
 def _fresh_actions():
@@ -587,41 +584,6 @@ def test_hexagon_property_small_suite():
             for n in range(0, 3):
                 rep = hexagon(act, n)
                 assert rep.all_exact, (group.name, n, rep.exactness)
-
-
-# --- supplied double complexes ------------------------------------------------------
-
-
-def _toy_supplied():
-    # single row: Z --0--> Z in q-degree 0..1 at p = 0, plus empty rows
-    ranks = {(0, 0): 1, (0, 1): 1}
-    horiz = {(0, 0): IntMatrix.zero(1, 1)}
-    dc = DoubleComplex(0, 1, ranks, horiz, {})
-    return dc
-
-
-def test_supplied_corner_cocycle_validation():
-    dc = _toy_supplied()
-    SuppliedCorners(dc, closed_form_cocycles=[[1]]).validate_cocycles(1)
-    ranks = {(0, 0): 1, (0, 1): 1, (1, 1): 1}
-    vert = {(0, 1): IntMatrix.identity(1)}
-    horiz = {(0, 0): IntMatrix.zero(1, 1)}
-    not_equivariant = DoubleComplex(1, 1, ranks, horiz, vert)
-    not_closed = DoubleComplex(0, 2, {(0, 0): 1, (0, 1): 1, (0, 2): 1},
-                               {(0, 1): IntMatrix.identity(1)}, {})
-    for bad in (SuppliedCorners(not_equivariant, closed_form_cocycles=[[1]]),
-                SuppliedCorners(not_closed, closed_form_cocycles=[[1]]),
-                SuppliedCorners(dc, closed_form_cocycles=[[1, 0]])):
-        with pytest.raises(InconsistentCorners):
-            bad.validate_cocycles(1)
-
-
-def test_corner_table_runs():
-    dc = _toy_supplied()
-    table = corner_table(total_complex(dc).reduced(), [0, 1])
-    assert all(set(row) == {"Z", "Q", "QmodZ"} for row in table.values())
-    assert table[0]["Z"] == FgAbGroup(1)
-    assert table[1]["Z"] == FgAbGroup(1)
 
 
 # --- lens holonomy --------------------------------------------------------------------
