@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 from fractions import Fraction
 
 import pytest
@@ -246,6 +247,35 @@ def test_a_second_read_factors_nothing(monkeypatch):
         matrices.clear()
     assert cone.cohomology(2) == first
     assert received == {"rank_q": [], "smith_normal_form": []}
+
+
+def test_a_points_hexagon_factors_no_matrix_twice(monkeypatch):
+    # the upto view, the cone's rational part and the corners hold the kept
+    # complex's own differential objects; each matrix keeps its rank and
+    # Smith form, so no matrix object is factored twice.  Every received
+    # matrix stays referenced, so no id is reused.
+    received = {"rank_q": [], "smith_normal_form": []}
+
+    def recording(name, real):
+        def record(m, *rest):
+            if not rest:     # rank_q with lead columns answers another question
+                received[name].append(m)
+            return real(m, *rest)
+        return record
+
+    for name in received:
+        real = getattr(linalg, name)
+        hook = recording(name, real)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("eqcohom") and getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, hook)
+    for group in (FiniteGroup.cyclic(4), FiniteGroup.symmetric(3)):
+        act = GAction.trivial(group, CellComplex.point())
+        for n in reversed(range(5)):
+            hexagon(act, n)
+    for name, matrices in received.items():
+        assert len({id(m) for m in matrices}) == len(matrices), \
+            (name, len(matrices), len({id(m) for m in matrices}))
 
 
 def _distinct_stabilizers(act):
