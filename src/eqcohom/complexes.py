@@ -13,7 +13,6 @@ from .linalg import (
     FgAbGroup,
     IntMatrix,
     kernel_basis,
-    rank_q,
     reduce_complex,
     smith_normal_form,
 )
@@ -38,20 +37,16 @@ class IntCochainComplex:
     range every module is zero.  Every complex checks its own d^2 = 0, on
     every row, when it is built.  Cohomology is read off its reduction
     (reduced), computed once and kept, so no degree read reduces anything
-    again.  A complex keeps the factorizations of its own differentials:
-    differential_rank(n) and smith(n) compute the rank over Q and the Smith
-    form of d^n at the first read and keep them, so no second read factors
-    anything.
+    again.  The complex keeps only that reduction: the rank over Q and the
+    Smith form of d^n are kept on the matrix itself (IntMatrix.rank and
+    smith), so complexes that hold the same matrix share them.
     """
 
     def __init__(self, n_min, ranks, diffs):
         self.n_min = n_min
         self.ranks = list(ranks)
         self.diffs = list(diffs)
-        self._reduced = None     # the reduction, once computed
-        self._is_reduced = False
-        self._rank_q = {}        # degree -> rank over Q of d^n, once computed
-        self._smith = {}         # degree -> Smith form of d^n, once computed
+        self._reduced = None     # the reduction, once computed; True when reduced
         if len(self.diffs) != max(len(self.ranks) - 1, 0):
             raise ValueError("need one differential between consecutive degrees")
         for k, d in enumerate(self.diffs):
@@ -77,28 +72,17 @@ class IntCochainComplex:
             return self.diffs[k]
         return IntMatrix.zero(self.rank(n + 1), self.rank(n))
 
-    def differential_rank(self, n) -> int:
-        """The rank over Q of d^n, taken at the first read and kept."""
-        if n not in self._rank_q:
-            self._rank_q[n] = rank_q(self.differential(n))
-        return self._rank_q[n]
-
-    def smith(self, n):
-        """The Smith form of d^n, taken at the first read and kept."""
-        if n not in self._smith:
-            self._smith[n] = smith_normal_form(self.differential(n))
-        return self._smith[n]
-
     def upto(self, top):
         """The complex of degrees n_min..top: the same differential objects
-        below top and d^top zero, checked when built like any complex, and
-        reduced when this one is.  It keeps its own ranks and Smith forms.
-        The complex itself when top reaches n_max."""
+        below top, with what they keep, and d^top zero, checked when built
+        like any complex, and reduced when this one is.  The complex itself
+        when top reaches n_max."""
         if top >= self.n_max:
             return self
         k = max(top - self.n_min + 1, 0)
         view = IntCochainComplex(self.n_min, self.ranks[:k], self.diffs[:max(k - 1, 0)])
-        view._is_reduced = self._is_reduced
+        if self._reduced is True:
+            view._reduced = True
         return view
 
     def cohomology(self, n) -> FgAbGroup:
@@ -106,23 +90,22 @@ class IntCochainComplex:
         form of d^{n-1} (ker d^n is pure, so it holds all torsion of
         Z^k / im d^{n-1}) and the free rank rank(n) - rk d^n - rk d^{n-1}."""
         red = self.reduced()
-        return FgAbGroup.from_diagonal(red.smith(n - 1).s.diagonal(),
-                                       red.rank(n) - red.differential_rank(n))
+        return FgAbGroup.from_diagonal(red.differential(n - 1).smith().s.diagonal(),
+                                       red.rank(n) - red.differential(n).rank())
 
     def cohomology_q_dim(self, n) -> int:
         red = self.reduced()
-        return red.rank(n) - red.differential_rank(n) - red.differential_rank(n - 1)
+        return red.rank(n) - red.differential(n).rank() - red.differential(n - 1).rank()
 
     def reduced(self):
         """Unit-pivot reduced complex with the same cohomology everywhere,
-        computed and d^2-checked once; a reduced complex returns itself."""
-        if self._is_reduced:
-            return self
+        computed and d^2-checked once; a reduced complex returns itself (its
+        _reduced is True: holding itself, only the cycle collector frees it)."""
         if self._reduced is None:
             red = reduce_complex(self.ranks, self.diffs)
             self._reduced = IntCochainComplex(self.n_min, red.ranks, red.diffs)
-            self._reduced._is_reduced = True
-        return self._reduced
+            self._reduced._reduced = True
+        return self if self._reduced is True else self._reduced
 
     def __eq__(self, other):
         if not isinstance(other, IntCochainComplex):
@@ -255,12 +238,12 @@ def bockstein_apply(cx: IntCochainComplex, n, rep):
 def qz_torsion_cocycles(cx: IntCochainComplex, n):
     """Generators of the finite part of H^{n-1}(., Q/Z) as rational cochains.
 
-    From the Smith form left @ d^{n-1} @ right = s that cx keeps: the
+    From the Smith form left @ d^{n-1} @ right = s that d^{n-1} keeps: the
     cochains right e_i / s_i (for diagonal entries s_i >= 2) are closed mod
     Z and generate the torsion summand; -beta maps them to the classes of
     -left^{-1} e_i.
     """
-    snf = cx.smith(n - 1)
+    snf = cx.differential(n - 1).smith()
     out = []
     for i, si in enumerate(snf.s.diagonal()):
         if si >= 2:

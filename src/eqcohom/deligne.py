@@ -78,8 +78,8 @@ class MixedComplex:
     S blocks) and whole, the cone itself with differential [[P, 0], [Q, S]],
     built by validate.  Each checks its own d^2 = 0 when it is built; that
     of whole holds P P = 0, Q P + S Q = 0 and S S = 0 at once, and a failure
-    raises IllFormedDoubleComplex, a ValueError.  Each complex factors its
-    own differentials, once, and every rank below is read through them.
+    raises IllFormedDoubleComplex, a ValueError.  Every rank below is kept
+    on its differential (IntMatrix.rank), shared by whatever holds it.
     Every block is an IntMatrix: the cone differential has integer entries
     even where it acts on rational cochains, so every rank is taken in
     exact integer arithmetic.
@@ -134,8 +134,7 @@ class MixedComplex:
             ]) for i, k in enumerate(degrees[:-1])])
 
     def rat_cohomology_dim(self, k):
-        return (self.rat_rank(k) - self.rational.differential_rank(k)
-                - self.rational.differential_rank(k - 1))
+        return self.rat_rank(k) - self.s_block(k).rank() - self.s_block(k - 1).rank()
 
     def connecting_rank(self, k):
         """Rank of the connecting map H^k(int) -> H^{k+1}(rat).
@@ -143,8 +142,8 @@ class MixedComplex:
         The kernel of [[P, 0], [Q, S]] is ker S + {x in ker P : Q x in im S},
         so its rank exceeds rank P + rank S by exactly the rank wanted.
         """
-        return (self.whole.differential_rank(k) - self.integral.differential_rank(k)
-                - self.rational.differential_rank(k))
+        return (self.whole.differential(k).rank() - self.integral.differential(k).rank()
+                - self.rational.differential(k).rank())
 
     def cohomology(self, k) -> DiffCohGroup:
         """H^k via the long exact sequence of the rational subcomplex.
@@ -328,7 +327,8 @@ class _IntegralCorners:
     @classmethod
     def of(cls, cx: IntCochainComplex, n):
         """The corners of a complex; iota's rank is dim H^n(Q).  All read
-        the ranks and Smith forms that cx keeps, so none is taken twice."""
+        the ranks and Smith forms that cx's differentials keep, shared with
+        the cone built over cx, so none is taken twice."""
         h_n = cx.cohomology(n)
         if n == 0:
             return cls(FgAbGroup(0), h_n, FgAbGroup(0), h_n.free_rank)
@@ -417,7 +417,7 @@ def hexagon(act: GAction, n) -> HexagonReport:
 
     # the invariant functions on M: ker d^0 on the functions on M's 0-cells
     # with the signs G gives them; reduction keeps ker d^0 up to isomorphism
-    functions = cx.rank(0) - cx.differential_rank(0) if n <= 1 else 0
+    functions = cx.rank(0) - cx.differential(0).rank() if n <= 1 else 0
     tl_dim = functions if n == 1 else 0   # invariant functions mod d(nothing)
     tr_dim = functions if n == 0 else 0   # closed invariant 0-forms
     corners = {

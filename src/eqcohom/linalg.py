@@ -53,7 +53,10 @@ class IntMatrix:
     the accessors; the one exception is the bar cochain builder
     (simplicial.BarLevels._coface_sum), which sums its rows as dicts and
     hands them to _of.  ``entries`` is an {(i, j): value} dict derived from the
-    rows on each read, for tests and tools.
+    rows on each read, for tests and tools.  ``_kept`` holds what the matrix
+    has computed about itself: its hash, its rank over Q (rank) and its
+    Smith form (smith), each at the first read.  Being immutable makes that
+    safe, and whatever holds the matrix shares them.
 
     Serialization is dense (arrays of arrays of decimal strings);
     bar-complex differentials are large and very sparse.  An entry that is
@@ -61,7 +64,7 @@ class IntMatrix:
     being truncated.
     """
 
-    __slots__ = ("rows", "cols", "_store", "_hash")
+    __slots__ = ("rows", "cols", "_store", "_kept")
 
     def __init__(self, rows, cols, entries):
         if rows < 0 or cols < 0:
@@ -79,14 +82,14 @@ class IntMatrix:
                 store[i] = {j: v}
             else:
                 r[j] = v
-        self.rows, self.cols, self._store, self._hash = rows, cols, store, None
+        self.rows, self.cols, self._store, self._kept = rows, cols, store, None
 
     @classmethod
     def _of(cls, rows, cols, store):
         """Wrap a row store that is already valid: in bounds, int values,
         no zeros and no empty rows.  The matrix takes ownership of it."""
         m = cls.__new__(cls)
-        m.rows, m.cols, m._store, m._hash = rows, cols, store, None
+        m.rows, m.cols, m._store, m._kept = rows, cols, store, None
         return m
 
     # -- constructors
@@ -187,11 +190,24 @@ class IntMatrix:
             return NotImplemented
         return (self.rows, self.cols) == (other.rows, other.cols) and self._store == other._store
 
+    def _keep(self, key, compute):
+        """compute(self) at the first read under key, then the kept value."""
+        kept = self._kept = self._kept or {}
+        if key not in kept:
+            kept[key] = compute(self)
+        return kept[key]
+
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.rows, self.cols, frozenset(
-                (i, frozenset(r.items())) for i, r in self._store.items())))
-        return self._hash
+        return self._keep("hash", lambda m: hash((m.rows, m.cols, frozenset(
+            (i, frozenset(r.items())) for i, r in m._store.items()))))
+
+    def rank(self):
+        """The rank over Q (rank_q), taken at the first read and kept."""
+        return self._keep("rank", rank_q)
+
+    def smith(self):
+        """The Smith form (smith_normal_form), taken at the first read and kept."""
+        return self._keep("smith", smith_normal_form)
 
     def __repr__(self):
         if self.rows * self.cols <= 36:

@@ -105,9 +105,10 @@ def test_cohomology_of_a_reduced_complex_reduces_and_rechecks_nothing(monkeypatc
 
 
 def test_a_view_keeps_the_differentials_of_its_degrees():
-    # upto(top) holds the same differential objects below top and its d^top
-    # is zero; it keeps its own ranks and Smith forms, so reading its d^top
-    # leaves the complex's own rank and Smith form of d^top as they are
+    # upto(top) holds the same differential objects below top; its d^top is
+    # a different matrix, a zero one, so it shares nothing with the
+    # complex's d^top, and reading it leaves that one's rank and Smith form
+    # as they are
     red = _s3_bar_complex().reduced()     # ranks 1, 1, 1, 1, ...; d^1 = (2)
     top = 1
     view = red.upto(top)
@@ -115,8 +116,9 @@ def test_a_view_keeps_the_differentials_of_its_degrees():
     assert (view.n_min, view.n_max, view.ranks) == (0, top, red.ranks[:top + 1])
     assert all(a is b for a, b in zip(view.diffs, red.diffs))
     assert view.reduced() is view
-    assert view.differential_rank(top) == 0 and not any(view.smith(top).s.diagonal())
-    assert red.differential_rank(top) == 1 and red.smith(top).s.diagonal() == [2]
+    d_view, d_red = view.differential(top), red.differential(top)
+    assert d_view.rank() == 0 and not any(d_view.smith().s.diagonal())
+    assert d_red.rank() == 1 and d_red.smith().s.diagonal() == [2]
     assert view.cohomology(1) == FgAbGroup(1) and red.cohomology(1) == FgAbGroup(0)
     assert [view.cohomology(0), view.cohomology_q_dim(0)] == \
         [red.cohomology(0), red.cohomology_q_dim(0)]

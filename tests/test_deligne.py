@@ -148,7 +148,7 @@ def long_exact_sequence_oracle(act, n):
     return DiffCohGroup(circle_rank=h_prev.free_rank, torsion=h_n.torsion_part())
 
 
-def test_direct_and_structural_routes_agree():
+def test_reduced_and_unreduced_cones_agree_with_the_long_exact_sequence():
     # the cone over the reduced complex, the cone over the unreduced one,
     # and the long exact sequence read off two separate integral answers
     for act, degrees in route_cases():
@@ -163,7 +163,7 @@ def test_direct_and_structural_routes_agree():
                 long_exact_sequence_oracle(act, n), (act.name, n)
 
 
-def test_structural_route_builds_one_bar_construction(monkeypatch):
+def test_diffcoh_builds_one_bar_construction(monkeypatch):
     builds = []
     real_init = BarLevels.__init__
 
@@ -217,12 +217,12 @@ def test_connecting_rank_matches_kernel_formula():
 
 
 def test_a_second_read_factors_nothing(monkeypatch):
-    # each complex keeps the rank and Smith form of its differentials, so no
-    # matrix of cx reaches rank_q or smith_normal_form twice
+    # each matrix keeps its own rank and Smith form, so no matrix of cx
+    # reaches rank_q or smith_normal_form twice
     received = {"rank_q": [], "smith_normal_form": []}
 
     def recording(name):
-        real = getattr(complexes, name)
+        real = getattr(linalg, name)
 
         def record(m):
             received[name].append(m)
@@ -230,7 +230,7 @@ def test_a_second_read_factors_nothing(monkeypatch):
         return record
 
     for name in received:
-        monkeypatch.setattr(complexes, name, recording(name))
+        monkeypatch.setattr(linalg, name, recording(name))
     cx = bar_complex(bar_levels(GAction.trivial(FiniteGroup.symmetric(3), CellComplex.point()),
                                 4), 4).reduced()
     for n in range(1, 4):
@@ -239,8 +239,8 @@ def test_a_second_read_factors_nothing(monkeypatch):
         complexes.bockstein_image(cx, n)
     for name, matrices in received.items():
         assert len({id(m) for m in matrices}) == len(matrices), name
-    # the cone's three complexes keep their own factorizations: a second
-    # read of the cone factors nothing
+    # the cone's differentials keep their own factorizations: a second read
+    # of the cone factors nothing
     cone = deligne_cone(cx, 2)
     first = cone.cohomology(2)
     for matrices in received.values():

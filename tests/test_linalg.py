@@ -355,6 +355,28 @@ def test_rank_q_with_lead_columns_gives_their_rank_and_the_rank():
         assert rank_q(m, lead) == (rank_oracle(sub), rank_oracle(m)), (rows, cols, k)
 
 
+def test_a_matrix_keeps_its_factorizations():
+    # wide and tall, zero and nonzero: the kept rank and Smith form are
+    # those of the functions, a second read returns the kept object, and
+    # keeping them changes neither the hash nor equality
+    rng = random.Random(14)
+    for k in range(40):
+        short, long = rng.randint(1, 12), rng.randint(1, 20)
+        m = sparse_matrix(rng, short, long, rng.choice([0.1, 0.3]))
+        if k % 2:
+            m = m.transpose()
+        if k % 5 == 0:
+            m = IntMatrix.zero(m.rows, m.cols)
+        copy = IntMatrix(m.rows, m.cols, m.entries)
+        before = (hash(m), m == copy)
+        assert m.rank() == rank_q(m), (m.rows, m.cols, k)
+        snf = m.smith()
+        want = smith_normal_form(copy)
+        assert (snf.left, snf.s, snf.right) == (want.left, want.s, want.right), k
+        assert m.smith() is snf
+        assert (hash(m), m == copy) == before == (hash(copy), True)
+
+
 # --- matrices ----------------------------------------------------------------
 
 
