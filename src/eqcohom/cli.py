@@ -227,8 +227,10 @@ def _largest_first(degrees, compute):
     """{n: compute(n)} in the order of the range degrees, computed from the
     largest degree down: an input over the bar budget (BarComplexTooLarge)
     fails before any smaller degree is computed, and the bar complexes the
-    largest degree builds are kept on the action (GAction.reduced_bar), so
-    every smaller degree reads them instead of building its own."""
+    largest degree builds are kept, per orbit type on the group of a
+    0-dimensional action and on a positive-dimensional action itself
+    (GAction.reduced_bar), so every smaller degree reads them instead of
+    building its own."""
     values = {n: compute(n) for n in reversed(degrees)}
     return {n: values[n] for n in degrees}
 

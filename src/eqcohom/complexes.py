@@ -100,11 +100,12 @@ class IntCochainComplex:
     def reduced(self):
         """Unit-pivot reduced complex with the same cohomology everywhere,
         computed and d^2-checked once; a reduced complex returns itself (its
-        _reduced is True: holding itself, only the cycle collector frees it)."""
+        _reduced is True: holding itself, only the cycle collector frees it).
+        The reduction works on a copy of the rows, so this complex stays in
+        use; reduced_taking_rows is for one that nothing reads again."""
         if self._reduced is None:
-            red = reduce_complex(self.ranks, self.diffs)
-            self._reduced = IntCochainComplex(self.n_min, red.ranks, red.diffs)
-            self._reduced._reduced = True
+            self._reduced = _of_reduction(self.n_min,
+                                          reduce_complex(self.ranks, self.diffs))
         return self if self._reduced is True else self._reduced
 
     def __eq__(self, other):
@@ -114,6 +115,46 @@ class IntCochainComplex:
 
     def __repr__(self):
         return f"IntCochainComplex(n_min={self.n_min}, ranks={self.ranks})"
+
+
+def _of_reduction(n_min, red) -> IntCochainComplex:
+    """The complex of a reduce_complex result, starting at degree n_min,
+    d^2-checked when built and marked as its own reduction."""
+    cx = IntCochainComplex(n_min, red.ranks, red.diffs)
+    cx._reduced = True
+    return cx
+
+
+def reduced_taking_rows(cx: IntCochainComplex) -> IntCochainComplex:
+    """cx.reduced() for a complex built only to be reduced, which nothing
+    reads again once its d^2 = 0 check has passed: the reduction takes over
+    the rows of its differentials instead of copying them
+    (IntMatrix.handed_over), and cx is left without them."""
+    return _of_reduction(cx.n_min, reduce_complex(cx.ranks,
+                                                  [d.handed_over() for d in cx.diffs]))
+
+
+def block_sum(parts, top) -> IntCochainComplex:
+    """The direct sum of reduced complexes that start at degree 0 and reach
+    degree top, in degrees 0..T for T the least of their n_max (top when
+    there are none): d^k, k < T, holds the parts' d^k on its diagonal, part
+    after part, so H^k of the sum is the sum of the parts' H^k for every
+    k < T.  Reduced, as its parts are, and d^2-checked when built like any
+    complex; one part is returned itself."""
+    if len(parts) == 1:
+        return parts[0]
+    top = min((cx.n_max for cx in parts), default=top)
+    ranks = [sum(cx.rank(k) for cx in parts) for k in range(top + 1)]
+    diffs = []
+    for k in range(top):
+        blocks, row, col = [], 0, 0
+        for cx in parts:
+            blocks.append((row, col, cx.differential(k), 1))
+            row, col = row + cx.rank(k + 1), col + cx.rank(k)
+        diffs.append(IntMatrix.from_blocks(row, col, blocks))
+    out = IntCochainComplex(0, ranks, diffs)
+    out._reduced = True
+    return out
 
 
 # ---------------------------------------------------------------------------

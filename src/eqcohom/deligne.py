@@ -234,13 +234,17 @@ def differential_cohomology_zero_dim(act: GAction, n) -> DiffCohGroup:
     """H^n of the Deligne cone D(n), split by divisibility.
 
     The cone is built over degrees 0..n+1 (IntCochainComplex.upto) of the
-    unit-pivot reduced normalized bar complex kept on the action
-    (GAction.reduced_bar), which is built from bar levels 0..n+1 only when
-    no kept complex reaches degree n+1.  It gives the H^n of the cone over
-    the full bar complex: H^n reads only cone degrees n-1..n+1, which hold
-    cochains of degree <= n+1, and both the inclusion of the normalized
-    cochains and unit-pivot reduction are chain homotopy equivalences over
-    Z that stay ones after tensoring with Q.  They commute with Z -> Q and
+    action's unit-pivot reduced normalized bar complex (GAction.reduced_bar):
+    the sum over its orbits of the complexes that the group keeps per orbit
+    type, each built from bar levels 0..n+1 only when none kept reaches
+    degree n+1.  It gives the H^n of the cone over the full bar complex:
+    H^n reads only cone degrees n-1..n+1, which hold cochains of degree
+    <= n+1.  The bar complex of the action is the sum of those of its
+    orbits, each isomorphic to its type's by a renumbering of the points
+    and the signs of their basis vectors, and both the inclusion of the
+    normalized cochains and unit-pivot reduction are chain homotopy
+    equivalences over Z that stay ones after tensoring with Q.  All of
+    them commute with Z -> Q and
     with the sigma^{>=n} slot, which over a 0-dimensional space is all of
     C (x) Q for n = 0 and zero for n >= 1, so the cones are
     quasi-isomorphic.  Degree n+1 holds the full degree of a kept complex
@@ -342,26 +346,26 @@ class _IntegralCorners:
                                 self.iota_rank + other.iota_rank)
 
 
-def _integral_corners(act: GAction, n, cx: IntCochainComplex) -> _IntegralCorners:
+def _integral_corners(act: GAction, n) -> _IntegralCorners:
     """The integral corners of a 0-dimensional action at degree n, summed
-    over its orbits by Shapiro's lemma (GAction.orbit_stabilizers).
+    over its orbits by Shapiro's lemma (GAction.orbit_types).
 
-    Each distinct stabilizer H contributes the corners of the reduced
-    normalized bar complex of H on a point that the stabilizer's action
-    keeps (GAction.reduced_bar), reaching at least degree n+1; the
-    stabilizer actions are kept on act, so a later degree reuses their
-    complexes.  When M is a single point, Shapiro is the identity and H is
-    G itself: the corners are then read from `cx`, the reduced bar complex
-    of act reaching at least degree n+1 that the caller already holds.
+    An orbit of type (H, chi) contributes the corners of H on a point, Z
+    twisted by chi: the reduced normalized bar complex that the subgroup H
+    keeps for its own point orbit type (FiniteGroup.orbit_bar), reaching at
+    least degree n+1, so a later degree or another action reuses it.  Each
+    distinct type is read once.  A fixed point's type is G's own point
+    type, so its corners read the very complex that is its block of the
+    cone (GAction.reduced_bar): there Shapiro is the identity.
     """
-    if act.space.ncells(0) == 1:
-        return _IntegralCorners.of(cx, n)
     total = _IntegralCorners(FgAbGroup(0), FgAbGroup(0), FgAbGroup(0), 0)
-    per_stabilizer = {}
-    for stab in act.orbit_stabilizers():
-        corners = per_stabilizer.get(stab)
+    per_type = {}
+    for stab, signs in act.orbit_types():
+        corners = per_type.get((stab, signs))
         if corners is None:
-            corners = per_stabilizer[stab] = _IntegralCorners.of(stab.reduced_bar(n + 1), n)
+            sub = act.group.subgroup(stab)
+            corners = per_type[(stab, signs)] = _IntegralCorners.of(
+                sub.orbit_bar(tuple(sub.elements()), signs, n + 1), n)
         total = total.direct_sum(corners)
     return total
 
@@ -372,21 +376,23 @@ def hexagon(act: GAction, n) -> HexagonReport:
     0-dimensional complex.
 
     Ĥ^n is differential_cohomology_zero_dim(act, n): the Deligne cone over
-    degrees 0..n+1 of the reduced normalized bar total complex kept on act
-    (GAction.reduced_bar), the one cone built.  The complex is built, from
-    BarLevels 0..n+1, and reduced only when no complex kept on act reaches
-    degree n+1; the corners below read that same kept complex.  Its degree
-    n+1 is full, or holds only the generator rows (bar_complex); either way
-    ker d^n is the full one.  At n <= 1 the form corners count the
-    invariant functions on M, ker d^0 = H^0 of the same complex, which the
-    reduction keeps: its rank in degree 0 minus rank d^0.  H^{n-1}(Z),
-    H^n(Z), the Bockstein image and the rank of iota come from the
-    stabilizers of the orbits, one bar complex of each distinct stabilizer
-    on a point (_integral_corners, Shapiro's lemma), each summed over the
-    orbits, so the diagonal verdicts compare complexes of different groups.
-    The one case left without an independent check is M a single point:
-    there Shapiro is the identity, and the integral corners are read from
-    the cone's own reduced complex.
+    degrees 0..n+1 of act's reduced normalized bar total complex
+    (GAction.reduced_bar), the one cone built.  That complex is the sum
+    over the orbits of the complexes that G keeps per orbit type (H, chi),
+    each G on G/H; a type's complex is built, from BarLevels 0..n+1, and
+    reduced only when none kept on G reaches degree n+1.  Its degree n+1 is
+    full, or holds only the generator rows (bar_complex); either way ker
+    d^n is the full one.  At n <= 1 the form corners count the invariant
+    functions on M, ker d^0 = H^0 of the same complex, which the reduction
+    keeps: its rank in degree 0 minus rank d^0.  H^{n-1}(Z), H^n(Z), the
+    Bockstein image and the rank of iota come from the stabilizers of the
+    orbits, one bar complex of each distinct H on a point twisted by chi,
+    kept on the subgroup (_integral_corners, Shapiro's lemma), each summed
+    over the orbits, so the diagonal verdicts compare complexes of
+    different groups.  The one case left without an independent check is a
+    fixed point (M a single point among them): there Shapiro is the
+    identity, and the orbit's corners are read from its own block of the
+    cone, the complex of G on a point.
 
     Computed: bottom_row, diagonal_a and diagonal_b at every n, and top_row
     at n <= 1, where it compares the function count with H^n(C) or
@@ -409,7 +415,7 @@ def hexagon(act: GAction, n) -> HexagonReport:
     cx = act.reduced_bar(n + 1)
     orbits = act.orbit_count()
     name = f"{act.group.name or 'group'} on {act.space.name or 'space'}"
-    integral = _integral_corners(act, n, cx)
+    integral = _integral_corners(act, n)
     h_prev, h_n = integral.h_prev, integral.h_n
     dim_l = h_prev.free_rank      # H^{n-1}(M_G, C) has this C-dimension
     dim_r = h_n.free_rank

@@ -56,7 +56,9 @@ class IntMatrix:
     rows on each read, for tests and tools.  ``_kept`` holds what the matrix
     has computed about itself: its hash, its rank over Q (rank) and its
     Smith form (smith), each at the first read.  Being immutable makes that
-    safe, and whatever holds the matrix shares them.
+    safe, and whatever holds the matrix shares them.  The one way a matrix
+    loses its rows is handed_over, which moves them to reduce_complex for a
+    matrix that nothing reads again.
 
     Serialization is dense (arrays of arrays of decimal strings);
     bar-complex differentials are large and very sparse.  An entry that is
@@ -209,6 +211,16 @@ class IntMatrix:
         """The Smith form (smith_normal_form), taken at the first read and kept."""
         return self._keep("smith", smith_normal_form)
 
+    def handed_over(self):
+        """This matrix's rows, moved into a matrix of the same shape whose
+        rows reduce_complex takes over instead of copying them.  For a matrix
+        that nothing reads again: this one is left without rows, and so is
+        the one returned once it is reduced, so that a later read fails
+        instead of seeing rows the reduction has changed."""
+        m = _HandedOver._of(self.rows, self.cols, self._store)
+        self._store = None
+        return m
+
     def __repr__(self):
         if self.rows * self.cols <= 36:
             return f"IntMatrix({self.to_rows()})"
@@ -295,6 +307,13 @@ class IntMatrix:
 # Smith normal form
 
 
+class _HandedOver(IntMatrix):
+    """A matrix from IntMatrix.handed_over, whose rows reduce_complex takes
+    over instead of copying."""
+
+    __slots__ = ()
+
+
 @dataclass(frozen=True)
 class SnfDecomposition:
     """left @ a @ right == s for the input a: left and right unimodular, s
@@ -306,9 +325,13 @@ class SnfDecomposition:
 
 
 def _rows_and_columns(m: IntMatrix):
-    """A mutable copy of the rows of m, i -> {j: v}, and its column index,
-    j -> set of the rows i with a nonzero at (i, j)."""
-    row = {i: dict(r) for i, r in m._store.items()}
+    """The rows of m as a mutable store, i -> {j: v}, and its column index,
+    j -> set of the rows i with a nonzero at (i, j).  The store is a copy,
+    except for a matrix from handed_over, whose own rows it takes over."""
+    if type(m) is _HandedOver:
+        row, m._store = m._store, None
+    else:
+        row = {i: dict(r) for i, r in m._store.items()}
     col = {}
     for i, r in row.items():
         for j in r:
@@ -638,7 +661,9 @@ def reduce_complex(ranks, diffs):
     ranks: list of module ranks, diffs[t]: IntMatrix of shape
     (ranks[t+1] x ranks[t]).  Returns a ReducedComplex with the same
     cohomology in every degree.  Only pivots of value +-1 are used, so all
-    arithmetic stays integral.
+    arithmetic stays integral.  The matrices are left as they are, except
+    one from IntMatrix.handed_over, whose rows the reduction takes over
+    instead of copying.
 
     Pivot rule: a first-in first-out worklist holds the rows and columns
     whose length has dropped to 1 (in any degree); a lone +-1 entry there

@@ -20,9 +20,15 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate, chain, permutations, repeat
 from math import factorial
-from operator import add
+from operator import getitem, itemgetter
 
-from .complexes import DoubleComplex, IntCochainComplex, totalize
+from .complexes import (
+    DoubleComplex,
+    IntCochainComplex,
+    block_sum,
+    reduced_taking_rows,
+    totalize,
+)
 from .linalg import (
     FgAbGroup,
     IntMatrix,
@@ -62,6 +68,7 @@ class FiniteGroup:
         self.bar_checked_level = 0
         self._subgroups = {}          # sorted element tuple -> FiniteGroup
         self._normalized_faces = {}   # bar level -> its faces on nondegenerate tuples
+        self._orbit_bars = {}         # orbit type (H, signs) -> orbit_bar(), largest top built
         self._generators = None       # generators(), once chosen
 
     def _find_identity(self):
@@ -212,6 +219,25 @@ class FiniteGroup:
             self._normalized_faces[p] = faces
         return faces
 
+    def orbit_bar(self, stabilizer, signs, top):
+        """The reduced normalized bar complex of the orbit type (H, chi) in
+        degrees 0..T for some T >= top: G on the cosets G/H, Z twisted by the
+        sign character chi of H (GAction.signed_cosets), with stabilizer the
+        sorted elements of H and signs[i] = chi(stabilizer[i]).  Kept on the
+        group, one complex per orbit type, and built, from bar_levels of the
+        signed coset action, only when top goes past the largest T built so
+        far for that type; it then replaces the kept one.  Its H^k is the
+        true H^k for every k < T (bar_complex).  A 0-dimensional action's
+        complex is the sum of its orbits' (GAction.reduced_bar), and H on a
+        point twisted by chi, the type (all of H, chi) kept on the subgroup,
+        gives an orbit's integral corners (Shapiro's lemma)."""
+        key = (stabilizer, signs)
+        cx = self._orbit_bars.get(key)
+        if cx is None or cx.n_max < top:
+            cx = _kept_reduction(GAction.signed_cosets(self, stabilizer, signs), top)
+            self._orbit_bars[key] = cx
+        return cx
+
     def _closure(self, elements):
         """The subgroup that elements generate, as a frozenset."""
         reached, frontier = {self.identity}, [self.identity]
@@ -342,7 +368,6 @@ class GAction:
         self.signs = {g: [list(s) for s in signs[g]] for g in group.elements()}
         self.name = name
         self._bar = None           # reduced_bar(), of the largest top built so far
-        self._stabilizers = None   # orbit_stabilizers(), once built
         self._validate()
 
     def _validate(self):
@@ -395,45 +420,67 @@ class GAction:
                 seen.update(self.perms[g][0][c] for g in self.group.elements())
         return firsts
 
-    def orbit_stabilizers(self):
-        """One action per orbit on 0-cells: the stabilizer H of the orbit's
-        first 0-cell c, a subgroup of the group (FiniteGroup.subgroup), on a
-        point, each element with the sign it gives c.  M's 0-cells are then
-        the disjoint union of the G/H, with Z twisted by those signs, and
-        Shapiro's lemma (Brown, Cohomology of Groups III.5-6) gives
-        H^*_G(0-cells of M) = the sum over orbits of H^*(H) with these
-        coefficients.  Orbits with equal stabilizers and signs share one
-        action.  The list is built once and kept on the action, so each
-        stabilizer action keeps its own reduced_bar across queries."""
-        if self._stabilizers is not None:
-            return self._stabilizers
-        shared = {}
+    def orbit_types(self):
+        """The orbit type (H, chi) of each orbit on 0-cells, in the order of
+        their first 0-cells c: the stabilizer H of c as a sorted element
+        tuple, and chi(h), the sign that h gives c, for each h in it.  M's
+        0-cells are then the disjoint union of the G/H, with Z twisted by
+        chi, and Shapiro's lemma (Brown, Cohomology of Groups III.5-6) gives
+        H^*_G(0-cells of M) = the sum over orbits of H^*(H; Z twisted by chi)."""
         out = []
         for c in self._orbit_representatives():
             stab = tuple(g for g in self.group.elements() if self.perms[g][0][c] == c)
-            signs = tuple(self.signs[g][0][c] for g in stab)
-            act = shared.get((stab, signs))
-            if act is None:
-                sub = self.group.subgroup(stab)
-                act = shared[(stab, signs)] = GAction(
-                    sub, CellComplex.point(), {h: [[0]] for h in sub.elements()},
-                    {h: [[s]] for h, s in zip(sub.elements(), signs)})
-            out.append(act)
-        self._stabilizers = out
+            out.append((stab, tuple(self.signs[g][0][c] for g in stab)))
         return out
 
     def reduced_bar(self, top):
         """The reduced normalized bar complex of this action in degrees 0..T
-        for some T >= top, kept on the action: bar_complex of bar_levels(self,
-        top), reduced, is built only when top goes past the largest T built
-        so far, and then replaces it.  Its H^k is the true H^k for every
+        for some T >= top, kept on the action, and built only when top goes
+        past the largest T built so far.  Its H^k is the true H^k for every
         k < T (bar_complex), so it serves every query whose degrees read lie
-        below top.  A top over BAR_BUDGET is refused by bar_levels before
-        anything is built; a kept complex serves only tops at or below one
-        that already passed the budget."""
+        below top.
+
+        A positive-dimensional action, whose boundaries join its orbits,
+        reduces bar_complex of bar_levels(self, top).  A 0-dimensional one is
+        the direct sum, orbit after orbit, of the complexes its group keeps
+        for their orbit types (FiniteGroup.orbit_bar): the cochains of
+        G^. x M split over the orbits, and an orbit of type (H, chi) is the
+        signed coset action on G/H up to a renumbering of its points and the
+        signs of their basis vectors.  One orbit is its type's complex itself.
+        Either way a top over BAR_BUDGET for the whole action is refused
+        before anything is built; a kept complex serves only tops at or below
+        one that already passed the budget."""
         if self._bar is None or self._bar.n_max < top:
-            self._bar = bar_complex(bar_levels(self, top), top).reduced()
+            if self.space.dim > 0:
+                self._bar = _kept_reduction(self, top)
+            else:
+                _refuse_over_budget(self, top)
+                self._bar = block_sum([self.group.orbit_bar(stab, signs, top)
+                                        for stab, signs in self.orbit_types()], top)
         return self._bar
+
+    @classmethod
+    def signed_cosets(cls, group, stabilizer, signs, name=None):
+        """G on the cosets of the subgroup with these sorted elements, in
+        the order of their least elements r, with Z twisted by the sign
+        character chi (signs[i] = chi(stabilizer[i])): g r = r' h with h in H
+        sends the basis vector of the coset of r to chi(h) times that of r',
+        the induced module of chi.  The orbit type (H, chi) as an action."""
+        chi = dict(zip(stabilizer, signs))
+        reps, coset_of = [], {}
+        for g in group.elements():
+            if g not in coset_of:
+                coset_of.update((group.mul(g, h), len(reps)) for h in stabilizer)
+                reps.append(g)
+        inverse = [group.inverse[r] for r in reps]
+        perms, twists = {}, {}
+        for g in group.elements():
+            moved = [group.mul(g, r) for r in reps]
+            images = [coset_of[x] for x in moved]
+            perms[g] = [images]
+            twists[g] = [[chi[group.mul(inverse[j], x)] for j, x in zip(images, moved)]]
+        return cls(group, CellComplex.points(len(reps)), perms, twists,
+                   name=name or f"cosets[{len(reps)}]")
 
     # -- stock actions
 
@@ -451,25 +498,11 @@ class GAction:
 
     @classmethod
     def coset_action(cls, group, subgroup_elements, name=None):
-        """Left multiplication on cosets of the given subgroup; InvalidAction
-        if the elements are not a subgroup."""
+        """Left multiplication on cosets of the given subgroup, in the order
+        of their least elements; InvalidAction if the elements are not a
+        subgroup."""
         sub = group._subgroup_elements(subgroup_elements)
-        cosets = []
-        seen = {}
-        for g in group.elements():
-            coset = tuple(sorted(group.mul(g, h) for h in sub))
-            if coset not in seen:
-                seen[coset] = len(cosets)
-                cosets.append(coset)
-        elem_perms = {}
-        for g in group.elements():
-            perm = []
-            for coset in cosets:
-                image = tuple(sorted(group.mul(g, x) for x in coset))
-                perm.append(seen[image])
-            elem_perms[g] = perm
-        return cls.points_action(group, len(cosets), elem_perms,
-                                 name=name or f"cosets[{len(cosets)}]")
+        return cls.signed_cosets(group, sub, (1,) * len(sub), name)
 
     @classmethod
     def cyclic_rotation_circle(cls, p):
@@ -512,13 +545,12 @@ class GAction:
 
 
 def _runs(starts, width):
-    """range(s, s + width) for each s in starts, concatenated into one list;
-    a start of None gives width Nones."""
+    """range(s, s + width) for each s in starts, one after another, as an
+    iterator; a start of None gives width Nones."""
     if width == 1:
-        return list(starts)
+        return iter(starts)
     nones = (None,) * width
-    return list(chain.from_iterable(nones if s is None else range(s, s + width)
-                                    for s in starts))
+    return chain.from_iterable(nones if s is None else range(s, s + width) for s in starts)
 
 
 def _face_maps(p, radix, merge, acting):
@@ -532,21 +564,21 @@ def _face_maps(p, radix, merge, acting):
     decorated map (codes, acts): tuple t goes to tuple codes[t] of level
     p - 1 (None where a merged product left the alphabet), and acts[t] acts
     on the M factor; acts is None, every element the identity, except for
-    the last face.  Over the alphabet G (merge the group table) these are
-    face_tuple on every tuple.
+    the last face.  Codes and acts are tuples, so that a gatherer over the
+    codes holds no copy of them (_gatherer).  Over the alphabet G (merge
+    the group table) these are face_tuple on every tuple.
     """
-    size, lower = radix ** p, radix ** (p - 1)
-    faces = [(list(range(lower)) * radix, None)]        # d_0 drops g_1
+    lower = radix ** (p - 1)
+    faces = [(tuple(range(lower)) * radix, None)]       # d_0 drops g_1
     merged = [c for row in merge for c in row]
     for i in range(1, p):                                # d_i merges g_i, g_{i+1}
         width = radix ** (p - i - 1)
         starts = [None if c is None else (high * radix + c) * width
                   for high in range(radix ** (i - 1)) for c in merged]
-        faces.append((_runs(starts, width), None))
-    last = [0] * size                                    # d_p drops g_p, which acts
-    for d in range(radix):
-        last[d::radix] = range(lower)
-    faces.append((last, acting * lower))
+        faces.append((tuple(_runs(starts, width)), None))
+    # d_p drops g_p, which acts: tuple t goes to t // radix
+    last = tuple(chain.from_iterable(zip(*[range(lower)] * radix)))
+    faces.append((last, tuple(acting) * lower))
     return faces
 
 
@@ -555,28 +587,41 @@ def _degeneracy_maps(p, radix, identity):
     |G|), by list arithmetic: s_i inserts the identity after g_i, and
     codes[t] is the code of s_i t at level p + 1 (degeneracy_tuple on every
     tuple)."""
-    return [_runs(range(identity * width, radix ** (p + 1), radix * width), width)
+    return [list(_runs(range(identity * width, radix ** (p + 1), radix * width), width))
             for width in (radix ** (p - i) for i in range(p + 1))]
+
+
+def _gatherer(codes):
+    """seq -> the tuple of seq[c] for c in codes, as one itemgetter, built
+    once per map and applied to every map composed after it; a single code
+    is wrapped, since itemgetter of one index gives the item, not a tuple.
+    The itemgetter holds codes itself when codes is a tuple, a copy of it
+    otherwise."""
+    if len(codes) == 1:
+        (c,) = codes
+        return lambda seq: (seq[c],)
+    return itemgetter(*codes)
 
 
 def _compose(outer, inner, table):
     """outer after inner, for decorated maps (codes, acts) with no None
-    code: inner's codes sent on by outer, and the element acting on M the
-    product of outer's element after inner's, for the group table."""
-    (out_codes, out_acts), (in_codes, in_acts) = outer, inner
-    codes = list(map(out_codes.__getitem__, in_codes))
+    code, inner carrying _gatherer(codes) as a third entry: inner's codes
+    sent on by outer, and the element acting on M the product of outer's
+    element after inner's, for the group table.  Codes and acts come out as
+    tuples."""
+    (out_codes, out_acts), (_, in_acts, gather) = outer, inner
+    codes = gather(out_codes)
     if out_acts is None:
         return codes, in_acts
-    firsts = map(out_acts.__getitem__, in_codes)
+    firsts = gather(out_acts)
     if in_acts is None:
-        return codes, list(firsts)
-    flat = [c for row in table for c in row]        # a * |G| + b -> ab
-    return codes, list(map(flat.__getitem__, map(add, map(len(table).__mul__, firsts), in_acts)))
+        return codes, firsts
+    return codes, tuple(map(getitem, map(table.__getitem__, firsts), in_acts))
 
 
 def _same_map(f, g, identity):
     """Whether two decorated maps agree on every tuple; acts None stands for
-    every element the identity."""
+    every element the identity.  Codes and acts are compared as tuples."""
     (f_codes, f_acts), (g_codes, g_acts) = f, g
     if f_codes != g_codes:
         return False
@@ -710,6 +755,10 @@ class BarLevels:
         for level in range(self.group.bar_checked_level + 1, self.P + 1):
             self._verify_level(level)
             self.group.bar_checked_level = level
+            # the next level reads the faces of levels >= level and the
+            # degeneracies of levels >= level - 1 only: free the rest
+            self._face_tables.pop(level - 1, None)
+            self._degeneracy_tables.pop(level - 2, None)
         # the normalized complex does not read the full tables: free them
         self._face_tables.clear()
         self._degeneracy_tables.clear()
@@ -717,12 +766,24 @@ class BarLevels:
     def _verify_level(self, level):
         """The relations whose tables reach no higher than this level:
         d_i d_j from it, d_i s_j into it and s_i s_j two levels up into it.
-        Each side is composed over every tuple as a whole list."""
+        Each side is composed over every tuple as a whole tuple, through one
+        gatherer per inner map (_gatherer), shared by every relation that
+        map is the inner one of."""
         table, e = self.group.table, self.group.identity
         face = self.face_table
+        gatherers = {}
 
         def degeneracy(p, i):  # as a decorated map: nothing acts on M
             return self.degeneracy_table(p, i), None
+
+        def inner(p, i, is_face):
+            """Face or degeneracy i of level p with its gatherer, made at its
+            first use as an inner map."""
+            key = (p, i, is_face)
+            if key not in gatherers:
+                codes, acts = face(p, i) if is_face else degeneracy(p, i)
+                gatherers[key] = (codes, acts, _gatherer(codes))
+            return gatherers[key]
 
         def fails(f, g):
             return not _same_map(f, g, e)
@@ -731,32 +792,35 @@ class BarLevels:
         if p >= 2:
             for j in range(p + 1):
                 for i in range(j):
-                    if fails(_compose(face(p - 1, i), face(p, j), table),
-                             _compose(face(p - 1, j - 1), face(p, i), table)):
+                    if fails(_compose(face(p - 1, i), inner(p, j, True), table),
+                             _compose(face(p - 1, j - 1), inner(p, i, True), table)):
                         raise InvalidAction(
                             f"simplicial identity d_{i} d_{j} failed at level {p}")
             p = level - 2
             for j in range(p + 1):
                 for i in range(j + 1):
-                    if fails(_compose(degeneracy(p + 1, i), degeneracy(p, j), table),
-                             _compose(degeneracy(p + 1, j + 1), degeneracy(p, i), table)):
+                    if fails(_compose(degeneracy(p + 1, i), inner(p, j, False), table),
+                             _compose(degeneracy(p + 1, j + 1), inner(p, i, False), table)):
                         raise InvalidAction(
                             f"simplicial identity s_{i} s_{j} failed at level {p}")
         p = level - 1
-        identity = (list(range(self.tuple_counts[p])), None)
+        identity = (tuple(range(self.tuple_counts[p])), None)
         for j in range(p + 1):
-            s_j = degeneracy(p, j)
+            s_j = inner(p, j, False)
             for i in range(p + 2):
                 got = _compose(face(p + 1, i), s_j, table)
                 if i < j:
-                    want = _compose(degeneracy(p - 1, j - 1), face(p, i), table)
+                    want = _compose(degeneracy(p - 1, j - 1), inner(p, i, True), table)
                 elif i in (j, j + 1):
                     want = identity
                 else:
-                    want = _compose(degeneracy(p - 1, j), face(p, i - 1), table)
+                    want = _compose(degeneracy(p - 1, j), inner(p, i - 1, True), table)
                 if fails(got, want):
                     raise InvalidAction(
                         f"simplicial identity d_{i} s_{j} failed at level {p}")
+            # s_j is the inner map of no later relation, and its gatherer,
+            # unlike a face's, holds a copy of its codes: free it
+            del gatherers[(p, j, False)]
 
     # -- cochain matrices
 
@@ -892,13 +956,12 @@ def bar_size(act: GAction, top):
     return cells, (m ** (top + 1) - 1) // (m - 1) if m > 1 else top + 1
 
 
-def bar_levels(act: GAction, P) -> BarLevels:
-    """The bar levels 0..P of act.  Before anything is built, raises
-    BarComplexTooLarge when their bar complex in degrees 0..P, the identity
-    check's tables and the relations it compares are over BAR_BUDGET
-    together.  The check reads at least max(P + 1, |G|^P) tuples, so a P
-    past BAR_BUDGET, or past its bit length for |G| > 1, is refused without
-    the exact count.
+def _refuse_over_budget(act: GAction, P):
+    """BarComplexTooLarge when the bar complex of act in degrees 0..P, the
+    identity check's tables and the relations it compares are over
+    BAR_BUDGET together.  The check reads at least max(P + 1, |G|^P)
+    tuples, so a P past BAR_BUDGET, or past its bit length for |G| > 1, is
+    refused without the exact count.
 
     Level p has p(p + 1) relations d_i s_j and, from level 2 on, p(p + 1)/2
     relations d_i d_j and p(p - 1)/2 relations s_i s_j: 2 at level 1 and
@@ -919,6 +982,12 @@ def bar_levels(act: GAction, P) -> BarLevels:
             f"0..{P}: the normalized bar complex has {cells} cells and the identity check "
             f"reads {tuples} tuples and compares {relations} relations, "
             f"{cells + tuples + relations} together, over the budget of {BAR_BUDGET}")
+
+
+def bar_levels(act: GAction, P) -> BarLevels:
+    """The bar levels 0..P of act, refused before anything is built when
+    they are over BAR_BUDGET (_refuse_over_budget)."""
+    _refuse_over_budget(act, P)
     return BarLevels(act, P)
 
 
@@ -1002,6 +1071,14 @@ def bar_complex(bl: BarLevels, top) -> IntCochainComplex:
                              [diffs[k] for k in range(top)])
 
 
+def _kept_reduction(act: GAction, top) -> IntCochainComplex:
+    """bar_complex of bar_levels(act, top), reduced, for a complex kept on
+    an action or a group: nothing else holds the unreduced complex, so once
+    its d^2 = 0 check has passed the reduction takes over its rows instead
+    of copying them (reduced_taking_rows)."""
+    return reduced_taking_rows(bar_complex(bar_levels(act, top), top))
+
+
 def equivariant_cohomology(act: GAction, n, coeff="Z"):
     """H^n of the normalized bar total complex (bar_complex), for a space of
     any dimension.
@@ -1010,12 +1087,14 @@ def equivariant_cohomology(act: GAction, n, coeff="Z"):
     structured (C/Z)-coefficient group via the integral answer in degrees n
     and n+1.
 
-    The complex is the one kept on the action (GAction.reduced_bar),
-    reaching at least degree n + 1 (n + 2 for 'QmodZ'): it is built, from
-    the levels 0..n+1 (0..n+2) that it reads, and reduced once only when no
-    kept complex reaches that far.  Its top degree holds only the generator
-    rows (bar_complex); every degree read lies below it.  A query over
-    BAR_BUDGET raises BarComplexTooLarge before anything is built.
+    The complex is GAction.reduced_bar, reaching at least degree n + 1
+    (n + 2 for 'QmodZ'): for a 0-dimensional action the sum of the
+    complexes its group keeps per orbit type, for any other the one kept
+    on the action.  A kept complex is built, from the levels 0..n+1
+    (0..n+2) that it reads, and reduced once only when none reaches that
+    far.  Its top degree holds only the generator rows (bar_complex); every
+    degree read lies below it.  A query over BAR_BUDGET for the whole
+    action raises BarComplexTooLarge before anything is built.
     """
     if coeff not in ("Z", "Q", "QmodZ"):
         raise ValueError(f"unknown coefficient mode {coeff!r}")

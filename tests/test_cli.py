@@ -15,7 +15,7 @@ from eqcohom.cli import (
     run,
 )
 from eqcohom.bundled import bundled_examples
-from eqcohom.simplicial import BAR_BUDGET, BarLevels, FiniteGroup
+from eqcohom.simplicial import BAR_BUDGET, BarLevels, FiniteGroup, GAction
 
 
 def invoke(capsys, *argv):
@@ -120,6 +120,23 @@ def test_trivial_group_at_degree_1000_exits_3_before_any_work(capsys, monkeypatc
     # one tuple per level, but 2p^2 + p relations at level p of 0..1001
     assert code == EXIT_PRECONDITION and out == ""
     assert "0..1001" in err and "compares 670172502 relations" in err
+
+
+def test_many_points_exit_3_before_any_orbit_is_read(capsys, monkeypatch):
+    # the budget binds the whole action before its orbit types are read or
+    # any orbit's complex is built
+    def no_work(*args, **kwargs):
+        raise AssertionError("an orbit was read or a bar construction built over the budget")
+
+    monkeypatch.setattr(BarLevels, "__init__", no_work)
+    monkeypatch.setattr(GAction, "orbit_types", no_work)
+    code, out, err = invoke(capsys, "cohomology", "--group", "cyclic:2",
+                            "--space", "points:200000", "--degrees", "1")
+    assert code == EXIT_PRECONDITION and out == ""
+    assert err.strip() == (
+        "precondition failed: cyclic:2 on points:200000 in degrees 0..2: the normalized bar "
+        "complex has 600000 cells and the identity check reads 7 tuples and compares 12 "
+        "relations, 600019 together, over the budget of 500000")
 
 
 def test_job_file(tmp_path, capsys):

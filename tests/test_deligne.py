@@ -278,31 +278,44 @@ def test_a_points_hexagon_factors_no_matrix_twice(monkeypatch):
             (name, len(matrices), len({id(m) for m in matrices}))
 
 
-def _distinct_stabilizers(act):
-    """The stabilizers of the first 0-cell of each orbit of act, as a set of
-    sorted element tuples."""
-    seen, out = set(), set()
-    for c in range(act.space.ncells(0)):
-        if c not in seen:
-            seen |= {act.perms[g][0][c] for g in act.group.elements()}
-            out.add(tuple(g for g in act.group.elements() if act.perms[g][0][c] == c))
-    return out
+def orbit_type_keys(act):
+    """The complexes a hexagon of act reads, as (group, H, chi): each
+    orbit's type on G, its block of the cone, and its stabilizer H on a
+    point twisted by chi, kept on the subgroup, for its corners.  A fixed
+    point's two are one."""
+    keys = set()
+    for stab, signs in act.orbit_types():
+        sub = act.group.subgroup(stab)
+        keys |= {(id(act.group), stab, signs), (id(sub), tuple(sub.elements()), signs)}
+    return keys
+
+
+def recording_builds(monkeypatch):
+    """Record each BarLevels built as (group, H, chi, top): every bar
+    construction a hexagon makes is the signed coset action of one orbit
+    type (GAction.signed_cosets), whose point 0 is the coset H itself."""
+    builds = []
+    real_init = BarLevels.__init__
+
+    def counting_init(self, act, top):
+        (stab, signs), = act.orbit_types()
+        builds.append((id(act.group), stab, signs, top))
+        real_init(self, act, top)
+
+    monkeypatch.setattr(BarLevels, "__init__", counting_init)
+    return builds
 
 
 def test_one_bar_construction_per_hexagon(monkeypatch):
-    # one BarLevels and one bar total complex for act, plus one of each
-    # distinct stabilizer on a point (Shapiro), and none extra when M is a
-    # point; one Deligne cone
-    builds = []
+    # each on a fresh group, degrees asked in increasing order, so that no
+    # kept complex reaches the next top: one BarLevels and one bar total
+    # complex per orbit type that the hexagon reads (orbit_type_keys), none
+    # twice, and none extra when M is a point; one Deligne cone
+    builds = recording_builds(monkeypatch)
     totals = []
     cones = []
-    real_init = BarLevels.__init__
     real_bar = simplicial.bar_complex
     real_cone = deligne.deligne_cone
-
-    def counting_init(self, act, *args, **kwargs):
-        builds.append(act)
-        real_init(self, act, *args, **kwargs)
 
     def counting_bar(*args):
         totals.append(args)
@@ -312,31 +325,27 @@ def test_one_bar_construction_per_hexagon(monkeypatch):
         cones.append(args)
         return real_cone(*args)
 
-    monkeypatch.setattr(BarLevels, "__init__", counting_init)
     monkeypatch.setattr(simplicial, "bar_complex", counting_bar)
     monkeypatch.setattr(deligne, "deligne_cone", counting_cone)
     s3 = FiniteGroup.symmetric(3)
     mixed = GAction.points_action(s3, 4, {g: GAction.coset_action(s3, (0, 1)).perms[g][0] + [3]
                                           for g in s3.elements()})
     actions = [trivial_point(), cp_point(2), GAction.swap_two_points(),
-               GAction.coset_action(s3, (0,)), GAction.trivial(FiniteGroup.cyclic(3),
-                                                                CellComplex.points(2)), mixed]
+               GAction.coset_action(FiniteGroup.symmetric(3), (0,)),
+               GAction.trivial(FiniteGroup.cyclic(3), CellComplex.points(2)), mixed]
     for act in actions:
-        stabilizers = _distinct_stabilizers(act)
-        subgroups = {id(act.group.subgroup(stab)) for stab in stabilizers}
+        keys = orbit_type_keys(act)
+        if act.space.ncells(0) == 1:
+            assert len(keys) == 1
         for n in range(4):
             builds.clear()
             totals.clear()
             cones.clear()
             hexagon(act, n)
             assert len(cones) == 1, (act.name, n, len(cones))
-            assert builds[0] is act, (act.name, n)
-            if act.space.ncells(0) == 1:
-                assert len(builds) == 1, (act.name, n, len(builds))
-            else:
-                assert len(builds) == 1 + len(stabilizers), (act.name, n, len(builds))
-                assert all(b.space.ncells(0) == 1 for b in builds[1:])
-                assert {id(b.group) for b in builds[1:]} == subgroups, (act.name, n)
+            assert len(builds) == len(keys), (act.name, n, builds)
+            assert {b[:3] for b in builds} == keys, (act.name, n)
+            assert all(b[3] == n + 1 for b in builds), (act.name, n, builds)
             assert len(totals) == len(builds), (act.name, n, len(totals))
 
 
@@ -345,31 +354,32 @@ def test_hexagon_reads_no_window_datum_from_the_complex_on_m(monkeypatch, n):
     # with more than one 0-cell, H^{n-1}(Z), H^n(Z), the Bockstein image and
     # iota's rank all come from complexes of stabilizers on a point: outside
     # the Deligne cone's own H^n, no cohomology, rational dimension or
-    # Bockstein image is read from a complex built or reduced from act
-    origin = []       # (complex, the action whose kept bar complex it is)
+    # Bockstein image is read from act's complex or from an orbit type whose
+    # stabilizer is not the whole group it is kept on
+    origin = []       # (complex, "action", "orbit" or "point")
     read_from = []
     in_cone = []
-    real_keep, real_upto = GAction.reduced_bar, IntCochainComplex.upto
+    real_keep, real_orbit_bar = GAction.reduced_bar, FiniteGroup.orbit_bar
     real_cohomology, real_q_dim = IntCochainComplex.cohomology, IntCochainComplex.cohomology_q_dim
     real_bockstein, real_cone = deligne.bockstein_image, MixedComplex.cohomology
 
     def source(cx):
-        return [act for made, act in origin if made is cx]
+        return [label for made, label in origin if made is cx]
 
     def kept_complex(self, top):
         cx = real_keep(self, top)
-        origin.append((cx, self))
+        origin.append((cx, "action"))
         return cx
 
-    def upto(self, top):
-        view = real_upto(self, top)
-        origin.extend((view, act) for act in source(self))
-        return view
+    def orbit_bar(self, stab, signs, top):
+        cx = real_orbit_bar(self, stab, signs, top)
+        origin.append((cx, "point" if stab == tuple(self.elements()) else "orbit"))
+        return cx
 
     def reading(real):
         def read(cx, k):
             if not in_cone:
-                read_from.extend(source(cx))
+                read_from.extend(source(cx) or ["unknown"])
             return real(cx, k)
         return read
 
@@ -381,7 +391,7 @@ def test_hexagon_reads_no_window_datum_from_the_complex_on_m(monkeypatch, n):
             in_cone.pop()
 
     monkeypatch.setattr(GAction, "reduced_bar", kept_complex)
-    monkeypatch.setattr(IntCochainComplex, "upto", upto)
+    monkeypatch.setattr(FiniteGroup, "orbit_bar", orbit_bar)
     monkeypatch.setattr(IntCochainComplex, "cohomology", reading(real_cohomology))
     monkeypatch.setattr(IntCochainComplex, "cohomology_q_dim", reading(real_q_dim))
     monkeypatch.setattr(deligne, "bockstein_image", reading(real_bockstein))
@@ -393,7 +403,7 @@ def test_hexagon_reads_no_window_datum_from_the_complex_on_m(monkeypatch, n):
         read_from.clear()
         hexagon(act, n)
         assert read_from, (act.name, n)
-        assert all(a is not act and a.space.ncells(0) == 1 for a in read_from), (act.name, n)
+        assert set(read_from) == {"point"}, (act.name, n, read_from)
 
 
 def test_shapiro_corners_match_the_complex_on_m_with_signed_points():
@@ -453,7 +463,10 @@ def test_hexagon_holds_when_an_element_reverses_a_zero_cell(act):
 def test_hexagon_reduces_each_bar_complex_it_builds_once(monkeypatch):
     # Ĥ^n and the integral corners read one reduction of each complex: no
     # complex object is reduced twice, and each bar construction is reduced
-    # exactly once.
+    # exactly once.  Each group builds one bar complex per orbit type and
+    # top, and rebuilds a type only for a larger top, over every hexagon of
+    # the criterion-5 actions, which share their groups
+    builds = recording_builds(monkeypatch)
     reduced = []      # the differential lists handed to reduce_complex, kept alive
     totals = []
     real_reduce, real_bar = complexes.reduce_complex, simplicial.bar_complex
@@ -468,13 +481,19 @@ def test_hexagon_reduces_each_bar_complex_it_builds_once(monkeypatch):
     monkeypatch.setattr(complexes, "reduce_complex", counting_reduce)
     monkeypatch.setattr(linalg, "reduce_complex", counting_reduce)
     monkeypatch.setattr(simplicial, "bar_complex", counting_bar)
+    tops = {}         # (group, H, chi) -> the tops built for it, in order
     for act in _acceptance_actions():
         for n in range(5):
             reduced.clear()
             totals.clear()
+            builds.clear()
             hexagon(act, n)
             assert len({id(diffs) for diffs in reduced}) == len(reduced), (act.name, n)
-            assert len(reduced) == len(totals), (act.name, n)
+            assert len(reduced) == len(totals) == len(builds), (act.name, n)
+            for *key, top in builds:
+                tops.setdefault(tuple(key), []).append(top)
+    assert tops
+    assert all(built == sorted(set(built)) for built in tops.values()), tops
 
 
 def _fresh_actions():
