@@ -23,7 +23,7 @@ from math import comb, lcm
 from operator import or_
 from types import MappingProxyType
 
-from .linalg import IntMatrix, q_inverse, rank_q
+from .linalg import IntMatrix, rank_q
 
 
 def _exact(v):
@@ -62,10 +62,6 @@ class LieAlgebra:
 
     def c(self, a, b, c):
         return self.structure.get((a, b, c), 0)
-
-    def bracket_coeffs(self, b, c):
-        """Coefficients of [X_b, X_c] in the basis."""
-        return [self.c(a, b, c) for a in range(self.dim)]
 
     def _validate(self):
         k = self.dim
@@ -107,10 +103,13 @@ class LinearAction:
 
     A finite element is never inverted: a form is fixed by a map exactly when
     it is fixed by the map's inverse.  A misshapen g or Ad raises ValueError,
-    a singular one InvalidLieAction.
+    a singular one InvalidLieAction, and so does a rep that breaks the
+    bracket.
 
     An action keeps the generator tables of its derivations (tables, see
-    _tabulate), its trivial extensions (extensions, see extend_trivially)
+    _tabulate), built from rep once; they are the only form of the action
+    that the operations and the bracket check (_validate) read.  It also
+    keeps its trivial extensions (extensions, see extend_trivially)
     and, in cartan_blocks, three ints per block C_w in degree n that a
     Cartan query has built: {(n, w): (monomials, rank [L; D], rank L)}.
     The homotopy check runs once per block built; the budget
@@ -136,23 +135,25 @@ class LinearAction:
             if not (_invertible(g) and _invertible(ad)):
                 raise InvalidLieAction("finite element matrices must be invertible")
             self.finite_elements.append((g, ad))
-        self._validate()
         self.tables = self._tabulate()
+        self._validate()
         self.cartan_blocks = {}
         self.extensions = {}
 
     def _validate(self):
-        k = self.lie_algebra.dim
-        for b in range(k):
-            for c in range(k):
-                comm = _mat_sub(_mat_mul(self.rep[b], self.rep[c]),
-                                _mat_mul(self.rep[c], self.rep[b]))
-                want = [[0] * self.m for _ in range(self.m)]
-                for a in range(k):
-                    coeff = self.lie_algebra.c(a, b, c)
-                    if coeff:
-                        want = _mat_add(want, _mat_scale(self.rep[a], coeff))
-                if comm != want:
+        """[L_b, L_c] = -sum_a c^a_{bc} L_a on every generator x_j and dx_j,
+        read off the lie tables (X -> X^# reverses the bracket of a left
+        action); both sides are antisymmetric, so the pairs b < c suffice."""
+        k, m = self.lie_algebra.dim, self.m
+        lie = self.tables["lie"]
+        gens = [_unit(m, k + j) for j in range(m)] + [1 << i for i in range(m)]
+        images = [[EquivariantForm._of(k, m, {g: 1}).derive(t) for g in gens] for t in lie]
+        for b, c in combinations(range(k), 2):
+            for j in range(len(gens)):
+                bracket = images[c][j].derive(lie[b]) - images[b][j].derive(lie[c])
+                want = _sum_forms(k, m, (images[a][j].scale(-self.lie_algebra.c(a, b, c))
+                                         for a in range(k)))
+                if bracket != want:
                     raise InvalidLieAction("rep does not respect the bracket")
 
     def _tabulate(self):
@@ -222,18 +223,6 @@ def _exact_matrix(m):
     return [[_exact(v) for v in row] for row in m]
 
 
-def _mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _mat_mul(a, b):
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
-
-
 def _is_square(mat, n):
     return len(mat) == n and all(len(row) == n for row in mat)
 
@@ -242,10 +231,6 @@ def _invertible(mat):
     """Is the square matrix mat of full rank over Q?"""
     return _ranks([{i: row[j] for i, row in enumerate(mat) if row[j]}
                    for j in range(len(mat))], ())[1] == len(mat)
-
-
-def _mat_scale(a, c):
-    return [[c * x for x in row] for row in a]
 
 
 # ---------------------------------------------------------------------------
@@ -372,14 +357,6 @@ class EquivariantForm:
     def cartan_degrees(self):
         """Set of Cartan degrees 2|u| + |dx| present among the terms."""
         return {2 * sum(u) + len(dx) for (u, _x, dx) in self.terms}
-
-    def cartan_degree(self):
-        degs = self.cartan_degrees()
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise ValueError(f"inhomogeneous form with degrees {sorted(degs)}")
-        return degs.pop()
 
     def form_degrees(self):
         return {len(dx) for (_u, _x, dx) in self.terms}
@@ -634,16 +611,6 @@ def _derive(table, packed):
 # Cartan differential and invariance
 
 
-def fundamental_vector_field(act: LinearAction, coeffs):
-    """Matrix of the linear field X^#(x) = rep(X) x for X = sum coeffs X_a."""
-    m = act.m
-    out = [[0] * m for _ in range(m)]
-    for a, c in enumerate(coeffs):
-        if c:
-            out = _mat_add(out, _mat_scale(act.rep[a], _exact(c)))
-    return out
-
-
 def cartan_d(act: LinearAction, omega: EquivariantForm) -> EquivariantForm:
     """d_C = d + sum_a u_a iota(X_a^#); raises the Cartan degree by one.
     Without a Lie algebra d_C is d, over any number of x variables."""
@@ -660,18 +627,6 @@ def total_lie(act: LinearAction, a, omega: EquivariantForm) -> EquivariantForm:
     """Equivariance derivative: manifold Lie derivative plus the induced
     derivation on the u variables (u_b -> sum_c c^b_{a c} u_c)."""
     return omega.derive(act.tables["total_lie"][a])
-
-
-def group_transform(omega: EquivariantForm, g, ad):
-    """The action of a group element: pull the form back along x -> g^{-1} x
-    and twist the u variables by Ad_{g^{-1}}.  g and ad are inverted on
-    every call; invariance under a LinearAction's finite elements needs no
-    inverse (is_invariant)."""
-    g_inv = q_inverse(g)
-    ad_inv = q_inverse(ad)
-    if g_inv is None or ad_inv is None:
-        raise ValueError("finite element matrices must be invertible")
-    return omega.substitute_linear(g_inv, u_matrix=ad_inv)
 
 
 def _invariance_images(act: LinearAction, omega: EquivariantForm):

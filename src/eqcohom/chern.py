@@ -86,21 +86,6 @@ def form_trace(a):
     return _sum_forms(a[0][0].num_u, a[0][0].num_x, (a[i][i] for i in range(len(a))))
 
 
-def form_mat_scalar_conjugate(a, g):
-    """g a g^{-1} for a rational invertible scalar matrix g."""
-    from .linalg import q_inverse
-    g_inv = q_inverse(g)
-    r = len(a)
-    num_u, num_x = a[0][0].num_u, a[0][0].num_x
-    out = form_zero_matrix(r, num_u, num_x)
-    for i in range(r):
-        for j in range(r):
-            out[i][j] = _sum_forms(num_u, num_x,
-                                   (a[k][l].scale(Fraction(g[i][k]) * Fraction(g_inv[l][j]))
-                                    for k in range(r) for l in range(r)))
-    return out
-
-
 def _principal_minor_det(m, subset):
     """Determinant of the principal submatrix of a nonempty subset; entries
     must be even forms.  Each permutation's last factor is wedged straight
@@ -267,23 +252,6 @@ def moment_map(a: ConnectionMatrix, drho, act: LinearAction) -> MomentMap:
     return MomentMap(a.rank, _moment_components(a, drho_mats, act))
 
 
-def moment_defining_equation_check(act, a: ConnectionMatrix, drho, mu: MomentMap, phi):
-    """Check nabla_{X^#} phi + L^E_X phi == mu(X) phi on a section phi
-    (a list of polynomial 0-forms), for every basis element."""
-    col = [[f] for f in phi]
-    d_phi = form_mat_d(col)
-    nabla = form_mat_add(d_phi, form_mat_wedge(a.entries, col))
-    drho_mats = bundle_action_matrices(drho, a.rank, a.num_u, a.num_x)
-    for idx in range(act.lie_algebra.dim):
-        iota = act.tables["iota"][idx]
-        # L^E phi = drho phi - directional derivative along X^#
-        lie_e = form_mat_sub(form_mat_wedge(drho_mats[idx], col), form_mat_derive(d_phi, iota))
-        lhs = form_mat_add(form_mat_derive(nabla, iota), lie_e)
-        if lhs != form_mat_wedge(mu.components[idx], col):
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # invariant polynomials and characteristic forms
 
@@ -318,21 +286,6 @@ class InvariantPolynomial:
             sign = -1 if self.k % 2 else 1
             return elementary_symmetric(m, 2 * self.k).scale(sign)
         raise AssertionError
-
-
-def conjugation_invariance_check(poly: InvariantPolynomial, rank, rng, trials=10):
-    """P(g B g^{-1}) == P(B) on random rational matrices."""
-    from .linalg import q_inverse
-    for _ in range(trials):
-        b = [[EquivariantForm.constant(0, 1, Fraction(rng.randint(-4, 4)))
-              for _ in range(rank)] for _ in range(rank)]
-        while True:
-            g = [[Fraction(rng.randint(-3, 3)) for _ in range(rank)] for _ in range(rank)]
-            if q_inverse(g) is not None:
-                break
-        if poly.evaluate(form_mat_scalar_conjugate(b, g)) != poly.evaluate(b):
-            return False
-    return True
 
 
 def equivariant_curvature(r: CurvatureMatrix, mu: MomentMap):

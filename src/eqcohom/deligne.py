@@ -413,7 +413,7 @@ def hexagon(act: GAction, n) -> HexagonReport:
             "complexes only")
     hhat = differential_cohomology_zero_dim(act, n)
     cx = act.reduced_bar(n + 1)
-    orbits = act.orbit_count()
+    orbits = len(act.orbit_types())
     name = f"{act.group.name or 'group'} on {act.space.name or 'space'}"
     integral = _integral_corners(act, n)
     h_prev, h_n = integral.h_prev, integral.h_n
@@ -547,12 +547,6 @@ class FlatEquivariantLineBundle:
         if not (p >= 2 and 0 <= q < p):
             raise ValueError("need p >= 2 and 0 <= q < p")
         return cls(p, [Fraction(0)] * p, [Fraction(q, p)] * p)
-
-    @classmethod
-    def tangent_plus_normal(cls, p):
-        """TS^1 (+) N in the rotating frame: transport 1/p per edge, trivial
-        fiber action; total holonomy 1 (a full turn), still integral."""
-        return cls(p, [Fraction(1, p)] * p, [Fraction(0)] * p)
 
     def phi(self, k, v):
         """Log fiber twist of the k-th power of the generator over vertex v."""

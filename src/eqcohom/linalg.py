@@ -564,12 +564,6 @@ class FgAbGroup:
     def is_trivial(self):
         return self.free_rank == 0 and not self.torsion
 
-    def torsion_order(self):
-        n = 1
-        for d in self.torsion:
-            n *= d
-        return n
-
     def direct_sum(self, other):
         """The sum in divisor-chain form: each factor d of other goes into
         the chain from its largest factor c down, by Z/c + Z/d = Z/lcm(c, d)
@@ -836,10 +830,9 @@ def coefficient_change(h_n: FgAbGroup, h_next: FgAbGroup) -> StructuredCoefGroup
 #
 # No CLI command reaches this block: ranks go through rank_q, integral
 # solutions through solve_int, and finite symmetries act without inverses.
-# It serves group_transform (an arbitrary element, inverted per call),
-# chern's conjugation helpers and the invariant_connection_space sampler,
-# and it is the dense oracle of the tests.  bench/tracer.py times these five
-# names as linalg.dense_q.
+# Its one caller in the package is chern.invariant_connection_space; beyond
+# it, the tests' oracles use it, and bench/tracer.py times these five names
+# as linalg.dense_q.
 
 
 def q_rref(m):

@@ -406,10 +406,6 @@ class GAction:
     def act_cell(self, g, d, c):
         return self.perms[g][d][c], self.signs[g][d][c]
 
-    def orbit_count(self):
-        """Number of orbits on 0-cells."""
-        return len(self._orbit_representatives())
-
     def _orbit_representatives(self):
         """The first 0-cell of each orbit on 0-cells, in increasing order."""
         seen = set()
@@ -687,14 +683,6 @@ class BarLevels:
             self._degeneracy_tables[p] = degeneracies
         return degeneracies[i]
 
-    def nondegenerate_face_table(self, p, i):
-        """Face i of the nondegenerate tuples of level p, a decorated map
-        (codes, acts): codes[r] is the position of the face of tuple r among
-        the nondegenerate tuples of level p - 1, or None where the face is
-        degenerate, and acts[r] acts on the M factor (acts None: the
-        identity acts)."""
-        return self.group.normalized_bar_faces(p)[i]
-
     def cells(self, p, q):
         """q-cells of level p of the full bar object."""
         if 0 <= p <= self.P:
@@ -879,7 +867,7 @@ class BarLevels:
         firsts (leading_tuples), in their order."""
         if p + 1 > self.P:
             return IntMatrix.zero(0, self.normalized_cells(p, q))
-        faces = [((-1) ** i, self.nondegenerate_face_table(p + 1, i)) for i in range(p + 2)]
+        faces = [((-1) ** i, face) for i, face in enumerate(self.group.normalized_bar_faces(p + 1))]
         rows = self.leading_tuples(p + 1, firsts)
         if firsts is not None:
             faces = [(sign, ([codes[r] for r in rows], acts and [acts[r] for r in rows]))

@@ -25,11 +25,11 @@ from eqcohom.cartan import (
 )
 from eqcohom.chern import (
     elementary_symmetric,
-    form_mat_scalar_conjugate,
     form_mat_wedge,
     form_trace,
 )
 from eqcohom.linalg import q_inverse
+from form_checks import form_mat_scalar_conjugate
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
